@@ -1,4 +1,6 @@
 import math
+import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -108,6 +110,51 @@ class TestParse:
     def test_garbage_rejected(self):
         with pytest.raises(GoalSyntaxError):
             parse_goal("num_ranks 2\nrank 0 { $$$ }")
+
+
+
+# Malformed texts: (id, text, line of the error, fragment of its message).
+_TWO_RANKS = "rank 1 {\n  a: recv 16b from 0\n}\n"
+_MALFORMED = [
+    ("stray_dollar", "num_ranks 2\nrank 0 {\n  a: send 16b to 1\n  $\n}\n" + _TWO_RANKS,
+     4, "'$'"),
+    ("size_without_b", "num_ranks 2\nrank 0 {\n  a: send 16 to 1\n}\n" + _TWO_RANKS,
+     3, "16"),
+    ("size_bad_suffix", "num_ranks 2\nrank 0 {\n  a: send 16bx to 1\n}\n" + _TWO_RANKS,
+     3, "expected"),
+    ("missing_to", "num_ranks 2\nrank 0 {\n  a: send 16b 1\n}\n" + _TWO_RANKS,
+     3, "found '"),
+    ("missing_from", "num_ranks 2\nrank 0 {\n  a: send 16b to 1\n}\n"
+     "rank 1 {\n  a: recv 16b 0\n}\n", 6, "found '"),
+    ("keyword_label", "num_ranks 1\nrank 0 {\n  send: calc 1\n}\n", 3, "'send"),
+    ("keyword_dependency", "num_ranks 1\nrank 0 {\n  a: calc 1\n  a requires rank\n}\n",
+     4, "rank"),
+    ("requires_word_boundary",
+     "num_ranks 1\nrank 0 {\n  a: calc 1\n  b: calc 2\n  arequires b\n}\n",
+     5, "'arequires"),
+    ("unterminated_block", "num_ranks 1\nrank 0 {\n  a: calc 1\n", 4,
+     "unterminated rank block"),
+    ("duplicate_block", "num_ranks 2\nrank 0 { a: calc 1 }\nrank 0 { b: calc 2 }\n", 3,
+     "duplicate block for rank 0"),
+    ("rank_out_of_range", "num_ranks 2\nrank 0 { a: calc 1 }\nrank 2 { b: calc 2 }\n", 3,
+     "rank 2 out of range (num_ranks 2)"),
+    ("peer_out_of_range", "num_ranks 2\nrank 0 {\n  a: send 4b to 2\n}\n", 3,
+     "peer 2 out of range (num_ranks 2)"),
+    ("own_rank_peer", "num_ranks 2\nrank 0 { a: calc 1 }\nrank 1 {\n  a: recv 4b from 1\n}\n",
+     4, "peer must differ from own rank 1"),
+    ("zero_ranks", "# header\nnum_ranks 0\n", 2, "num_ranks must be >= 1"),
+    ("text_before_num_ranks", "rank 0 { a: calc 1 }\nnum_ranks 1\n", 1,
+     "expected 'num_ranks"),
+]
+
+
+@pytest.mark.parametrize("text,line,fragment",
+                         [row[1:] for row in _MALFORMED], ids=[row[0] for row in _MALFORMED])
+def test_malformed_text_rejected(text, line, fragment):
+    with pytest.raises(GoalSyntaxError) as err:
+        parse_goal(text)
+    assert err.value.line == line
+    assert fragment in str(err.value)
 
 
 class TestEmit:
@@ -291,3 +338,30 @@ def test_dissemination_property_clean_and_roundtrips(nranks, size):
     s = gen_dissemination(nranks, size)
     assert validate(s) == []
     assert parse_goal(emit_goal(s)) == s
+
+
+# Words and punctuation of emitted text; separators may go between any two.
+_EMITTED_TOKEN = re.compile(r"[^\s:,]+|[:,]")
+_SEPARATORS = [" ", "\t", "\n", "\t\n  ", " # note\n", "# o9: send 4b to 0, rank 1 {\n",
+               "\n#\n"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), nranks=st.integers(2, 6),
+       make=st.sampled_from(["dissemination", "ring", "compapp"]))
+def test_reflowed_text_parses_to_same_schedule(seed, nranks, make):
+    rng = random.Random(seed)
+    if make == "dissemination":
+        s = gen_dissemination(nranks, 16)
+    elif make == "ring":
+        s = gen_ring_allreduce(nranks, 8 * nranks, reduce_cost_per_chunk=3)
+    else:
+        s = gen_compute_collective(nranks, 100, "dissemination", 8, 2)
+    tokens = _EMITTED_TOKEN.findall(emit_goal(Schedule(s.nranks, s.ops)))
+    parts = [tokens[0]]
+    for prev, tok in zip(tokens, tokens[1:]):
+        # punctuation needs no separator; two words need at least one
+        least = 0 if prev in ":," or tok in ":," else 1
+        parts += rng.choices(_SEPARATORS, k=rng.randint(least, 3))
+        parts.append(tok)
+    assert parse_goal("".join(parts)) == s
