@@ -1,7 +1,7 @@
 """Schedule IR for communication patterns, a GOAL-style text format, and generators.
 
 A Schedule is a per-rank DAG of send/recv/calc operations with explicit
-rank-local dependencies. The text form is a small, LL(1) language:
+rank-local dependencies. The text form is a sequence of statements:
 
     num_ranks 4
     rank 0 {
@@ -12,10 +12,16 @@ rank-local dependencies. The text form is a small, LL(1) language:
     }
     ...
 
-One statement per label: sends/recvs carry a byte size with a ``b`` suffix and
-a peer rank, calcs carry a duration in ns. ``LABEL requires LABEL, ...`` adds
-dependencies between ops of the same rank (forward references are allowed
-inside a block). ``#`` starts a comment; whitespace is otherwise free-form.
+``num_ranks N`` comes first, then one ``rank N { ... }`` block per rank (a
+rank without a block has no ops). Inside a block, one statement per label:
+sends/recvs carry a byte size with a ``b`` suffix and a peer rank, calcs carry
+a duration in ns. ``LABEL requires LABEL, ...`` adds dependencies between ops
+of the same block (forward references are allowed). Keywords cannot be
+labels. Whitespace, newlines included, is free between any two words or
+symbols, even inside a statement, and a ``#`` comment may go wherever
+whitespace may. A syntax error names the line and column of the first
+statement that does not parse; a bad rank id, peer or label is named at its
+own position.
 
 Message matching is in-order per (src, dst, size) triple: the j-th send of a
 given triple pairs with the j-th matching recv. All generators here are
@@ -27,7 +33,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from typing import Mapping
 
 __all__ = [
     "SEND",
@@ -139,190 +145,121 @@ class Schedule:
 # ---------------------------------------------------------------------------
 # Parsing
 
-_KEYWORDS = frozenset({"num_ranks", "rank", "send", "recv", "calc", "to", "from", "requires"})
+_KEYWORDS = ("num_ranks", "rank", "send", "recv", "calc", "to", "from", "requires")
 
-_TOKEN_RE = re.compile(
-    r"""(?P<ws>[^\S\n]+)
-      | (?P<nl>\n)
-      | (?P<comment>\#[^\n]*)
-      | (?P<size>\d+b\b)
-      | (?P<number>\d+\b)
-      | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
-      | (?P<punct>[{}:,])
-    """,
+# Whitespace and comments. A comment must run to the end of its line, so that
+# backtracking can never stop inside one and read its words as syntax.
+_SEP = r"(?:\s+|\#[^\n]*(?![^\n]))*"
+_LABEL = rf"(?!(?:{'|'.join(_KEYWORDS)})\b)[A-Za-z_][A-Za-z0-9_]*\b"
+
+# Each pattern matches one statement and the separators after it, so the
+# cursor always rests on the first character of the next statement. The count
+# after num_ranks is optional so that a failed header still ends there too.
+_HEADER_RE = re.compile(rf"{_SEP}(?:num_ranks\b{_SEP}(?P<nranks>\d+)\b{_SEP})?")
+_BLOCK_RE = re.compile(rf"rank\b{_SEP}(?P<rank>\d+)\b{_SEP}\{{{_SEP}")
+# The last group to close names the statement: to, from, calc, requires, close.
+_STMT_RE = re.compile(
+    rf"""(?: (?P<label>{_LABEL}){_SEP}
+             (?: :{_SEP}(?: send\b{_SEP}(?P<send>\d+)b\b{_SEP}to\b{_SEP}(?P<to>\d+)
+                          | recv\b{_SEP}(?P<recv>\d+)b\b{_SEP}from\b{_SEP}(?P<from>\d+)
+                          | calc\b{_SEP}(?P<calc>\d+) )\b
+               | requires\b{_SEP}(?P<requires>{_LABEL}(?:{_SEP},{_SEP}{_LABEL})*) )
+         | (?P<close>\}}) ){_SEP}""",
     re.VERBOSE,
 )
+_STMT_FORMS = "'LABEL: send|recv|calc ...', 'LABEL requires ...' or '}'"
 
 
-@dataclass(frozen=True)
-class _Tok:
-    kind: str
-    text: str
-    line: int
-    col: int
+def _error(text: str, pos: int, message: str) -> GoalSyntaxError:
+    line_start = text.rfind("\n", 0, pos) + 1
+    return GoalSyntaxError(message, text.count("\n", 0, pos) + 1, pos - line_start + 1)
 
 
-def _tokenize(text: str) -> Iterator[_Tok]:
-    line, line_start = 1, 0
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise GoalSyntaxError(
-                f"unexpected character {text[pos]!r}", line, pos - line_start + 1
-            )
-        kind = m.lastgroup
-        if kind == "nl":
-            line += 1
-            line_start = m.end()
-        elif kind not in ("ws", "comment"):
-            tok_kind = kind
-            tok_text = m.group()
-            if kind == "name" and tok_text in _KEYWORDS:
-                tok_kind = tok_text
-            yield _Tok(tok_kind, tok_text, line, m.start() - line_start + 1)
-        pos = m.end()
-    yield _Tok("eof", "", line, len(text) - line_start + 1)
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self._toks = list(_tokenize(text))
-        self._i = 0
-
-    def _peek(self) -> _Tok:
-        return self._toks[self._i]
-
-    def _next(self) -> _Tok:
-        tok = self._toks[self._i]
-        if tok.kind != "eof":
-            self._i += 1
-        return tok
-
-    def _expect(self, kind: str, what: str) -> _Tok:
-        tok = self._next()
-        if tok.kind != kind:
-            raise GoalSyntaxError(f"expected {what}, found {tok.text or 'end of input'!r}",
-                                  tok.line, tok.col)
-        return tok
-
-    def _number(self, what: str) -> int:
-        return int(self._expect("number", what).text)
-
-    def _size(self, what: str) -> int:
-        tok = self._next()
-        if tok.kind != "size":
-            raise GoalSyntaxError(f"expected {what} (e.g. 16b), found {tok.text!r}",
-                                  tok.line, tok.col)
-        return int(tok.text[:-1])
-
-    def parse(self) -> Schedule:
-        self._expect("num_ranks", "'num_ranks'")
-        nranks_tok = self._peek()
-        nranks = self._number("rank count")
-        if nranks < 1:
-            raise GoalSyntaxError("num_ranks must be >= 1", nranks_tok.line, nranks_tok.col)
-        rank_ops: list[tuple[ScheduleOp, ...] | None] = [None] * nranks
-        while self._peek().kind != "eof":
-            tok = self._expect("rank", "'rank' block")
-            rank_tok = self._peek()
-            rank = self._number("rank id")
-            if rank >= nranks:
-                raise GoalSyntaxError(f"rank {rank} out of range (num_ranks {nranks})",
-                                      rank_tok.line, rank_tok.col)
-            if rank_ops[rank] is not None:
-                raise GoalSyntaxError(f"duplicate block for rank {rank}", tok.line, tok.col)
-            rank_ops[rank] = self._rank_block(rank, nranks)
-        ops = tuple(block if block is not None else () for block in rank_ops)
-        schedule = Schedule(nranks=nranks, ops=ops)
-        violations = validate(schedule)
-        if violations:
-            raise ScheduleValidationError(violations)
-        return schedule
-
-    def _rank_block(self, rank: int, nranks: int) -> tuple[ScheduleOp, ...]:
-        tok = self._next()
-        if tok.kind != "punct" or tok.text != "{":
-            raise GoalSyntaxError("expected '{'", tok.line, tok.col)
-        raw_ops: list[tuple[str, str, int | None, int, _Tok]] = []
-        labels: dict[str, int] = {}
-        deps: list[tuple[str, list[str], _Tok]] = []
-        while True:
-            tok = self._next()
-            if tok.kind == "punct" and tok.text == "}":
-                break
-            if tok.kind == "eof":
-                raise GoalSyntaxError("unterminated rank block", tok.line, tok.col)
-            if tok.kind != "name":
-                raise GoalSyntaxError(f"expected a label, found {tok.text!r}", tok.line, tok.col)
-            label = tok.text
-            nxt = self._next()
-            if nxt.kind == "punct" and nxt.text == ":":
-                if label in labels:
-                    raise GoalSyntaxError(f"duplicate label {label!r}", tok.line, tok.col)
-                labels[label] = len(raw_ops)
-                raw_ops.append(self._op_stmt(label, rank, nranks, tok))
-            elif nxt.kind == "requires":
-                targets = [self._expect("name", "a label").text]
-                while self._peek().kind == "punct" and self._peek().text == ",":
-                    self._next()
-                    targets.append(self._expect("name", "a label").text)
-                deps.append((label, targets, tok))
-            else:
-                raise GoalSyntaxError(
-                    f"expected ':' or 'requires' after label {label!r}", nxt.line, nxt.col
-                )
-        requires: list[set[int]] = [set() for _ in raw_ops]
-        for label, targets, tok in deps:
-            if label not in labels:
-                raise GoalSyntaxError(f"dangling dependency label {label!r}", tok.line, tok.col)
-            for target in targets:
-                if target not in labels:
-                    raise GoalSyntaxError(f"dangling dependency label {target!r}",
-                                          tok.line, tok.col)
-                requires[labels[label]].add(labels[target])
-        return tuple(
-            ScheduleOp(id=i, kind=kind, peer=peer, size=size, requires=frozenset(requires[i]))
-            for i, (label, kind, peer, size, _) in enumerate(raw_ops)
-        )
-
-    def _op_stmt(self, label: str, rank: int, nranks: int, at: _Tok):
-        tok = self._next()
-        if tok.kind == SEND:
-            size = self._size("message size")
-            self._expect("to", "'to'")
-            peer_tok = self._peek()
-            peer = self._number("peer rank")
-            self._check_peer(peer, rank, nranks, peer_tok)
-            return (label, SEND, peer, size, at)
-        if tok.kind == RECV:
-            size = self._size("message size")
-            self._expect("from", "'from'")
-            peer_tok = self._peek()
-            peer = self._number("peer rank")
-            self._check_peer(peer, rank, nranks, peer_tok)
-            return (label, RECV, peer, size, at)
-        if tok.kind == CALC:
-            return (label, CALC, None, self._number("duration in ns"), at)
-        raise GoalSyntaxError(f"expected send/recv/calc, found {tok.text!r}", tok.line, tok.col)
-
-    @staticmethod
-    def _check_peer(peer: int, rank: int, nranks: int, tok: _Tok) -> None:
-        if peer >= nranks:
-            raise GoalSyntaxError(f"peer {peer} out of range (num_ranks {nranks})",
-                                  tok.line, tok.col)
-        if peer == rank:
-            raise GoalSyntaxError(f"peer must differ from own rank {rank}", tok.line, tok.col)
+def _expected(text: str, pos: int, what: str) -> GoalSyntaxError:
+    line_end = text.find("\n", pos)
+    found = text[pos:line_end if line_end >= 0 else len(text)].rstrip()
+    return _error(text, pos, f"expected {what}, found {found or 'end of input'!r}")
 
 
 def parse_goal(text: str) -> Schedule:
     """Parse schedule text into a validated Schedule.
 
-    Raises GoalSyntaxError (with line/column) for malformed text and
-    ScheduleValidationError for well-formed text that is not a runnable
-    schedule (unmatched messages, dependency cycles).
+    The text is read one statement per regex match: ``num_ranks N``, then
+    ``rank N {`` blocks of op, requires and ``}`` statements. Raises
+    GoalSyntaxError for malformed text, with the line and column of the first
+    statement that does not parse (or, for a bad value, of the offending rank
+    id, peer or label), and ScheduleValidationError for well-formed text that
+    is not a runnable schedule (unmatched messages, dependency cycles).
     """
-    return _Parser(text).parse()
+    m = _HEADER_RE.match(text)
+    if m["nranks"] is None:
+        raise _expected(text, m.end(), "'num_ranks N'")
+    nranks = int(m["nranks"])
+    if nranks < 1:
+        raise _error(text, m.start("nranks"), "num_ranks must be >= 1")
+    blocks: list[tuple[ScheduleOp, ...] | None] = [None] * nranks
+    pos = m.end()
+    while pos < len(text):
+        m = _BLOCK_RE.match(text, pos)
+        if m is None:
+            raise _expected(text, pos, "'rank N {'")
+        rank = int(m["rank"])
+        if rank >= nranks:
+            raise _error(text, m.start("rank"), f"rank {rank} out of range (num_ranks {nranks})")
+        if blocks[rank] is not None:
+            raise _error(text, pos, f"duplicate block for rank {rank}")
+        blocks[rank], pos = _parse_block(text, m.end(), rank, nranks)
+    schedule = Schedule(nranks=nranks, ops=tuple(block or () for block in blocks))
+    violations = validate(schedule)
+    if violations:
+        raise ScheduleValidationError(violations)
+    return schedule
+
+
+def _parse_block(text: str, pos: int, rank: int,
+                 nranks: int) -> tuple[tuple[ScheduleOp, ...], int]:
+    """Ops of the block body starting at ``pos``, and the offset after its '}'."""
+    ops: list[tuple[str, int | None, int]] = []
+    labels: dict[str, int] = {}
+    deps: list[tuple[int, str, str]] = []  # (offset, label, dependency list text)
+    while True:
+        m = _STMT_RE.match(text, pos)
+        if m is None:
+            if pos == len(text):
+                raise _error(text, pos, "unterminated rank block")
+            raise _expected(text, pos, _STMT_FORMS)
+        kind, label = m.lastgroup, m["label"]
+        if kind == "close":
+            break
+        if kind == "requires":
+            deps.append((pos, label, m["requires"]))
+        elif label in labels:
+            raise _error(text, pos, f"duplicate label {label!r}")
+        elif kind == "calc":
+            labels[label] = len(ops)
+            ops.append((CALC, None, int(m["calc"])))
+        else:
+            peer = int(m[kind])
+            if peer >= nranks:
+                raise _error(text, m.start(kind), f"peer {peer} out of range (num_ranks {nranks})")
+            if peer == rank:
+                raise _error(text, m.start(kind), f"peer must differ from own rank {rank}")
+            labels[label] = len(ops)
+            ops.append((SEND, peer, int(m["send"])) if kind == "to"
+                       else (RECV, peer, int(m["recv"])))
+        pos = m.end()
+    requires: list[set[int]] = [set() for _ in ops]
+    for at, label, dep_text in deps:
+        if "#" in dep_text:
+            dep_text = " ".join(line.partition("#")[0] for line in dep_text.split("\n"))
+        targets = dep_text.replace(",", " ").split()
+        for name in (label, *targets):
+            if name not in labels:
+                raise _error(text, at, f"dangling dependency label {name!r}")
+        requires[labels[label]].update(labels[t] for t in targets)
+    block = tuple(ScheduleOp(i, kind, peer, size, frozenset(req))
+                  for i, ((kind, peer, size), req) in enumerate(zip(ops, requires)))
+    return block, m.end()
 
 
 def emit_goal(schedule: Schedule) -> str:

@@ -129,6 +129,10 @@ _MALFORMED = [
     ("keyword_label", "num_ranks 1\nrank 0 {\n  send: calc 1\n}\n", 3, "'send"),
     ("keyword_dependency", "num_ranks 1\nrank 0 {\n  a: calc 1\n  a requires rank\n}\n",
      4, "rank"),
+    ("size_word_boundary", "num_ranks 2\nrank 0 {\n  a: send 16bto 1\n}\n" + _TWO_RANKS,
+     3, "expected"),
+    ("requires_then_word", "num_ranks 1\nrank 0 {\n  a: calc 1\n  b: calc 2\n  b requiresa\n}\n",
+     5, "expected"),
     ("requires_word_boundary",
      "num_ranks 1\nrank 0 {\n  a: calc 1\n  b: calc 2\n  arequires b\n}\n",
      5, "'arequires"),
@@ -155,6 +159,47 @@ def test_malformed_text_rejected(text, line, fragment):
         parse_goal(text)
     assert err.value.line == line
     assert fragment in str(err.value)
+
+
+
+class TestErrorPosition:
+    def test_syntax_error_names_statement_start(self):
+        with pytest.raises(GoalSyntaxError) as err:
+            parse_goal("num_ranks 2\nrank 0 {\n  a:\n    send 16\n    to 1\n}")
+        assert (err.value.line, err.value.col) == (3, 3)
+        assert "found 'a:'" in str(err.value)
+
+    def test_bad_peer_names_the_peer(self):
+        with pytest.raises(GoalSyntaxError) as err:
+            parse_goal("num_ranks 2\nrank 0 {\n  a: send 4b\n  to 7 }")
+        assert (err.value.line, err.value.col) == (4, 6)
+
+    def test_dangling_label_names_the_requires_statement(self):
+        with pytest.raises(GoalSyntaxError) as err:
+            parse_goal("num_ranks 1\nrank 0 { a: calc 1\n  a requires\n ghost }")
+        assert (err.value.line, err.value.col) == (3, 3)
+
+
+class TestComments:
+    def test_comment_words_are_not_dependencies(self):
+        s = parse_goal("num_ranks 1\nrank 0 { a: calc 1\n b: calc 2\n"
+                       " b requires a # , c\n}")
+        assert s.ops[0][1].requires == frozenset({0})
+
+    def test_comment_inside_dependency_list(self):
+        s = parse_goal("num_ranks 1\nrank 0 { a: calc 1\n b: calc 2\n c: calc 3\n"
+                       " c requires a, # then\n b }")
+        assert s.ops[0][2].requires == frozenset({0, 1})
+
+    def test_comment_words_are_not_syntax(self):
+        with pytest.raises(GoalSyntaxError) as err:
+            parse_goal("num_ranks 2\nrank 0 {\n  a: send 4b # to 1\n}\n" + _TWO_RANKS)
+        assert (err.value.line, err.value.col) == (3, 3)
+
+    def test_comment_inside_op_statement(self):
+        s = parse_goal("num_ranks 2 # ranks\nrank 0 { a: # op\n send # kind\n 4b to\n"
+                       " # peer next\n 1 }\nrank 1 { a: recv 4b from 0 }")
+        assert s.ops[0] == (ScheduleOp(0, SEND, 1, 4),)
 
 
 class TestEmit:
