@@ -40,10 +40,10 @@ __all__ = [
     "PROTOCOL_VERSION",
     "MODE_PINGPONG",
     "MODE_BIDIR",
-    "MODE_DETOUR",
     "SETUP_STRUCT",
     "BenchPlan",
     "ClockResolutionError",
+    "DetourLimitError",
     "part_sizes",
     "pack_setup",
     "unpack_setup",
@@ -57,7 +57,6 @@ MAGIC = b"NSIM"
 PROTOCOL_VERSION = 1
 MODE_PINGPONG = 1
 MODE_BIDIR = 2
-MODE_DETOUR = 3
 
 SETUP_STRUCT = struct.Struct("!4sBBQHI")
 _BIDIR_EXTRA = struct.Struct("!HQQ")  # reverse_port, interval_ns, epoch_ns
@@ -65,11 +64,15 @@ _EPOCH_STRUCT = struct.Struct("!Q")
 _ROW_COUNT = struct.Struct("!I")
 _ROW_STRUCT = struct.Struct("!Qd")
 
-_MODE_NAMES = {"pingpong": MODE_PINGPONG, "pingpong_bidir": MODE_BIDIR, "detour": MODE_DETOUR}
+_MODES = ("pingpong", "pingpong_bidir")
 
 
 class ClockResolutionError(RuntimeError):
     """The monotonic clock cannot resolve a single loop iteration."""
+
+
+class DetourLimitError(RuntimeError):
+    """The detour recorder reached max_iterations before collecting enough events."""
 
 
 @dataclass(frozen=True)
@@ -83,13 +86,10 @@ class BenchPlan:
     connections: int = 1
     inter_message_interval_ns: int = 0
     peer: tuple[str, int] | None = None
-    role: str = "initiator"
 
     def __post_init__(self) -> None:
-        if self.mode not in _MODE_NAMES:
+        if self.mode not in _MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.role not in ("initiator", "responder"):
-            raise ValueError(f"unknown role {self.role!r}")
         if self.connections < 1:
             raise ValueError("connections must be >= 1")
         if self.iterations < 1:
@@ -98,14 +98,13 @@ class BenchPlan:
             raise ValueError("warmup_iterations must be >= 0")
         if self.inter_message_interval_ns < 0:
             raise ValueError("inter_message_interval_ns must be >= 0")
-        if self.mode in ("pingpong", "pingpong_bidir"):
-            if self.size < 1:
-                raise ValueError("payload size must be >= 1 byte")
-            if self.size < self.connections:
-                raise ValueError(
-                    f"size ({self.size}) must be >= connections ({self.connections}) "
-                    "so every part is non-empty"
-                )
+        if self.size < 1:
+            raise ValueError("payload size must be >= 1 byte")
+        if self.size < self.connections:
+            raise ValueError(
+                f"size ({self.size}) must be >= connections ({self.connections}) "
+                "so every part is non-empty"
+            )
 
 
 def part_sizes(size: int, connections: int) -> list[int]:
@@ -424,8 +423,9 @@ def selfish_detour(
     ``target_records`` events are collected. Returns (t_min, trace).
 
     Refuses to run when the clock cannot resolve a loop iteration (a measured
-    iteration of 0 ns). ``max_iterations`` optionally bounds the recording
-    loop for hosts too quiet to ever produce enough events.
+    iteration of 0 ns), raising ClockResolutionError. ``max_iterations``
+    optionally bounds the recording loop for hosts too quiet to ever produce
+    enough events; reaching it raises DetourLimitError.
     """
     if target_records < 1:
         raise ValueError("target_records must be >= 1")
@@ -459,7 +459,7 @@ def selfish_detour(
         prev = now
         iters += 1
         if max_iterations is not None and iters >= max_iterations:
-            raise RuntimeError(
+            raise DetourLimitError(
                 f"collected only {len(events)}/{target_records} detour events "
                 f"within {max_iterations} iterations"
             )

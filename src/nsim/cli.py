@@ -61,7 +61,8 @@ def _handle_errors(fn):
             _fail(EXIT_DEADLOCK, exc)
         except (TraceFormatError, OSError, json.JSONDecodeError) as exc:
             _fail(EXIT_IO, exc)
-        except (GoalSyntaxError, ScheduleValidationError, ValueError) as exc:
+        except (GoalSyntaxError, ScheduleValidationError, ValueError,
+                bench_mod.ClockResolutionError, bench_mod.DetourLimitError) as exc:
             _fail(EXIT_VALIDATION, exc)
 
     return wrapper
@@ -96,10 +97,10 @@ def load_params_file(path: str) -> tuple[LogGPParams, dict]:
                 return doc[n]
         raise ValueError(f"params file {path} is missing {'/'.join(names)}")
     params = LogGPParams(
-        L=int(pick("L_ns", "L")),
-        o=int(pick("o_ns", "o")),
-        g=int(pick("g_ns", "g")),
-        G=float(pick("G_ns_per_byte", "G")),
+        L=pick("L_ns", "L"),
+        o=pick("o_ns", "o"),
+        g=pick("g_ns", "g"),
+        G=pick("G_ns_per_byte", "G"),
     )
     return params, doc
 
@@ -283,10 +284,8 @@ _UNIT = click.option("--unit", type=click.Choice([UNIT_NS, UNIT_GBPS]),
 @_handle_errors
 def trace_dist(in_path: str, unit: str, out: str) -> None:
     """Build a sorted empirical distribution from a trace."""
-    t = _load_trace_arg(in_path, unit)
-    dist = noise_mod.build_distribution(t)
-    doc = {"schema": "nsim.dist/1", "unit": dist.unit, "samples": list(dist.samples)}
-    _write_text(out, json.dumps(doc) + "\n")
+    t = noise_mod.parse_trace(_read_text(in_path), unit)
+    _write_text(out, noise_mod.format_distribution(noise_mod.build_distribution(t)))
 
 
 @trace.command("normalize")
@@ -298,9 +297,9 @@ def trace_dist(in_path: str, unit: str, out: str) -> None:
 @_handle_errors
 def trace_normalize(in_path: str, unit: str, mode: str, out: str) -> None:
     """Normalize a trace to its minimum (latency) or maximum (bandwidth)."""
-    t = _load_trace_arg(in_path, unit)
+    t = noise_mod.parse_trace(_read_text(in_path), unit)
     result = noise_mod.normalize_min(t) if mode == "min" else noise_mod.normalize_max(t)
-    _write_trace_arg(result, out)
+    _write_text(out, noise_mod.format_trace(result))
 
 
 @trace.command("top")
@@ -313,32 +312,35 @@ def trace_normalize(in_path: str, unit: str, mode: str, out: str) -> None:
 @_handle_errors
 def trace_top(in_path: str, unit: str, frac: float, side: str, out: str) -> None:
     """Keep only the most extreme samples of a trace."""
-    t = _load_trace_arg(in_path, unit)
-    _write_trace_arg(noise_mod.top_fraction(t, frac, side), out)
-
-
-def _load_trace_arg(path: str, unit: str) -> noise_mod.SampleTrace:
-    if path == "-":
-        import tempfile
-
-        with tempfile.NamedTemporaryFile("w", suffix=".csv", delete=False) as tmp:
-            tmp.write(sys.stdin.read())
-            name = tmp.name
-        try:
-            return noise_mod.load_trace(name, unit)
-        finally:
-            os.unlink(name)
-    return noise_mod.load_trace(path, unit)
-
-
-def _write_trace_arg(t: noise_mod.SampleTrace, out: str) -> None:
-    lines = ["timestamp_ns,value,unit"]
-    lines += [f"{ts},{v!r},{t.unit}" for ts, v in t.rows]
-    _write_text(out, "\n".join(lines) + "\n")
+    t = noise_mod.parse_trace(_read_text(in_path), unit)
+    _write_text(out, noise_mod.format_trace(noise_mod.top_fraction(t, frac, side)))
 
 
 # ---------------------------------------------------------------------------
 # cost
+
+
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _load_results(path: str, with_nranks: bool = False) -> tuple[list[int], int | None]:
+    """Completion times of a `sim run` results file, plus metadata.nranks if asked."""
+    doc = json.loads(_read_text(path))
+    runs = doc.get("results") if isinstance(doc, dict) else None
+    if not isinstance(runs, list) or not runs:
+        raise ValueError(f"{path}: 'results' must be a non-empty list of runs")
+    completions = [run.get("completion_ns") if isinstance(run, dict) else None
+                   for run in runs]
+    if not all(map(_is_int, completions)):
+        raise ValueError(f"{path}: every run needs an integer 'completion_ns'")
+    if not with_nranks:
+        return completions, None
+    metadata = doc.get("metadata")
+    nranks = metadata.get("nranks") if isinstance(metadata, dict) else None
+    if not _is_int(nranks):
+        raise ValueError(f"{path}: 'metadata.nranks' must be an integer")
+    return completions, nranks
 
 @cli.command("cost")
 @click.option("--results", "results_path", required=True,
@@ -355,12 +357,10 @@ def _write_trace_arg(t: noise_mod.SampleTrace, out: str) -> None:
 def cost_cmd(results_path: str, price_catalog: str | None, provider: str, label: str,
              instance: str | None, baseline_path: str | None, out: str) -> None:
     """Convert simulated runtimes into USD (and relative increase vs a baseline)."""
-    doc = json.loads(_read_text(results_path))
+    completions, nodes = _load_results(results_path, with_nranks=True)
     catalog_path = price_catalog or cost_mod.builtin_catalog_path()
     price = cost_mod.find_price(cost_mod.load_price_catalog(catalog_path),
                                 provider, label, instance)
-    nodes = int(doc["metadata"]["nranks"])
-    completions = [int(r["completion_ns"]) for r in doc["results"]]
     costs = [cost_mod.run_cost(c, nodes, price) for c in completions]
     output: dict[str, object] = {
         "schema": "nsim.cost/1",
@@ -372,8 +372,7 @@ def cost_cmd(results_path: str, price_catalog: str | None, provider: str, label:
         "mean_usd": sum(costs) / len(costs),
     }
     if baseline_path:
-        base_doc = json.loads(_read_text(baseline_path))
-        base = int(base_doc["results"][0]["completion_ns"])
+        base = _load_results(baseline_path)[0][0]
         if base <= 0:
             raise ValueError("baseline completion must be > 0")
         increases = [c / base - 1.0 for c in completions]
@@ -396,9 +395,8 @@ def _result_groups(paths: tuple[str, ...], labels: tuple[str, ...]):
         raise ValueError("--label count must match the number of result files")
     groups = []
     for i, p in enumerate(paths):
-        doc = json.loads(_read_text(p))
         label = labels[i] if labels else (Path(p).stem if p != "-" else f"group{i}")
-        groups.append((label, [int(r["completion_ns"]) for r in doc["results"]]))
+        groups.append((label, _load_results(p)[0]))
     return groups
 
 
@@ -444,6 +442,19 @@ def _maybe_pin(cpu: int | None) -> None:
         os.sched_setaffinity(0, {cpu})
 
 
+def _serve_or_peer(listen: str | None, peer: str | None) -> tuple[str, int] | None:
+    """Serve as the responder until killed (--listen), else the --peer endpoint."""
+    if listen:
+        host, port = _parse_endpoint(listen)
+        server = bench_mod.EchoServer(host, port)
+        click.echo(f"listening on {server.host}:{server.port}", err=True)
+        server.serve_forever()
+        return None
+    if not peer:
+        raise ValueError("either --listen or --peer is required")
+    return _parse_endpoint(peer)
+
+
 @bench_group.command("pingpong")
 @click.option("--listen", help="Responder role: HOST:PORT or PORT to serve on.")
 @click.option("--peer", help="Initiator role: HOST:PORT of the responder.")
@@ -461,21 +472,14 @@ def bench_pingpong(listen: str | None, peer: str | None, size: int, iterations: 
                    out: str) -> None:
     """Ping-pong RTT/2 trace (multi-connection splits the payload)."""
     _maybe_pin(cpu)
-    if listen:
-        host, port = _parse_endpoint(listen)
-        server = bench_mod.EchoServer(host, port)
-        click.echo(f"listening on {server.host}:{server.port}", err=True)
-        server.serve_forever()
+    endpoint = _serve_or_peer(listen, peer)
+    if endpoint is None:
         return
-    if not peer:
-        raise ValueError("either --listen or --peer is required")
     plan = bench_mod.BenchPlan(
         mode="pingpong", size=size, iterations=iterations, warmup_iterations=warmup,
-        connections=connections, inter_message_interval_ns=interval,
-        peer=_parse_endpoint(peer),
+        connections=connections, inter_message_interval_ns=interval, peer=endpoint,
     )
-    trace_out = bench_mod.pingpong(plan)
-    _write_trace_arg(trace_out, out)
+    _write_text(out, noise_mod.format_trace(bench_mod.pingpong(plan)))
 
 
 @bench_group.command("bidir")
@@ -495,22 +499,17 @@ def bench_bidir(listen: str | None, peer: str | None, size: int, iterations: int
                 out_forward: str, out_reverse: str) -> None:
     """Two simultaneous ping-pongs, one initiated from each endpoint."""
     _maybe_pin(cpu)
-    if listen:
-        host, port = _parse_endpoint(listen)
-        server = bench_mod.EchoServer(host, port)
-        click.echo(f"listening on {server.host}:{server.port}", err=True)
-        server.serve_forever()
+    endpoint = _serve_or_peer(listen, peer)
+    if endpoint is None:
         return
-    if not peer:
-        raise ValueError("either --listen or --peer is required")
     plan = bench_mod.BenchPlan(
         mode="pingpong_bidir", size=size, iterations=iterations,
         warmup_iterations=warmup, connections=connections,
-        inter_message_interval_ns=interval, peer=_parse_endpoint(peer),
+        inter_message_interval_ns=interval, peer=endpoint,
     )
     forward, reverse = bench_mod.pingpong_bidirectional(plan)
-    _write_trace_arg(forward, out_forward)
-    _write_trace_arg(reverse, out_reverse)
+    _write_text(out_forward, noise_mod.format_trace(forward))
+    _write_text(out_reverse, noise_mod.format_trace(reverse))
 
 
 @bench_group.command("detour")
@@ -528,16 +527,9 @@ def bench_detour(records: int, threshold: float, probe: int,
                  max_iterations: int | None, cpu: int | None, out: str) -> None:
     """Selfish-detour OS noise recorder."""
     _maybe_pin(cpu)
-    try:
-        t_min, detour = bench_mod.selfish_detour(
-            records, threshold, probe, max_iterations=max_iterations
-        )
-    except bench_mod.ClockResolutionError as exc:
-        _fail(EXIT_VALIDATION, exc)
-        return
-    lines = [f"# t_min_ns={t_min}", f"# span_ns={detour.span}", "timestamp_ns,value,unit"]
-    lines += [f"{s},{d},ns" for s, d in detour.events]
-    _write_text(out, "\n".join(lines) + "\n")
+    t_min, detour = bench_mod.selfish_detour(records, threshold, probe,
+                                             max_iterations=max_iterations)
+    _write_text(out, noise_mod.format_detour_trace(detour, comments=[f"t_min_ns={t_min}"]))
 
 
 def main() -> None:

@@ -80,9 +80,11 @@ class LogGPParams:
                 raise ValueError(f"{name} must be an integer nanosecond count, got {v!r}")
             if v < 0:
                 raise ValueError(f"{name} must be >= 0, got {v}")
+        if isinstance(self.G, bool) or not isinstance(self.G, (int, float)):
+            raise ValueError(f"G must be a number of ns per byte, got {self.G!r}")
         object.__setattr__(self, "G", float(self.G))
-        if not (self.G >= 0.0):
-            raise ValueError(f"G must be >= 0, got {self.G}")
+        if not 0.0 <= self.G < math.inf:
+            raise ValueError(f"G must be finite and >= 0, got {self.G}")
 
 
 @dataclass(frozen=True)
@@ -105,6 +107,8 @@ class EmpiricalDistribution:
             raise ValueError("distribution needs at least one sample")
         samples = tuple(float(v) for v in self.samples)
         object.__setattr__(self, "samples", samples)
+        if not all(map(math.isfinite, samples)):
+            raise ValueError("samples must be finite numbers")
         if any(b < a for a, b in zip(samples, samples[1:])):
             raise ValueError("samples must be sorted ascending")
         if self.unit in _POSITIVE_UNITS and samples[0] <= 0.0:

@@ -39,6 +39,8 @@ __all__ = [
     "UNIT_RATIO",
     "SampleTrace",
     "TraceFormatError",
+    "parse_trace",
+    "format_trace",
     "load_trace",
     "save_trace",
     "build_distribution",
@@ -46,10 +48,14 @@ __all__ = [
     "normalize_max",
     "top_fraction",
     "bandwidth_from_rtt",
+    "parse_detour_trace",
+    "format_detour_trace",
     "load_detour_trace",
     "save_detour_trace",
-    "save_distribution",
+    "parse_distribution",
+    "format_distribution",
     "load_distribution",
+    "save_distribution",
 ]
 
 UNIT_RATIO = "ratio"
@@ -97,9 +103,8 @@ class SampleTrace:
         return len(self.rows)
 
 
-def _parse_rows(path: str | Path, expected_unit: str):
-    """Yield (line_number, timestamp, value, unit_or_None) from a trace CSV."""
-    text = Path(path).read_text(encoding="utf-8")
+def _parse_rows(text: str, expected_unit: str):
+    """Yield (line_number, timestamp, value) from trace CSV text."""
     saw_header = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -128,13 +133,13 @@ def _parse_rows(path: str | Path, expected_unit: str):
         yield lineno, ts, value
 
 
-def load_trace(path: str | Path, expected_unit: str) -> SampleTrace:
-    """Read a trace CSV, enforcing the unit and timestamp monotonicity."""
+def parse_trace(text: str, expected_unit: str) -> SampleTrace:
+    """Read trace CSV text, enforcing the unit and timestamp monotonicity."""
     if expected_unit not in _TRACE_UNITS:
         raise ValueError(f"unknown trace unit {expected_unit!r}")
     rows: list[tuple[int, float]] = []
     prev_ts: int | None = None
-    for lineno, ts, value in _parse_rows(path, expected_unit):
+    for lineno, ts, value in _parse_rows(text, expected_unit):
         if prev_ts is not None and ts < prev_ts:
             raise TraceFormatError(f"timestamp {ts} decreases (previous {prev_ts})", lineno)
         if expected_unit in (UNIT_NS, UNIT_GBPS) and value <= 0:
@@ -142,20 +147,26 @@ def load_trace(path: str | Path, expected_unit: str) -> SampleTrace:
         prev_ts = ts
         rows.append((ts, value))
     if not rows:
-        raise TraceFormatError(f"no samples in {path}")
+        raise TraceFormatError("no samples in trace")
     return SampleTrace(tuple(rows), expected_unit)
 
 
-def _format_value(v: float) -> str:
-    return repr(int(v)) if float(v).is_integer() else repr(float(v))
+def load_trace(path: str | Path, expected_unit: str) -> SampleTrace:
+    """Read a trace CSV file; see parse_trace."""
+    return parse_trace(Path(path).read_text(encoding="utf-8"), expected_unit)
+
+
+def format_trace(trace: SampleTrace, comments: Iterable[str] = ()) -> str:
+    """The canonical 3-column form (LF endings, values as Python float reprs)."""
+    lines = [f"# {c}" for c in comments]
+    lines.append(_HEADER)
+    lines.extend(f"{t},{v!r},{trace.unit}" for t, v in trace.rows)
+    return "\n".join(lines) + "\n"
 
 
 def save_trace(trace: SampleTrace, path: str | Path, comments: Iterable[str] = ()) -> None:
-    """Write the canonical 3-column form (LF endings, '.' decimals)."""
-    lines = [f"# {c}" for c in comments]
-    lines.append(_HEADER)
-    lines.extend(f"{t},{_format_value(v)},{trace.unit}" for t, v in trace.rows)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """Write a trace CSV file; see format_trace."""
+    Path(path).write_text(format_trace(trace, comments), encoding="utf-8")
 
 
 def build_distribution(trace: SampleTrace) -> EmpiricalDistribution:
@@ -223,45 +234,62 @@ def bandwidth_from_rtt(size: int, half_rtt_ns: float) -> float:
 # ---------------------------------------------------------------------------
 # Detour trace and distribution files
 
-def load_detour_trace(path: str | Path) -> DetourTrace:
-    """Read a detour trace CSV (start offset, duration) with optional span comment."""
+def parse_detour_trace(text: str) -> DetourTrace:
+    """Read detour trace CSV text (start offset, duration) with optional span comment."""
     span: int | None = None
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+    for raw in text.splitlines():
         line = raw.strip()
         if line.startswith("#") and "span_ns=" in line:
             span = int(line.split("span_ns=", 1)[1].strip())
     events = []
-    for lineno, ts, value in _parse_rows(path, UNIT_NS):
+    for lineno, ts, value in _parse_rows(text, UNIT_NS):
         dur = round_half_up(value)
         if dur <= 0:
             raise TraceFormatError(f"detour duration must be > 0 ns, got {value}", lineno)
         events.append((ts, dur))
     if not events:
-        raise TraceFormatError(f"no detour events in {path}")
+        raise TraceFormatError("no detour events in trace")
     if span is None:
         span = max(s + d for s, d in events)
     return DetourTrace(tuple(events), span)
 
 
-def save_detour_trace(trace: DetourTrace, path: str | Path,
-                      comments: Iterable[str] = ()) -> None:
+def load_detour_trace(path: str | Path) -> DetourTrace:
+    """Read a detour trace CSV file; see parse_detour_trace."""
+    return parse_detour_trace(Path(path).read_text(encoding="utf-8"))
+
+
+def format_detour_trace(trace: DetourTrace, comments: Iterable[str] = ()) -> str:
     lines = [f"# {c}" for c in comments]
     lines.append(f"# span_ns={trace.span}")
     lines.append(_HEADER)
     lines.extend(f"{s},{d},{UNIT_NS}" for s, d in trace.events)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return "\n".join(lines) + "\n"
+
+
+def save_detour_trace(trace: DetourTrace, path: str | Path,
+                      comments: Iterable[str] = ()) -> None:
+    Path(path).write_text(format_detour_trace(trace, comments), encoding="utf-8")
 
 
 _DIST_SCHEMA = "nsim.dist/1"
 
 
-def save_distribution(dist: EmpiricalDistribution, path: str | Path) -> None:
-    doc = {"schema": _DIST_SCHEMA, "unit": dist.unit, "samples": list(dist.samples)}
-    Path(path).write_text(json.dumps(doc) + "\n", encoding="utf-8")
-
-
-def load_distribution(path: str | Path) -> EmpiricalDistribution:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+def parse_distribution(text: str) -> EmpiricalDistribution:
+    doc = json.loads(text)
     if doc.get("schema") != _DIST_SCHEMA:
         raise ValueError(f"unexpected distribution schema {doc.get('schema')!r}")
     return EmpiricalDistribution(tuple(doc["samples"]), doc["unit"])
+
+
+def format_distribution(dist: EmpiricalDistribution) -> str:
+    doc = {"schema": _DIST_SCHEMA, "unit": dist.unit, "samples": list(dist.samples)}
+    return json.dumps(doc) + "\n"
+
+
+def load_distribution(path: str | Path) -> EmpiricalDistribution:
+    return parse_distribution(Path(path).read_text(encoding="utf-8"))
+
+
+def save_distribution(dist: EmpiricalDistribution, path: str | Path) -> None:
+    Path(path).write_text(format_distribution(dist), encoding="utf-8")

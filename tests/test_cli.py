@@ -1,9 +1,12 @@
 import json
 import re
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
 
+from nsim.bench import EchoServer
 from nsim.cli import cli, dump_params_file, load_params_file
 from nsim.goal import parse_goal, schedule_from_json
 from nsim.model import LogGPParams
@@ -25,6 +28,18 @@ def params_file(tmp_path):
 def _invoke(runner, args, **kwargs):
     result = runner.invoke(cli, args, catch_exceptions=False, **kwargs)
     return result
+
+
+def _run_cli(*args, input=None):
+    """Run the CLI in a fresh interpreter, as a shell user would."""
+    return subprocess.run([sys.executable, "-m", "nsim.cli", *args], input=input,
+                          capture_output=True, text=True, timeout=120)
+
+
+def _assert_clean_exit(proc, code):
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")
 
 
 class TestGen:
@@ -138,6 +153,11 @@ class TestTrace:
         lines = [l for l in r.output.splitlines() if not l.startswith("timestamp")]
         assert lines == ["5,400.0,ns"]  # ceil(0.33 * 3) = 1 row
 
+    def test_trace_from_stdin(self, runner):
+        r = _invoke(runner, ["trace", "dist", "--in", "-", "--unit", "ns"],
+                    input="timestamp_ns,value,unit\n0,300,ns\n4,100,ns\n")
+        assert json.loads(r.output)["samples"] == [100.0, 300.0]
+
     def test_malformed_trace_exit_4(self, runner, tmp_path):
         trace = tmp_path / "bad.csv"
         trace.write_text("0,notanumber\n")
@@ -184,6 +204,20 @@ class TestCostAndReport:
         content = svg_path.read_text()
         assert content.count('class="box"') == 2
 
+    def test_cost_without_runs_exit_3(self, tmp_path):
+        res = tmp_path / "res.json"
+        res.write_text(json.dumps({"schema": "nsim.results/1",
+                                   "metadata": {"nranks": 4}, "results": []}))
+        proc = _run_cli("cost", "--results", str(res), "--provider", "aws",
+                        "--label", "on_demand", "--instance", "c5n.18xlarge")
+        _assert_clean_exit(proc, 3)
+
+    def test_report_without_completion_exit_3(self, tmp_path):
+        res = tmp_path / "res.json"
+        res.write_text(json.dumps({"schema": "nsim.results/1",
+                                   "metadata": {"nranks": 4}, "results": [{"run": 0}]}))
+        _assert_clean_exit(_run_cli("report", "box", str(res)), 3)
+
     def test_label_count_mismatch(self, runner, params_file, tmp_path):
         res = tmp_path / "res.json"
         res.write_text(self._results(runner, params_file, 2))
@@ -218,8 +252,44 @@ class TestParamsFile:
         assert back == p
         assert doc["source"] == "unit-test"
 
+    def test_fractional_latency_exit_3(self, tmp_path):
+        path = tmp_path / "p.json"
+        path.write_text('{"L_ns": 5000.9, "o_ns": 1000, "g_ns": 1000, "G_ns_per_byte": 0.01}')
+        proc = _run_cli("sim", "run", "--params", str(path),
+                        input="num_ranks 1\nrank 0 { a: calc 1 }\n")
+        _assert_clean_exit(proc, 3)
+
+    def test_nan_distribution_exit_3(self, params_file, tmp_path):
+        lat = tmp_path / "lat.json"
+        lat.write_text('{"schema": "nsim.dist/1", "unit": "ns", "samples": [7000.0, NaN]}')
+        proc = _run_cli("sim", "run", "--params", params_file, "--noise-lat", str(lat),
+                        input="num_ranks 2\nrank 0 { a: send 4b to 1 }\n"
+                              "rank 1 { a: recv 4b from 0 }\n")
+        _assert_clean_exit(proc, 3)
+        assert "finite" in proc.stderr  # rejected on load, not mid-run
+
     def test_short_keys_accepted(self, tmp_path):
         path = tmp_path / "p.json"
         path.write_text('{"L": 1, "o": 2, "g": 3, "G": 4.0}')
         back, _ = load_params_file(str(path))
         assert back == LogGPParams(L=1, o=2, g=3, G=4.0)
+
+
+class TestBench:
+    def test_detour_iteration_limit_exit_3(self):
+        proc = _run_cli("bench", "detour", "--max-iterations", "5", "--records", "100",
+                        "--probe", "100")
+        _assert_clean_exit(proc, 3)
+
+    def test_pingpong_needs_listen_or_peer(self, runner):
+        r = runner.invoke(cli, ["bench", "pingpong"])
+        assert r.exit_code == 3
+
+    def test_pingpong_trace_csv(self, runner):
+        with EchoServer() as server:
+            r = _invoke(runner, ["bench", "pingpong", "--peer", f"127.0.0.1:{server.port}",
+                                 "--size", "8", "--iterations", "3", "--warmup", "0"])
+        lines = r.output.splitlines()
+        assert lines[0] == "timestamp_ns,value,unit"
+        assert len(lines) == 4
+        assert all(re.fullmatch(r"\d+,\d+\.\d+,ns", line) for line in lines[1:])

@@ -39,6 +39,11 @@ class TestLogGPParams:
         with pytest.raises(ValueError):
             LogGPParams(L=1.5, o=0, g=0, G=0.0)
 
+    @pytest.mark.parametrize("G", [math.inf, math.nan, None, "0.5", True])
+    def test_rejects_non_finite_or_non_numeric_G(self, G):
+        with pytest.raises(ValueError):
+            LogGPParams(L=0, o=0, g=0, G=G)
+
 
 class TestMessageTime:
     def test_one_byte(self):
@@ -89,6 +94,11 @@ class TestEmpiricalDistribution:
     def test_rejects_unsorted(self):
         with pytest.raises(ValueError):
             EmpiricalDistribution((2.0, 1.0), "ns")
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            EmpiricalDistribution.from_values([1.0, bad], "ns_per_byte")
 
     def test_rejects_nonpositive_latency_or_rate(self):
         with pytest.raises(ValueError):
