@@ -319,7 +319,6 @@ def trace_top(in_path: str, unit: str, frac: float, side: str, out: str) -> None
 # ---------------------------------------------------------------------------
 # cost
 
-
 def _is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
@@ -341,6 +340,7 @@ def _load_results(path: str, with_nranks: bool = False) -> tuple[list[int], int 
     if not _is_int(nranks):
         raise ValueError(f"{path}: 'metadata.nranks' must be an integer")
     return completions, nranks
+
 
 @cli.command("cost")
 @click.option("--results", "results_path", required=True,

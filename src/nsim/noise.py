@@ -48,14 +48,12 @@ __all__ = [
     "normalize_max",
     "top_fraction",
     "bandwidth_from_rtt",
-    "parse_detour_trace",
     "format_detour_trace",
     "load_detour_trace",
     "save_detour_trace",
-    "parse_distribution",
     "format_distribution",
-    "load_distribution",
     "save_distribution",
+    "load_distribution",
 ]
 
 UNIT_RATIO = "ratio"
@@ -234,8 +232,9 @@ def bandwidth_from_rtt(size: int, half_rtt_ns: float) -> float:
 # ---------------------------------------------------------------------------
 # Detour trace and distribution files
 
-def parse_detour_trace(text: str) -> DetourTrace:
-    """Read detour trace CSV text (start offset, duration) with optional span comment."""
+def load_detour_trace(path: str | Path) -> DetourTrace:
+    """Read a detour trace CSV (start offset, duration) with optional span comment."""
+    text = Path(path).read_text(encoding="utf-8")
     span: int | None = None
     for raw in text.splitlines():
         line = raw.strip()
@@ -248,15 +247,10 @@ def parse_detour_trace(text: str) -> DetourTrace:
             raise TraceFormatError(f"detour duration must be > 0 ns, got {value}", lineno)
         events.append((ts, dur))
     if not events:
-        raise TraceFormatError("no detour events in trace")
+        raise TraceFormatError(f"no detour events in {path}")
     if span is None:
         span = max(s + d for s, d in events)
     return DetourTrace(tuple(events), span)
-
-
-def load_detour_trace(path: str | Path) -> DetourTrace:
-    """Read a detour trace CSV file; see parse_detour_trace."""
-    return parse_detour_trace(Path(path).read_text(encoding="utf-8"))
 
 
 def format_detour_trace(trace: DetourTrace, comments: Iterable[str] = ()) -> str:
@@ -275,21 +269,17 @@ def save_detour_trace(trace: DetourTrace, path: str | Path,
 _DIST_SCHEMA = "nsim.dist/1"
 
 
-def parse_distribution(text: str) -> EmpiricalDistribution:
-    doc = json.loads(text)
-    if doc.get("schema") != _DIST_SCHEMA:
-        raise ValueError(f"unexpected distribution schema {doc.get('schema')!r}")
-    return EmpiricalDistribution(tuple(doc["samples"]), doc["unit"])
-
-
 def format_distribution(dist: EmpiricalDistribution) -> str:
     doc = {"schema": _DIST_SCHEMA, "unit": dist.unit, "samples": list(dist.samples)}
     return json.dumps(doc) + "\n"
 
 
-def load_distribution(path: str | Path) -> EmpiricalDistribution:
-    return parse_distribution(Path(path).read_text(encoding="utf-8"))
-
-
 def save_distribution(dist: EmpiricalDistribution, path: str | Path) -> None:
     Path(path).write_text(format_distribution(dist), encoding="utf-8")
+
+
+def load_distribution(path: str | Path) -> EmpiricalDistribution:
+    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    if doc.get("schema") != _DIST_SCHEMA:
+        raise ValueError(f"unexpected distribution schema {doc.get('schema')!r}")
+    return EmpiricalDistribution(tuple(doc["samples"]), doc["unit"])
