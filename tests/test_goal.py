@@ -112,7 +112,6 @@ class TestParse:
             parse_goal("num_ranks 2\nrank 0 { $$$ }")
 
 
-
 # Malformed texts: (id, text, line of the error, fragment of its message).
 _TWO_RANKS = "rank 1 {\n  a: recv 16b from 0\n}\n"
 _MALFORMED = [
@@ -159,7 +158,6 @@ def test_malformed_text_rejected(text, line, fragment):
         parse_goal(text)
     assert err.value.line == line
     assert fragment in str(err.value)
-
 
 
 class TestErrorPosition:
