@@ -148,8 +148,10 @@ class Schedule:
 _KEYWORDS = ("num_ranks", "rank", "send", "recv", "calc", "to", "from", "requires")
 
 # Whitespace and comments. A comment must run to the end of its line, so that
-# backtracking can never stop inside one and read its words as syntax.
-_SEP = r"(?:\s+|\#[^\n]*(?![^\n]))*"
+# backtracking can never stop inside one and read its words as syntax. Each
+# whitespace run belongs to exactly one \s*, so a failed match backtracks over
+# a separator in linear time, not once per way of splitting a run.
+_SEP = r"\s*(?:\#[^\n]*(?![^\n])\s*)*"
 _LABEL = rf"(?!(?:{'|'.join(_KEYWORDS)})\b)[A-Za-z_][A-Za-z0-9_]*\b"
 
 # Each pattern matches one statement and the separators after it, so the

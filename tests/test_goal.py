@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import signal
 
 import pytest
 from hypothesis import given, settings
@@ -198,6 +199,41 @@ class TestComments:
         s = parse_goal("num_ranks 2 # ranks\nrank 0 { a: # op\n send # kind\n 4b to\n"
                        " # peer next\n 1 }\nrank 1 { a: recv 4b from 0 }")
         assert s.ops[0] == (ScheduleOp(0, SEND, 1, 4),)
+
+
+# Long separators: a failed match must backtrack over whitespace and comments
+# in linear time. Each text below would take hours if a whitespace run could
+# be split across loop iterations, so a second is a generous limit.
+_LONG_GAP = "\n" * 30 + "\n    # note" * 8 + " " * 40 + "\n"
+_SLOW_TEXTS = [
+    ("requires_then_gap",
+     "num_ranks 1\nrank 0 {\n  a: calc 1\n  b: calc 2\n  b requires a" + _LONG_GAP + "}\n",
+     None),
+    ("gap_after_label", "num_ranks 1\nrank 0 {\n  a" + " " * 40 + "$\n}\n", "expected"),
+    ("gap_after_colon", "num_ranks 1\nrank 0 {\n  a:" + _LONG_GAP + "$\n}\n", "expected"),
+    ("gap_in_block_header", "num_ranks 1\nrank 0" + _LONG_GAP + "$", "expected 'rank N {'"),
+    ("gap_in_header", "num_ranks" + _LONG_GAP + "x", "expected 'num_ranks N'"),
+]
+
+
+def _on_alarm(signum, frame):
+    raise TimeoutError("parse_goal took over a second")
+
+
+@pytest.mark.parametrize("text,fragment", [row[1:] for row in _SLOW_TEXTS],
+                         ids=[row[0] for row in _SLOW_TEXTS])
+def test_long_separator_parses_in_linear_time(text, fragment):
+    previous = signal.signal(signal.SIGALRM, _on_alarm)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        if fragment is None:
+            assert parse_goal(text).ops[0][1].requires == frozenset({0})
+        else:
+            with pytest.raises(GoalSyntaxError, match=re.escape(fragment)):
+                parse_goal(text)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestEmit:
