@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import json
 import re
+import reprlib
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -527,25 +528,55 @@ def schedule_to_json(schedule: Schedule) -> str:
     return json.dumps(doc, indent=2, sort_keys=False) + "\n"
 
 
+def _op_int(entry: dict, key: str, r: int, i: int) -> int:
+    value = entry.get(key)
+    if type(value) is not int:
+        raise ValueError(f"rank {r} op entry {i}: {key!r} must be an integer, "
+                         f"got {reprlib.repr(value)}")
+    return value
+
+
 def schedule_from_json(text: str) -> Schedule:
+    """Read a schedule JSON document; a malformed document raises ValueError."""
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError(f"schedule JSON must be an object, got {type(doc).__name__}")
     if doc.get("schema") != _SCHEDULE_SCHEMA:
-        raise ValueError(f"unexpected schedule schema {doc.get('schema')!r}")
+        raise ValueError(f"unexpected schedule schema {reprlib.repr(doc.get('schema'))}")
+    nranks = doc.get("num_ranks")
+    if type(nranks) is not int:
+        raise ValueError(f"'num_ranks' must be an integer, got {reprlib.repr(nranks)}")
+    metadata = doc.get("metadata", {})
+    if not isinstance(metadata, dict):
+        raise ValueError(f"'metadata' must be an object, got {type(metadata).__name__}")
+    ranks_doc = doc.get("ranks")
+    if not isinstance(ranks_doc, list):
+        raise ValueError(f"'ranks' must be a list, got {type(ranks_doc).__name__}")
     ranks = []
-    for rank_ops in doc["ranks"]:
+    for r, rank_ops in enumerate(ranks_doc):
+        if not isinstance(rank_ops, list):
+            raise ValueError(f"rank {r}'s ops must be a list, got {type(rank_ops).__name__}")
         ops = []
-        for entry in rank_ops:
-            kind = entry["kind"]
+        for i, entry in enumerate(rank_ops):
+            if not isinstance(entry, dict):
+                raise ValueError(f"rank {r} op entry {i} must be an object, "
+                                 f"got {type(entry).__name__}")
+            kind = entry.get("kind")
             if kind == CALC:
-                peer, size = None, entry["duration_ns"]
+                peer, size = None, _op_int(entry, "duration_ns", r, i)
+            elif kind in _KINDS:
+                peer, size = _op_int(entry, "peer", r, i), _op_int(entry, "size_bytes", r, i)
             else:
-                peer, size = entry["peer"], entry["size_bytes"]
-            ops.append(ScheduleOp(entry["id"], kind, peer, size,
-                                  frozenset(entry.get("requires", ()))))
+                raise ValueError(f"rank {r} op entry {i}: 'kind' must be one of "
+                                 f"{', '.join(_KINDS)}, got {reprlib.repr(kind)}")
+            requires = entry.get("requires", [])
+            if not isinstance(requires, list) or any(type(d) is not int for d in requires):
+                raise ValueError(f"rank {r} op entry {i}: 'requires' must be a list of "
+                                 "integers")
+            ops.append(ScheduleOp(_op_int(entry, "id", r, i), kind, peer, size,
+                                  frozenset(requires)))
         ranks.append(tuple(ops))
-    schedule = Schedule(
-        nranks=doc["num_ranks"], ops=tuple(ranks), metadata=doc.get("metadata", {})
-    )
+    schedule = Schedule(nranks=nranks, ops=tuple(ranks), metadata=metadata)
     violations = validate(schedule)
     if violations:
         raise ScheduleValidationError(violations)

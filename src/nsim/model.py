@@ -105,7 +105,7 @@ class EmpiricalDistribution:
             raise ValueError(f"unknown distribution unit {self.unit!r}")
         if len(self.samples) < 1:
             raise ValueError("distribution needs at least one sample")
-        samples = tuple(float(v) for v in self.samples)
+        samples = tuple(map(float, self.samples))
         object.__setattr__(self, "samples", samples)
         if not all(map(math.isfinite, samples)):
             raise ValueError("samples must be finite numbers")
@@ -129,7 +129,8 @@ class DetourTrace:
     """Timestamped host interruptions: (start_offset, duration) pairs in ns.
 
     Events are sorted, non-overlapping, strictly positive in duration and fit
-    inside ``span``, the total length of the recorded window. Replay is
+    inside ``span``, the total length of the recorded window, leaving some of
+    it idle (a host that never gets idle time never finishes). Replay is
     cyclic: simulations lay the window end to end along the timeline, each
     rank with its own random phase.
     """
@@ -151,6 +152,9 @@ class DetourTrace:
             if s + d > self.span:
                 raise ValueError(f"event {i}: extends past span ({s}+{d} > {self.span})")
             prev_end = s + d
+        if self.total_detour >= self.span:
+            raise ValueError(f"detour events cover the whole span of {self.span} ns, "
+                             "leaving the host no idle time to make progress")
 
     @property
     def total_detour(self) -> int:

@@ -236,10 +236,15 @@ def load_detour_trace(path: str | Path) -> DetourTrace:
     """Read a detour trace CSV (start offset, duration) with optional span comment."""
     text = Path(path).read_text(encoding="utf-8")
     span: int | None = None
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if line.startswith("#") and "span_ns=" in line:
-            span = int(line.split("span_ns=", 1)[1].strip())
+            value = line.split("span_ns=", 1)[1].strip()
+            try:
+                span = int(value)
+            except ValueError:
+                raise TraceFormatError(
+                    f"'# span_ns=' needs an integer ns count, got {value!r}", lineno) from None
     events = []
     for lineno, ts, value in _parse_rows(text, UNIT_NS):
         dur = round_half_up(value)
@@ -279,7 +284,14 @@ def save_distribution(dist: EmpiricalDistribution, path: str | Path) -> None:
 
 
 def load_distribution(path: str | Path) -> EmpiricalDistribution:
+    """Read a distribution JSON file; a malformed document raises ValueError."""
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: distribution JSON must be an object, "
+                         f"got {type(doc).__name__}")
     if doc.get("schema") != _DIST_SCHEMA:
         raise ValueError(f"unexpected distribution schema {doc.get('schema')!r}")
-    return EmpiricalDistribution(tuple(doc["samples"]), doc["unit"])
+    samples = doc.get("samples")
+    if not isinstance(samples, list) or not set(map(type, samples)) <= {int, float}:
+        raise ValueError(f"{path}: 'samples' must be a list of numbers")
+    return EmpiricalDistribution(tuple(samples), doc.get("unit"))

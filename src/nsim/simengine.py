@@ -16,6 +16,15 @@ the receiver host for o starting no earlier than arrival. Calc ops occupy the
 host for their duration. Host occupancy intervals are stretched by OS detours
 (below). Message matching is in-order per (src, dst, size).
 
+Every edge above is fixed before a run starts; only edge weights depend on
+the noise draws. The order in which ops can execute is therefore static: it is
+computed once per schedule, and a schedule in which some op can never run
+raises DeadlockError at that point, before any run and before run_many starts
+workers. Each run is then one forward pass over that order. Durations are
+>= 0, so finishes never decrease along a rank's program order: a ``requires``
+on an earlier op of the same rank is met once the previous op has released
+the host, and one on a later op is a cycle through program order.
+
 Noise
 -----
 With a latency distribution, each message draws a value v that replaces the
@@ -38,21 +47,19 @@ message with static index m (sends enumerated in (rank, op id) order) draws
 ``mix64((run_seed ^ LAT_STREAM) + (m+1)*GAMMA)`` for latency and the
 BW_STREAM analogue for bandwidth, each mapped to a distribution index by
 ``(u64 * count) >> 64``. Because every value a run computes is a pure function
-of these inputs, results are bit-identical regardless of worker count or
-event processing order.
+of these inputs, results are bit-identical regardless of worker count or of
+which valid order the ops are visited in.
 """
 
 from __future__ import annotations
 
-import os
 from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from math import floor
 from typing import Sequence
 
 from .goal import CALC, RECV, SEND, Schedule, ScheduleValidationError, validate
-from .model import LogGPParams, NoiseModel
+from .model import LogGPParams, NoiseModel, one_way_wire_ns
 
 __all__ = [
     "PRNG_NAME",
@@ -86,11 +93,16 @@ def mix64(z: int) -> int:
 
 def derive_run_seed(seed: int, run_index: int) -> int:
     """Seed of run ``run_index`` in a batch: mix64(seed + (i+1)*GAMMA)."""
-    return mix64((seed + (run_index + 1) * _GAMMA) & _M64)
+    return mix64(seed + (run_index + 1) * _GAMMA)
+
+
+def _pick(seed: int, i: int, count: int) -> int:
+    """Draw i of the counter-mode stream ``seed``, mapped to an index in [0, count)."""
+    return (mix64(seed + (i + 1) * _GAMMA) * count) >> 64
 
 
 class DeadlockError(RuntimeError):
-    """Simulation stalled with ops that can never run; lists the blocked ops."""
+    """Schedule with ops that can never run; lists the blocked ops."""
 
     def __init__(self, blocked: list[tuple[int, int, str]]):
         self.blocked = blocked
@@ -131,81 +143,91 @@ _KIND_SEND, _KIND_RECV, _KIND_CALC = 0, 1, 2
 
 
 class _Compiled:
-    __slots__ = (
-        "schedule", "nranks", "n", "offsets", "kind", "peer", "size", "rank",
-        "succ", "pending_base", "prev_msg", "match", "send_index", "n_sends", "roots",
-    )
+    """Flat per-op columns and the static execution order of one schedule.
+
+    Ops are numbered globally in (rank, op id) order. ``msg`` holds, for a
+    send and for its matched recv, the send's index among all sends, which is
+    also the counter of its noise draws.
+    """
+
+    __slots__ = ("schedule", "nranks", "offsets", "kind", "size", "rank", "msg",
+                 "n_sends", "order")
 
     def __init__(self, schedule: Schedule):
         violations = validate(schedule)
         if violations:
             raise ScheduleValidationError(violations)
         self.schedule = schedule
-        self.nranks = schedule.nranks
-        offsets = []
-        n = 0
-        for rank_ops in schedule.ops:
-            offsets.append(n)
-            n += len(rank_ops)
-        self.offsets = offsets
-        self.n = n
-        kind = [0] * n
-        peer = [0] * n
-        size = [0] * n
-        rank = [0] * n
-        succ: list[list[int]] = [[] for _ in range(n)]
-        pending = [0] * n
-        prev_msg = [-1] * n
+        self.nranks = nranks = schedule.nranks
         kind_code = {SEND: _KIND_SEND, RECV: _KIND_RECV, CALC: _KIND_CALC}
-        for r, rank_ops in enumerate(schedule.ops):
-            base = offsets[r]
-            last_msg = -1
-            for op in rank_ops:
-                gid = base + op.id
-                kind[gid] = kind_code[op.kind]
-                peer[gid] = op.peer if op.peer is not None else -1
-                size[gid] = op.size
-                rank[gid] = r
-                wait = len(op.requires)
-                for dep in op.requires:
-                    succ[base + dep].append(gid)
-                if op.id > 0:  # host is serial: previous op must release it
-                    succ[gid - 1].append(gid)
-                    wait += 1
-                if op.kind != CALC:
-                    prev_msg[gid] = last_msg
-                    last_msg = gid
-                    if op.kind == RECV:
-                        wait += 1  # the wire arrival
-                pending[gid] = wait
-        # In-order matching: j-th send of a (src, dst, size) triple pairs with
-        # the j-th recv; validate() already guaranteed equal counts.
-        send_lists: dict[tuple[int, int, int], list[int]] = {}
-        recv_lists: dict[tuple[int, int, int], list[int]] = {}
-        send_index = [-1] * n
+        offsets: list[int] = []
+        kind: list[int] = []
+        size: list[int] = []
+        rank: list[int] = []
+        msg: list[int] = []
+        # In-order matching: the j-th send of a (src, dst, size) triple pairs
+        # with the j-th recv; validate() already guaranteed equal counts.
+        sends: dict[tuple[int, int, int], list[int]] = {}
+        recvs: dict[tuple[int, int, int], list[int]] = {}
         n_sends = 0
-        for gid in range(n):
-            if kind[gid] == _KIND_SEND:
-                send_index[gid] = n_sends
-                n_sends += 1
-                send_lists.setdefault((rank[gid], peer[gid], size[gid]), []).append(gid)
-            elif kind[gid] == _KIND_RECV:
-                recv_lists.setdefault((peer[gid], rank[gid], size[gid]), []).append(gid)
-        match = [-1] * n
-        for key, sends in send_lists.items():
-            for s_gid, r_gid in zip(sends, recv_lists[key]):
-                match[s_gid] = r_gid
+        for r, rank_ops in enumerate(schedule.ops):
+            offsets.append(len(kind))
+            for op in rank_ops:
+                m = -1
+                if op.kind == SEND:
+                    m = n_sends
+                    n_sends += 1
+                    sends.setdefault((r, op.peer, op.size), []).append(m)
+                elif op.kind == RECV:
+                    recvs.setdefault((op.peer, r, op.size), []).append(len(kind))
+                kind.append(kind_code[op.kind])
+                size.append(op.size)
+                rank.append(r)
+                msg.append(m)
+        for key, send_ms in sends.items():
+            for m, r_gid in zip(send_ms, recvs[key]):
+                msg[r_gid] = m
+
+        # Kahn's algorithm over program order, requires and matches. Program
+        # order makes each rank a chain, so a rank advances while its next op
+        # is ready: every op it requires already placed (an earlier op; a
+        # later one is a cycle through program order) and, for a recv, its
+        # send placed. Placing a send wakes the rank of its recv.
+        sent = [False] * n_sends
+        placed = [0] * nranks  # ops of each rank placed so far
+        order: list[int] = []
+        todo = list(range(nranks))
+        while todo:
+            r = todo.pop()
+            rank_ops = schedule.ops[r]
+            base = offsets[r]
+            i = placed[r]
+            while i < len(rank_ops):
+                op = rank_ops[i]
+                gid = base + i
+                k = kind[gid]
+                if (op.requires and max(op.requires) >= i) or (
+                        k == _KIND_RECV and not sent[msg[gid]]):
+                    break
+                order.append(gid)
+                if k == _KIND_SEND:
+                    sent[msg[gid]] = True
+                    todo.append(op.peer)
+                i += 1
+            placed[r] = i
+        if len(order) < len(kind):
+            raise DeadlockError([
+                (r, i, rank_ops[i].kind)
+                for r, rank_ops in enumerate(schedule.ops)
+                for i in range(placed[r], len(rank_ops))
+            ])
+        self.offsets = offsets
         self.kind = kind
-        self.peer = peer
         self.size = size
         self.rank = rank
-        self.succ = succ
-        self.pending_base = pending
-        self.prev_msg = prev_msg
-        self.match = match
-        self.send_index = send_index
+        self.msg = msg
         self.n_sends = n_sends
-        self.roots = [gid for gid in range(n) if pending[gid] == 0]
+        self.order = order
 
 
 # ---------------------------------------------------------------------------
@@ -228,8 +250,6 @@ def _detour_end(
     """
     if duration <= 0 or not ev_starts:
         return t_start + duration
-    if idle_per_span <= 0:
-        raise ValueError("detour trace leaves the host no idle time; cannot make progress")
     remaining = duration
     t = t_start
     if remaining > idle_per_span:  # whole cycles in one hop
@@ -268,17 +288,10 @@ def _run(c: _Compiled, cfg: SimConfig, run_index: int) -> SimResult:
     run_seed = derive_run_seed(cfg.seed, run_index)
 
     o = params.o
-    base_L = float(params.L)
-    base_G = params.G
-    gap = params.o if params.o >= params.g else params.g
-    two_o = 2 * params.o
-
+    gap = max(o, params.g)
+    two_o = 2 * o
     lat = noise.latency
     bw = noise.bandwidth
-    lat_samples = lat.samples if lat is not None else None
-    lat_count = lat.count if lat is not None else 0
-    bw_samples = bw.samples if bw is not None else None
-    bw_count = bw.count if bw is not None else 0
     lat_seed = run_seed ^ _LAT_STREAM
     bw_seed = run_seed ^ _BW_STREAM
 
@@ -289,118 +302,60 @@ def _run(c: _Compiled, cfg: SimConfig, run_index: int) -> SimResult:
         span = osn.span
         idle_per_span = span - osn.total_detour
         os_seed = run_seed ^ _OS_STREAM
-        phases = [
-            (mix64((os_seed + (r + 1) * _GAMMA) & _M64) * span) >> 64
-            for r in range(c.nranks)
-        ]
-    else:
-        ev_starts = ev_ends = None  # type: ignore[assignment]
-        span = idle_per_span = 0
-        phases = None  # type: ignore[assignment]
+        phases = [_pick(os_seed, r, span) for r in range(c.nranks)]
 
-    n = c.n
     kind = c.kind
     size = c.size
     rank = c.rank
-    succ = c.succ
-    prev_msg = c.prev_msg
-    match = c.match
-    send_index = c.send_index
-
-    pending = c.pending_base[:]
-    ready = [0] * n
-    start = [-1] * n
+    msg = c.msg
+    n = len(kind)
+    start = [0] * n
     finish = [0] * n
-    prc = [0] * c.nranks
-    stack = list(c.roots)
-    push = stack.append
-    pop = stack.pop
-    executed = 0
-    m64 = _M64
-    gamma = _GAMMA
+    free = [0] * c.nranks  # when each rank's host is released
+    msg_ok = [0] * c.nranks  # earliest start of each rank's next message op
+    arrival = [0] * c.n_sends  # when message m reaches its recv
 
-    while stack:
-        gid = pop()
-        executed += 1
-        t = ready[gid]
+    for gid in c.order:
+        r = rank[gid]
+        t = free[r]
         k = kind[gid]
         if k == _KIND_CALC:
             dur = size[gid]
         else:
-            pm = prev_msg[gid]
-            if pm >= 0:
-                limit = start[pm] + gap
-                if limit > t:
-                    t = limit
+            if k == _KIND_RECV and arrival[msg[gid]] > t:
+                t = arrival[msg[gid]]
+            if msg_ok[r] > t:
+                t = msg_ok[r]
+            msg_ok[r] = t + gap
             dur = o
         if osn is not None:
-            f = _detour_end(t, dur, phases[rank[gid]], ev_starts, ev_ends, span, idle_per_span)
+            f = _detour_end(t, dur, phases[r], ev_starts, ev_ends, span, idle_per_span)
         else:
             f = t + dur
         start[gid] = t
         finish[gid] = f
-        r = rank[gid]
-        if f > prc[r]:
-            prc[r] = f
+        free[r] = f
         if k == _KIND_SEND:
-            sz = size[gid]
-            m = send_index[gid]
-            if lat_samples is not None:
-                z = (lat_seed + (m + 1) * gamma) & m64
-                z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & m64
-                z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & m64
-                u64 = z ^ (z >> 31)
-                lat_eff = lat_samples[(u64 * lat_count) >> 64] - two_o
+            m = msg[gid]
+            if lat is not None:
+                lat_eff = lat.samples[_pick(lat_seed, m, lat.count)] - two_o
                 if lat_eff < 0.0:
                     lat_eff = 0.0
             else:
-                lat_eff = base_L
-            if bw_samples is not None:
-                z = (bw_seed + (m + 1) * gamma) & m64
-                z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & m64
-                z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & m64
-                u64 = z ^ (z >> 31)
-                g_eff = 8.0 / bw_samples[(u64 * bw_count) >> 64]
-            else:
-                g_eff = base_G
-            arrival = f + floor(lat_eff + (sz - 1) * g_eff + 0.5)
-            rg = match[gid]
-            if arrival > ready[rg]:
-                ready[rg] = arrival
-            left = pending[rg] - 1
-            pending[rg] = left
-            if left == 0:
-                push(rg)
-        for sg in succ[gid]:
-            if f > ready[sg]:
-                ready[sg] = f
-            left = pending[sg] - 1
-            pending[sg] = left
-            if left == 0:
-                push(sg)
+                lat_eff = params.L
+            g_eff = params.G if bw is None else 8.0 / bw.samples[_pick(bw_seed, m, bw.count)]
+            arrival[m] = f + one_way_wire_ns(lat_eff, size[gid], g_eff)
 
-    if executed != n:
-        blocked = []
-        for gid in range(n):
-            if start[gid] < 0:
-                r = rank[gid]
-                lid = gid - c.offsets[r]
-                blocked.append((r, lid, (SEND, RECV, CALC)[kind[gid]]))
-        raise DeadlockError(blocked)
-
-    draws = c.n_sends * ((1 if lat_samples is not None else 0)
-                         + (1 if bw_samples is not None else 0))
+    draws = c.n_sends * ((lat is not None) + (bw is not None))
     per_op = None
     if cfg.record_per_op:
         per_op = tuple(
-            tuple((start[c.offsets[r] + i], finish[c.offsets[r] + i])
-                  for i in range(len(c.schedule.ops[r])))
-            for r in range(c.nranks)
+            tuple(zip(start[lo:lo + len(ops)], finish[lo:lo + len(ops)]))
+            for lo, ops in zip(c.offsets, c.schedule.ops)
         )
-    completion = max(prc) if prc else 0
     return SimResult(
-        completion=completion,
-        per_rank_completion=tuple(prc),
+        completion=max(free),
+        per_rank_completion=tuple(free),
         draws_used=draws,
         per_op_times=per_op,
     )

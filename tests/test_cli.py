@@ -104,6 +104,19 @@ class TestSimRun:
                           input=goal_text)
         assert r.exit_code == 5
 
+    def test_deadlock_exit_5_with_workers(self, params_file, tmp_path):
+        # the deadlock is found before any run, so no worker has to report it
+        goal = tmp_path / "dl.goal"
+        goal.write_text(
+            "num_ranks 2\n"
+            "rank 0 { a: recv 4b from 1\n b: send 4b to 1 }\n"
+            "rank 1 { a: recv 4b from 0\n b: send 4b to 0 }\n"
+        )
+        proc = _run_cli("sim", "run", "--goal", str(goal), "--params", params_file,
+                        "--reps", "4", "--workers", "2")
+        _assert_clean_exit(proc, 5)
+        assert "deadlock: 4 op(s) blocked" in proc.stderr
+
     def test_validation_exit_3(self, runner, params_file):
         r = runner.invoke(cli, ["sim", "run", "--params", params_file],
                           input="num_ranks 2\nrank 0 { a: send 4b to 1 }\n")
@@ -273,6 +286,50 @@ class TestParamsFile:
         path.write_text('{"L": 1, "o": 2, "g": 3, "G": 4.0}')
         back, _ = load_params_file(str(path))
         assert back == LogGPParams(L=1, o=2, g=3, G=4.0)
+
+
+_TWO_RANK_MESSAGE = "num_ranks 2\nrank 0 { a: send 4b to 1 }\nrank 1 { a: recv 4b from 0 }\n"
+
+
+class TestMalformedInputExit:
+    """Malformed input documents are refused at load with one line, no traceback."""
+
+    @pytest.mark.parametrize("doc", [
+        {"schema": "nsim.schedule/1", "num_ranks": 1, "ranks": [[{"id": 0}]]},
+        {"schema": "nsim.schedule/1", "num_ranks": 1, "ranks": ["abc"]},
+    ], ids=["op_without_kind", "rank_is_string"])
+    def test_schedule_json_exit_3(self, params_file, doc):
+        proc = _run_cli("sim", "run", "--params", params_file, input=json.dumps(doc))
+        _assert_clean_exit(proc, 3)
+
+    @pytest.mark.parametrize("doc", [
+        {"schema": "nsim.dist/1", "unit": "ns", "samples": [None]},
+        {"schema": "nsim.dist/1", "unit": "ns"},
+        [7000.0],
+    ], ids=["null_sample", "missing_samples", "top_level_list"])
+    def test_distribution_json_exit_3(self, params_file, tmp_path, doc):
+        lat = tmp_path / "lat.json"
+        lat.write_text(json.dumps(doc))
+        proc = _run_cli("sim", "run", "--params", params_file, "--noise-lat", str(lat),
+                        input=_TWO_RANK_MESSAGE)
+        _assert_clean_exit(proc, 3)
+
+    def test_detour_span_not_a_number_exit_4(self, params_file, tmp_path):
+        trace = tmp_path / "detour.csv"
+        trace.write_text("# span_ns=abc\ntimestamp_ns,value,unit\n0,10,ns\n")
+        proc = _run_cli("sim", "run", "--params", params_file, "--noise-os", str(trace),
+                        input=_TWO_RANK_MESSAGE)
+        _assert_clean_exit(proc, 4)
+        assert "line 1" in proc.stderr and "span_ns" in proc.stderr and "'abc'" in proc.stderr
+
+    def test_detour_without_idle_time_exit_3(self, params_file, tmp_path):
+        trace = tmp_path / "detour.csv"
+        trace.write_text("# span_ns=10\ntimestamp_ns,value,unit\n0,10,ns\n")
+        # a zero-length calc never consults the trace: only a load-time check refuses it
+        proc = _run_cli("sim", "run", "--params", params_file, "--noise-os", str(trace),
+                        input="num_ranks 1\nrank 0 { a: calc 0 }\n")
+        _assert_clean_exit(proc, 3)
+        assert "idle" in proc.stderr
 
 
 class TestBench:

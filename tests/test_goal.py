@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import re
@@ -406,6 +407,35 @@ class TestJson:
     def test_bad_schema_rejected(self):
         with pytest.raises(ValueError):
             schedule_from_json('{"schema": "nope", "num_ranks": 1, "ranks": [[]]}')
+
+    @pytest.mark.parametrize("doc, message", [
+        ([], "must be an object"),
+        ({"num_ranks": "1", "ranks": [[]]}, "'num_ranks' must be an integer"),
+        ({"num_ranks": 1, "ranks": [[]], "metadata": []}, "'metadata' must be an object"),
+        ({"num_ranks": 1, "ranks": {}}, "'ranks' must be a list"),
+        ({"num_ranks": 1, "ranks": ["abc"]}, "rank 0's ops must be a list"),
+        ({"num_ranks": 1, "ranks": [[7]]}, "op entry 0 must be an object"),
+        ({"num_ranks": 1, "ranks": [[{"id": 0}]]}, "'kind' must be one of"),
+        ({"num_ranks": 1, "ranks": [[{"id": "0", "kind": "calc", "duration_ns": 1}]]},
+         "'id' must be an integer"),
+        ({"num_ranks": 1, "ranks": [[{"id": 0, "kind": "calc"}]]},
+         "'duration_ns' must be an integer"),
+        ({"num_ranks": 2, "ranks": [[{"id": 0, "kind": "send", "peer": "1",
+                                      "size_bytes": 4}], []]}, "'peer' must be an integer"),
+        ({"num_ranks": 2, "ranks": [[{"id": 0, "kind": "send", "peer": 1,
+                                      "size_bytes": True}], []]},
+         "'size_bytes' must be an integer"),
+        ({"num_ranks": 1, "ranks": [[{"id": 0, "kind": "calc", "duration_ns": 1,
+                                      "requires": 0}]]}, "'requires' must be a list of integers"),
+        ({"num_ranks": 1, "ranks": [[{"id": 0, "kind": "calc", "duration_ns": 1,
+                                      "requires": [None]}]]},
+         "'requires' must be a list of integers"),
+    ])
+    def test_malformed_document_rejected(self, doc, message):
+        if isinstance(doc, dict):
+            doc = {"schema": "nsim.schedule/1", **doc}
+        with pytest.raises(ValueError, match=message):
+            schedule_from_json(json.dumps(doc))
 
 
 @settings(max_examples=60, deadline=None)

@@ -225,6 +225,11 @@ class TestDetourTrace:
         with pytest.raises(ValueError):
             DetourTrace(((0, 0),), span=20)
 
+    @pytest.mark.parametrize("events", [((0, 10),), ((0, 4), (4, 6))])
+    def test_rejects_trace_without_idle_time(self, events):
+        with pytest.raises(ValueError, match="no idle time"):
+            DetourTrace(events, span=10)
+
 
 class TestNoiseModel:
     def test_all_absent_is_noiseless(self):

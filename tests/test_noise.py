@@ -234,6 +234,12 @@ class TestDetourTraceIO:
         with pytest.raises(TraceFormatError):
             load_detour_trace(p)
 
+    def test_span_not_a_number_names_comment_and_value(self, tmp_path):
+        p = tmp_path / "detour.csv"
+        p.write_text("timestamp_ns,value,unit\n# span_ns=abc\n10,5,ns\n")
+        with pytest.raises(TraceFormatError, match=r"line 2: '# span_ns=' .* got 'abc'"):
+            load_detour_trace(p)
+
 
 class TestDistributionIO:
     def test_roundtrip(self, tmp_path):

@@ -1,3 +1,4 @@
+import hashlib
 import statistics
 
 import pytest
@@ -35,6 +36,66 @@ def two_rank_single_send(size=1):
         (ScheduleOp(0, SEND, 1, size),),
         (ScheduleOp(0, RECV, 0, size),),
     ))
+
+
+# Digests of noisy runs: any change to timing, draw assignment or rounding
+# that alters a completion, a per-rank completion or an op's (start, finish)
+# shows here. g < o leaves the message gap slack; g > o makes it bind.
+_PIN_SCHEDULES = {
+    "dissem": lambda: gen_dissemination(12, 64),
+    "ring": lambda: gen_ring_allreduce(5, 40_000, reduce_cost_per_chunk=404),
+    "compapp": lambda: gen_compute_collective(4, 3333, "ring", 64, 3),
+}
+_PIN_PARAMS = {
+    "g_lt_o": LogGPParams(L=5000, o=1000, g=300, G=0.01),
+    "g_gt_o": LogGPParams(L=3000, o=200, g=1500, G=0.37),
+}
+_PIN_LAT = EmpiricalDistribution.from_values(
+    [1500.0, 6900.0, 7000.0, 7400.0, 9100.0, 70000.0], "ns")  # 1500 < 2o clamps
+_PIN_BW = EmpiricalDistribution.from_values([12.5, 50.0, 80.0, 100.0], "gbps")
+_PIN_OS = DetourTrace(((300, 1200), (4000, 250), (9000, 3000)), span=20_000)
+_PIN_NOISE = {
+    "lat": NoiseModel(latency=_PIN_LAT),
+    "bw": NoiseModel(bandwidth=_PIN_BW),
+    "os": NoiseModel(os=_PIN_OS),
+    "all": NoiseModel(latency=_PIN_LAT, bandwidth=_PIN_BW, os=_PIN_OS),
+}
+_PINNED = {
+("dissem", "lat", "g_lt_o"): "fcad26a4ac2fab39cd1b8933bef9aca2880ca6b627dbc413909ba79d12452acf",
+    ("dissem", "lat", "g_gt_o"): "a76ef42e38d383842b96e546a9e8db7d8acf2ca63ea3ded48f64252e63f683c4",
+    ("dissem", "bw", "g_lt_o"): "131cf92c14c5aefc62417dfb34944c1ba740743375a3c11bb1302b4ff36443e0",
+    ("dissem", "bw", "g_gt_o"): "ba041a0378a5ea15a63e19591c20dbf9446a13d05fe6cc3955b0ddf45b1c7015",
+    ("dissem", "os", "g_lt_o"): "4d08d67e338ca6a0f8fd18dd93cf446d3355d7adf4c2c422223bcbde96850388",
+    ("dissem", "os", "g_gt_o"): "01f193d71f037aa23b9162c34870c4b53ab274818a78935f0908eaebeb54c9e4",
+    ("dissem", "all", "g_lt_o"): "518b79d71d96852e827724feee415512dbe3ae78282469d858d04a1e56548d14",
+    ("dissem", "all", "g_gt_o"): "712a768a14e2f3a606b41e5ebee4f4868abd0ce42dbebcf266415284ab643c3d",
+    ("ring", "lat", "g_lt_o"): "37a9c9bf6c4bbaff47c0725f21876df4c25badb58584cd0bd96d0d5e2ba5b6fa",
+    ("ring", "lat", "g_gt_o"): "902661884362a3258a3798d24ea0c27a0345f5b2a0c055552e3616db491cc8af",
+    ("ring", "bw", "g_lt_o"): "522b421fe343e6eb51040bd29abd1e8c331d7ecbdff014bb5878fcfdc4bea619",
+    ("ring", "bw", "g_gt_o"): "a74320d17dde9d2c0fb5522d46b2fbc65a1e585548496bd841789c1c4e3246ca",
+    ("ring", "os", "g_lt_o"): "b47c9ef4ea9f6d4d7171c654c532123bd2651d092afb19a8ac7d6eb0d6a6213b",
+    ("ring", "os", "g_gt_o"): "c9af466737594060329fefa727e31b3fa656b014b05b296d7745a17712748789",
+    ("ring", "all", "g_lt_o"): "4ee94aa420050cad3132007770d5549b97657422ec15e2eb0f504c4ac4d32349",
+    ("ring", "all", "g_gt_o"): "ccf59d64060cdbab79826720291d3afd09385605751bfc1de2f6e3cdd5a58c95",
+    ("compapp", "lat", "g_lt_o"): "7db800a241d99720753e471f63676b68c108ee203972636d0880e8a2cdf30898",
+    ("compapp", "lat", "g_gt_o"): "da4ad3caaf617b207a321d79fdeccbc4ae5e19b7db069361e83d0aa76f7f8f27",
+    ("compapp", "bw", "g_lt_o"): "6be28dc98c58fafb65e684db24250e9b9ac47c050866ea54952151f3925fc682",
+    ("compapp", "bw", "g_gt_o"): "ec5d2d06c7a9c9eb62705b1f6f95440fd81402eee1d1832ca2ac32a9e3ef6bdb",
+    ("compapp", "os", "g_lt_o"): "9acf35d0dc71ed8afb1dfa4eb43fb7f67fbf8b4cca0b31819ef406ff5cad8049",
+    ("compapp", "os", "g_gt_o"): "c09c0d29bf61bf92000db8fa1e9fdb12cda259f2caaf1760d6d43f7231dd43bc",
+    ("compapp", "all", "g_lt_o"): "6ca9c65749e2750f8e7797c847e131439dbf3722cdcc5fa0528b00e282f89622",
+    ("compapp", "all", "g_gt_o"): "5c53fb02b841ca5ade4299f687dc656225354b7b3c7530b46010f7ec4d4c606d",
+}
+
+
+@pytest.mark.parametrize("key", list(_PINNED), ids="-".join)
+def test_pinned_noisy_results(key):
+    schedule, noise, params = key
+    cfg = SimConfig(params=_PIN_PARAMS[params], noise=_PIN_NOISE[noise], seed=2024,
+                    record_per_op=True)
+    runs = run_many(_PIN_SCHEDULES[schedule](), cfg, 4)
+    blob = repr([(r.completion, r.per_rank_completion, r.per_op_times) for r in runs])
+    assert hashlib.sha256(blob.encode()).hexdigest() == _PINNED[key]
 
 
 class TestSingleMessage:
@@ -267,6 +328,17 @@ class TestErrors:
         with pytest.raises(DeadlockError) as err:
             simulate(s, SimConfig(params=P1))
         assert len(err.value.blocked) == 4
+
+    def test_forward_requires_deadlock_message(self):
+        # a requires b, but b follows a on the rank: the host order is a cycle
+        s = Schedule(nranks=1, ops=((
+            ScheduleOp(0, CALC, None, 5, frozenset({1})),
+            ScheduleOp(1, CALC, None, 5),
+        ),))
+        with pytest.raises(DeadlockError) as err:
+            simulate(s, SimConfig(params=P1))
+        assert str(err.value) == (
+            "deadlock: 2 op(s) blocked: rank 0 op 0 (calc), rank 0 op 1 (calc)")
 
     def test_zero_reps_rejected(self):
         with pytest.raises(ValueError):
