@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from array import array
 from pathlib import Path
 from typing import Iterable
 
@@ -69,36 +69,79 @@ class TraceFormatError(ValueError):
         self.line = line
 
 
-@dataclass(frozen=True)
 class SampleTrace:
-    """Per-sample measurements: (timestamp ns since start, value) rows."""
+    """Per-sample measurements: (timestamp ns since start, value) rows.
 
-    rows: tuple[tuple[int, float], ...]
-    unit: str
+    Stored as two columns, signed 64-bit timestamps and float values; ``rows``,
+    ``timestamps`` and ``values`` are tuple views built on access. Immutable.
+    """
 
-    def __post_init__(self) -> None:
-        if self.unit not in _TRACE_UNITS:
-            raise ValueError(f"unknown trace unit {self.unit!r}")
-        rows = tuple((int(t), float(v)) for t, v in self.rows)
-        object.__setattr__(self, "rows", rows)
-        prev = None
+    __slots__ = ("_timestamps", "_values", "unit")
+
+    def __init__(self, rows: Iterable[tuple[int, float]], unit: str):
+        if unit not in _TRACE_UNITS:
+            raise ValueError(f"unknown trace unit {unit!r}")
+        positive = unit in (UNIT_NS, UNIT_GBPS)
+        timestamps = array("q")
+        values = array("d")
         for i, (t, v) in enumerate(rows):
-            if prev is not None and t < prev:
+            t, v = int(t), float(v)
+            if timestamps and t < timestamps[-1]:
                 raise ValueError(f"row {i}: timestamps must be nondecreasing")
-            prev = t
-            if self.unit in (UNIT_NS, UNIT_GBPS) and v <= 0:
-                raise ValueError(f"row {i}: {self.unit} values must be > 0, got {v}")
+            if positive and v <= 0:
+                raise ValueError(f"row {i}: {unit} values must be > 0, got {v}")
+            try:
+                timestamps.append(t)
+            except OverflowError:
+                raise ValueError(f"row {i}: timestamp {t} is outside the signed "
+                                 "64-bit range") from None
+            values.append(v)
+        self._set(timestamps, values, unit)
+
+    @classmethod
+    def _from_columns(cls, timestamps: array, values: array, unit: str) -> "SampleTrace":
+        """Wrap columns that the caller has already checked; they are not copied."""
+        trace = cls.__new__(cls)
+        trace._set(timestamps, values, unit)
+        return trace
+
+    def _set(self, timestamps: array, values: array, unit: str) -> None:
+        object.__setattr__(self, "_timestamps", timestamps)
+        object.__setattr__(self, "_values", values)
+        object.__setattr__(self, "unit", unit)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"SampleTrace is immutable; cannot set {name!r}")
+
+    def __reduce__(self):
+        return (self._from_columns, (self._timestamps, self._values, self.unit))
+
+    @property
+    def rows(self) -> tuple[tuple[int, float], ...]:
+        return tuple(zip(self._timestamps, self._values))
 
     @property
     def values(self) -> tuple[float, ...]:
-        return tuple(v for _, v in self.rows)
+        return tuple(self._values)
 
     @property
     def timestamps(self) -> tuple[int, ...]:
-        return tuple(t for t, _ in self.rows)
+        return tuple(self._timestamps)
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self._values)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.unit == other.unit and self._timestamps == other._timestamps
+                and self._values == other._values)
+
+    def __hash__(self) -> int:
+        return hash((self.rows, self.unit))
+
+    def __repr__(self) -> str:
+        return f"SampleTrace(rows={self.rows!r}, unit={self.unit!r})"
 
 
 def _parse_rows(text: str, expected_unit: str):
@@ -135,18 +178,24 @@ def parse_trace(text: str, expected_unit: str) -> SampleTrace:
     """Read trace CSV text, enforcing the unit and timestamp monotonicity."""
     if expected_unit not in _TRACE_UNITS:
         raise ValueError(f"unknown trace unit {expected_unit!r}")
-    rows: list[tuple[int, float]] = []
-    prev_ts: int | None = None
+    positive = expected_unit in (UNIT_NS, UNIT_GBPS)
+    timestamps = array("q")
+    values = array("d")
     for lineno, ts, value in _parse_rows(text, expected_unit):
-        if prev_ts is not None and ts < prev_ts:
-            raise TraceFormatError(f"timestamp {ts} decreases (previous {prev_ts})", lineno)
-        if expected_unit in (UNIT_NS, UNIT_GBPS) and value <= 0:
+        if timestamps and ts < timestamps[-1]:
+            raise TraceFormatError(f"timestamp {ts} decreases (previous {timestamps[-1]})",
+                                   lineno)
+        if positive and value <= 0:
             raise TraceFormatError(f"{expected_unit} value must be > 0, got {value}", lineno)
-        prev_ts = ts
-        rows.append((ts, value))
-    if not rows:
+        try:
+            timestamps.append(ts)
+        except OverflowError:
+            raise TraceFormatError(f"timestamp {ts} is outside the signed 64-bit range",
+                                   lineno) from None
+        values.append(value)
+    if not values:
         raise TraceFormatError("no samples in trace")
-    return SampleTrace(tuple(rows), expected_unit)
+    return SampleTrace._from_columns(timestamps, values, expected_unit)
 
 
 def load_trace(path: str | Path, expected_unit: str) -> SampleTrace:

@@ -20,10 +20,27 @@ Every edge above is fixed before a run starts; only edge weights depend on
 the noise draws. The order in which ops can execute is therefore static: it is
 computed once per schedule, and a schedule in which some op can never run
 raises DeadlockError at that point, before any run and before run_many starts
-workers. Each run is then one forward pass over that order. Durations are
->= 0, so finishes never decrease along a rank's program order: a ``requires``
-on an earlier op of the same rank is met once the previous op has released
-the host, and one on a later op is a cycle through program order.
+workers. Durations are >= 0, so finishes never decrease along a rank's
+program order: a ``requires`` on an earlier op of the same rank is met once
+the previous op has released the host, and one on a later op is a cycle
+through program order.
+
+Two engines
+-----------
+The per-op engine (``_run``) computes one run as one forward pass over that
+order in Python integers. The batch engine (``_run_batch``) computes a chunk
+of runs at once as int64 numpy arrays: it draws every message's wire delay up
+front, then visits the DAG levels in order, all ops of one level (which are
+independent) for all runs of the chunk together, and replaces the detour walk
+by its closed form. ``simulate`` and ``run_many`` pick the batch engine when
+the schedule is wide, ops x reps >= ``_BATCH_K`` x levels, the op-runs are
+enough to pay for importing numpy, ops x reps >= ``_BATCH_MIN_OP_RUNS``, and
+every time value is provably below 2**62 (``_Compiled.time_bound``). Deep,
+narrow schedules, small jobs and ones whose times could leave int64 run per
+op. numpy is imported only when the batch engine runs. Both engines keep every time an
+exact integer and compute each wire delay with the same IEEE-754 operations
+on the same values, so they give the same bits; tests check this on random
+schedules.
 
 Noise
 -----
@@ -47,19 +64,21 @@ message with static index m (sends enumerated in (rank, op id) order) draws
 ``mix64((run_seed ^ LAT_STREAM) + (m+1)*GAMMA)`` for latency and the
 BW_STREAM analogue for bandwidth, each mapped to a distribution index by
 ``(u64 * count) >> 64``. Because every value a run computes is a pure function
-of these inputs, results are bit-identical regardless of worker count or of
-which valid order the ops are visited in.
+of these inputs, results are bit-identical regardless of worker count, of
+which engine runs them, of how runs are chunked, or of which valid order the
+ops are visited in.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
 from .goal import CALC, RECV, SEND, Schedule, ScheduleValidationError, validate
-from .model import LogGPParams, NoiseModel, one_way_wire_ns
+from .model import DetourTrace, LogGPParams, NoiseModel, one_way_wire_ns
 
 __all__ = [
     "PRNG_NAME",
@@ -147,11 +166,15 @@ class _Compiled:
 
     Ops are numbered globally in (rank, op id) order. ``msg`` holds, for a
     send and for its matched recv, the send's index among all sends, which is
-    also the counter of its noise draws.
+    also the counter of its noise draws. ``level`` is an op's depth in the
+    execution DAG: one more than the larger of the levels of its rank
+    predecessor and, for a recv, its send. Ops of one level are independent,
+    and a rank has at most one op per level.
     """
 
     __slots__ = ("schedule", "nranks", "offsets", "kind", "size", "rank", "msg",
-                 "n_sends", "order")
+                 "n_sends", "order", "level", "n_levels", "calc_total", "n_calc",
+                 "send_bytes")
 
     def __init__(self, schedule: Schedule):
         violations = validate(schedule)
@@ -170,6 +193,7 @@ class _Compiled:
         sends: dict[tuple[int, int, int], list[int]] = {}
         recvs: dict[tuple[int, int, int], list[int]] = {}
         n_sends = 0
+        calc_total = n_calc = send_bytes = 0
         for r, rank_ops in enumerate(schedule.ops):
             offsets.append(len(kind))
             for op in rank_ops:
@@ -177,9 +201,13 @@ class _Compiled:
                 if op.kind == SEND:
                     m = n_sends
                     n_sends += 1
+                    send_bytes += op.size - 1
                     sends.setdefault((r, op.peer, op.size), []).append(m)
                 elif op.kind == RECV:
                     recvs.setdefault((op.peer, r, op.size), []).append(len(kind))
+                else:
+                    calc_total += op.size
+                    n_calc += 1
                 kind.append(kind_code[op.kind])
                 size.append(op.size)
                 rank.append(r)
@@ -194,6 +222,8 @@ class _Compiled:
         # later one is a cycle through program order) and, for a recv, its
         # send placed. Placing a send wakes the rank of its recv.
         sent = [False] * n_sends
+        send_level = [0] * n_sends
+        level = [0] * len(kind)
         placed = [0] * nranks  # ops of each rank placed so far
         order: list[int] = []
         todo = list(range(nranks))
@@ -210,9 +240,14 @@ class _Compiled:
                         k == _KIND_RECV and not sent[msg[gid]]):
                     break
                 order.append(gid)
+                lv = level[gid - 1] + 1 if i else 0
                 if k == _KIND_SEND:
                     sent[msg[gid]] = True
+                    send_level[msg[gid]] = lv
                     todo.append(op.peer)
+                elif k == _KIND_RECV and send_level[msg[gid]] >= lv:
+                    lv = send_level[msg[gid]] + 1
+                level[gid] = lv
                 i += 1
             placed[r] = i
         if len(order) < len(kind):
@@ -228,6 +263,41 @@ class _Compiled:
         self.msg = msg
         self.n_sends = n_sends
         self.order = order
+        self.level = level
+        self.n_levels = max(level) + 1 if level else 0
+        self.calc_total = calc_total
+        self.n_calc = n_calc
+        self.send_bytes = send_bytes
+
+    def time_bound(self, cfg: SimConfig) -> int | float:
+        """An upper bound on every time value a run under ``cfg`` computes.
+
+        A time is at most the longest path through the execution DAG, which
+        visits each op once: its duration stretched by detours, plus the
+        message gap for a message op and the largest possible wire delay after
+        a send. ``math.inf`` when the bound is not a finite number.
+        """
+        params, noise = cfg.params, cfg.noise
+        o = params.o
+        gap = max(o, params.g)
+        n_msg = len(self.kind) - self.n_calc
+        osn = noise.os
+        if osn is None:
+            busy = self.calc_total + n_msg * (o + gap)
+        else:
+            # An occupancy of d > 0 gathers its d idle ns within ceil(d / idle)
+            # <= d // idle + 1 spans; the extra span covers a detour phase.
+            idle = osn.span - osn.total_detour
+            busy = ((self.calc_total // idle + self.n_calc) * osn.span
+                    + n_msg * ((o // idle + 1) * osn.span + gap) + osn.span)
+        lat = noise.latency
+        bw = noise.bandwidth
+        try:
+            lat_max = params.L if lat is None else max(0.0, lat.samples[-1] - 2 * o)
+            g_max = params.G if bw is None else 8.0 / bw.samples[0]
+            return busy + math.ceil(self.n_sends * (lat_max + 1.0) + self.send_bytes * g_max)
+        except (OverflowError, ValueError):  # an infinite or NaN wire bound
+            return math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -362,11 +432,253 @@ def _run(c: _Compiled, cfg: SimConfig, run_index: int) -> SimResult:
 
 
 # ---------------------------------------------------------------------------
+# Batched runs: a chunk of reps, one level of the execution DAG at a time
+
+# The batch path runs when ops * reps >= _BATCH_K * levels, i.e. when a level
+# holds enough op-runs to pay for the fixed cost of its numpy calls, and when
+# there are at least _BATCH_MIN_OP_RUNS op-runs to pay for importing numpy
+# (0.16 s, about as long as 2**16 op-runs take per op).
+_BATCH_K = 64
+_BATCH_MIN_OP_RUNS = 1 << 16
+_CHUNK_BYTES = 2 << 20  # working set of one chunk of reps
+_TIME_LIMIT = 1 << 62  # every time value of a batched run stays below this
+
+
+def _use_batch(c: _Compiled, cfg: SimConfig, reps: int) -> bool:
+    """True when ``reps`` runs are cheaper batched and provably fit int64."""
+    op_runs = len(c.kind) * reps
+    return (op_runs >= max(_BATCH_K * c.n_levels, _BATCH_MIN_OP_RUNS)
+            and c.time_bound(cfg) < _TIME_LIMIT)
+
+
+def _mix64_vec(z):
+    """mix64 over a uint64 array; wraps mod 2**64 exactly like ``mix64``."""
+    z = z ^ (z >> 30)
+    z *= 0xBF58476D1CE4E5B9
+    z ^= z >> 27
+    z *= 0x94D049BB133111EB
+    return z ^ (z >> 31)
+
+
+def _mulhi_vec(u, count: int):
+    """``(u * count) >> 64`` for a uint64 array u and 0 < count < 2**64, exactly.
+
+    The 128-bit product is formed from 32-bit halves so that no partial
+    product or carry sum leaves uint64.
+    """
+    import numpy as np
+
+    m32 = np.uint64(0xFFFFFFFF)
+    ch, cl = np.uint64(count >> 32), np.uint64(count & 0xFFFFFFFF)
+    ul, uh = u & m32, u >> np.uint64(32)
+    lo_lo = ul * cl
+    hi_lo = uh * cl
+    cross = (lo_lo >> np.uint64(32)) + (hi_lo & m32) + ul * ch
+    return uh * ch + (hi_lo >> np.uint64(32)) + (cross >> np.uint64(32))
+
+
+def _pick_vec(seeds, counters, count: int):
+    """``_pick(seeds[j], counters[i], count)`` as a uint64 array of shape (i, j)."""
+    import numpy as np
+
+    steps = (np.asarray(counters, dtype=np.uint64) + np.uint64(1)) * np.uint64(_GAMMA)
+    return _mulhi_vec(_mix64_vec(seeds[None, :] + steps[:, None]), count)
+
+
+def _detour_tables(osn: DetourTrace):
+    """Idle-time tables of one detour trace for ``_detour_end_vec``.
+
+    Idle segment k runs from ``seg_start[k]`` (0, or the end of event k-1) to
+    the start of event k (or the span); ``idle_at[k]`` and ``idle_to[k]`` are
+    the idle ns accumulated in a span at its start and end, and
+    ``detour_before[k]`` the detour ns before it.
+    """
+    import numpy as np
+
+    starts = np.array([s for s, _ in osn.events], dtype=np.int64)
+    durs = np.array([d for _, d in osn.events], dtype=np.int64)
+    detour_before = np.concatenate(([0], np.cumsum(durs)))
+    seg_start = np.concatenate(([0], starts + durs))
+    idle_at = seg_start - detour_before
+    idle_to = np.concatenate((starts, [osn.span])) - detour_before
+    return starts, detour_before, seg_start, idle_at, idle_to, osn.span, osn.span - osn.total_detour
+
+
+def _detour_end_vec(t, dur, phase, tables):
+    """``_detour_end`` over arrays, in closed form.
+
+    With I(y) the idle ns of the cyclic pattern before pattern position y, an
+    occupancy of ``dur`` > 0 that starts at pattern position x = t + phase
+    ends at the least y with I(y) = I(x) + dur; both steps are a bisection of
+    the tables of one span.
+    """
+    import numpy as np
+
+    starts, detour_before, seg_start, idle_at, idle_to, span, idle = tables
+    x = t + phase
+    cycles, pos = np.divmod(x, span)
+    j = np.searchsorted(starts, pos, side="right")  # events that began by pos
+    target = (cycles * idle + pos - detour_before[j]
+              + np.maximum(seg_start[j] - pos, 0) + dur)
+    cycles = (target - 1) // idle  # the last idle ns lies in this cycle
+    a = target - cycles * idle  # in [1, idle]
+    k = np.searchsorted(idle_to, a, side="left")
+    end = cycles * span + seg_start[k] + (a - idle_at[k]) - phase
+    return np.where(dur > 0, end, t)
+
+
+def _levels(c: _Compiled, dur: list[int]):
+    """Per DAG level, the index arrays ``_run_batch`` gathers and scatters with.
+
+    Each level is a tuple: the level's op ids; their ranks; their durations
+    as a column; the msg_ok rows they read; the positions of the message ops
+    among them (None when all are); the msg_ok rows those write; the arrival
+    rows they read; the positions of the sends among them; and the sends'
+    message indices. Rows ``c.nranks`` of msg_ok and ``c.n_sends`` of arrival
+    stay 0, and ops that do not wait on them read those rows: every time is
+    >= 0. The msg_ok and arrival reads are None for a level without message
+    ops or recvs.
+    """
+    import numpy as np
+
+    kind = np.array(c.kind, dtype=np.int8)
+    rank = np.array(c.rank, dtype=np.intp)
+    msg = np.array(c.msg, dtype=np.intp)
+    dur_all = np.array(dur, dtype=np.int64)
+    level = np.array(c.level, dtype=np.intp)
+    by_level = np.argsort(level, kind="stable")
+    bounds = np.searchsorted(level[by_level], np.arange(c.n_levels + 1))
+    levels = []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        gids = by_level[lo:hi]
+        k = kind[gids]
+        ranks = rank[gids]
+        is_msg = k != _KIND_CALC
+        is_recv = k == _KIND_RECV
+        is_send = k == _KIND_SEND
+        all_msg = bool(is_msg.all())
+        levels.append((
+            gids,
+            ranks,
+            dur_all[gids][:, None],
+            np.where(is_msg, ranks, c.nranks) if is_msg.any() else None,
+            None if all_msg else np.flatnonzero(is_msg),
+            ranks[is_msg],
+            np.where(is_recv, msg[gids], c.n_sends) if is_recv.any() else None,
+            np.flatnonzero(is_send),
+            msg[gids][is_send],
+        ))
+    return levels
+
+
+def _run_batch(c: _Compiled, cfg: SimConfig, run_indices: Sequence[int]) -> list[SimResult]:
+    """``[_run(c, cfg, i) for i in run_indices]``, computed level by level.
+
+    Each chunk of reps holds the per-rank and per-message state as
+    (rows, reps) int64 arrays, draws every wire delay up front and then
+    visits the DAG levels in order, all ops of a level at once. The caller
+    guarantees that every time value stays below ``_TIME_LIMIT``.
+    """
+    import numpy as np
+
+    take = np.take
+    params = cfg.params
+    noise = cfg.noise
+    o = params.o
+    gap = max(o, params.g)
+    lat = noise.latency
+    bw = noise.bandwidth
+    osn = noise.os
+    nranks, n_sends, n_ops = c.nranks, c.n_sends, len(c.kind)
+    levels = _levels(c, [s if k == _KIND_CALC else o for k, s in zip(c.kind, c.size)])
+    size_m1 = np.array([float(s - 1) for k, s in zip(c.kind, c.size)
+                        if k == _KIND_SEND])[:, None]
+    send_ids = np.arange(n_sends)
+    lat_samples = None if lat is None else np.array(lat.samples)
+    bw_samples = None if bw is None else np.array(bw.samples)
+    tables = None if osn is None else _detour_tables(osn)
+    draws = n_sends * ((lat is not None) + (bw is not None))
+
+    # Bytes per rep: free, msg_ok, phases, arrival, wire, the recorded
+    # starts and finishes, and about eight temporaries of the widest level.
+    widest = max((len(lv[0]) for lv in levels), default=0)
+    row_bytes = 8 * (3 * nranks + 2 * n_sends + 8 * widest
+                     + (2 * n_ops if cfg.record_per_op else 0) + 2)
+    chunk = max(1, _CHUNK_BYTES // row_bytes)
+    results: list[SimResult] = []
+    for first in range(0, len(run_indices), chunk):
+        indices = run_indices[first:first + chunk]
+        reps = len(indices)
+        seeds = np.array([derive_run_seed(cfg.seed, i) for i in indices], dtype=np.uint64)
+        if lat is None:
+            lat_eff = params.L
+        else:
+            picked = lat_samples[_pick_vec(seeds ^ np.uint64(_LAT_STREAM), send_ids, lat.count)]
+            lat_eff = np.maximum(picked - 2 * o, 0.0)
+        if bw is None:
+            g_eff = params.G
+        else:
+            g_eff = 8.0 / bw_samples[_pick_vec(seeds ^ np.uint64(_BW_STREAM), send_ids, bw.count)]
+        # one_way_wire_ns, operation for operation
+        wire = np.floor(lat_eff + size_m1 * g_eff + 0.5).astype(np.int64)
+        if tables is not None:
+            phases = _pick_vec(seeds ^ np.uint64(_OS_STREAM), range(nranks),
+                               osn.span).astype(np.int64)
+
+        free = np.zeros((nranks, reps), dtype=np.int64)
+        msg_ok = np.zeros((nranks + 1, reps), dtype=np.int64)
+        arrival = np.zeros((n_sends + 1, reps), dtype=np.int64)
+        if cfg.record_per_op:
+            start = np.empty((n_ops, reps), dtype=np.int64)
+            finish = np.empty((n_ops, reps), dtype=np.int64)
+        for (gids, ranks, dur, ok_rows, msg_pos, msg_ranks, arr_rows,
+             send_pos, send_m) in levels:
+            t = take(free, ranks, axis=0)
+            if arr_rows is not None:
+                np.maximum(t, take(arrival, arr_rows, axis=0), out=t)
+            if ok_rows is not None:
+                np.maximum(t, take(msg_ok, ok_rows, axis=0), out=t)
+                msg_ok[msg_ranks] = (t if msg_pos is None else take(t, msg_pos, axis=0)) + gap
+            if tables is None:
+                f = t + dur
+            else:
+                f = _detour_end_vec(t, dur, take(phases, ranks, axis=0), tables)
+            free[ranks] = f
+            if len(send_m):
+                arrival[send_m] = take(f, send_pos, axis=0) + take(wire, send_m, axis=0)
+            if cfg.record_per_op:
+                start[gids] = t
+                finish[gids] = f
+
+        per_rank = free.T.tolist()
+        if cfg.record_per_op:
+            starts, finishes = start.T.tolist(), finish.T.tolist()
+        for j, row in enumerate(per_rank):
+            per_op = None
+            if cfg.record_per_op:
+                st, fi = starts[j], finishes[j]
+                per_op = tuple(
+                    tuple(zip(st[lo:lo + len(ops)], fi[lo:lo + len(ops)]))
+                    for lo, ops in zip(c.offsets, c.schedule.ops)
+                )
+            results.append(SimResult(completion=max(row), per_rank_completion=tuple(row),
+                                     draws_used=draws, per_op_times=per_op))
+    return results
+
+
+def _run_reps(c: _Compiled, cfg: SimConfig, run_indices: Sequence[int]) -> list[SimResult]:
+    """The runs ``run_indices``, batched when ``_use_batch`` allows it."""
+    if _use_batch(c, cfg, len(run_indices)):
+        return _run_batch(c, cfg, run_indices)
+    return [_run(c, cfg, i) for i in run_indices]
+
+
+# ---------------------------------------------------------------------------
 # Public API
 
 def simulate(schedule: Schedule, cfg: SimConfig) -> SimResult:
     """Run one simulation; identical to run_many(schedule, cfg, 1)[0]."""
-    return _run(_Compiled(schedule), cfg, 0)
+    return _run_reps(_Compiled(schedule), cfg, [0])[0]
 
 
 _FORK_STATE: tuple[_Compiled, SimConfig] | None = None
@@ -374,7 +686,7 @@ _FORK_STATE: tuple[_Compiled, SimConfig] | None = None
 
 def _pool_run(indices: Sequence[int]) -> list[SimResult]:
     c, cfg = _FORK_STATE  # type: ignore[misc]
-    return [_run(c, cfg, i) for i in indices]
+    return _run_reps(c, cfg, indices)
 
 
 def run_many(
@@ -397,13 +709,13 @@ def run_many(
         workers = 1
     workers = min(workers, n)
     if workers <= 1:
-        return [_run(c, cfg, i) for i in range(n)]
+        return _run_reps(c, cfg, range(n))
     try:
         import multiprocessing
 
         ctx = multiprocessing.get_context("fork")
     except ValueError:
-        return [_run(c, cfg, i) for i in range(n)]
+        return _run_reps(c, cfg, range(n))
     global _FORK_STATE
     _FORK_STATE = (c, cfg)
     try:

@@ -42,6 +42,15 @@ def _assert_clean_exit(proc, code):
     assert proc.stderr.startswith("error: ")
 
 
+def test_cli_import_leaves_numpy_unloaded():
+    # Only the batch engine imports numpy, so `nsim --help` does not pay for it.
+    code = "import sys, nsim.cli; print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 class TestGen:
     def test_dissem_goal_text(self, runner):
         r = _invoke(runner, ["gen", "dissem", "-p", "4", "-s", "16"])

@@ -74,6 +74,15 @@ class TestLoadTrace:
         with pytest.raises(TraceFormatError):
             load_trace(p, "ns")
 
+    def test_timestamp_beyond_int64_reports_line(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text(f"0,5\n{2**63},5\n")
+        with pytest.raises(TraceFormatError, match="64-bit") as err:
+            load_trace(p, "ns")
+        assert err.value.line == 2
+        with pytest.raises(ValueError, match="64-bit"):
+            SampleTrace(((0, 5.0), (2**63, 5.0)), "ns")
+
     def test_roundtrip_via_save(self, tmp_path):
         t = SampleTrace(((0, 1.5), (3, 2.0), (9, 2.0)), "gbps")
         p = tmp_path / "t.csv"

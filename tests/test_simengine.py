@@ -1,7 +1,11 @@
 import hashlib
+import random
 import statistics
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nsim.goal import (
     CALC,
@@ -24,7 +28,18 @@ from nsim.simengine import (
     run_many,
     simulate,
 )
-from nsim.simengine import _detour_end
+from nsim import simengine
+from nsim.simengine import (
+    _Compiled,
+    _detour_end,
+    _detour_end_vec,
+    _detour_tables,
+    _pick,
+    _pick_vec,
+    _run,
+    _run_batch,
+    _use_batch,
+)
 
 from oracles import dag_completion, detour_end_fixed_point
 
@@ -94,8 +109,22 @@ def test_pinned_noisy_results(key):
     cfg = SimConfig(params=_PIN_PARAMS[params], noise=_PIN_NOISE[noise], seed=2024,
                     record_per_op=True)
     runs = run_many(_PIN_SCHEDULES[schedule](), cfg, 4)
-    blob = repr([(r.completion, r.per_rank_completion, r.per_op_times) for r in runs])
-    assert hashlib.sha256(blob.encode()).hexdigest() == _PINNED[key]
+    assert hashlib.sha256(_pinned_blob(runs).encode()).hexdigest() == _PINNED[key]
+
+
+def _pinned_blob(runs):
+    return repr([(r.completion, r.per_rank_completion, r.per_op_times) for r in runs])
+
+
+@pytest.mark.parametrize("key", list(_PINNED), ids="-".join)
+def test_pinned_noisy_results_batch_engine(key):
+    # The pinned shapes are narrow, so run_many sends them to _run; the batch
+    # engine must give the same bits.
+    schedule, noise, params = key
+    cfg = SimConfig(params=_PIN_PARAMS[params], noise=_PIN_NOISE[noise], seed=2024,
+                    record_per_op=True)
+    runs = _run_batch(_Compiled(_PIN_SCHEDULES[schedule]()), cfg, range(4))
+    assert hashlib.sha256(_pinned_blob(runs).encode()).hexdigest() == _PINNED[key]
 
 
 class TestSingleMessage:
@@ -361,3 +390,176 @@ class TestRecording:
         s = gen_ring_allreduce(5, 100, 9)
         r = simulate(s, SimConfig(params=P1))
         assert r.completion == max(r.per_rank_completion)
+
+
+# ---------------------------------------------------------------------------
+# The batch engine against the per-op engine
+
+@st.composite
+def valid_schedules(draw):
+    """Random deadlock-free schedules: sends, recvs, calcs and backward requires.
+
+    Ops are appended in one global order in which every recv follows its send
+    (a recv waits in ``pending`` for a random number of steps), so that order
+    is a valid execution order.
+    """
+    nranks = draw(st.integers(1, 5))
+    ops: list[list[ScheduleOp]] = [[] for _ in range(nranks)]
+    pending: list[tuple[int, str, int, int]] = []  # recvs not yet posted
+
+    def append(r, kind, peer, size):
+        i = len(ops[r])
+        requires = draw(st.sets(st.integers(0, i - 1), max_size=2)) if i else set()
+        ops[r].append(ScheduleOp(i, kind, peer, size, frozenset(requires)))
+
+    for _ in range(draw(st.integers(0, 24))):
+        action = draw(st.sampled_from(("calc", "send", "recv")))
+        if action == "recv" and pending:
+            append(*pending.pop(draw(st.integers(0, len(pending) - 1))))
+        elif action == "send" and nranks > 1:
+            src, dst = draw(st.lists(st.integers(0, nranks - 1), min_size=2, max_size=2,
+                                     unique=True))
+            size = draw(st.sampled_from((1, 16, 4096, 70_000)))
+            append(src, SEND, dst, size)
+            pending.append((dst, RECV, src, size))
+        else:
+            append(draw(st.integers(0, nranks - 1)), CALC, None,
+                   draw(st.sampled_from((0, 1, 404, 3333, 25_000))))
+    for r, kind, peer, size in pending:
+        append(r, kind, peer, size)
+    return Schedule(nranks=nranks, ops=tuple(map(tuple, ops)))
+
+
+_NOISE_MIXES = {
+    "clean": NoiseModel(),
+    "lat": NoiseModel(latency=_PIN_LAT),
+    "bw": NoiseModel(bandwidth=_PIN_BW),
+    "os": NoiseModel(os=_PIN_OS),
+    "lat+os": NoiseModel(latency=_PIN_LAT, os=_PIN_OS),
+    "bw+os": NoiseModel(bandwidth=_PIN_BW, os=_PIN_OS),
+    "all": _PIN_NOISE["all"],
+}
+
+
+def _assert_python_ints(runs):
+    for r in runs:
+        assert type(r.completion) is int and type(r.draws_used) is int
+        assert all(type(v) is int for v in r.per_rank_completion)
+        if r.per_op_times is not None:
+            assert all(type(v) is int for rank in r.per_op_times
+                       for pair in rank for v in pair)
+
+
+@settings(max_examples=300, deadline=None)
+@given(schedule=valid_schedules(), noise=st.sampled_from(sorted(_NOISE_MIXES)),
+       params=st.sampled_from(sorted(_PIN_PARAMS)), seed=st.integers(0, 2**64 - 1),
+       reps=st.integers(1, 9), chunk_bytes=st.integers(1, 4000),
+       record=st.booleans())
+def test_batch_engine_matches_per_op_engine(schedule, noise, params, seed, reps,
+                                            chunk_bytes, record):
+    # chunk_bytes from 1 (a chunk per rep) up to chunks larger than ``reps``
+    # puts chunk boundaries at every position within the reps.
+    c = _Compiled(schedule)
+    cfg = SimConfig(params=_PIN_PARAMS[params], noise=_NOISE_MIXES[noise], seed=seed,
+                    record_per_op=record)
+    want = [_run(c, cfg, i) for i in range(reps)]
+    with mock.patch.object(simengine, "_CHUNK_BYTES", chunk_bytes):
+        got = _run_batch(c, cfg, range(reps))
+    assert got == want
+    _assert_python_ints(got)
+    assert max(r.completion for r in want) <= c.time_bound(cfg)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_batch_engine_through_run_many(workers):
+    s = gen_compute_collective(4, 3333, "ring", 64, 3)
+    cfg = SimConfig(params=_PIN_PARAMS["g_gt_o"], noise=_PIN_NOISE["all"], seed=99,
+                    record_per_op=True)
+    c = _Compiled(s)
+    want = [_run(c, cfg, i) for i in range(7)]
+    # No op-run minimum makes every schedule batched; 3 KB chunks split the 7
+    # reps unevenly.
+    with mock.patch.object(simengine, "_BATCH_K", 0), \
+            mock.patch.object(simengine, "_BATCH_MIN_OP_RUNS", 0), \
+            mock.patch.object(simengine, "_CHUNK_BYTES", 3000):
+        assert _use_batch(c, cfg, 1)
+        got = run_many(s, cfg, 7, workers=workers)
+    assert got == want
+    _assert_python_ints(got)
+
+
+class TestBatchDispatch:
+    def test_wide_schedule_is_batched_and_chain_is_not(self):
+        cfg = SimConfig(params=P1, noise=_PIN_NOISE["all"])
+        wide = _Compiled(gen_dissemination(256, 16))
+        assert _use_batch(wide, cfg, 100)
+        chain = _Compiled(gen_compute_collective(8, 100_000, "ring", 65536, 100))
+        assert not _use_batch(chain, cfg, 4)
+        assert not _use_batch(wide, cfg, 1)  # too few op-runs to import numpy for
+
+    @pytest.mark.parametrize("size, batched", [(5, True), (2**63, False)])
+    def test_time_bound_beyond_int64_stays_per_op(self, size, batched):
+        # 64 independent calcs form one level, so the schedule is wide; a
+        # 2**63 ns calc would wrap in int64.
+        s = Schedule(nranks=64, ops=tuple(
+            (ScheduleOp(0, CALC, None, size if r == 0 else 5),) for r in range(64)))
+        cfg = SimConfig(params=P1)
+        c = _Compiled(s)
+        assert (c.time_bound(cfg) >= 2**63) == (size == 2**63)
+        with mock.patch.object(simengine, "_BATCH_MIN_OP_RUNS", 0):
+            assert _use_batch(c, cfg, 2) == batched
+            runs = run_many(s, cfg, 2)
+        assert [r.completion for r in runs] == [size, size]
+        assert type(runs[0].completion) is int
+
+    def test_time_bound_covers_detours_and_heavy_tails(self):
+        trace = DetourTrace(((0, 999),), span=1000)  # 1 idle ns per 1000
+        cfg = SimConfig(params=P1, noise=NoiseModel(os=trace, latency=_PIN_LAT))
+        s = gen_dissemination(8, 4096)
+        runs = run_many(s, cfg, 5)
+        assert max(r.completion for r in runs) <= _Compiled(s).time_bound(cfg)
+
+
+# ---------------------------------------------------------------------------
+# Vector kernels of the batch engine
+
+@pytest.mark.parametrize("count", [1, 2**32 - 1, 2**32, 2**32 + 1, 2**63, 2**64 - 1])
+def test_pick_vec_matches_pick(count):
+    import numpy as np
+
+    seeds = [0, 1, 2**63, 2**64 - 1, 0x243F6A8885A308D3]
+    counters = [0, 1, 7, 2**20, 2**40]
+    got = _pick_vec(np.array(seeds, dtype=np.uint64), counters, count).tolist()
+    assert got == [[_pick(s, i, count) for s in seeds] for i in counters]
+
+
+_VEC_TRACES = [
+    DetourTrace(((100, 50), (400, 200), (900, 30)), span=1000),
+    DetourTrace(((0, 10), (10, 5), (990, 10)), span=1000),  # touching, at both ends
+    DetourTrace(((3, 1),), span=7),
+    DetourTrace(((2**32 - 5, 40), (2**33 + 17, 3000)), span=3 * 2**32),
+]
+
+
+@pytest.mark.parametrize("trace", _VEC_TRACES, ids=range(len(_VEC_TRACES)))
+def test_detour_end_vec_matches_fixed_point(trace):
+    import numpy as np
+
+    span = trace.span
+    rng = random.Random(span)
+    starts = [s for s, _ in trace.events]
+    ends = [s + d for s, d in trace.events]
+    cases = []
+    for _ in range(150):
+        cases.append((rng.randrange(3 * span), rng.choice((0, 1, rng.randrange(3 * span))),
+                      rng.randrange(span)))
+    for (s, d), phase in zip(trace.events, (0, 1, span - 1)):
+        # start inside a detour, zero-length ops, and ends exactly on an event start
+        cases += [(s - phase + span + d // 2, 0, phase), (s - phase + span, 3, phase),
+                  (s - phase + span - 4, 4, phase), (s - phase + span + d, 1, phase)]
+    t, dur, phase = (np.array(col, dtype=np.int64) for col in zip(*cases))
+    got = _detour_end_vec(t, dur, phase, _detour_tables(trace)).tolist()
+    idle = span - trace.total_detour
+    for (ti, di, pi), g in zip(cases, got):
+        assert g == detour_end_fixed_point(ti, di, pi, trace), (ti, di, pi)
+        assert g == _detour_end(ti, di, pi, starts, ends, span, idle)
