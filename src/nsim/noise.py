@@ -260,13 +260,14 @@ def top_fraction(trace: SampleTrace, frac: float, side: str = "largest") -> Samp
     if n == 0:
         raise ValueError("empty trace")
     keep = math.ceil(frac * n)
-    indexed = list(enumerate(trace.rows))
+    rows = trace.rows  # a view built on each access: build it once
+    indexed = list(enumerate(rows))
     if side == "largest":
         indexed.sort(key=lambda e: (-e[1][1], e[1][0], e[0]))
     else:
         indexed.sort(key=lambda e: (e[1][1], e[1][0], e[0]))
     chosen = sorted(i for i, _ in indexed[:keep])
-    return SampleTrace(tuple(trace.rows[i] for i in chosen), trace.unit)
+    return SampleTrace(tuple(rows[i] for i in chosen), trace.unit)
 
 
 def bandwidth_from_rtt(size: int, half_rtt_ns: float) -> float:

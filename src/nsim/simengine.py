@@ -440,7 +440,7 @@ def _run(c: _Compiled, cfg: SimConfig, run_index: int) -> SimResult:
 # (0.16 s, about as long as 2**16 op-runs take per op).
 _BATCH_K = 64
 _BATCH_MIN_OP_RUNS = 1 << 16
-_CHUNK_BYTES = 2 << 20  # working set of one chunk of reps
+_CHUNK_BYTES = 2 << 20  # numpy arrays held by one chunk of reps
 _TIME_LIMIT = 1 << 62  # every time value of a batched run stays below this
 
 
@@ -452,29 +452,39 @@ def _use_batch(c: _Compiled, cfg: SimConfig, reps: int) -> bool:
 
 
 def _mix64_vec(z):
-    """mix64 over a uint64 array; wraps mod 2**64 exactly like ``mix64``."""
-    z = z ^ (z >> 30)
+    """mix64 over a uint64 array, in place; wraps mod 2**64 exactly like ``mix64``."""
+    z ^= z >> 30
     z *= 0xBF58476D1CE4E5B9
     z ^= z >> 27
     z *= 0x94D049BB133111EB
-    return z ^ (z >> 31)
+    z ^= z >> 31
+    return z
 
 
 def _mulhi_vec(u, count: int):
     """``(u * count) >> 64`` for a uint64 array u and 0 < count < 2**64, exactly.
 
     The 128-bit product is formed from 32-bit halves so that no partial
-    product or carry sum leaves uint64.
+    product or carry sum leaves uint64. At most five arrays of u's shape are
+    alive at once, u included.
     """
     import numpy as np
 
-    m32 = np.uint64(0xFFFFFFFF)
+    m32, s32 = np.uint64(0xFFFFFFFF), np.uint64(32)
     ch, cl = np.uint64(count >> 32), np.uint64(count & 0xFFFFFFFF)
-    ul, uh = u & m32, u >> np.uint64(32)
-    lo_lo = ul * cl
-    hi_lo = uh * cl
-    cross = (lo_lo >> np.uint64(32)) + (hi_lo & m32) + ul * ch
-    return uh * ch + (hi_lo >> np.uint64(32)) + (cross >> np.uint64(32))
+    ul, hi = u & m32, u >> s32
+    cross = ul * cl  # lo*lo, then the carries into bit 64
+    cross >>= s32
+    ul *= ch  # lo*hi
+    cross += ul
+    hi_lo = np.multiply(hi, cl, out=ul)
+    hi *= ch  # hi*hi, then the result
+    cross += hi_lo & m32
+    hi_lo >>= s32
+    hi += hi_lo
+    cross >>= s32
+    hi += cross
+    return hi
 
 
 def _pick_vec(seeds, counters, count: int):
@@ -483,6 +493,39 @@ def _pick_vec(seeds, counters, count: int):
 
     steps = (np.asarray(counters, dtype=np.uint64) + np.uint64(1)) * np.uint64(_GAMMA)
     return _mulhi_vec(_mix64_vec(seeds[None, :] + steps[:, None]), count)
+
+
+def _wire_vec(seeds, size_m1, params: LogGPParams, lat_samples, bw_samples):
+    """``one_way_wire_ns`` of every send (rows) in every rep (columns).
+
+    size_m1 is the column of send sizes less one; a samples array is None
+    when that noise is off. Without latency or bandwidth noise the result is
+    one column for all reps. At most six (n_sends, reps) arrays are alive at
+    once; all but the result are freed on return.
+    """
+    import numpy as np
+
+    send_ids = range(len(size_m1))
+    if lat_samples is None:
+        lat_eff = params.L
+    else:
+        lat_eff = lat_samples[_pick_vec(seeds ^ np.uint64(_LAT_STREAM), send_ids,
+                                        len(lat_samples))]
+        lat_eff -= 2 * params.o
+        np.maximum(lat_eff, 0.0, out=lat_eff)
+    if bw_samples is None:
+        wire = size_m1 * params.G
+    else:
+        wire = bw_samples[_pick_vec(seeds ^ np.uint64(_BW_STREAM), send_ids,
+                                    len(bw_samples))]
+        np.divide(8.0, wire, out=wire)
+        wire *= size_m1
+    # lat_eff + size_m1 * g_eff + 0.5, rounded half up; + commutes exactly.
+    wire = wire + lat_eff
+    del lat_eff
+    wire += 0.5
+    np.floor(wire, out=wire)
+    return wire.astype(np.int64)
 
 
 def _detour_tables(osn: DetourTrace):
@@ -586,44 +629,38 @@ def _run_batch(c: _Compiled, cfg: SimConfig, run_indices: Sequence[int]) -> list
     noise = cfg.noise
     o = params.o
     gap = max(o, params.g)
-    lat = noise.latency
-    bw = noise.bandwidth
     osn = noise.os
     nranks, n_sends, n_ops = c.nranks, c.n_sends, len(c.kind)
     levels = _levels(c, [s if k == _KIND_CALC else o for k, s in zip(c.kind, c.size)])
     size_m1 = np.array([float(s - 1) for k, s in zip(c.kind, c.size)
                         if k == _KIND_SEND])[:, None]
-    send_ids = np.arange(n_sends)
-    lat_samples = None if lat is None else np.array(lat.samples)
-    bw_samples = None if bw is None else np.array(bw.samples)
+    lat_samples = None if noise.latency is None else np.array(noise.latency.samples)
+    bw_samples = None if noise.bandwidth is None else np.array(noise.bandwidth.samples)
     tables = None if osn is None else _detour_tables(osn)
-    draws = n_sends * ((lat is not None) + (bw is not None))
+    draws = n_sends * ((lat_samples is not None) + (bw_samples is not None))
 
-    # Bytes per rep: free, msg_ok, phases, arrival, wire, the recorded
-    # starts and finishes, and about eight temporaries of the widest level.
+    # Words per rep of a chunk's numpy arrays at the larger of its two peaks.
+    # Drawing: at most five (nranks,) temporaries for the detour phases, then,
+    # with the phases alive, at most six (n_sends,) ones in _wire_vec. The
+    # level loop: free, msg_ok, phases, arrival, wire, the recorded starts and
+    # finishes, and about eight temporaries of the widest level.
     widest = max((len(lv[0]) for lv in levels), default=0)
-    row_bytes = 8 * (3 * nranks + 2 * n_sends + 8 * widest
-                     + (2 * n_ops if cfg.record_per_op else 0) + 2)
-    chunk = max(1, _CHUNK_BYTES // row_bytes)
-    results: list[SimResult] = []
-    for first in range(0, len(run_indices), chunk):
-        indices = run_indices[first:first + chunk]
+    os_words = nranks if tables is not None else 0
+    wire_words = n_sends if draws else 0
+    draw_words = 5 * os_words + 6 * wire_words
+    loop_words = (2 * nranks + os_words + n_sends + wire_words + 8 * widest
+                  + (2 * n_ops if cfg.record_per_op else 0) + 2)
+    chunk = max(1, _CHUNK_BYTES // (8 * max(draw_words, loop_words)))
+
+    def run_chunk(indices: Sequence[int]) -> list[SimResult]:
+        # A function of its own, so that a chunk's arrays are freed before
+        # the next chunk draws.
         reps = len(indices)
         seeds = np.array([derive_run_seed(cfg.seed, i) for i in indices], dtype=np.uint64)
-        if lat is None:
-            lat_eff = params.L
-        else:
-            picked = lat_samples[_pick_vec(seeds ^ np.uint64(_LAT_STREAM), send_ids, lat.count)]
-            lat_eff = np.maximum(picked - 2 * o, 0.0)
-        if bw is None:
-            g_eff = params.G
-        else:
-            g_eff = 8.0 / bw_samples[_pick_vec(seeds ^ np.uint64(_BW_STREAM), send_ids, bw.count)]
-        # one_way_wire_ns, operation for operation
-        wire = np.floor(lat_eff + size_m1 * g_eff + 0.5).astype(np.int64)
         if tables is not None:
             phases = _pick_vec(seeds ^ np.uint64(_OS_STREAM), range(nranks),
                                osn.span).astype(np.int64)
+        wire = _wire_vec(seeds, size_m1, params, lat_samples, bw_samples)
 
         free = np.zeros((nranks, reps), dtype=np.int64)
         msg_ok = np.zeros((nranks + 1, reps), dtype=np.int64)
@@ -653,6 +690,7 @@ def _run_batch(c: _Compiled, cfg: SimConfig, run_indices: Sequence[int]) -> list
         per_rank = free.T.tolist()
         if cfg.record_per_op:
             starts, finishes = start.T.tolist(), finish.T.tolist()
+        results = []
         for j, row in enumerate(per_rank):
             per_op = None
             if cfg.record_per_op:
@@ -663,6 +701,11 @@ def _run_batch(c: _Compiled, cfg: SimConfig, run_indices: Sequence[int]) -> list
                 )
             results.append(SimResult(completion=max(row), per_rank_completion=tuple(row),
                                      draws_used=draws, per_op_times=per_op))
+        return results
+
+    results: list[SimResult] = []
+    for first in range(0, len(run_indices), chunk):
+        results.extend(run_chunk(run_indices[first:first + chunk]))
     return results
 
 

@@ -183,6 +183,24 @@ class TestTopFraction:
         assert kept_counter + rest == Counter(t.values)
         assert min(kept.values) >= max(rest.elements())
 
+    def test_large_trace_builds_the_row_view_once(self, monkeypatch):
+        # rows is rebuilt from the columns on every access; reading it once
+        # per kept sample would make a 10^5-row trace quadratic.
+        n = 100_000
+        t = self.make([(i * 7919) % n + 1 for i in range(n)])
+        builds = []
+        view = SampleTrace.rows.fget
+
+        def counting_rows(trace):
+            builds.append(1)
+            return view(trace)
+
+        monkeypatch.setattr(SampleTrace, "rows", property(counting_rows))
+        out = top_fraction(t, 0.5, "largest")
+        assert len(builds) == 1
+        assert len(out) == n // 2
+        assert min(out.values) == n // 2 + 1
+
     def test_bad_frac(self):
         t = self.make([1])
         for frac in (0.0, -0.1, 1.1):

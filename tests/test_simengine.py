@@ -520,6 +520,27 @@ class TestBatchDispatch:
         assert max(r.completion for r in runs) <= _Compiled(s).time_bound(cfg)
 
 
+@pytest.mark.parametrize("noise", sorted(_NOISE_MIXES))
+def test_batch_chunk_working_set_within_budget(noise):
+    import tracemalloc
+
+    # numpy reports its buffers to tracemalloc. 300 reps of a 64-rank
+    # dissemination span three chunks; what a chunk holds beyond the results
+    # it returns, the wire-delay draws included, stays within _CHUNK_BYTES.
+    c = _Compiled(gen_dissemination(64, 16))
+    cfg = SimConfig(params=P1, noise=_NOISE_MIXES[noise], seed=5)
+    _run_batch(c, cfg, range(1))  # numpy's own first-call allocations
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        runs = _run_batch(c, cfg, range(300))
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(runs) == 300
+    assert peak - kept <= simengine._CHUNK_BYTES, (peak - base, kept - base)
+
+
 # ---------------------------------------------------------------------------
 # Vector kernels of the batch engine
 
