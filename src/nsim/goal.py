@@ -33,13 +33,18 @@ from __future__ import annotations
 import json
 import re
 import reprlib
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
 from typing import Mapping
 
 __all__ = [
     "SEND",
     "RECV",
     "CALC",
+    "KINDS",
+    "KIND_SEND",
+    "KIND_RECV",
+    "KIND_CALC",
     "ScheduleOp",
     "Schedule",
     "GoalSyntaxError",
@@ -47,6 +52,7 @@ __all__ = [
     "parse_goal",
     "emit_goal",
     "validate",
+    "match_messages",
     "gen_dissemination",
     "gen_ring_allreduce",
     "gen_compute_collective",
@@ -58,7 +64,9 @@ SEND = "send"
 RECV = "recv"
 CALC = "calc"
 
-_KINDS = (SEND, RECV, CALC)
+KINDS = (SEND, RECV, CALC)  # kind names, indexed by kind code
+KIND_SEND, KIND_RECV, KIND_CALC = 0, 1, 2  # kind codes of the ``kinds`` column
+_KIND_CODE = {SEND: KIND_SEND, RECV: KIND_RECV, CALC: KIND_CALC}
 
 
 class GoalSyntaxError(ValueError):
@@ -94,7 +102,7 @@ class ScheduleOp:
     requires: frozenset[int] = frozenset()
 
     def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
+        if self.kind not in KINDS:
             raise ValueError(f"unknown op kind {self.kind!r}")
         if self.id < 0:
             raise ValueError("op id must be >= 0")
@@ -111,36 +119,126 @@ class ScheduleOp:
                 raise ValueError(f"{self.kind} size must be >= 1 byte")
 
 
-@dataclass(frozen=True)
-class Schedule:
-    """Per-rank ordered op lists plus provenance metadata.
+class _Columns:
+    """The growing columns of a schedule under construction.
 
-    metadata records the generator name and parameters; it is excluded from
-    equality so that round-tripping through text (where it travels as
-    comments) compares schedules structurally.
+    Callers append one op at a time with ``add`` (requires sorted, unique and
+    rank-local) and close each rank with ``end_rank``.
     """
 
-    nranks: int
-    ops: tuple[tuple[ScheduleOp, ...], ...]
-    metadata: Mapping[str, object] = field(default_factory=dict, compare=False)
+    __slots__ = ("rank_offsets", "kinds", "peers", "sizes", "req_offsets", "req_targets")
 
-    def __post_init__(self) -> None:
-        if self.nranks < 1:
+    def __init__(self) -> None:
+        self.rank_offsets = array("q", [0])
+        self.kinds = array("b")
+        self.peers = array("q")
+        self.sizes = array("Q")
+        self.req_offsets = array("q", [0])
+        self.req_targets = array("q")
+
+    def add(self, kind: int, peer: int, size: int, requires=()) -> None:
+        try:
+            self.sizes.append(size)
+            self.peers.append(peer)
+        except OverflowError:
+            field = ("size", size) if size >> 64 else ("peer", peer)
+            raise ValueError("op %s %d does not fit in 64 bits" % field) from None
+        self.kinds.append(kind)
+        if requires:
+            self.req_targets.extend(requires)
+        self.req_offsets.append(len(self.req_targets))
+
+    def end_rank(self) -> None:
+        self.rank_offsets.append(len(self.kinds))
+
+    def schedule(self, nranks: int, metadata: Mapping[str, object] | None) -> Schedule:
+        """The finished Schedule; checks that it has one op list per rank."""
+        if nranks < 1:
             raise ValueError("nranks must be >= 1")
-        if len(self.ops) != self.nranks:
-            raise ValueError(f"expected {self.nranks} rank op lists, got {len(self.ops)}")
-        object.__setattr__(self, "ops", tuple(tuple(rank_ops) for rank_ops in self.ops))
-        for rank, rank_ops in enumerate(self.ops):
-            ids = {op.id for op in rank_ops}
+        if len(self.rank_offsets) != nranks + 1:
+            raise ValueError(f"expected {nranks} rank op lists, got {len(self.rank_offsets) - 1}")
+        s = object.__new__(Schedule)
+        for name in self.__slots__:
+            object.__setattr__(s, name, getattr(self, name))
+        object.__setattr__(s, "nranks", nranks)
+        object.__setattr__(s, "metadata", {} if metadata is None else metadata)
+        object.__setattr__(s, "_violations", None)
+        object.__setattr__(s, "_compiled", None)
+        return s
+
+
+class Schedule:
+    """Per-rank ordered op lists plus provenance metadata, stored as columns.
+
+    Op g (ops numbered globally in (rank, op id) order) has kind code
+    ``kinds[g]``, peer ``peers[g]`` (-1 for a calc) and size ``sizes[g]``;
+    rank r holds ops ``rank_offsets[r]`` to ``rank_offsets[r + 1] - 1``, and
+    op g requires the rank-local op ids ``req_targets[req_offsets[g]:
+    req_offsets[g + 1]]``, sorted and unique. The columns are stdlib arrays
+    and must not be modified: a Schedule is immutable, and ``validate`` and
+    the simulation engine memoize their work on it.
+
+    ``Schedule(nranks, ops)`` builds one from per-rank sequences of
+    ScheduleOp, and ``ops`` gives them back as ScheduleOp views. metadata
+    records the generator name and parameters; it is excluded from equality
+    so that round-tripping through text (where it travels as comments)
+    compares schedules structurally.
+    """
+
+    __slots__ = _Columns.__slots__ + ("nranks", "metadata", "_violations", "_compiled")
+
+    def __new__(cls, nranks: int, ops, metadata: Mapping[str, object] | None = None):
+        cols = _Columns()
+        for rank, rank_ops in enumerate(ops):
+            rank_ops = tuple(rank_ops)
             for pos, op in enumerate(rank_ops):
                 if op.id != pos:
                     raise ValueError(f"rank {rank}: op ids must be 0..n-1 in order")
-                if not op.requires <= ids:
-                    missing = sorted(op.requires - ids)
+                requires = sorted(op.requires)
+                if requires and not 0 <= requires[0] <= requires[-1] < len(rank_ops):
+                    missing = [d for d in requires if not 0 <= d < len(rank_ops)]
                     raise ValueError(f"rank {rank} op {op.id}: unknown requires {missing}")
+                cols.add(_KIND_CODE[op.kind], -1 if op.peer is None else op.peer, op.size,
+                         requires)
+            cols.end_rank()
+        return cols.schedule(nranks, metadata)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"Schedule is immutable; cannot set {name!r}")
+
+    def __reduce__(self):
+        return Schedule, (self.nranks, self.ops, self.metadata)
+
+    @property
+    def ops(self) -> tuple[tuple[ScheduleOp, ...], ...]:
+        """The ops of each rank as ScheduleOp views, built on each access."""
+        kinds, peers, sizes = self.kinds.tolist(), self.peers.tolist(), self.sizes.tolist()
+        req, req_off, bounds = self.req_targets, self.req_offsets, self.rank_offsets
+        return tuple(
+            tuple(ScheduleOp(g - lo, KINDS[kinds[g]], None if peers[g] < 0 else peers[g],
+                             sizes[g], frozenset(req[req_off[g]:req_off[g + 1]]))
+                  for g in range(lo, hi))
+            for lo, hi in zip(bounds, bounds[1:])
+        )
 
     def op_count(self) -> int:
-        return sum(len(r) for r in self.ops)
+        return len(self.kinds)
+
+    def _key(self) -> tuple:
+        return (self.nranks, self.rank_offsets, self.kinds, self.peers, self.sizes,
+                self.req_offsets, self.req_targets)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Schedule:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(tuple(c if type(c) is int else c.tobytes() for c in self._key()))
+
+    def __repr__(self) -> str:
+        return (f"Schedule(nranks={self.nranks}, op_count={self.op_count()}, "
+                f"metadata={self.metadata!r})")
 
 
 # ---------------------------------------------------------------------------
@@ -191,8 +289,8 @@ def parse_goal(text: str) -> Schedule:
     ``rank N {`` blocks of op, requires and ``}`` statements. Raises
     GoalSyntaxError for malformed text, with the line and column of the first
     statement that does not parse (or, for a bad value, of the offending rank
-    id, peer or label), and ScheduleValidationError for well-formed text that
-    is not a runnable schedule (unmatched messages, dependency cycles).
+    id, peer, size or label), and ScheduleValidationError for well-formed text
+    that is not a runnable schedule (unmatched messages, dependency cycles).
     """
     m = _HEADER_RE.match(text)
     if m["nranks"] is None:
@@ -200,7 +298,7 @@ def parse_goal(text: str) -> Schedule:
     nranks = int(m["nranks"])
     if nranks < 1:
         raise _error(text, m.start("nranks"), "num_ranks must be >= 1")
-    blocks: list[tuple[ScheduleOp, ...] | None] = [None] * nranks
+    blocks: list[tuple[list, list] | None] = [None] * nranks  # (ops, requires)
     pos = m.end()
     while pos < len(text):
         m = _BLOCK_RE.match(text, pos)
@@ -211,8 +309,15 @@ def parse_goal(text: str) -> Schedule:
             raise _error(text, m.start("rank"), f"rank {rank} out of range (num_ranks {nranks})")
         if blocks[rank] is not None:
             raise _error(text, pos, f"duplicate block for rank {rank}")
-        blocks[rank], pos = _parse_block(text, m.end(), rank, nranks)
-    schedule = Schedule(nranks=nranks, ops=tuple(block or () for block in blocks))
+        ops, requires, pos = _parse_block(text, m.end(), rank, nranks)
+        blocks[rank] = (ops, requires)
+    cols = _Columns()
+    for block in blocks:
+        if block is not None:
+            for op, requires in zip(*block):
+                cols.add(*op, requires)
+        cols.end_rank()
+    schedule = cols.schedule(nranks, None)
     violations = validate(schedule)
     if violations:
         raise ScheduleValidationError(violations)
@@ -220,9 +325,10 @@ def parse_goal(text: str) -> Schedule:
 
 
 def _parse_block(text: str, pos: int, rank: int,
-                 nranks: int) -> tuple[tuple[ScheduleOp, ...], int]:
-    """Ops of the block body starting at ``pos``, and the offset after its '}'."""
-    ops: list[tuple[str, int | None, int]] = []
+                 nranks: int) -> tuple[list[tuple[int, int, int]], list[list[int]], int]:
+    """The block body starting at ``pos``: its ops as (kind code, peer, size),
+    their sorted requires, and the offset after its '}'."""
+    ops: list[tuple[int, int, int]] = []
     labels: dict[str, int] = {}
     deps: list[tuple[int, str, str]] = []  # (offset, label, dependency list text)
     while True:
@@ -238,18 +344,20 @@ def _parse_block(text: str, pos: int, rank: int,
             deps.append((pos, label, m["requires"]))
         elif label in labels:
             raise _error(text, pos, f"duplicate label {label!r}")
-        elif kind == "calc":
-            labels[label] = len(ops)
-            ops.append((CALC, None, int(m["calc"])))
         else:
-            peer = int(m[kind])
-            if peer >= nranks:
-                raise _error(text, m.start(kind), f"peer {peer} out of range (num_ranks {nranks})")
-            if peer == rank:
-                raise _error(text, m.start(kind), f"peer must differ from own rank {rank}")
+            size_group = "calc" if kind == "calc" else "send" if kind == "to" else "recv"
+            size = int(m[size_group])
             labels[label] = len(ops)
-            ops.append((SEND, peer, int(m["send"])) if kind == "to"
-                       else (RECV, peer, int(m["recv"])))
+            if kind == "calc":
+                ops.append((KIND_CALC, -1, size))
+            else:
+                peer = int(m[kind])
+                if peer >= nranks:
+                    raise _error(text, m.start(kind),
+                                 f"peer {peer} out of range (num_ranks {nranks})")
+                if peer == rank:
+                    raise _error(text, m.start(kind), f"peer must differ from own rank {rank}")
+                ops.append((KIND_SEND if kind == "to" else KIND_RECV, peer, size))
         pos = m.end()
     requires: list[set[int]] = [set() for _ in ops]
     for at, label, dep_text in deps:
@@ -260,9 +368,10 @@ def _parse_block(text: str, pos: int, rank: int,
             if name not in labels:
                 raise _error(text, at, f"dangling dependency label {name!r}")
         requires[labels[label]].update(labels[t] for t in targets)
-    block = tuple(ScheduleOp(i, kind, peer, size, frozenset(req))
-                  for i, ((kind, peer, size), req) in enumerate(zip(ops, requires)))
-    return block, m.end()
+    for kind, _, size in ops:
+        if kind != KIND_CALC and size < 1:
+            raise ValueError(f"{KINDS[kind]} size must be >= 1 byte")
+    return ops, [sorted(req) for req in requires], m.end()
 
 
 def emit_goal(schedule: Schedule) -> str:
@@ -276,21 +385,25 @@ def emit_goal(schedule: Schedule) -> str:
         value = " ".join(str(schedule.metadata[key]).split())  # keep comments one line
         lines.append(f"# {key}: {value}")
     lines.append(f"num_ranks {schedule.nranks}")
-    for rank, rank_ops in enumerate(schedule.ops):
-        if not rank_ops:
+    kinds, peers, sizes = schedule.kinds, schedule.peers, schedule.sizes
+    req, req_off, bounds = schedule.req_targets, schedule.req_offsets, schedule.rank_offsets
+    op_line = ("  o%d: send %db to %d", "  o%d: recv %db from %d")
+    for rank in range(schedule.nranks):
+        lo, hi = bounds[rank], bounds[rank + 1]
+        if lo == hi:
             lines.append(f"rank {rank} {{ }}")
             continue
         lines.append(f"rank {rank} {{")
-        for op in rank_ops:
-            if op.kind == SEND:
-                lines.append(f"  o{op.id}: send {op.size}b to {op.peer}")
-            elif op.kind == RECV:
-                lines.append(f"  o{op.id}: recv {op.size}b from {op.peer}")
+        for g in range(lo, hi):
+            i = g - lo
+            k = kinds[g]
+            if k == KIND_CALC:
+                lines.append(f"  o{i}: calc {sizes[g]}")
             else:
-                lines.append(f"  o{op.id}: calc {op.size}")
-            if op.requires:
-                reqs = ", ".join(f"o{r}" for r in sorted(op.requires))
-                lines.append(f"  o{op.id} requires {reqs}")
+                lines.append(op_line[k] % (i, sizes[g], peers[g]))
+            a, b = req_off[g], req_off[g + 1]
+            if a != b:
+                lines.append(f"  o{i} requires " + ", ".join([f"o{t}" for t in req[a:b]]))
         lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -303,46 +416,94 @@ def validate(schedule: Schedule) -> list[str]:
 
     Checks that send and recv multisets match per (src, dst, size) and that
     every rank's dependency graph is acyclic. Violations are returned as data
-    rather than raised so callers can report them all at once.
+    rather than raised so callers can report them all at once. The verdict is
+    computed once per Schedule and memoized on it.
     """
+    if schedule._violations is None:
+        object.__setattr__(schedule, "_violations", tuple(_violations(schedule)))
+    return list(schedule._violations)
+
+
+def _violations(schedule: Schedule) -> list[str]:
     violations: list[str] = []
-    sends: dict[tuple[int, int, int], int] = {}
-    recvs: dict[tuple[int, int, int], int] = {}
-    for rank, rank_ops in enumerate(schedule.ops):
-        for op in rank_ops:
-            if op.kind == CALC:
+    nranks = schedule.nranks
+    kinds, peers, bounds = schedule.kinds, schedule.peers, schedule.rank_offsets
+    for rank in range(nranks):
+        lo = bounds[rank]
+        for g in range(lo, bounds[rank + 1]):
+            if kinds[g] == KIND_CALC:
                 continue
-            if op.peer == rank:
-                violations.append(f"rank {rank} op {op.id}: peer equals own rank")
-                continue
-            if op.peer >= schedule.nranks:
-                violations.append(f"rank {rank} op {op.id}: peer {op.peer} out of range")
-                continue
-            if op.kind == SEND:
-                key = (rank, op.peer, op.size)
-                sends[key] = sends.get(key, 0) + 1
-            else:
-                key = (op.peer, rank, op.size)
-                recvs[key] = recvs.get(key, 0) + 1
-    for key in sorted(set(sends) | set(recvs)):
-        ns, nr = sends.get(key, 0), recvs.get(key, 0)
-        if ns != nr:
-            src, dst, size = key
-            violations.append(
-                f"unmatched messages {src}->{dst} size {size}: {ns} send(s), {nr} recv(s)"
-            )
-    for rank, rank_ops in enumerate(schedule.ops):
-        if _has_cycle(rank_ops):
+            peer = peers[g]
+            if peer == rank:
+                violations.append(f"rank {rank} op {g - lo}: peer equals own rank")
+            elif peer >= nranks:
+                violations.append(f"rank {rank} op {g - lo}: peer {peer} out of range")
+    _, unmatched = match_messages(schedule)
+    for (src, dst, size), (ns, nr) in sorted(unmatched.items()):
+        violations.append(
+            f"unmatched messages {src}->{dst} size {size}: {ns} send(s), {nr} recv(s)")
+    for rank in range(nranks):
+        if _has_cycle(schedule, bounds[rank], bounds[rank + 1]):
             violations.append(f"rank {rank}: dependency cycle")
     return violations
 
 
-def _has_cycle(rank_ops: tuple[ScheduleOp, ...]) -> bool:
-    indeg = [len(op.requires) for op in rank_ops]
-    dependents: list[list[int]] = [[] for _ in rank_ops]
-    for op in rank_ops:
-        for dep in op.requires:
-            dependents[dep].append(op.id)
+def match_messages(schedule: Schedule) -> tuple[array, dict[tuple[int, int, int],
+                                                             tuple[int, int]]]:
+    """Pair sends with recvs, in order per (src, dst, size) triple.
+
+    Returns ``(send_of, unmatched)``: ``send_of[g]`` is the global op index
+    of the send that recv g receives, or -1 for an op that is no matched
+    recv; ``unmatched`` maps each triple whose send and recv counts differ to
+    those counts, and its ops stay unpaired. Message ops whose peer is their
+    own rank or out of range are left out.
+    """
+    nranks = schedule.nranks
+    kinds, peers, sizes, bounds = (schedule.kinds, schedule.peers, schedule.sizes,
+                                   schedule.rank_offsets)
+    # (src, send) pairs per destination, so that one rank's queues are alive
+    # at a time.
+    incoming = [array("q") for _ in range(nranks)]
+    for rank in range(nranks):
+        for g in range(bounds[rank], bounds[rank + 1]):
+            if kinds[g] == KIND_SEND and rank != peers[g] < nranks:
+                incoming[peers[g]].extend((rank, g))
+    send_of = array("q", [-1]) * len(kinds)
+    unmatched: dict[tuple[int, int, int], tuple[int, int]] = {}
+    for rank in range(nranks):
+        sends: dict[tuple[int, int], list[int]] = {}
+        pairs = iter(incoming[rank])
+        for src, g in zip(pairs, pairs):
+            sends.setdefault((src, sizes[g]), []).append(g)
+        incoming[rank] = None
+        recvs: dict[tuple[int, int], list[int]] = {}
+        for g in range(bounds[rank], bounds[rank + 1]):
+            if kinds[g] == KIND_RECV and rank != peers[g] < nranks:
+                recvs.setdefault((peers[g], sizes[g]), []).append(g)
+        for key, recv_gs in recvs.items():
+            send_gs = sends.pop(key, ())
+            if len(send_gs) != len(recv_gs):
+                unmatched[key[0], rank, key[1]] = (len(send_gs), len(recv_gs))
+                continue
+            for s, g in zip(send_gs, recv_gs):
+                send_of[g] = s
+        for (src, size), send_gs in sends.items():
+            unmatched[src, rank, size] = (len(send_gs), 0)
+    return send_of, unmatched
+
+
+def _has_cycle(schedule: Schedule, lo: int, hi: int) -> bool:
+    """Whether the requires of ops lo..hi-1 (one rank) form a cycle."""
+    req, req_off = schedule.req_targets, schedule.req_offsets
+    # Requires that only point backwards in program order cannot form a cycle.
+    if all(req_off[g] == req_off[g + 1] or req[req_off[g + 1] - 1] < g - lo
+           for g in range(lo, hi)):
+        return False
+    indeg = [req_off[g + 1] - req_off[g] for g in range(lo, hi)]
+    dependents: list[list[int]] = [[] for _ in indeg]
+    for i in range(hi - lo):
+        for dep in req[req_off[lo + i]:req_off[lo + i + 1]]:
+            dependents[dep].append(i)
     stack = [i for i, d in enumerate(indeg) if d == 0]
     seen = 0
     while stack:
@@ -352,7 +513,7 @@ def _has_cycle(rank_ops: tuple[ScheduleOp, ...]) -> bool:
             indeg[j] -= 1
             if indeg[j] == 0:
                 stack.append(j)
-    return seen != len(rank_ops)
+    return seen != len(indeg)
 
 
 # ---------------------------------------------------------------------------
@@ -370,19 +531,16 @@ def gen_dissemination(nranks: int, size: int) -> Schedule:
     if size < 1:
         raise ValueError(f"size must be >= 1 byte, got {size}")
     rounds = (nranks - 1).bit_length()
-    all_ops = []
+    cols = _Columns()
+    add = cols.add
     for r in range(nranks):
-        ops = []
         for k in range(rounds):
-            req = frozenset((2 * k - 2, 2 * k - 1)) if k > 0 else frozenset()
-            ops.append(ScheduleOp(2 * k, SEND, (r + (1 << k)) % nranks, size, req))
-            ops.append(ScheduleOp(2 * k + 1, RECV, (r - (1 << k)) % nranks, size, req))
-        all_ops.append(tuple(ops))
-    return Schedule(
-        nranks=nranks,
-        ops=tuple(all_ops),
-        metadata={"generator": "dissemination", "nranks": nranks, "size_bytes": size},
-    )
+            req = (2 * k - 2, 2 * k - 1) if k > 0 else ()
+            add(KIND_SEND, (r + (1 << k)) % nranks, size, req)
+            add(KIND_RECV, (r - (1 << k)) % nranks, size, req)
+        cols.end_rank()
+    return cols.schedule(
+        nranks, {"generator": "dissemination", "nranks": nranks, "size_bytes": size})
 
 
 def gen_ring_allreduce(nranks: int, size: int, reduce_cost_per_chunk: int = 0) -> Schedule:
@@ -404,33 +562,26 @@ def gen_ring_allreduce(nranks: int, size: int, reduce_cost_per_chunk: int = 0) -
     chunk = -(-size // nranks)
     steps = 2 * (nranks - 1)
     reduce_steps = nranks - 1
-    all_ops = []
+    cols = _Columns()
     for r in range(nranks):
         left = (r - 1) % nranks
         right = (r + 1) % nranks
-        ops: list[ScheduleOp] = []
-        prev_recv = -1
-        prev_calc = -1
+        n = 0  # ops of this rank so far
+        req: tuple[int, ...] = ()  # the next send's requires
         for step in range(steps):
-            req: set[int] = set()
-            if step > 0:
-                req.add(prev_recv)
-                if prev_calc >= 0:
-                    req.add(prev_calc)
-            ops.append(ScheduleOp(len(ops), SEND, right, chunk, frozenset(req)))
-            recv_id = len(ops)
-            ops.append(ScheduleOp(recv_id, RECV, left, chunk))
-            prev_recv, prev_calc = recv_id, -1
+            cols.add(KIND_SEND, right, chunk, req)
+            cols.add(KIND_RECV, left, chunk)
+            recv_id = n + 1
+            n += 2
+            req = (recv_id,)
             if step < reduce_steps and reduce_cost_per_chunk > 0:
-                calc_id = len(ops)
-                ops.append(ScheduleOp(calc_id, CALC, None, reduce_cost_per_chunk,
-                                      frozenset((recv_id,))))
-                prev_calc = calc_id
-        all_ops.append(tuple(ops))
-    return Schedule(
-        nranks=nranks,
-        ops=tuple(all_ops),
-        metadata={
+                cols.add(KIND_CALC, -1, reduce_cost_per_chunk, req)
+                req = (recv_id, n)
+                n += 1
+        cols.end_rank()
+    return cols.schedule(
+        nranks,
+        {
             "generator": "ring_allreduce",
             "nranks": nranks,
             "size_bytes": size,
@@ -465,30 +616,27 @@ def gen_compute_collective(
     else:
         raise ValueError(f"unknown pattern {pattern!r} (want dissemination or ring)")
 
-    all_ops = []
-    for rank_ops in inner.ops:
-        required = set()
-        for op in rank_ops:
-            required |= op.requires
-        roots = [op.id for op in rank_ops if not op.requires]
-        sinks = [op.id for op in rank_ops if op.id not in required]
-        ops: list[ScheduleOp] = []
+    req, req_off, bounds = inner.req_targets, inner.req_offsets, inner.rank_offsets
+    cols = _Columns()
+    for rank in range(nranks):
+        lo, hi = bounds[rank], bounds[rank + 1]
+        rank_ops = [(inner.kinds[g], inner.peers[g], inner.sizes[g],
+                     req[req_off[g]:req_off[g + 1]].tolist()) for g in range(lo, hi)]
+        required = {d for *_, requires in rank_ops for d in requires}
+        sinks = [i for i in range(hi - lo) if i not in required]
         prev_sinks: list[int] = []
-        for _ in range(iterations):
-            calc_id = len(ops)
-            ops.append(ScheduleOp(calc_id, CALC, None, comp_ns, frozenset(prev_sinks)))
-            base = len(ops)
-            for op in rank_ops:
-                req = {base + d for d in op.requires}
-                if op.id in roots:
-                    req.add(calc_id)
-                ops.append(ScheduleOp(base + op.id, op.kind, op.peer, op.size, frozenset(req)))
+        for it in range(iterations):
+            calc_id = it * (hi - lo + 1)
+            cols.add(KIND_CALC, -1, comp_ns, prev_sinks)
+            base = calc_id + 1
+            for kind, peer, size, requires in rank_ops:
+                # A root of the collective waits on the calc.
+                cols.add(kind, peer, size, [base + d for d in requires] or (calc_id,))
             prev_sinks = [base + s for s in sinks]
-        all_ops.append(tuple(ops))
-    return Schedule(
-        nranks=nranks,
-        ops=tuple(all_ops),
-        metadata={
+        cols.end_rank()
+    return cols.schedule(
+        nranks,
+        {
             "generator": "compute_collective",
             "pattern": pattern,
             "nranks": nranks,
@@ -505,27 +653,52 @@ def gen_compute_collective(
 _SCHEDULE_SCHEMA = "nsim.schedule/1"
 
 
+# Per-op templates of the op entries json.dumps(doc, indent=2) writes, and the
+# lines of a requires list; schedule_to_json gives the same bytes.
+_JSON_OP = ('      {\n        "id": %d,\n        "kind": "send",\n        "peer": %d,\n'
+            '        "size_bytes": %d,\n        "requires": %s\n      }',
+            '      {\n        "id": %d,\n        "kind": "recv",\n        "peer": %d,\n'
+            '        "size_bytes": %d,\n        "requires": %s\n      }')
+_JSON_CALC = ('      {\n        "id": %d,\n        "kind": "calc",\n        "duration_ns": %d,\n'
+              '        "requires": %s\n      }')
+_JSON_REQ_SEP = ",\n          "
+
+
 def schedule_to_json(schedule: Schedule) -> str:
-    ranks = []
-    for rank_ops in schedule.ops:
-        ops = []
-        for op in rank_ops:
-            entry: dict[str, object] = {"id": op.id, "kind": op.kind}
-            if op.kind == CALC:
-                entry["duration_ns"] = op.size
-            else:
-                entry["peer"] = op.peer
-                entry["size_bytes"] = op.size
-            entry["requires"] = sorted(op.requires)
-            ops.append(entry)
-        ranks.append(ops)
-    doc = {
+    """The schedule JSON document, as ``json.dumps(doc, indent=2)`` writes it.
+
+    Only the header and the metadata go through json; the op entries are
+    formatted from the columns.
+    """
+    head = json.dumps({
         "schema": _SCHEDULE_SCHEMA,
         "num_ranks": schedule.nranks,
         "metadata": dict(schedule.metadata),
-        "ranks": ranks,
-    }
-    return json.dumps(doc, indent=2, sort_keys=False) + "\n"
+        "ranks": [],
+    }, indent=2)
+    parts = [head[:-len("[]\n}")], "[\n"]
+    kinds, peers, sizes = schedule.kinds, schedule.peers, schedule.sizes
+    req, req_off, bounds = schedule.req_targets, schedule.req_offsets, schedule.rank_offsets
+    for rank in range(schedule.nranks):
+        lo, hi = bounds[rank], bounds[rank + 1]
+        if rank:
+            parts.append(",\n")
+        if lo == hi:
+            parts.append("    []")
+            continue
+        ops = []
+        for g in range(lo, hi):
+            a, b = req_off[g], req_off[g + 1]
+            reqs = ("[\n          " + _JSON_REQ_SEP.join(map(str, req[a:b])) + "\n        ]"
+                    if a != b else "[]")
+            k = kinds[g]
+            if k == KIND_CALC:
+                ops.append(_JSON_CALC % (g - lo, sizes[g], reqs))
+            else:
+                ops.append(_JSON_OP[k] % (g - lo, peers[g], sizes[g], reqs))
+        parts += ("    [\n", ",\n".join(ops), "\n    ]")
+    parts.append("\n  ]\n}\n")
+    return "".join(parts)
 
 
 def _op_int(entry: dict, key: str, r: int, i: int) -> int:
@@ -534,6 +707,43 @@ def _op_int(entry: dict, key: str, r: int, i: int) -> int:
         raise ValueError(f"rank {r} op entry {i}: {key!r} must be an integer, "
                          f"got {reprlib.repr(value)}")
     return value
+
+
+def _reject_entry(entry: object, r: int, i: int, n: int) -> None:
+    """Raise the ValueError for op entry i of rank r's n entries.
+
+    Reached when the entry fails one of the checks schedule_from_json makes
+    inline; this repeats them one by one, in the order in which they name
+    the first fault.
+    """
+    if not isinstance(entry, dict):
+        raise ValueError(f"rank {r} op entry {i} must be an object, got {type(entry).__name__}")
+    kind = entry.get("kind")
+    if kind == CALC:
+        size = _op_int(entry, "duration_ns", r, i)
+    elif kind in KINDS:
+        peer, size = _op_int(entry, "peer", r, i), _op_int(entry, "size_bytes", r, i)
+    else:
+        raise ValueError(f"rank {r} op entry {i}: 'kind' must be one of "
+                         f"{', '.join(KINDS)}, got {reprlib.repr(kind)}")
+    requires = entry.get("requires", [])
+    if not isinstance(requires, list) or any(type(d) is not int for d in requires):
+        raise ValueError(f"rank {r} op entry {i}: 'requires' must be a list of integers")
+    op_id = _op_int(entry, "id", r, i)
+    # The checks of a ScheduleOp, then those of a Schedule.
+    if op_id < 0:
+        raise ValueError("op id must be >= 0")
+    if kind == CALC:
+        if size < 0:
+            raise ValueError("calc duration must be >= 0 ns")
+    elif peer < 0:
+        raise ValueError(f"{kind} needs a peer rank >= 0")
+    elif size < 1:
+        raise ValueError(f"{kind} size must be >= 1 byte")
+    if op_id != i:
+        raise ValueError(f"rank {r}: op ids must be 0..n-1 in order")
+    missing = sorted({d for d in requires if not 0 <= d < n})
+    raise ValueError(f"rank {r} op {i}: unknown requires {missing}")
 
 
 def schedule_from_json(text: str) -> Schedule:
@@ -552,31 +762,36 @@ def schedule_from_json(text: str) -> Schedule:
     ranks_doc = doc.get("ranks")
     if not isinstance(ranks_doc, list):
         raise ValueError(f"'ranks' must be a list, got {type(ranks_doc).__name__}")
-    ranks = []
+    cols = _Columns()
+    add = cols.add
     for r, rank_ops in enumerate(ranks_doc):
         if not isinstance(rank_ops, list):
             raise ValueError(f"rank {r}'s ops must be a list, got {type(rank_ops).__name__}")
-        ops = []
+        n = len(rank_ops)
         for i, entry in enumerate(rank_ops):
-            if not isinstance(entry, dict):
-                raise ValueError(f"rank {r} op entry {i} must be an object, "
-                                 f"got {type(entry).__name__}")
-            kind = entry.get("kind")
+            # Every check of _reject_entry, inline; it names the fault.
+            kind = entry.get("kind") if type(entry) is dict else None
             if kind == CALC:
-                peer, size = None, _op_int(entry, "duration_ns", r, i)
-            elif kind in _KINDS:
-                peer, size = _op_int(entry, "peer", r, i), _op_int(entry, "size_bytes", r, i)
+                code, peer, size = KIND_CALC, -1, entry.get("duration_ns")
+                ok = type(size) is int and size >= 0
+            elif kind == SEND or kind == RECV:
+                code, peer, size = _KIND_CODE[kind], entry.get("peer"), entry.get("size_bytes")
+                ok = type(peer) is int and type(size) is int and peer >= 0 and size >= 1
             else:
-                raise ValueError(f"rank {r} op entry {i}: 'kind' must be one of "
-                                 f"{', '.join(_KINDS)}, got {reprlib.repr(kind)}")
-            requires = entry.get("requires", [])
-            if not isinstance(requires, list) or any(type(d) is not int for d in requires):
-                raise ValueError(f"rank {r} op entry {i}: 'requires' must be a list of "
-                                 "integers")
-            ops.append(ScheduleOp(_op_int(entry, "id", r, i), kind, peer, size,
-                                  frozenset(requires)))
-        ranks.append(tuple(ops))
-    schedule = Schedule(nranks=nranks, ops=tuple(ranks), metadata=metadata)
+                ok = False
+            if ok:
+                op_id = entry.get("id")
+                requires = entry.get("requires", [])
+                ok = type(op_id) is int and op_id == i and type(requires) is list
+                if ok and requires:
+                    ok = all(type(d) is int for d in requires)
+                    requires = sorted(set(requires)) if ok else requires
+                    ok = ok and 0 <= requires[0] and requires[-1] < n
+            if not ok:
+                _reject_entry(entry, r, i, n)
+            add(code, peer, size, requires)
+        cols.end_rank()
+    schedule = cols.schedule(nranks, metadata)
     violations = validate(schedule)
     if violations:
         raise ScheduleValidationError(violations)

@@ -72,12 +72,14 @@ ops are visited in.
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
-from .goal import CALC, RECV, SEND, Schedule, ScheduleValidationError, validate
+from .goal import (KIND_CALC, KIND_RECV, KIND_SEND, KINDS, Schedule,
+                   ScheduleValidationError, match_messages, validate)
 from .model import DetourTrace, LogGPParams, NoiseModel, one_way_wire_ns
 
 __all__ = [
@@ -158,115 +160,102 @@ class SimResult:
 # ---------------------------------------------------------------------------
 # Static schedule compilation (shared by every run of a batch)
 
-_KIND_SEND, _KIND_RECV, _KIND_CALC = 0, 1, 2
-
 
 class _Compiled:
-    """Flat per-op columns and the static execution order of one schedule.
+    """Per-op columns and the static execution order of one schedule.
 
-    Ops are numbered globally in (rank, op id) order. ``msg`` holds, for a
-    send and for its matched recv, the send's index among all sends, which is
-    also the counter of its noise draws. ``level`` is an op's depth in the
-    execution DAG: one more than the larger of the levels of its rank
-    predecessor and, for a recv, its send. Ops of one level are independent,
-    and a rank has at most one op per level.
+    Ops are numbered globally in (rank, op id) order; ``offsets``, ``kind``
+    and ``size`` are the schedule's own columns. ``msg`` holds, for a send and
+    for its matched recv, the send's index among all sends, which is also the
+    counter of its noise draws. ``level`` is an op's depth in the execution
+    DAG: one more than the larger of the levels of its rank predecessor and,
+    for a recv, its send. Ops of one level are independent, and a rank has at
+    most one op per level. Every per-op column is a stdlib array.
     """
 
-    __slots__ = ("schedule", "nranks", "offsets", "kind", "size", "rank", "msg",
-                 "n_sends", "order", "level", "n_levels", "calc_total", "n_calc",
-                 "send_bytes")
+    __slots__ = ("nranks", "offsets", "kind", "size", "rank", "msg", "n_sends", "order",
+                 "level", "n_levels", "calc_total", "n_calc", "send_bytes")
 
     def __init__(self, schedule: Schedule):
         violations = validate(schedule)
         if violations:
             raise ScheduleValidationError(violations)
-        self.schedule = schedule
         self.nranks = nranks = schedule.nranks
-        kind_code = {SEND: _KIND_SEND, RECV: _KIND_RECV, CALC: _KIND_CALC}
-        offsets: list[int] = []
-        kind: list[int] = []
-        size: list[int] = []
-        rank: list[int] = []
-        msg: list[int] = []
-        # In-order matching: the j-th send of a (src, dst, size) triple pairs
-        # with the j-th recv; validate() already guaranteed equal counts.
-        sends: dict[tuple[int, int, int], list[int]] = {}
-        recvs: dict[tuple[int, int, int], list[int]] = {}
-        n_sends = 0
-        calc_total = n_calc = send_bytes = 0
-        for r, rank_ops in enumerate(schedule.ops):
-            offsets.append(len(kind))
-            for op in rank_ops:
-                m = -1
-                if op.kind == SEND:
-                    m = n_sends
-                    n_sends += 1
-                    send_bytes += op.size - 1
-                    sends.setdefault((r, op.peer, op.size), []).append(m)
-                elif op.kind == RECV:
-                    recvs.setdefault((op.peer, r, op.size), []).append(len(kind))
-                else:
-                    calc_total += op.size
-                    n_calc += 1
-                kind.append(kind_code[op.kind])
-                size.append(op.size)
-                rank.append(r)
-                msg.append(m)
-        for key, send_ms in sends.items():
-            for m, r_gid in zip(send_ms, recvs[key]):
-                msg[r_gid] = m
+        self.offsets = offsets = schedule.rank_offsets
+        self.kind = kind = schedule.kinds
+        self.size = size = schedule.sizes
+        peer = schedule.peers
+        req, req_off = schedule.req_targets, schedule.req_offsets
+        n = len(kind)
+        rank = array("i")
+        for r in range(nranks):
+            rank += array("i", [r]) * (offsets[r + 1] - offsets[r])
+
+        # Sends are numbered in op order; a recv shares its send's number.
+        send_of, _ = match_messages(schedule)
+        msg = array("q", [-1]) * n
+        n_sends = calc_total = send_bytes = 0
+        for g in range(n):
+            k = kind[g]
+            if k == KIND_SEND:
+                msg[g] = n_sends
+                n_sends += 1
+                send_bytes += size[g] - 1
+            elif k == KIND_CALC:
+                calc_total += size[g]
+        for g in range(n):
+            if kind[g] == KIND_RECV:
+                msg[g] = msg[send_of[g]]
+        del send_of
 
         # Kahn's algorithm over program order, requires and matches. Program
         # order makes each rank a chain, so a rank advances while its next op
         # is ready: every op it requires already placed (an earlier op; a
         # later one is a cycle through program order) and, for a recv, its
         # send placed. Placing a send wakes the rank of its recv.
-        sent = [False] * n_sends
-        send_level = [0] * n_sends
-        level = [0] * len(kind)
+        sent = bytearray(n_sends)
+        send_level = array("i", [0]) * n_sends
+        level = array("i", [0]) * n
         placed = [0] * nranks  # ops of each rank placed so far
-        order: list[int] = []
+        order = array("q")
         todo = list(range(nranks))
         while todo:
             r = todo.pop()
-            rank_ops = schedule.ops[r]
             base = offsets[r]
+            count = offsets[r + 1] - base
             i = placed[r]
-            while i < len(rank_ops):
-                op = rank_ops[i]
+            while i < count:
                 gid = base + i
                 k = kind[gid]
-                if (op.requires and max(op.requires) >= i) or (
-                        k == _KIND_RECV and not sent[msg[gid]]):
+                last_req = req_off[gid + 1] - 1
+                if (last_req >= req_off[gid] and req[last_req] >= i) or (
+                        k == KIND_RECV and not sent[msg[gid]]):
                     break
                 order.append(gid)
                 lv = level[gid - 1] + 1 if i else 0
-                if k == _KIND_SEND:
-                    sent[msg[gid]] = True
+                if k == KIND_SEND:
+                    sent[msg[gid]] = 1
                     send_level[msg[gid]] = lv
-                    todo.append(op.peer)
-                elif k == _KIND_RECV and send_level[msg[gid]] >= lv:
+                    todo.append(peer[gid])
+                elif k == KIND_RECV and send_level[msg[gid]] >= lv:
                     lv = send_level[msg[gid]] + 1
                 level[gid] = lv
                 i += 1
             placed[r] = i
-        if len(order) < len(kind):
+        if len(order) < n:
             raise DeadlockError([
-                (r, i, rank_ops[i].kind)
-                for r, rank_ops in enumerate(schedule.ops)
-                for i in range(placed[r], len(rank_ops))
+                (r, i, KINDS[kind[offsets[r] + i]])
+                for r in range(nranks)
+                for i in range(placed[r], offsets[r + 1] - offsets[r])
             ])
-        self.offsets = offsets
-        self.kind = kind
-        self.size = size
         self.rank = rank
         self.msg = msg
         self.n_sends = n_sends
         self.order = order
         self.level = level
-        self.n_levels = max(level) + 1 if level else 0
+        self.n_levels = max(level) + 1 if n else 0
         self.calc_total = calc_total
-        self.n_calc = n_calc
+        self.n_calc = kind.count(KIND_CALC)
         self.send_bytes = send_bytes
 
     def time_bound(self, cfg: SimConfig) -> int | float:
@@ -352,6 +341,12 @@ def _detour_end(
 # ---------------------------------------------------------------------------
 # One run
 
+def _per_op_times(c: _Compiled, start: list[int], finish: list[int]):
+    """``SimResult.per_op_times`` from per-op start and finish lists."""
+    bounds = c.offsets.tolist()
+    return tuple(tuple(zip(start[lo:hi], finish[lo:hi])) for lo, hi in zip(bounds, bounds[1:]))
+
+
 def _run(c: _Compiled, cfg: SimConfig, run_index: int) -> SimResult:
     params = cfg.params
     noise = cfg.noise
@@ -374,10 +369,11 @@ def _run(c: _Compiled, cfg: SimConfig, run_index: int) -> SimResult:
         os_seed = run_seed ^ _OS_STREAM
         phases = [_pick(os_seed, r, span) for r in range(c.nranks)]
 
-    kind = c.kind
-    size = c.size
-    rank = c.rank
-    msg = c.msg
+    # Lists index faster than arrays in this loop.
+    kind = c.kind.tolist()
+    size = c.size.tolist()
+    rank = c.rank.tolist()
+    msg = c.msg.tolist()
     n = len(kind)
     start = [0] * n
     finish = [0] * n
@@ -385,14 +381,14 @@ def _run(c: _Compiled, cfg: SimConfig, run_index: int) -> SimResult:
     msg_ok = [0] * c.nranks  # earliest start of each rank's next message op
     arrival = [0] * c.n_sends  # when message m reaches its recv
 
-    for gid in c.order:
+    for gid in c.order.tolist():
         r = rank[gid]
         t = free[r]
         k = kind[gid]
-        if k == _KIND_CALC:
+        if k == KIND_CALC:
             dur = size[gid]
         else:
-            if k == _KIND_RECV and arrival[msg[gid]] > t:
+            if k == KIND_RECV and arrival[msg[gid]] > t:
                 t = arrival[msg[gid]]
             if msg_ok[r] > t:
                 t = msg_ok[r]
@@ -405,7 +401,7 @@ def _run(c: _Compiled, cfg: SimConfig, run_index: int) -> SimResult:
         start[gid] = t
         finish[gid] = f
         free[r] = f
-        if k == _KIND_SEND:
+        if k == KIND_SEND:
             m = msg[gid]
             if lat is not None:
                 lat_eff = lat.samples[_pick(lat_seed, m, lat.count)] - two_o
@@ -417,12 +413,7 @@ def _run(c: _Compiled, cfg: SimConfig, run_index: int) -> SimResult:
             arrival[m] = f + one_way_wire_ns(lat_eff, size[gid], g_eff)
 
     draws = c.n_sends * ((lat is not None) + (bw is not None))
-    per_op = None
-    if cfg.record_per_op:
-        per_op = tuple(
-            tuple(zip(start[lo:lo + len(ops)], finish[lo:lo + len(ops)]))
-            for lo, ops in zip(c.offsets, c.schedule.ops)
-        )
+    per_op = _per_op_times(c, start, finish) if cfg.record_per_op else None
     return SimResult(
         completion=max(free),
         per_rank_completion=tuple(free),
@@ -487,37 +478,46 @@ def _mulhi_vec(u, count: int):
     return hi
 
 
-def _pick_vec(seeds, counters, count: int):
-    """``_pick(seeds[j], counters[i], count)`` as a uint64 array of shape (i, j)."""
+def _steps(counters):
+    """``(i + 1) * GAMMA`` of each counter i as uint64: where draw i sits in a stream."""
     import numpy as np
 
-    steps = (np.asarray(counters, dtype=np.uint64) + np.uint64(1)) * np.uint64(_GAMMA)
+    return (np.asarray(counters, dtype=np.uint64) + np.uint64(1)) * np.uint64(_GAMMA)
+
+
+def _pick_vec(seeds, counters, count: int):
+    """``_pick(seeds[j], counters[i], count)`` as a uint64 array of shape (i, j)."""
+    return _pick_steps(seeds, _steps(counters), count)
+
+
+def _pick_steps(seeds, steps, count: int):
+    """``_pick_vec`` with the counters given as their ``_steps``."""
     return _mulhi_vec(_mix64_vec(seeds[None, :] + steps[:, None]), count)
 
 
-def _wire_vec(seeds, size_m1, params: LogGPParams, lat_samples, bw_samples):
+def _wire_vec(seeds, send_steps, size_m1, params: LogGPParams, lat_samples, bw_samples):
     """``one_way_wire_ns`` of every send (rows) in every rep (columns).
 
-    size_m1 is the column of send sizes less one; a samples array is None
-    when that noise is off. Without latency or bandwidth noise the result is
-    one column for all reps. At most six (n_sends, reps) arrays are alive at
-    once; all but the result are freed on return.
+    send_steps are the ``_steps`` of the send indices, size_m1 is the column
+    of send sizes less one; a samples array is None when that noise is off.
+    Without latency or bandwidth noise the result is one column for all reps.
+    At most six (n_sends, reps) arrays are alive at once; all but the result
+    are freed on return.
     """
     import numpy as np
 
-    send_ids = range(len(size_m1))
     if lat_samples is None:
         lat_eff = params.L
     else:
-        lat_eff = lat_samples[_pick_vec(seeds ^ np.uint64(_LAT_STREAM), send_ids,
-                                        len(lat_samples))]
+        lat_eff = lat_samples[_pick_steps(seeds ^ np.uint64(_LAT_STREAM), send_steps,
+                                          len(lat_samples))]
         lat_eff -= 2 * params.o
         np.maximum(lat_eff, 0.0, out=lat_eff)
     if bw_samples is None:
         wire = size_m1 * params.G
     else:
-        wire = bw_samples[_pick_vec(seeds ^ np.uint64(_BW_STREAM), send_ids,
-                                    len(bw_samples))]
+        wire = bw_samples[_pick_steps(seeds ^ np.uint64(_BW_STREAM), send_steps,
+                                      len(bw_samples))]
         np.divide(8.0, wire, out=wire)
         wire *= size_m1
     # lat_eff + size_m1 * g_eff + 0.5, rounded half up; + commutes exactly.
@@ -570,11 +570,11 @@ def _detour_end_vec(t, dur, phase, tables):
     return np.where(dur > 0, end, t)
 
 
-def _levels(c: _Compiled, dur: list[int]):
+def _levels(c: _Compiled, o: int):
     """Per DAG level, the index arrays ``_run_batch`` gathers and scatters with.
 
     Each level is a tuple: the level's op ids; their ranks; their durations
-    as a column; the msg_ok rows they read; the positions of the message ops
+    (``o`` for a message op) as a column; the msg_ok rows they read; the positions of the message ops
     among them (None when all are); the msg_ok rows those write; the arrival
     rows they read; the positions of the sends among them; and the sends'
     message indices. Rows ``c.nranks`` of msg_ok and ``c.n_sends`` of arrival
@@ -584,11 +584,13 @@ def _levels(c: _Compiled, dur: list[int]):
     """
     import numpy as np
 
-    kind = np.array(c.kind, dtype=np.int8)
-    rank = np.array(c.rank, dtype=np.intp)
-    msg = np.array(c.msg, dtype=np.intp)
-    dur_all = np.array(dur, dtype=np.int64)
-    level = np.array(c.level, dtype=np.intp)
+    kind = np.frombuffer(c.kind, dtype=np.int8)
+    rank = np.frombuffer(c.rank, dtype=np.int32).astype(np.intp)
+    msg = np.frombuffer(c.msg, dtype=np.int64).astype(np.intp)
+    level = np.frombuffer(c.level, dtype=np.int32)
+    is_calc = kind == KIND_CALC
+    dur_all = np.full(len(kind), o, dtype=np.int64)
+    dur_all[is_calc] = np.frombuffer(c.size, dtype=np.uint64)[is_calc]
     by_level = np.argsort(level, kind="stable")
     bounds = np.searchsorted(level[by_level], np.arange(c.n_levels + 1))
     levels = []
@@ -596,9 +598,9 @@ def _levels(c: _Compiled, dur: list[int]):
         gids = by_level[lo:hi]
         k = kind[gids]
         ranks = rank[gids]
-        is_msg = k != _KIND_CALC
-        is_recv = k == _KIND_RECV
-        is_send = k == _KIND_SEND
+        is_msg = k != KIND_CALC
+        is_recv = k == KIND_RECV
+        is_send = k == KIND_SEND
         all_msg = bool(is_msg.all())
         levels.append((
             gids,
@@ -631,13 +633,15 @@ def _run_batch(c: _Compiled, cfg: SimConfig, run_indices: Sequence[int]) -> list
     gap = max(o, params.g)
     osn = noise.os
     nranks, n_sends, n_ops = c.nranks, c.n_sends, len(c.kind)
-    levels = _levels(c, [s if k == _KIND_CALC else o for k, s in zip(c.kind, c.size)])
-    size_m1 = np.array([float(s - 1) for k, s in zip(c.kind, c.size)
-                        if k == _KIND_SEND])[:, None]
+    levels = _levels(c, o)
+    is_send = np.frombuffer(c.kind, dtype=np.int8) == KIND_SEND
+    size_m1 = (np.frombuffer(c.size, dtype=np.uint64)[is_send] - 1).astype(np.float64)[:, None]
     lat_samples = None if noise.latency is None else np.array(noise.latency.samples)
     bw_samples = None if noise.bandwidth is None else np.array(noise.bandwidth.samples)
     tables = None if osn is None else _detour_tables(osn)
     draws = n_sends * ((lat_samples is not None) + (bw_samples is not None))
+    send_steps = _steps(np.arange(n_sends, dtype=np.uint64))
+    rank_steps = _steps(np.arange(nranks, dtype=np.uint64)) if tables is not None else None
 
     # Words per rep of a chunk's numpy arrays at the larger of its two peaks.
     # Drawing: at most five (nranks,) temporaries for the detour phases, then,
@@ -658,9 +662,9 @@ def _run_batch(c: _Compiled, cfg: SimConfig, run_indices: Sequence[int]) -> list
         reps = len(indices)
         seeds = np.array([derive_run_seed(cfg.seed, i) for i in indices], dtype=np.uint64)
         if tables is not None:
-            phases = _pick_vec(seeds ^ np.uint64(_OS_STREAM), range(nranks),
-                               osn.span).astype(np.int64)
-        wire = _wire_vec(seeds, size_m1, params, lat_samples, bw_samples)
+            phases = _pick_steps(seeds ^ np.uint64(_OS_STREAM), rank_steps,
+                                 osn.span).astype(np.int64)
+        wire = _wire_vec(seeds, send_steps, size_m1, params, lat_samples, bw_samples)
 
         free = np.zeros((nranks, reps), dtype=np.int64)
         msg_ok = np.zeros((nranks + 1, reps), dtype=np.int64)
@@ -692,13 +696,7 @@ def _run_batch(c: _Compiled, cfg: SimConfig, run_indices: Sequence[int]) -> list
             starts, finishes = start.T.tolist(), finish.T.tolist()
         results = []
         for j, row in enumerate(per_rank):
-            per_op = None
-            if cfg.record_per_op:
-                st, fi = starts[j], finishes[j]
-                per_op = tuple(
-                    tuple(zip(st[lo:lo + len(ops)], fi[lo:lo + len(ops)]))
-                    for lo, ops in zip(c.offsets, c.schedule.ops)
-                )
+            per_op = _per_op_times(c, starts[j], finishes[j]) if cfg.record_per_op else None
             results.append(SimResult(completion=max(row), per_rank_completion=tuple(row),
                                      draws_used=draws, per_op_times=per_op))
         return results
@@ -719,9 +717,18 @@ def _run_reps(c: _Compiled, cfg: SimConfig, run_indices: Sequence[int]) -> list[
 # ---------------------------------------------------------------------------
 # Public API
 
+def _compiled(schedule: Schedule) -> _Compiled:
+    """The compiled form of ``schedule``, built on first use and kept on it."""
+    c = schedule._compiled
+    if c is None:
+        c = _Compiled(schedule)
+        object.__setattr__(schedule, "_compiled", c)
+    return c
+
+
 def simulate(schedule: Schedule, cfg: SimConfig) -> SimResult:
     """Run one simulation; identical to run_many(schedule, cfg, 1)[0]."""
-    return _run_reps(_Compiled(schedule), cfg, [0])[0]
+    return _run_reps(_compiled(schedule), cfg, [0])[0]
 
 
 _FORK_STATE: tuple[_Compiled, SimConfig] | None = None
@@ -747,7 +754,7 @@ def run_many(
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    c = _Compiled(schedule)
+    c = _compiled(schedule)
     if workers is None:
         workers = 1
     workers = min(workers, n)

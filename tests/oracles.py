@@ -3,12 +3,14 @@
 Everything here is deliberately written against different structures than the
 production code: the schedule oracle is an explicit edge-weighted longest-path
 computation over a built graph, the detour oracle is the literal
-extend-and-recheck fixed point, and the KS distance is an exact sup over ECDF
-step functions.
+extend-and-recheck fixed point, the KS distance is an exact sup over ECDF
+step functions, and the schedule writers build the document op by op from
+``ScheduleOp`` views (JSON through ``json.dumps(indent=2)``).
 """
 
 from __future__ import annotations
 
+import json
 import math
 from bisect import bisect_left, bisect_right
 from collections import deque
@@ -160,3 +162,53 @@ def ks_distance(sample_a, sample_b) -> float:
             abs(bisect_left(a, p) / na - bisect_left(b, p) / nb),
         )
     return d
+
+
+def schedule_to_json(schedule) -> str:
+    """The schedule JSON document, built as a dict and dumped with indent 2."""
+    ranks = []
+    for rank_ops in schedule.ops:
+        ops = []
+        for op in rank_ops:
+            entry: dict[str, object] = {"id": op.id, "kind": op.kind}
+            if op.kind == "calc":
+                entry["duration_ns"] = op.size
+            else:
+                entry["peer"] = op.peer
+                entry["size_bytes"] = op.size
+            entry["requires"] = sorted(op.requires)
+            ops.append(entry)
+        ranks.append(ops)
+    doc = {
+        "schema": "nsim.schedule/1",
+        "num_ranks": schedule.nranks,
+        "metadata": dict(schedule.metadata),
+        "ranks": ranks,
+    }
+    return json.dumps(doc, indent=2, sort_keys=False) + "\n"
+
+
+def emit_goal(schedule) -> str:
+    """GOAL text: metadata comments, then one block per rank, labels o<id>."""
+    lines: list[str] = []
+    for key in sorted(schedule.metadata):
+        value = " ".join(str(schedule.metadata[key]).split())
+        lines.append(f"# {key}: {value}")
+    lines.append(f"num_ranks {schedule.nranks}")
+    for rank, rank_ops in enumerate(schedule.ops):
+        if not rank_ops:
+            lines.append(f"rank {rank} {{ }}")
+            continue
+        lines.append(f"rank {rank} {{")
+        for op in rank_ops:
+            if op.kind == "send":
+                lines.append(f"  o{op.id}: send {op.size}b to {op.peer}")
+            elif op.kind == "recv":
+                lines.append(f"  o{op.id}: recv {op.size}b from {op.peer}")
+            else:
+                lines.append(f"  o{op.id}: calc {op.size}")
+            if op.requires:
+                reqs = ", ".join(f"o{r}" for r in sorted(op.requires))
+                lines.append(f"  o{op.id} requires {reqs}")
+        lines.append("}")
+    return "\n".join(lines) + "\n"

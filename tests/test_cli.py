@@ -359,3 +359,30 @@ class TestBench:
         assert lines[0] == "timestamp_ns,value,unit"
         assert len(lines) == 4
         assert all(re.fullmatch(r"\d+,\d+\.\d+,ns", line) for line in lines[1:])
+
+
+@pytest.mark.parametrize("fmt", ["json", "goal"])
+def test_sim_run_validates_and_compiles_once(runner, params_file, monkeypatch, fmt):
+    from nsim import goal, simengine
+
+    verdicts, compiles = [], []
+    real_violations = goal._violations
+    monkeypatch.setattr(goal, "_violations",
+                        lambda s: verdicts.append(s) or real_violations(s))
+
+    class Counted(simengine._Compiled):
+        __slots__ = ()
+
+        def __init__(self, schedule):
+            compiles.append(schedule)
+            super().__init__(schedule)
+
+    monkeypatch.setattr(simengine, "_Compiled", Counted)
+    gen = _invoke(runner, ["gen", "compapp", "-p", "4", "--comp", "100", "--pattern", "ring",
+                           "-s", "64", "--iterations", "2", "--format", fmt])
+    assert gen.exit_code == 0
+    r = _invoke(runner, ["sim", "run", "--params", params_file, "--reps", "3"],
+                input=gen.output)
+    assert r.exit_code == 0
+    assert len(json.loads(r.output)["results"]) == 3
+    assert len(verdicts) == 1 and len(compiles) == 1

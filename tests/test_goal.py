@@ -474,3 +474,149 @@ def test_reflowed_text_parses_to_same_schedule(seed, nranks, make):
         parts += rng.choices(_SEPARATORS, k=rng.randint(least, 3))
         parts.append(tok)
     assert parse_goal("".join(parts)) == s
+
+
+# ---------------------------------------------------------------------------
+# The column writers against the object writers in tests/oracles.py
+
+from oracles import emit_goal as oracle_emit_goal  # noqa: E402
+from oracles import schedule_to_json as oracle_schedule_to_json  # noqa: E402
+
+_METADATA = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=6)
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def runnable_schedules(draw):
+    """Random schedules that validate() accepts: empty ranks, calcs with and
+    without requires, requires of several ops, matched messages of any size,
+    and unicode or nested metadata."""
+    nranks = draw(st.integers(1, 5))
+    ops: list[list[ScheduleOp]] = [[] for _ in range(nranks)]
+
+    def append(r, kind, peer, size):
+        i = len(ops[r])
+        requires = draw(st.sets(st.integers(0, i - 1), max_size=3)) if i else set()
+        ops[r].append(ScheduleOp(i, kind, peer, size, frozenset(requires)))
+
+    for _ in range(draw(st.integers(0, 16))):
+        if nranks > 1 and draw(st.booleans()):
+            src, dst = draw(st.lists(st.integers(0, nranks - 1), min_size=2, max_size=2,
+                                     unique=True))
+            size = draw(st.sampled_from((1, 16, 2**40, 2**64 - 1)))
+            append(src, SEND, dst, size)
+            append(dst, RECV, src, size)
+        else:
+            append(draw(st.integers(0, nranks - 1)), CALC, None,
+                   draw(st.sampled_from((0, 7, 2**63))))
+    metadata = draw(st.dictionaries(st.text(max_size=5), _METADATA, max_size=4))
+    return Schedule(nranks, tuple(map(tuple, ops)), metadata)
+
+
+@settings(max_examples=100, deadline=None)
+@given(schedule=runnable_schedules())
+def test_writers_match_object_oracles(schedule):
+    assert schedule_to_json(schedule) == oracle_schedule_to_json(schedule)
+    assert emit_goal(schedule) == oracle_emit_goal(schedule)
+
+
+@settings(max_examples=100, deadline=None)
+@given(schedule=runnable_schedules())
+def test_round_trips_are_byte_identical(schedule):
+    doc = schedule_to_json(schedule)
+    back = schedule_from_json(doc)
+    assert back == schedule and dict(back.metadata) == dict(schedule.metadata)
+    assert schedule_to_json(back) == doc
+    # Metadata travels as comments, which parse_goal skips.
+    text = emit_goal(Schedule(schedule.nranks, schedule.ops))
+    assert parse_goal(text) == schedule
+    assert emit_goal(parse_goal(text)) == text
+
+
+def test_ops_view_round_trips_through_constructor():
+    s = gen_compute_collective(3, 50, "ring", 30, 2)
+    assert Schedule(s.nranks, s.ops, s.metadata) == s
+    assert s.op_count() == sum(len(r) for r in s.ops)
+
+
+# Op entries that the JSON loader rejects with the same message as the
+# ScheduleOp/Schedule constructor on the same op list.
+_CONSTRUCTOR_FAULTS = [
+    ("negative_id", [[{"id": -1, "kind": "calc", "duration_ns": 1}]], "op id must be >= 0"),
+    ("negative_duration", [[{"id": 0, "kind": "calc", "duration_ns": -1}]],
+     "calc duration must be >= 0 ns"),
+    ("negative_peer", [[{"id": 0, "kind": "send", "peer": -2, "size_bytes": 1}], []],
+     "send needs a peer rank >= 0"),
+    ("zero_size", [[], [{"id": 0, "kind": "recv", "peer": 0, "size_bytes": 0}]],
+     "recv size must be >= 1 byte"),
+    ("ids_out_of_order", [[{"id": 1, "kind": "calc", "duration_ns": 1}]],
+     "rank 0: op ids must be 0..n-1 in order"),
+    ("unknown_requires", [[{"id": 0, "kind": "calc", "duration_ns": 1, "requires": [3, -1]}]],
+     "rank 0 op 0: unknown requires [-1, 3]"),
+    ("rank_count", [[], []], "expected 1 rank op lists, got 2"),
+]
+
+
+@pytest.mark.parametrize("ranks, message", [row[1:] for row in _CONSTRUCTOR_FAULTS],
+                         ids=[row[0] for row in _CONSTRUCTOR_FAULTS])
+def test_json_loader_and_constructor_agree_on_faults(ranks, message):
+    def op(entry):
+        kind = entry["kind"]
+        size = entry["duration_ns"] if kind == CALC else entry["size_bytes"]
+        return ScheduleOp(entry["id"], kind, entry.get("peer"), size,
+                          frozenset(entry.get("requires", ())))
+
+    nranks = 1 if message.startswith("expected") else len(ranks)
+    with pytest.raises(ValueError) as built:
+        Schedule(nranks, [[op(e) for e in rank] for rank in ranks])
+    with pytest.raises(ValueError) as loaded:
+        schedule_from_json(json.dumps({"schema": "nsim.schedule/1", "num_ranks": nranks,
+                                       "ranks": ranks}))
+    assert str(built.value) == str(loaded.value) == message
+
+
+@pytest.mark.parametrize("load", [
+    lambda size: schedule_from_json(json.dumps({
+        "schema": "nsim.schedule/1", "num_ranks": 1,
+        "ranks": [[{"id": 0, "kind": "calc", "duration_ns": size}]]})),
+    lambda size: parse_goal(f"num_ranks 1\nrank 0 {{ a: calc {size} }}"),
+    lambda size: Schedule(1, [[ScheduleOp(0, CALC, None, size)]]),
+    lambda size: gen_dissemination(2, size),
+], ids=["json", "text", "constructor", "generator"])
+def test_size_beyond_64_bits_is_a_value_error(load):
+    assert load(2**64 - 1).ops[0][0].size == 2**64 - 1
+    with pytest.raises(ValueError, match="does not fit in 64 bits"):
+        load(2**64)
+
+
+def test_ir_memory_per_op():
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        s = gen_dissemination(4096, 16)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held / s.op_count() <= 64, held / s.op_count()
+
+
+def test_validate_runs_once_per_schedule(monkeypatch):
+    from nsim import goal
+
+    calls = []
+    real = goal._violations
+    monkeypatch.setattr(goal, "_violations", lambda s: calls.append(s) or real(s))
+    s = schedule_from_json(schedule_to_json(gen_ring_allreduce(4, 512, 7)))
+    assert validate(s) == [] and validate(s) == []
+    assert len(calls) == 1
+    bad = Schedule(nranks=2, ops=((ScheduleOp(0, SEND, 1, 4),), ()))
+    assert validate(bad) == validate(bad) == [
+        "unmatched messages 0->1 size 4: 1 send(s), 0 recv(s)"]
+    assert len(calls) == 2

@@ -584,3 +584,33 @@ def test_detour_end_vec_matches_fixed_point(trace):
     for (ti, di, pi), g in zip(cases, got):
         assert g == detour_end_fixed_point(ti, di, pi, trace), (ti, di, pi)
         assert g == _detour_end(ti, di, pi, starts, ends, span, idle)
+
+
+def test_schedule_compiles_once_across_calls(monkeypatch):
+    compiles = []
+
+    class Counted(_Compiled):
+        __slots__ = ()
+
+        def __init__(self, schedule):
+            compiles.append(schedule)
+            super().__init__(schedule)
+
+    monkeypatch.setattr(simengine, "_Compiled", Counted)
+    s = gen_dissemination(8, 16)
+    cfg = SimConfig(params=P1, noise=_PIN_NOISE["all"], seed=3)
+    clean = simulate(s, SimConfig(params=P1))
+    runs = run_many(s, cfg, 5)
+    assert run_many(s, cfg, 5, workers=2) == runs
+    assert simulate(s, cfg) == runs[0]
+    assert len(compiles) == 1
+    assert clean.completion == dag_completion(s, P1)
+
+
+def test_unmatched_constructed_schedule_fails_on_every_call():
+    s = Schedule(nranks=2, ops=((ScheduleOp(0, SEND, 1, 4),), ()))
+    for _ in range(2):
+        with pytest.raises(ScheduleValidationError, match="unmatched"):
+            simulate(s, SimConfig(params=P1))
+    with pytest.raises(ScheduleValidationError):
+        run_many(s, SimConfig(params=P1), 3)
