@@ -162,7 +162,7 @@ class _Columns:
             object.__setattr__(s, name, getattr(self, name))
         object.__setattr__(s, "nranks", nranks)
         object.__setattr__(s, "metadata", {} if metadata is None else metadata)
-        object.__setattr__(s, "_violations", None)
+        object.__setattr__(s, "_verdict", None)
         object.__setattr__(s, "_compiled", None)
         return s
 
@@ -185,7 +185,7 @@ class Schedule:
     compares schedules structurally.
     """
 
-    __slots__ = _Columns.__slots__ + ("nranks", "metadata", "_violations", "_compiled")
+    __slots__ = _Columns.__slots__ + ("nranks", "metadata", "_verdict", "_compiled")
 
     def __new__(cls, nranks: int, ops, metadata: Mapping[str, object] | None = None):
         cols = _Columns()
@@ -419,9 +419,9 @@ def validate(schedule: Schedule) -> list[str]:
     rather than raised so callers can report them all at once. The verdict is
     computed once per Schedule and memoized on it.
     """
-    if schedule._violations is None:
-        object.__setattr__(schedule, "_violations", tuple(_violations(schedule)))
-    return list(schedule._violations)
+    if schedule._verdict is None:
+        object.__setattr__(schedule, "_verdict", tuple(_violations(schedule)))
+    return list(schedule._verdict)
 
 
 def _violations(schedule: Schedule) -> list[str]:
@@ -709,19 +709,18 @@ def _op_int(entry: dict, key: str, r: int, i: int) -> int:
     return value
 
 
-def _reject_entry(entry: object, r: int, i: int, n: int) -> None:
-    """Raise the ValueError for op entry i of rank r's n entries.
+def _op_entry(entry: object, r: int, i: int, n: int) -> tuple[int, int, int, list[int]]:
+    """Kind code, peer, size and sorted requires of op entry i of rank r's n.
 
-    Reached when the entry fails one of the checks schedule_from_json makes
-    inline; this repeats them one by one, in the order in which they name
-    the first fault.
+    Checks the entry's types, then what ScheduleOp and Schedule check, and
+    raises ValueError naming the first fault.
     """
     if not isinstance(entry, dict):
         raise ValueError(f"rank {r} op entry {i} must be an object, got {type(entry).__name__}")
     kind = entry.get("kind")
     if kind == CALC:
-        size = _op_int(entry, "duration_ns", r, i)
-    elif kind in KINDS:
+        peer, size = -1, _op_int(entry, "duration_ns", r, i)
+    elif kind == SEND or kind == RECV:
         peer, size = _op_int(entry, "peer", r, i), _op_int(entry, "size_bytes", r, i)
     else:
         raise ValueError(f"rank {r} op entry {i}: 'kind' must be one of "
@@ -730,7 +729,6 @@ def _reject_entry(entry: object, r: int, i: int, n: int) -> None:
     if not isinstance(requires, list) or any(type(d) is not int for d in requires):
         raise ValueError(f"rank {r} op entry {i}: 'requires' must be a list of integers")
     op_id = _op_int(entry, "id", r, i)
-    # The checks of a ScheduleOp, then those of a Schedule.
     if op_id < 0:
         raise ValueError("op id must be >= 0")
     if kind == CALC:
@@ -742,8 +740,11 @@ def _reject_entry(entry: object, r: int, i: int, n: int) -> None:
         raise ValueError(f"{kind} size must be >= 1 byte")
     if op_id != i:
         raise ValueError(f"rank {r}: op ids must be 0..n-1 in order")
-    missing = sorted({d for d in requires if not 0 <= d < n})
-    raise ValueError(f"rank {r} op {i}: unknown requires {missing}")
+    requires = sorted(set(requires))
+    if requires and not 0 <= requires[0] <= requires[-1] < n:
+        missing = [d for d in requires if not 0 <= d < n]
+        raise ValueError(f"rank {r} op {i}: unknown requires {missing}")
+    return _KIND_CODE[kind], peer, size, requires
 
 
 def schedule_from_json(text: str) -> Schedule:
@@ -767,29 +768,8 @@ def schedule_from_json(text: str) -> Schedule:
     for r, rank_ops in enumerate(ranks_doc):
         if not isinstance(rank_ops, list):
             raise ValueError(f"rank {r}'s ops must be a list, got {type(rank_ops).__name__}")
-        n = len(rank_ops)
         for i, entry in enumerate(rank_ops):
-            # Every check of _reject_entry, inline; it names the fault.
-            kind = entry.get("kind") if type(entry) is dict else None
-            if kind == CALC:
-                code, peer, size = KIND_CALC, -1, entry.get("duration_ns")
-                ok = type(size) is int and size >= 0
-            elif kind == SEND or kind == RECV:
-                code, peer, size = _KIND_CODE[kind], entry.get("peer"), entry.get("size_bytes")
-                ok = type(peer) is int and type(size) is int and peer >= 0 and size >= 1
-            else:
-                ok = False
-            if ok:
-                op_id = entry.get("id")
-                requires = entry.get("requires", [])
-                ok = type(op_id) is int and op_id == i and type(requires) is list
-                if ok and requires:
-                    ok = all(type(d) is int for d in requires)
-                    requires = sorted(set(requires)) if ok else requires
-                    ok = ok and 0 <= requires[0] and requires[-1] < n
-            if not ok:
-                _reject_entry(entry, r, i, n)
-            add(code, peer, size, requires)
+            add(*_op_entry(entry, r, i, len(rank_ops)))
         cols.end_rank()
     schedule = cols.schedule(nranks, metadata)
     violations = validate(schedule)
