@@ -373,9 +373,7 @@ def cost_cmd(results_path: str, price_catalog: str | None, provider: str, label:
     }
     if baseline_path:
         base = _load_results(baseline_path)[0][0]
-        if base <= 0:
-            raise ValueError("baseline completion must be > 0")
-        increases = [c / base - 1.0 for c in completions]
+        increases = cost_mod.completion_increase(completions, base)
         output["baseline_completion_ns"] = base
         output["relative_increase"] = increases
         output["mean_relative_increase"] = sum(increases) / len(increases)

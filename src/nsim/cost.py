@@ -10,6 +10,7 @@ from typing import Sequence
 __all__ = [
     "PriceSpec",
     "run_cost",
+    "completion_increase",
     "relative_increase",
     "load_price_catalog",
     "find_price",
@@ -42,16 +43,20 @@ def run_cost(runtime_ns: int, nodes: int, price: PriceSpec) -> float:
     return (runtime_ns / _NS_PER_HOUR) * nodes * price.per_node_hour
 
 
-def relative_increase(noisy: Sequence, noiseless) -> list[float]:
-    """Per-run fractional cost increase over a noiseless baseline.
+def completion_increase(completions: Sequence[int], baseline: int) -> list[float]:
+    """Per-run fractional cost increase over a baseline completion time.
 
     Price and node count cancel out of the cost ratio, so this is a pure
-    runtime ratio: noisy[i].completion / noiseless.completion - 1.
+    runtime ratio: completions[i] / baseline - 1.
     """
-    base = noiseless.completion
-    if base <= 0:
-        raise ValueError(f"noiseless completion must be > 0, got {base}")
-    return [r.completion / base - 1.0 for r in noisy]
+    if baseline <= 0:
+        raise ValueError(f"baseline completion must be > 0, got {baseline}")
+    return [c / baseline - 1.0 for c in completions]
+
+
+def relative_increase(noisy: Sequence, noiseless) -> list[float]:
+    """completion_increase of simulated runs over a noiseless run."""
+    return completion_increase([r.completion for r in noisy], noiseless.completion)
 
 
 def load_price_catalog(path: str | Path) -> list[dict]:

@@ -18,8 +18,10 @@ appear in T(s); it matters only when a host issues several messages.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
+from itertools import islice
 from typing import Sequence
 
 __all__ = [
@@ -109,7 +111,7 @@ class EmpiricalDistribution:
         object.__setattr__(self, "samples", samples)
         if not all(map(math.isfinite, samples)):
             raise ValueError("samples must be finite numbers")
-        if any(b < a for a, b in zip(samples, samples[1:])):
+        if any(map(operator.lt, islice(samples, 1, None), samples)):
             raise ValueError("samples must be sorted ascending")
         if self.unit in _POSITIVE_UNITS and samples[0] <= 0.0:
             raise ValueError(f"{self.unit} samples must be > 0, got min {samples[0]}")
@@ -117,7 +119,7 @@ class EmpiricalDistribution:
     @classmethod
     def from_values(cls, values: Sequence[float], unit: str) -> "EmpiricalDistribution":
         """Build from unsorted values (a multiset copy, sorted ascending)."""
-        return cls(tuple(sorted(float(v) for v in values)), unit)
+        return cls(tuple(sorted(map(float, values))), unit)
 
     @property
     def count(self) -> int:

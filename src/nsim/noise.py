@@ -23,9 +23,11 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from array import array
+from itertools import islice, repeat
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .model import (
     UNIT_GBPS,
@@ -144,12 +146,94 @@ class SampleTrace:
         return f"SampleTrace(rows={self.rows!r}, unit={self.unit!r})"
 
 
-def _parse_rows(text: str, expected_unit: str):
-    """Yield (line_number, timestamp, value) from trace CSV text."""
+class _Rules(NamedTuple):
+    """What a trace reader demands of each data row beyond the CSV shape."""
+
+    unit: str  # the unit a 3-field row must name
+    ordered: bool  # timestamps must be nondecreasing
+    # a test that, once true, stays true for larger values, so that a whole
+    # column passes if its minimum does; None accepts any value
+    value_ok: Callable[[float], bool] | None
+    value_error: str  # message for a value that fails value_ok; {} is the value
+
+
+# Characters per chunk, cut after the next newline: about 3k rows of a
+# measured trace. Only one chunk's lines and fields exist at a time.
+_CHUNK_CHARS = 1 << 16
+
+
+def _read_rows(text: str, rules: _Rules,
+               on_comment: Callable[[str, int], None] | None = None) -> tuple[array, array]:
+    """Timestamp and value columns of trace CSV text, read a chunk at a time.
+
+    _bulk_rows converts a chunk whole when every line in it is a good data row;
+    any other chunk (a comment, a blank line, the header or a fault in it)
+    goes through _scan_rows, the per-row reader that knows line numbers. So
+    every fault is reported as the per-row reader reports it, and only such a
+    chunk pays for it.
+    """
+    timestamps, values = array("q"), array("d")
     saw_header = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    offset = pos = 0
+    while pos < len(text):
+        # cut after a "\n", so that no line and no "\r\n" spans two chunks
+        end = text.find("\n", pos + _CHUNK_CHARS) + 1 or len(text)
+        lines = text[pos:end].splitlines()
+        if not _bulk_rows(lines, rules, timestamps, values):
+            saw_header = _scan_rows(lines, offset, rules, saw_header, timestamps, values,
+                                    on_comment)
+        offset += len(lines)
+        pos = end
+    return timestamps, values
+
+
+def _bulk_rows(lines: list[str], rules: _Rules, timestamps: array, values: array) -> bool:
+    """Append the rows of ``lines`` if each is a data row that passes every check.
+
+    Returns False, appending nothing, for anything else: the caller then reads
+    the chunk row by row. Every loop here runs in C.
+    """
+    commas = set(map(str.count, lines, repeat(",")))
+    if len(commas) != 1:
+        return False
+    width = commas.pop() + 1
+    if width not in (2, 3):
+        return False
+    fields = ",".join(lines).split(",")
+    if width == 3 and set(fields[2::3]) != {rules.unit}:
+        return False
+    try:
+        ts = array("q", map(int, fields[0::width]))
+        vs = array("d", map(float, fields[1::width]))
+    except (ValueError, OverflowError):
+        return False
+    if not all(map(math.isfinite, vs)):
+        return False
+    if rules.ordered and ((timestamps and ts[0] < timestamps[-1])
+                          or any(map(operator.lt, islice(ts, 1, None), ts))):
+        return False
+    if rules.value_ok is not None and not rules.value_ok(min(vs)):
+        return False
+    timestamps.extend(ts)
+    values.extend(vs)
+    return True
+
+
+def _scan_rows(lines: list[str], offset: int, rules: _Rules, saw_header: bool,
+               timestamps: array, values: array,
+               on_comment: Callable[[str, int], None] | None) -> bool:
+    """Append the rows of ``lines`` one at a time; the first fault raises with its line.
+
+    ``offset`` is the number of lines before ``lines`` in the file. Until the
+    header has been seen, a row whose first field is ``timestamp_ns`` is the
+    header; the return value says whether it has been seen, for the next chunk.
+    """
+    unit, ordered, value_ok, value_error = rules
+    for lineno, raw in enumerate(lines, offset + 1):
         line = raw.strip()
         if not line or line.startswith("#"):
+            if line and on_comment is not None:
+                on_comment(line, lineno)
             continue
         fields = [f.strip() for f in line.split(",")]
         if not saw_header and fields[0] == "timestamp_ns":
@@ -167,32 +251,30 @@ def _parse_rows(text: str, expected_unit: str):
             raise TraceFormatError(f"bad value {fields[1]!r}", lineno) from None
         if not math.isfinite(value):
             raise TraceFormatError(f"non-finite value {fields[1]!r}", lineno)
-        unit = fields[2] if len(fields) == 3 else None
-        if unit is not None and unit != expected_unit:
-            raise TraceFormatError(f"unit {unit!r} does not match expected "
-                                   f"{expected_unit!r}", lineno)
-        yield lineno, ts, value
-
-
-def parse_trace(text: str, expected_unit: str) -> SampleTrace:
-    """Read trace CSV text, enforcing the unit and timestamp monotonicity."""
-    if expected_unit not in _TRACE_UNITS:
-        raise ValueError(f"unknown trace unit {expected_unit!r}")
-    positive = expected_unit in (UNIT_NS, UNIT_GBPS)
-    timestamps = array("q")
-    values = array("d")
-    for lineno, ts, value in _parse_rows(text, expected_unit):
-        if timestamps and ts < timestamps[-1]:
+        if len(fields) == 3 and fields[2] != unit:
+            raise TraceFormatError(f"unit {fields[2]!r} does not match expected "
+                                   f"{unit!r}", lineno)
+        if ordered and timestamps and ts < timestamps[-1]:
             raise TraceFormatError(f"timestamp {ts} decreases (previous {timestamps[-1]})",
                                    lineno)
-        if positive and value <= 0:
-            raise TraceFormatError(f"{expected_unit} value must be > 0, got {value}", lineno)
+        if value_ok is not None and not value_ok(value):
+            raise TraceFormatError(value_error.format(value), lineno)
         try:
             timestamps.append(ts)
         except OverflowError:
             raise TraceFormatError(f"timestamp {ts} is outside the signed 64-bit range",
                                    lineno) from None
         values.append(value)
+    return saw_header
+
+
+def parse_trace(text: str, expected_unit: str) -> SampleTrace:
+    """Read trace CSV text, enforcing the unit and timestamp monotonicity."""
+    if expected_unit not in _TRACE_UNITS:
+        raise ValueError(f"unknown trace unit {expected_unit!r}")
+    positive = (0.0).__lt__ if expected_unit in (UNIT_NS, UNIT_GBPS) else None  # 0 < v
+    rules = _Rules(expected_unit, True, positive, f"{expected_unit} value must be > 0, got {{}}")
+    timestamps, values = _read_rows(text, rules)
     if not values:
         raise TraceFormatError("no samples in trace")
     return SampleTrace._from_columns(timestamps, values, expected_unit)
@@ -222,27 +304,33 @@ def build_distribution(trace: SampleTrace) -> EmpiricalDistribution:
         raise ValueError(f"cannot build a noise distribution from a {trace.unit!r} trace")
     if len(trace) == 0:
         raise ValueError("empty trace")
-    return EmpiricalDistribution.from_values(trace.values, trace.unit)
+    return EmpiricalDistribution.from_values(trace._values, trace.unit)
 
 
 def normalize_min(trace: SampleTrace) -> SampleTrace:
     """Divide every value by the trace minimum; the result's minimum is 1."""
     if len(trace) == 0:
         raise ValueError("empty trace")
-    lo = min(trace.values)
+    lo = min(trace._values)
     if lo <= 0:
         raise ValueError(f"minimum must be > 0 to normalize, got {lo}")
-    return SampleTrace(tuple((t, v / lo) for t, v in trace.rows), UNIT_RATIO)
+    return _scaled(trace, lo)
 
 
 def normalize_max(trace: SampleTrace) -> SampleTrace:
     """Divide every value by the trace maximum; the result's maximum is 1."""
     if len(trace) == 0:
         raise ValueError("empty trace")
-    hi = max(trace.values)
+    hi = max(trace._values)
     if hi <= 0:
         raise ValueError(f"maximum must be > 0 to normalize, got {hi}")
-    return SampleTrace(tuple((t, v / hi) for t, v in trace.rows), UNIT_RATIO)
+    return _scaled(trace, hi)
+
+
+def _scaled(trace: SampleTrace, divisor: float) -> SampleTrace:
+    """The ratio trace of ``trace``'s values over ``divisor``, timestamps shared."""
+    return SampleTrace._from_columns(
+        trace._timestamps, array("d", map(divisor.__rtruediv__, trace._values)), UNIT_RATIO)
 
 
 def top_fraction(trace: SampleTrace, frac: float, side: str = "largest") -> SampleTrace:
@@ -267,7 +355,9 @@ def top_fraction(trace: SampleTrace, frac: float, side: str = "largest") -> Samp
     else:
         indexed.sort(key=lambda e: (e[1][1], e[1][0], e[0]))
     chosen = sorted(i for i, _ in indexed[:keep])
-    return SampleTrace(tuple(rows[i] for i in chosen), trace.unit)
+    return SampleTrace._from_columns(array("q", map(trace._timestamps.__getitem__, chosen)),
+                                     array("d", map(trace._values.__getitem__, chosen)),
+                                     trace.unit)
 
 
 def bandwidth_from_rtt(size: int, half_rtt_ns: float) -> float:
@@ -282,30 +372,32 @@ def bandwidth_from_rtt(size: int, half_rtt_ns: float) -> float:
 # ---------------------------------------------------------------------------
 # Detour trace and distribution files
 
+_DETOUR_RULES = _Rules(UNIT_NS, False, lambda v: round_half_up(v) > 0,
+                       "detour duration must be > 0 ns, got {}")
+
+
 def load_detour_trace(path: str | Path) -> DetourTrace:
     """Read a detour trace CSV (start offset, duration) with optional span comment."""
-    text = Path(path).read_text(encoding="utf-8")
     span: int | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if line.startswith("#") and "span_ns=" in line:
+
+    def read_span(line: str, lineno: int) -> None:
+        nonlocal span
+        if "span_ns=" in line:
             value = line.split("span_ns=", 1)[1].strip()
             try:
                 span = int(value)
             except ValueError:
                 raise TraceFormatError(
                     f"'# span_ns=' needs an integer ns count, got {value!r}", lineno) from None
-    events = []
-    for lineno, ts, value in _parse_rows(text, UNIT_NS):
-        dur = round_half_up(value)
-        if dur <= 0:
-            raise TraceFormatError(f"detour duration must be > 0 ns, got {value}", lineno)
-        events.append((ts, dur))
-    if not events:
+
+    starts, durations = _read_rows(Path(path).read_text(encoding="utf-8"), _DETOUR_RULES,
+                                   read_span)
+    if not starts:
         raise TraceFormatError(f"no detour events in {path}")
+    events = tuple(zip(starts, map(round_half_up, durations)))
     if span is None:
         span = max(s + d for s, d in events)
-    return DetourTrace(tuple(events), span)
+    return DetourTrace(events, span)
 
 
 def format_detour_trace(trace: DetourTrace, comments: Iterable[str] = ()) -> str:

@@ -4,8 +4,9 @@ Everything here is deliberately written against different structures than the
 production code: the schedule oracle is an explicit edge-weighted longest-path
 computation over a built graph, the detour oracle is the literal
 extend-and-recheck fixed point, the KS distance is an exact sup over ECDF
-step functions, and the schedule writers build the document op by op from
-``ScheduleOp`` views (JSON through ``json.dumps(indent=2)``).
+step functions, the schedule writers build the document op by op from
+``ScheduleOp`` views (JSON through ``json.dumps(indent=2)``), and the trace
+readers take the whole text one row at a time.
 """
 
 from __future__ import annotations
@@ -212,3 +213,94 @@ def emit_goal(schedule) -> str:
                 lines.append(f"  o{op.id} requires {reqs}")
         lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def _trace_rows(text: str, expected_unit: str):
+    """Yield (line_number, timestamp, value) for each data row of trace CSV text."""
+    from nsim.noise import TraceFormatError
+
+    saw_header = False
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = [f.strip() for f in line.split(",")]
+        if not saw_header and fields[0] == "timestamp_ns":
+            saw_header = True
+            continue
+        if len(fields) not in (2, 3):
+            raise TraceFormatError(f"expected 2 or 3 fields, got {len(fields)}", lineno)
+        try:
+            ts = int(fields[0])
+        except ValueError:
+            raise TraceFormatError(f"bad timestamp {fields[0]!r}", lineno) from None
+        try:
+            value = float(fields[1])
+        except ValueError:
+            raise TraceFormatError(f"bad value {fields[1]!r}", lineno) from None
+        if not math.isfinite(value):
+            raise TraceFormatError(f"non-finite value {fields[1]!r}", lineno)
+        unit = fields[2] if len(fields) == 3 else None
+        if unit is not None and unit != expected_unit:
+            raise TraceFormatError(f"unit {unit!r} does not match expected "
+                                   f"{expected_unit!r}", lineno)
+        yield lineno, ts, value
+
+
+def parse_trace(text: str, expected_unit: str):
+    """The trace CSV reader, row by row over the whole text: a SampleTrace or
+    the first fault as a TraceFormatError with its line."""
+    from array import array
+
+    from nsim.noise import SampleTrace, TraceFormatError
+
+    positive = expected_unit in ("ns", "gbps")
+    timestamps = array("q")
+    values = array("d")
+    for lineno, ts, value in _trace_rows(text, expected_unit):
+        if timestamps and ts < timestamps[-1]:
+            raise TraceFormatError(f"timestamp {ts} decreases (previous {timestamps[-1]})",
+                                   lineno)
+        if positive and value <= 0:
+            raise TraceFormatError(f"{expected_unit} value must be > 0, got {value}", lineno)
+        try:
+            timestamps.append(ts)
+        except OverflowError:
+            raise TraceFormatError(f"timestamp {ts} is outside the signed 64-bit range",
+                                   lineno) from None
+        values.append(value)
+    if not values:
+        raise TraceFormatError("no samples in trace")
+    return SampleTrace._from_columns(timestamps, values, expected_unit)
+
+
+def load_detour_trace(path):
+    """The detour trace reader: the span comment in one pass over the lines,
+    then the rows with durations rounded half up."""
+    from pathlib import Path
+
+    from nsim.model import DetourTrace
+    from nsim.noise import TraceFormatError
+
+    text = Path(path).read_text(encoding="utf-8")
+    span = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line.startswith("#") and "span_ns=" in line:
+            value = line.split("span_ns=", 1)[1].strip()
+            try:
+                span = int(value)
+            except ValueError:
+                raise TraceFormatError(
+                    f"'# span_ns=' needs an integer ns count, got {value!r}", lineno) from None
+    events = []
+    for lineno, ts, value in _trace_rows(text, "ns"):
+        dur = math.floor(value + 0.5)
+        if dur <= 0:
+            raise TraceFormatError(f"detour duration must be > 0 ns, got {value}", lineno)
+        events.append((ts, dur))
+    if not events:
+        raise TraceFormatError(f"no detour events in {path}")
+    if span is None:
+        span = max(s + d for s, d in events)
+    return DetourTrace(tuple(events), span)

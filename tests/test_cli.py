@@ -213,6 +213,19 @@ class TestCostAndReport:
         # noiseless in == noiseless baseline: zero increase
         assert doc["mean_relative_increase"] == 0.0
 
+    def test_zero_baseline_exit_3(self, params_file, tmp_path):
+        results = tmp_path / "res.json"
+        results.write_text(json.dumps({"schema": "nsim.results/1", "metadata": {"nranks": 2},
+                                       "results": [{"run": 0, "completion_ns": 10}]}))
+        baseline = tmp_path / "base.json"
+        baseline.write_text(results.read_text().replace('"completion_ns": 10',
+                                                        '"completion_ns": 0'))
+        proc = _run_cli("cost", "--results", str(results), "--provider", "aws",
+                        "--label", "on_demand", "--instance", "c5n.18xlarge",
+                        "--baseline", str(baseline))
+        _assert_clean_exit(proc, 3)
+        assert proc.stderr == "error: baseline completion must be > 0, got 0\n"
+
     def test_report_box_and_svg(self, runner, params_file, tmp_path):
         res = tmp_path / "res.json"
         res.write_text(self._results(runner, params_file, 6))

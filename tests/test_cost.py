@@ -5,6 +5,7 @@ import pytest
 from nsim.cost import (
     PriceSpec,
     builtin_catalog_path,
+    completion_increase,
     find_price,
     load_price_catalog,
     relative_increase,
@@ -84,6 +85,12 @@ class TestRelativeIncrease:
     def test_zero_baseline_rejected(self):
         with pytest.raises(ValueError):
             relative_increase([res(1)], res(0))
+
+    def test_completion_increase_is_the_same_rule_on_integers(self):
+        assert completion_increase([150, 100, 300], 100) == [0.5, 0.0, 2.0]
+        assert completion_increase([7, 9], 3) == relative_increase([res(7), res(9)], res(3))
+        with pytest.raises(ValueError, match="baseline completion must be > 0, got -1"):
+            completion_increase([1], -1)
 
 
 class TestCatalog:

@@ -1,10 +1,16 @@
 import math
+import subprocess
+import sys
+import tracemalloc
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
+from nsim import noise
 from nsim.model import DetourTrace
 from nsim.noise import (
     SampleTrace,
@@ -14,8 +20,10 @@ from nsim.noise import (
     load_detour_trace,
     load_distribution,
     load_trace,
+    format_trace,
     normalize_max,
     normalize_min,
+    parse_trace,
     save_detour_trace,
     save_distribution,
     save_trace,
@@ -275,3 +283,148 @@ class TestDistributionIO:
         p = tmp_path / "d.json"
         save_distribution(dist, p)
         assert load_distribution(p) == dist
+
+
+# ---------------------------------------------------------------------------
+# The chunked reader against the row-by-row reader in tests/oracles.py
+
+_UNITS = ("ns", "gbps", "ratio")
+_PAD = st.sampled_from(["", "", " ", "\t", "  ", "\xa0"])
+_FAULTS = ("bad_int", "bad_float", "non_finite", "wrong_unit", "one_field", "four_fields",
+           "decrease", "non_positive", "beyond_int64", "second_header")
+
+
+@st.composite
+def trace_csv(draw, unit, detour=False):
+    """Trace CSV text with comments, blank lines, padding, CRLF, 2- and 3-field
+    rows, a header anywhere or none, and at most one deliberate fault."""
+    n = draw(st.integers(0, 14))
+    width = draw(st.sampled_from([2, 3, None]))  # None: each row picks
+    ts = draw(st.integers(-5, 10**6))
+    rows = []
+    for _ in range(n):
+        ts += draw(st.integers(0, 3000) if detour else st.integers(0, 1000))
+        value = draw(st.floats(1.0, 1e6) if detour else st.floats(1e-3, 1e6))
+        rows.append([
+            draw(st.sampled_from([str(ts), f"+{ts}", f"{ts:_}"])),
+            draw(st.sampled_from([repr(value), f"{value:.1f}", f"{value:.3e}"])),
+        ] + ([unit] if (width or draw(st.sampled_from([2, 3]))) == 3 else []))
+    fault = draw(st.sampled_from((None,) + _FAULTS)) if rows else None
+    if detour and fault in ("decrease", "beyond_int64"):
+        fault = None  # not reader faults for a detour trace
+    i = draw(st.integers(0, len(rows) - 1)) if rows else 0
+    if fault == "bad_int":
+        rows[i][0] = draw(st.sampled_from(["x12", "1.5", "", "12a"]))
+    elif fault == "bad_float":
+        rows[i][1] = draw(st.sampled_from(["abc", "", "1x", "1.5.2"]))
+    elif fault == "non_finite":
+        rows[i][1] = draw(st.sampled_from(["nan", "inf", "-inf", "NaN"]))
+    elif fault == "wrong_unit":
+        rows[i][2:] = [draw(st.sampled_from([u for u in _UNITS if u != unit] + ["NS"]))]
+    elif fault == "one_field":
+        rows[i] = rows[i][:1]
+    elif fault == "four_fields":
+        rows[i] = rows[i][:2] + [unit, "x"]
+    elif fault == "decrease" and i > 0:
+        rows[i][0] = str(int(rows[i - 1][0].replace("_", "")) - draw(st.integers(1, 5)))
+    elif fault == "non_positive":
+        rows[i][1] = draw(st.sampled_from(["0", "-1.5", "0.0", "-0"]))
+    elif fault == "beyond_int64":
+        rows[i][0] = str(2**63 + draw(st.integers(0, 5)))
+    lines = [",".join(draw(_PAD) + f + draw(_PAD) for f in row) for row in rows]
+    header = "timestamp_ns,value,unit"
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), header)
+        if fault == "second_header":
+            lines.insert(draw(st.integers(lines.index(header) + 1, len(lines))), header)
+    for extra in draw(st.lists(st.sampled_from(["# note", "#a,b,c", "", "   ", "# x"]),
+                               max_size=4)):
+        lines.insert(draw(st.integers(0, len(lines))), extra)
+    if detour and draw(st.booleans()):
+        span = "abc" if draw(st.integers(0, 5)) == 0 and fault is None else str(ts + 10**6)
+        lines.insert(draw(st.integers(0, len(lines))), f"# span_ns={span}")
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(lines),
+                         max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    return text if draw(st.booleans()) else text.rstrip("\r\n")
+
+
+def _outcome(read):
+    try:
+        return "ok", repr(read())
+    except TraceFormatError as exc:
+        return "TraceFormatError", str(exc), exc.line
+    except ValueError as exc:
+        return "ValueError", str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), unit=st.sampled_from(_UNITS), chunk=st.integers(1, 64))
+def test_parse_trace_matches_row_by_row_reader(data, unit, chunk):
+    # a budget of a few characters puts a chunk boundary after nearly every line
+    text = data.draw(trace_csv(unit))
+    expected = _outcome(lambda: oracles.parse_trace(text, unit))
+    with mock.patch.object(noise, "_CHUNK_CHARS", chunk):
+        assert _outcome(lambda: parse_trace(text, unit)) == expected
+    assert _outcome(lambda: parse_trace(text, unit)) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), chunk=st.integers(1, 64))
+def test_load_detour_trace_matches_row_by_row_reader(tmp_path_factory, data, chunk):
+    path = tmp_path_factory.mktemp("detour") / "detour.csv"
+    path.write_text(data.draw(trace_csv("ns", detour=True)), encoding="utf-8")
+    expected = _outcome(lambda: oracles.load_detour_trace(path))
+    with mock.patch.object(noise, "_CHUNK_CHARS", chunk):
+        assert _outcome(lambda: load_detour_trace(path)) == expected
+
+
+def _synthetic_trace(rows: int) -> str:
+    lines = ["# latency, one host pair", "timestamp_ns,value,unit"]
+    lines += [f"{i * 8000},{7000 + (i * 7919) % 4000 / 10},ns" for i in range(rows)]
+    return "\n".join(lines) + "\n"
+
+
+def _peak_bytes(read, text):
+    tracemalloc.start()
+    try:
+        read(text, "ns")
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_chunked_reader_memory_stays_below_row_by_row_reader():
+    # The row-by-row reader holds the list of all lines; the chunked reader
+    # holds one chunk's lines and fields besides the two columns. Converting
+    # the whole file at once would hold every field string: about 3x more.
+    text = _synthetic_trace(200_000)
+    chunked = _peak_bytes(parse_trace, text)
+    row_by_row = _peak_bytes(oracles.parse_trace, text)
+    assert chunked <= row_by_row, (chunked, row_by_row)
+
+
+def test_trace_dist_leaves_numpy_unloaded(tmp_path):
+    trace = tmp_path / "lat.csv"
+    trace.write_text(_synthetic_trace(100), encoding="utf-8")
+    code = ("import sys\n"
+            "from nsim.cli import cli\n"
+            f"cli(['trace', 'dist', '--in', {str(trace)!r}, '--out', {str(tmp_path / 'd.json')!r}],"
+            " standalone_mode=False)\n"
+            "print('numpy' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+    assert load_distribution(tmp_path / "d.json").count == 100
+
+
+def test_normalize_and_top_write_the_same_bytes_as_row_built_traces():
+    t = SampleTrace(tuple((i, float((i * 37) % 11 + 1)) for i in range(50)), "ns")
+    lo, hi = min(t.values), max(t.values)
+    assert format_trace(normalize_min(t)) == format_trace(
+        SampleTrace(tuple((ts, v / lo) for ts, v in t.rows), "ratio"))
+    assert format_trace(normalize_max(t)) == format_trace(
+        SampleTrace(tuple((ts, v / hi) for ts, v in t.rows), "ratio"))
+    kept = top_fraction(t, 0.3, "smallest")
+    assert format_trace(kept) == format_trace(SampleTrace(kept.rows, "ns"))
