@@ -17,7 +17,6 @@ from .model import (
     bandwidth_to_G,
     calibrate,
     message_time,
-    sample,
 )
 from .goal import (
     Schedule,
@@ -49,7 +48,6 @@ __all__ = [
     "message_time",
     "parse_goal",
     "run_many",
-    "sample",
     "simulate",
     "validate",
 ]

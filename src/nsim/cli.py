@@ -91,6 +91,9 @@ def _load_schedule(path: str) -> goal_mod.Schedule:
 def load_params_file(path: str) -> tuple[LogGPParams, dict]:
     """Read a params JSON file; returns (params, full document)."""
     doc = json.loads(_read_text(path))
+    if not isinstance(doc, dict):
+        raise ValueError(f"params file {path} must hold a JSON object")
+
     def pick(*names):
         for n in names:
             if n in doc:
@@ -128,6 +131,15 @@ def _parse_endpoint(value: str, default_host: str = "127.0.0.1") -> tuple[str, i
     return (default_host, int(value))
 
 
+def _check_defaults(command: click.Command, defaults, where: str) -> None:
+    """Refuse option defaults for ``command`` that are not a JSON object, at any depth."""
+    if not isinstance(defaults, dict):
+        raise ValueError(f"{where} must hold a JSON object")
+    for name, sub in getattr(command, "commands", {}).items():
+        if name in defaults:
+            _check_defaults(sub, defaults[name], f"{where}: {name!r}")
+
+
 @click.group(context_settings={"auto_envvar_prefix": "NSIM",
                                "help_option_names": ["-h", "--help"]})
 @click.option("--config", type=click.Path(exists=True, dir_okay=False),
@@ -138,9 +150,11 @@ def cli(ctx: click.Context, config: str | None, error_json: bool) -> None:
     """Network/OS noise benchmarking and LogGP schedule simulation."""
     if config:
         try:
-            ctx.default_map = json.loads(Path(config).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+            default_map = json.loads(Path(config).read_text(encoding="utf-8"))
+            _check_defaults(ctx.command, default_map, f"config file {config}")
+        except (OSError, ValueError) as exc:
             _fail(EXIT_IO, exc)
+        ctx.default_map = default_map
 
 
 # ---------------------------------------------------------------------------

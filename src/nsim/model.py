@@ -37,7 +37,6 @@ __all__ = [
     "one_way_wire_ns",
     "message_time",
     "calibrate",
-    "sample",
     "bandwidth_to_G",
 ]
 
@@ -91,12 +90,13 @@ class LogGPParams:
 
 @dataclass(frozen=True)
 class EmpiricalDistribution:
-    """Sorted measured samples with inverse-ECDF sampling.
+    """Sorted measured samples for inverse-ECDF draws.
 
-    Sampling uses the step-function empirical quantile with no interpolation,
-    so every value a simulation can draw was actually observed. This is what
-    lets rare heavy-tail outliers in measured traces reappear at full size
-    instead of being smoothed away.
+    The simulator draws ``samples[(u * count) >> 64]`` for a 64-bit uniform
+    u (``simengine._pick``): the step-function empirical quantile with no
+    interpolation, so every value a simulation can draw was actually
+    observed. This is what lets rare heavy-tail outliers in measured traces
+    reappear at full size instead of being smoothed away.
     """
 
     samples: tuple[float, ...]
@@ -253,16 +253,6 @@ def calibrate(
     else:
         G = (t_large - t1) / (size_s - 1)
     return LogGPParams(L=L, o=o, g=o, G=G)
-
-
-def sample(dist: EmpiricalDistribution, u: float) -> float:
-    """Inverse-ECDF draw: samples[floor(u * count)] for u in [0, 1)."""
-    if not 0.0 <= u < 1.0:
-        raise ValueError(f"u must lie in [0, 1), got {u!r}")
-    idx = int(u * dist.count)
-    if idx >= dist.count:  # guards float rounding at the top edge
-        idx = dist.count - 1
-    return dist.samples[idx]
 
 
 def bandwidth_to_G(bw_gbps: float) -> float:

@@ -31,16 +31,16 @@ The per-op engine (``_run``) computes one run as one forward pass over that
 order in Python integers. The batch engine (``_run_batch``) computes a chunk
 of runs at once as int64 numpy arrays: it draws every message's wire delay up
 front, then visits the DAG levels in order, all ops of one level (which are
-independent) for all runs of the chunk together, and replaces the detour walk
-by its closed form. ``simulate`` and ``run_many`` pick the batch engine when
-the schedule is wide, ops x reps >= ``_BATCH_K`` x levels, the op-runs are
-enough to pay for importing numpy, ops x reps >= ``_BATCH_MIN_OP_RUNS``, and
-every time value is provably below 2**62 (``_Compiled.time_bound``). Deep,
-narrow schedules, small jobs and ones whose times could leave int64 run per
-op. numpy is imported only when the batch engine runs. Both engines keep every time an
-exact integer and compute each wire delay with the same IEEE-754 operations
-on the same values, so they give the same bits; tests check this on random
-schedules.
+independent) for all runs of the chunk together. ``simulate`` and
+``run_many`` pick the batch engine when the schedule is wide, ops x reps >=
+``_BATCH_K`` x levels, the op-runs are enough to pay for importing numpy,
+ops x reps >= ``_BATCH_MIN_OP_RUNS``, and every time value is provably below
+2**62 (``_Compiled.time_bound``). Deep, narrow schedules, small jobs and ones
+whose times could leave int64 run per op. numpy is imported only when the
+batch engine runs. Both engines keep every time an exact integer, compute
+each wire delay with the same IEEE-754 operations on the same values and
+stretch occupancies by the same closed form on the same tables, so they give
+the same bits; tests check this on random schedules.
 
 Noise
 -----
@@ -51,9 +51,10 @@ occupancies stay at o, so an uncontended message completes in v + (size-1)G.
 With a bandwidth distribution, each message draws bw and uses
 G_eff = 8/bw. With a detour trace, each rank gets an independent uniformly
 random cyclic phase into the trace per run, and any host occupancy is extended
-by the detour time it overlaps, re-checked until a fixed point (equivalently:
-occupancy ends once the host has accumulated its base duration of
-detour-free time).
+by the detour time it overlaps, re-checked until a fixed point. Both engines
+compute that fixed point in closed form: the occupancy ends once the host has
+accumulated its base duration of detour-free time, found by two bisections of
+per-span idle-time tables (``_detour_end``, ``_detour_end_vec``).
 
 Determinism
 -----------
@@ -73,9 +74,9 @@ from __future__ import annotations
 
 import math
 from array import array
-from bisect import bisect_right
-from concurrent.futures import ProcessPoolExecutor
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Sequence
 
 from .goal import (KIND_CALC, KIND_RECV, KIND_SEND, KINDS, Schedule,
@@ -292,50 +293,52 @@ class _Compiled:
 # ---------------------------------------------------------------------------
 # OS detour replay
 
-def _detour_end(
-    t_start: int,
-    duration: int,
-    phase: int,
-    ev_starts: list[int],
-    ev_ends: list[int],
-    span: int,
-    idle_per_span: int,
-) -> int:
-    """Earliest end of a host occupancy of ``duration`` beginning at ``t_start``.
+def _detour_tables(osn: DetourTrace):
+    """Idle-time tables of one detour trace for ``_detour_end`` and ``_detour_end_vec``.
 
-    Walks the cyclic detour pattern accumulating detour-free time until the
-    base duration is covered; this is the least fixed point of "extend the
-    interval by the detour time it overlaps, re-check".
+    Idle segment k runs from ``seg_start[k]`` (0, or the end of event k-1) to
+    the start of event k (or the span); ``idle_at[k]`` and ``idle_to[k]`` are
+    the idle ns accumulated in a span at its start and end, and
+    ``detour_before[k]`` the detour ns before it. Built on first use and kept
+    on the trace.
     """
-    if duration <= 0 or not ev_starts:
-        return t_start + duration
-    remaining = duration
-    t = t_start
-    if remaining > idle_per_span:  # whole cycles in one hop
-        cycles = (remaining - 1) // idle_per_span
-        t += cycles * span
-        remaining -= cycles * idle_per_span
-    pos = (t + phase) % span
-    nev = len(ev_starts)
-    while True:
-        i = bisect_right(ev_starts, pos) - 1
-        if i >= 0 and pos < ev_ends[i]:  # inside a detour: no progress
-            jump = ev_ends[i] - pos
-            t += jump
-            pos += jump
-            if pos >= span:
-                pos -= span
-            continue
-        j = bisect_right(ev_starts, pos)
-        if j < nev:
-            idle = ev_starts[j] - pos
-        else:
-            idle = span - pos + ev_starts[0]  # wrap to the next cycle's first event
-        if remaining <= idle:
-            return t + remaining
-        remaining -= idle
-        t += idle
-        pos = (pos + idle) % span
+    tables = osn.__dict__.get("_tables")
+    if tables is None:
+        starts = [s for s, _ in osn.events]
+        detour_before = list(accumulate((d for _, d in osn.events), initial=0))
+        seg_start = [0] + [s + d for s, d in osn.events]
+        idle_at = [s - b for s, b in zip(seg_start, detour_before)]
+        idle_to = [s - b for s, b in zip(starts + [osn.span], detour_before)]
+        tables = (starts, detour_before, seg_start, idle_at, idle_to, osn.span,
+                  osn.span - osn.total_detour)
+        object.__setattr__(osn, "_tables", tables)
+    return tables
+
+
+def _detour_end(t: int, dur: int, phase: int, tables) -> int:
+    """Earliest end of a host occupancy of ``dur`` beginning at ``t``.
+
+    With I(y) the idle ns of the cyclic pattern before pattern position y, an
+    occupancy of ``dur`` > 0 that starts at pattern position x = t + phase
+    ends at the least y with I(y) = I(x) + dur: the least fixed point of
+    "extend the interval by the detour time it overlaps, re-check". Both
+    steps are a bisection of the tables of one span.
+    """
+    if dur <= 0:
+        return t
+    starts, detour_before, seg_start, idle_at, idle_to, span, idle = tables
+    cycles, pos = divmod(t + phase, span)
+    j = bisect_right(starts, pos)  # events that began by pos
+    wait = seg_start[j] - pos  # > 0 when pos lies inside event j-1
+    if wait < 0:
+        wait = 0
+    a = pos - detour_before[j] + wait + dur  # I(y) less the idle ns of whole cycles
+    if a <= idle_to[j]:  # ends in the idle segment it starts in
+        return t + wait + dur
+    extra = (a - 1) // idle  # the last idle ns lies in cycle cycles + extra
+    a -= extra * idle  # in [1, idle]
+    k = bisect_left(idle_to, a)
+    return (cycles + extra) * span + seg_start[k] + (a - idle_at[k]) - phase
 
 
 # ---------------------------------------------------------------------------
@@ -362,12 +365,9 @@ def _run(c: _Compiled, cfg: SimConfig, run_index: int) -> SimResult:
 
     osn = noise.os
     if osn is not None:
-        ev_starts = [s for s, _ in osn.events]
-        ev_ends = [s + d for s, d in osn.events]
-        span = osn.span
-        idle_per_span = span - osn.total_detour
+        tables = _detour_tables(osn)
         os_seed = run_seed ^ _OS_STREAM
-        phases = [_pick(os_seed, r, span) for r in range(c.nranks)]
+        phases = [_pick(os_seed, r, osn.span) for r in range(c.nranks)]
 
     # Lists index faster than arrays in this loop.
     kind = c.kind.tolist()
@@ -395,7 +395,7 @@ def _run(c: _Compiled, cfg: SimConfig, run_index: int) -> SimResult:
             msg_ok[r] = t + gap
             dur = o
         if osn is not None:
-            f = _detour_end(t, dur, phases[r], ev_starts, ev_ends, span, idle_per_span)
+            f = _detour_end(t, dur, phases[r], tables)
         else:
             f = t + dur
         start[gid] = t
@@ -485,13 +485,9 @@ def _steps(counters):
     return (np.asarray(counters, dtype=np.uint64) + np.uint64(1)) * np.uint64(_GAMMA)
 
 
-def _pick_vec(seeds, counters, count: int):
-    """``_pick(seeds[j], counters[i], count)`` as a uint64 array of shape (i, j)."""
-    return _pick_steps(seeds, _steps(counters), count)
-
-
 def _pick_steps(seeds, steps, count: int):
-    """``_pick_vec`` with the counters given as their ``_steps``."""
+    """``_pick(seeds[j], i, count)`` as a uint64 array of shape (i, j), for the
+    ``_steps`` of the counters i."""
     return _mulhi_vec(_mix64_vec(seeds[None, :] + steps[:, None]), count)
 
 
@@ -528,33 +524,8 @@ def _wire_vec(seeds, send_steps, size_m1, params: LogGPParams, lat_samples, bw_s
     return wire.astype(np.int64)
 
 
-def _detour_tables(osn: DetourTrace):
-    """Idle-time tables of one detour trace for ``_detour_end_vec``.
-
-    Idle segment k runs from ``seg_start[k]`` (0, or the end of event k-1) to
-    the start of event k (or the span); ``idle_at[k]`` and ``idle_to[k]`` are
-    the idle ns accumulated in a span at its start and end, and
-    ``detour_before[k]`` the detour ns before it.
-    """
-    import numpy as np
-
-    starts = np.array([s for s, _ in osn.events], dtype=np.int64)
-    durs = np.array([d for _, d in osn.events], dtype=np.int64)
-    detour_before = np.concatenate(([0], np.cumsum(durs)))
-    seg_start = np.concatenate(([0], starts + durs))
-    idle_at = seg_start - detour_before
-    idle_to = np.concatenate((starts, [osn.span])) - detour_before
-    return starts, detour_before, seg_start, idle_at, idle_to, osn.span, osn.span - osn.total_detour
-
-
 def _detour_end_vec(t, dur, phase, tables):
-    """``_detour_end`` over arrays, in closed form.
-
-    With I(y) the idle ns of the cyclic pattern before pattern position y, an
-    occupancy of ``dur`` > 0 that starts at pattern position x = t + phase
-    ends at the least y with I(y) = I(x) + dur; both steps are a bisection of
-    the tables of one span.
-    """
+    """``_detour_end`` over int64 arrays: the same closed form on the same tables."""
     import numpy as np
 
     starts, detour_before, seg_start, idle_at, idle_to, span, idle = tables
@@ -638,7 +609,10 @@ def _run_batch(c: _Compiled, cfg: SimConfig, run_indices: Sequence[int]) -> list
     size_m1 = (np.frombuffer(c.size, dtype=np.uint64)[is_send] - 1).astype(np.float64)[:, None]
     lat_samples = None if noise.latency is None else np.array(noise.latency.samples)
     bw_samples = None if noise.bandwidth is None else np.array(noise.bandwidth.samples)
-    tables = None if osn is None else _detour_tables(osn)
+    tables = None
+    if osn is not None:
+        *cols, span, idle = _detour_tables(osn)
+        tables = (*(np.asarray(col, dtype=np.int64) for col in cols), span, idle)
     draws = n_sends * ((lat_samples is not None) + (bw_samples is not None))
     send_steps = _steps(np.arange(n_sends, dtype=np.uint64))
     rank_steps = _steps(np.arange(nranks, dtype=np.uint64)) if tables is not None else None
@@ -762,6 +736,7 @@ def run_many(
         return _run_reps(c, cfg, range(n))
     try:
         import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
 
         ctx = multiprocessing.get_context("fork")
     except ValueError:

@@ -23,10 +23,9 @@ from nsim.model import (
     NoiseModel,
     calibrate,
     message_time,
-    sample,
 )
 from nsim.report import box_stats
-from nsim.simengine import SimConfig, SimResult, mix64, run_many, simulate
+from nsim.simengine import SimConfig, SimResult, _pick, mix64, run_many, simulate
 from nsim.goal import Schedule, ScheduleOp
 
 from localhost_dissem import measure_schedule
@@ -85,7 +84,11 @@ def test_c02_oracle_equivalence():
 
 
 def test_c03_sampling_fidelity():
-    """KS distance of 1e5 inverse-ECDF draws vs the source, three fixtures."""
+    """KS distance of 1e5 inverse-ECDF draws vs the source, three fixtures.
+
+    The draws are the engines' own: ``_pick`` maps draw j of a splitmix64
+    stream to a sample index.
+    """
     m = (1 << 64) - 1
     gamma = 0x9E3779B97F4A7C15
 
@@ -103,7 +106,7 @@ def test_c03_sampling_fidelity():
     }
     n = 100_000
     for name, dist in fixtures.items():
-        draws = [sample(dist, unit(j, 0xD)) for j in range(n)]
+        draws = [dist.samples[_pick(0xD, j, dist.count)] for j in range(n)]
         d = ks_distance(draws, dist.samples)
         assert d <= 0.01, (name, d)
     _ok(3, "sampling fidelity (KS <= 0.01 on three fixtures)")

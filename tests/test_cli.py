@@ -9,7 +9,8 @@ from click.testing import CliRunner
 from nsim.bench import EchoServer
 from nsim.cli import cli, dump_params_file, load_params_file
 from nsim.goal import parse_goal, schedule_from_json
-from nsim.model import LogGPParams
+from nsim.model import DetourTrace, LogGPParams
+from nsim.noise import format_detour_trace
 
 
 @pytest.fixture()
@@ -43,12 +44,35 @@ def _assert_clean_exit(proc, code):
 
 
 def test_cli_import_leaves_numpy_unloaded():
-    # Only the batch engine imports numpy, so `nsim --help` does not pay for it.
-    code = "import sys, nsim.cli; print('numpy' in sys.modules)"
+    # Only the batch engine imports numpy and only run_many with workers
+    # starts a process pool, so `nsim --help` pays for neither.
+    code = ("import sys, nsim.cli\n"
+            "print([m in sys.modules for m in ('numpy', 'concurrent.futures.process')])")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[False, False]"
+
+
+def test_per_op_run_with_os_noise_leaves_numpy_unloaded(params_file, tmp_path):
+    # A small run stays on the per-op engine, whose detour tables are lists.
+    detour = tmp_path / "detour.csv"
+    detour.write_text(format_detour_trace(DetourTrace(((100, 50), (400, 200)), span=1000)),
+                      encoding="utf-8")
+    out = tmp_path / "res.json"
+    code = ("import sys\n"
+            "from nsim.cli import cli\n"
+            f"cli(['sim', 'run', '--params', {params_file!r}, '--noise-os', {str(detour)!r},"
+            f" '--reps', '3', '--out', {str(out)!r}], standalone_mode=False)\n"
+            "print('numpy' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          input="num_ranks 2\nrank 0 { a: calc 5000\nb: send 4b to 1\n"
+                                "b requires a }\nrank 1 { a: recv 4b from 0 }\n",
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+    runs = json.loads(out.read_text())["results"]
+    assert len(runs) == 3 and all(r["completion_ns"] > 8000 for r in runs)
 
 
 class TestGen:
@@ -277,6 +301,14 @@ class TestConfigPrecedence:
                              "-s", "64"], env={"NSIM_GEN_DISSEM_SIZE": "32"})
         assert "send 64b" in r.output
 
+    @pytest.mark.parametrize("doc", ["[1]", '{"gen": 5}', '{"gen": {"dissem": [8]}}'])
+    def test_config_not_an_object_exit_4(self, tmp_path, doc):
+        cfg = tmp_path / "conf.json"
+        cfg.write_text(doc)
+        proc = _run_cli("--config", str(cfg), "gen", "dissem", "-p", "2", "-s", "1")
+        _assert_clean_exit(proc, 4)
+        assert "JSON object" in proc.stderr
+
 
 class TestParamsFile:
     def test_roundtrip(self, tmp_path):
@@ -293,6 +325,15 @@ class TestParamsFile:
         proc = _run_cli("sim", "run", "--params", str(path),
                         input="num_ranks 1\nrank 0 { a: calc 1 }\n")
         _assert_clean_exit(proc, 3)
+
+    @pytest.mark.parametrize("doc", ["5", '"L_ns"', "[1, 2]"])
+    def test_params_not_an_object_exit_3(self, tmp_path, doc):
+        path = tmp_path / "p.json"
+        path.write_text(doc)
+        proc = _run_cli("sim", "run", "--params", str(path),
+                        input="num_ranks 1\nrank 0 { a: calc 1 }\n")
+        _assert_clean_exit(proc, 3)
+        assert "JSON object" in proc.stderr
 
     def test_nan_distribution_exit_3(self, params_file, tmp_path):
         lat = tmp_path / "lat.json"

@@ -14,8 +14,8 @@ from nsim.model import (
     bandwidth_to_G,
     calibrate,
     message_time,
-    sample,
 )
+from nsim.simengine import _GAMMA, _M64, _pick, mix64
 
 from oracles import ks_distance
 
@@ -109,34 +109,60 @@ class TestEmpiricalDistribution:
         EmpiricalDistribution((0.0, 0.5), "ns_per_byte")
 
 
+def _unshift(z: int, s: int) -> int:
+    """The x with x ^ (x >> s) == z."""
+    x = z
+    for _ in range(64 // s):
+        x = z ^ (x >> s)
+    return x
+
+
+def _seed_drawing(u: int) -> int:
+    """The stream seed whose draw 0 is the 64-bit uniform ``u`` (mix64 inverted)."""
+    z = _unshift(u, 31)
+    z = z * pow(0x94D049BB133111EB, -1, 1 << 64) & _M64
+    z = _unshift(z, 27)
+    z = z * pow(0xBF58476D1CE4E5B9, -1, 1 << 64) & _M64
+    z = _unshift(z, 30)
+    return (z - _GAMMA) & _M64
+
+
+def _draw(d: EmpiricalDistribution, u: int) -> float:
+    """The sample the engines draw for the 64-bit uniform ``u``."""
+    return d.samples[_pick(_seed_drawing(u), 0, d.count)]
+
+
 class TestSample:
     def test_middle_tercile(self):
         d = EmpiricalDistribution((1.0, 2.0, 3.0), "ns")
-        assert sample(d, 0.5) == 2.0
+        assert _draw(d, 1 << 63) == 2.0
 
     def test_singleton(self):
         d = EmpiricalDistribution((7.0,), "ns")
-        for u in (0.0, 0.3, 0.999):
-            assert sample(d, u) == 7.0
+        for u in (0, int(0.3 * 2**64), int(0.999 * 2**64), _M64):
+            assert _draw(d, u) == 7.0
 
     def test_top_quartile(self):
         d = EmpiricalDistribution((1.0, 2.0, 3.0, 4.0), "ns")
-        assert sample(d, 0.999) == 4.0
+        assert _draw(d, int(0.999 * 2**64)) == 4.0
 
-    @pytest.mark.parametrize("u", [-0.01, 1.0, 1.5])
-    def test_u_domain(self, u):
-        d = EmpiricalDistribution((1.0,), "ns")
-        with pytest.raises(ValueError):
-            sample(d, u)
+    @pytest.mark.parametrize("count", [1, 3, 1000, 2**63, _M64])
+    def test_index_domain(self, count):
+        # The integer rule needs no clamp: u = 0 gives the first index and
+        # u = 2**64 - 1 the last.
+        assert [mix64(_seed_drawing(u) + _GAMMA) for u in (0, _M64)] == [0, _M64]
+        assert _pick(_seed_drawing(0), 0, count) == 0
+        assert _pick(_seed_drawing(_M64), 0, count) == count - 1
 
     @settings(max_examples=100, deadline=None)
     @given(
         values=st.lists(st.floats(0.001, 1e9), min_size=1, max_size=40),
-        u=st.floats(0, 1, exclude_max=True),
+        seed=st.integers(0, _M64),
+        i=st.integers(0, 2**40),
     )
-    def test_closure_under_sampling(self, values, u):
+    def test_closure_under_sampling(self, values, seed, i):
         d = EmpiricalDistribution.from_values(values, "ns")
-        assert sample(d, u) in d.samples
+        assert 0 <= _pick(seed, i, d.count) < d.count
 
     def test_ks_fidelity_small(self):
         # deterministic u grid; the ECDF of draws tracks the source ECDF
@@ -144,7 +170,7 @@ class TestSample:
             [1.0 + (i * 7919 % 1000) / 10.0 for i in range(1000)], "ns"
         )
         n = 20_000
-        draws = [sample(d, i / n) for i in range(n)]
+        draws = [_draw(d, (i << 64) // n) for i in range(n)]
         assert ks_distance(draws, d.samples) <= 0.01
 
 

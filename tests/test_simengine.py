@@ -35,9 +35,10 @@ from nsim.simengine import (
     _detour_end_vec,
     _detour_tables,
     _pick,
-    _pick_vec,
+    _pick_steps,
     _run,
     _run_batch,
+    _steps,
     _use_batch,
 )
 
@@ -294,19 +295,17 @@ class TestBandwidthNoise:
 class TestOsNoise:
     def test_detour_end_against_fixed_point_oracle(self):
         trace = DetourTrace(((100, 50), (400, 200), (900, 30)), span=1000)
-        starts = [s for s, _ in trace.events]
-        ends = [s + d for s, d in trace.events]
-        idle = trace.span - trace.total_detour
+        tables = _detour_tables(trace)
         for phase in (0, 17, 333, 999):
             for start in (0, 50, 120, 950, 12345):
                 for dur in (0, 1, 10, 260, 1000, 5000):
-                    got = _detour_end(start, dur, phase, starts, ends, trace.span, idle)
+                    got = _detour_end(start, dur, phase, tables)
                     want = detour_end_fixed_point(start, dur, phase, trace)
                     assert got == want, (start, dur, phase)
 
     def test_zero_duration_never_extended(self):
         trace = DetourTrace(((0, 999),), span=1000)
-        assert _detour_end(500, 0, 0, [0], [999], 1000, 1) == 500
+        assert _detour_end(500, 0, 0, _detour_tables(trace)) == 500
 
     def test_calc_extended_by_detour(self):
         # detour of 100 at offset 50; calc [0, 80) overlaps 30 of it, extension
@@ -315,7 +314,7 @@ class TestOsNoise:
         params = LogGPParams(L=0, o=0, g=0, G=0.0)
         s = Schedule(nranks=1, ops=((ScheduleOp(0, CALC, None, 80),),))
         # phase 0 means pattern position == absolute time
-        got = _detour_end(0, 80, 0, [50], [150], 10_000, 9_900)
+        got = _detour_end(0, 80, 0, _detour_tables(trace))
         assert got == 180  # 80 of work, last 30 pushed past the 100-long detour
         r = simulate(s, SimConfig(params=params, noise=NoiseModel(
             os=trace), seed=0))
@@ -550,7 +549,7 @@ def test_pick_vec_matches_pick(count):
 
     seeds = [0, 1, 2**63, 2**64 - 1, 0x243F6A8885A308D3]
     counters = [0, 1, 7, 2**20, 2**40]
-    got = _pick_vec(np.array(seeds, dtype=np.uint64), counters, count).tolist()
+    got = _pick_steps(np.array(seeds, dtype=np.uint64), _steps(counters), count).tolist()
     assert got == [[_pick(s, i, count) for s in seeds] for i in counters]
 
 
@@ -559,6 +558,7 @@ _VEC_TRACES = [
     DetourTrace(((0, 10), (10, 5), (990, 10)), span=1000),  # touching, at both ends
     DetourTrace(((3, 1),), span=7),
     DetourTrace(((2**32 - 5, 40), (2**33 + 17, 3000)), span=3 * 2**32),
+    DetourTrace(((0, 999),), span=1000),  # 1 ns idle per span
 ]
 
 
@@ -568,22 +568,24 @@ def test_detour_end_vec_matches_fixed_point(trace):
 
     span = trace.span
     rng = random.Random(span)
-    starts = [s for s, _ in trace.events]
-    ends = [s + d for s, d in trace.events]
+    # Up to three spans' worth of work, but within at most 12 spans: the
+    # oracle re-scans every span an occupancy crosses on each extension.
+    dur_max = 3 * min(span, 4 * (span - trace.total_detour))
     cases = []
     for _ in range(150):
-        cases.append((rng.randrange(3 * span), rng.choice((0, 1, rng.randrange(3 * span))),
+        cases.append((rng.randrange(3 * span), rng.choice((0, 1, rng.randrange(dur_max))),
                       rng.randrange(span)))
     for (s, d), phase in zip(trace.events, (0, 1, span - 1)):
         # start inside a detour, zero-length ops, and ends exactly on an event start
         cases += [(s - phase + span + d // 2, 0, phase), (s - phase + span, 3, phase),
                   (s - phase + span - 4, 4, phase), (s - phase + span + d, 1, phase)]
     t, dur, phase = (np.array(col, dtype=np.int64) for col in zip(*cases))
-    got = _detour_end_vec(t, dur, phase, _detour_tables(trace)).tolist()
-    idle = span - trace.total_detour
+    tables = _detour_tables(trace)
+    vec_tables = (*(np.asarray(col, dtype=np.int64) for col in tables[:5]), *tables[5:])
+    got = _detour_end_vec(t, dur, phase, vec_tables).tolist()
     for (ti, di, pi), g in zip(cases, got):
+        assert _detour_end(ti, di, pi, tables) == g, (ti, di, pi)
         assert g == detour_end_fixed_point(ti, di, pi, trace), (ti, di, pi)
-        assert g == _detour_end(ti, di, pi, starts, ends, span, idle)
 
 
 def test_schedule_compiles_once_across_calls(monkeypatch):
