@@ -7,49 +7,51 @@ analytics that turn measurements into empirical distributions
 those distributions per message at arbitrary rank counts (``nsim.goal``,
 ``nsim.simengine``), with cost and boxplot reporting on top (``nsim.cost``,
 ``nsim.report``).
+
+The names in ``__all__`` resolve on first access (PEP 562 ``__getattr__``):
+``nsim.simulate`` imports ``nsim.simengine`` then, so ``import nsim`` alone
+loads no submodule and each command of ``nsim.cli`` loads only the modules it
+runs. ``from nsim import *`` and ``dir(nsim)`` list the same names.
 """
 
-from .model import (
-    DetourTrace,
-    EmpiricalDistribution,
-    LogGPParams,
-    NoiseModel,
-    bandwidth_to_G,
-    calibrate,
-    message_time,
-)
-from .goal import (
-    Schedule,
-    ScheduleOp,
-    emit_goal,
-    gen_compute_collective,
-    gen_dissemination,
-    gen_ring_allreduce,
-    parse_goal,
-    validate,
-)
-from .simengine import SimConfig, SimResult, run_many, simulate
+import importlib
 
-__all__ = [
-    "DetourTrace",
-    "EmpiricalDistribution",
-    "LogGPParams",
-    "NoiseModel",
-    "Schedule",
-    "ScheduleOp",
-    "SimConfig",
-    "SimResult",
-    "bandwidth_to_G",
-    "calibrate",
-    "emit_goal",
-    "gen_compute_collective",
-    "gen_dissemination",
-    "gen_ring_allreduce",
-    "message_time",
-    "parse_goal",
-    "run_many",
-    "simulate",
-    "validate",
-]
+# Public name -> submodule that defines it.
+_SOURCES = {
+    "DetourTrace": "model",
+    "EmpiricalDistribution": "model",
+    "LogGPParams": "model",
+    "NoiseModel": "model",
+    "bandwidth_to_G": "model",
+    "calibrate": "model",
+    "message_time": "model",
+    "Schedule": "goal",
+    "ScheduleOp": "goal",
+    "emit_goal": "goal",
+    "gen_compute_collective": "goal",
+    "gen_dissemination": "goal",
+    "gen_ring_allreduce": "goal",
+    "parse_goal": "goal",
+    "validate": "goal",
+    "SimConfig": "simengine",
+    "SimResult": "simengine",
+    "run_many": "simengine",
+    "simulate": "simengine",
+}
+
+__all__ = sorted(_SOURCES)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    module = _SOURCES.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

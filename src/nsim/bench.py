@@ -32,6 +32,7 @@ import threading
 import time
 from dataclasses import dataclass
 
+from .errors import ClockResolutionError, DetourLimitError
 from .model import UNIT_NS, DetourTrace
 from .noise import SampleTrace
 
@@ -65,14 +66,6 @@ _ROW_COUNT = struct.Struct("!I")
 _ROW_STRUCT = struct.Struct("!Qd")
 
 _MODES = ("pingpong", "pingpong_bidir")
-
-
-class ClockResolutionError(RuntimeError):
-    """The monotonic clock cannot resolve a single loop iteration."""
-
-
-class DetourLimitError(RuntimeError):
-    """The detour recorder reached max_iterations before collecting enough events."""
 
 
 @dataclass(frozen=True)

@@ -10,25 +10,20 @@ machine-readable JSON object on stderr.
 from __future__ import annotations
 
 import functools
-import hashlib
 import json
 import os
 import sys
-from datetime import datetime, timezone
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import click
 
-from . import bench as bench_mod
-from . import cost as cost_mod
-from . import goal as goal_mod
-from . import noise as noise_mod
-from . import report as report_mod
-from . import simengine
-from .goal import GoalSyntaxError, ScheduleValidationError
+from .errors import (ClockResolutionError, DeadlockError, DetourLimitError,
+                     GoalSyntaxError, ScheduleValidationError, TraceFormatError)
 from .model import UNIT_GBPS, UNIT_NS, LogGPParams, NoiseModel
-from .noise import TraceFormatError
-from .simengine import DeadlockError, SimConfig
+
+if TYPE_CHECKING:
+    from .goal import Schedule
 
 EXIT_VALIDATION = 3
 EXIT_IO = 4
@@ -62,7 +57,7 @@ def _handle_errors(fn):
         except (TraceFormatError, OSError, json.JSONDecodeError) as exc:
             _fail(EXIT_IO, exc)
         except (GoalSyntaxError, ScheduleValidationError, ValueError,
-                bench_mod.ClockResolutionError, bench_mod.DetourLimitError) as exc:
+                ClockResolutionError, DetourLimitError) as exc:
             _fail(EXIT_VALIDATION, exc)
 
     return wrapper
@@ -81,7 +76,9 @@ def _write_text(path: str, content: str) -> None:
         Path(path).write_text(content, encoding="utf-8")
 
 
-def _load_schedule(path: str) -> goal_mod.Schedule:
+def _load_schedule(path: str) -> Schedule:
+    from . import goal as goal_mod
+
     text = _read_text(path)
     if text.lstrip().startswith("{"):
         return goal_mod.schedule_from_json(text)
@@ -121,6 +118,8 @@ def dump_params_file(params: LogGPParams, path: str, **extra) -> None:
 
 
 def _sha256(path: str) -> str:
+    import hashlib
+
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
@@ -131,13 +130,21 @@ def _parse_endpoint(value: str, default_host: str = "127.0.0.1") -> tuple[str, i
     return (default_host, int(value))
 
 
-def _check_defaults(command: click.Command, defaults, where: str) -> None:
-    """Refuse option defaults for ``command`` that are not a JSON object, at any depth."""
+def _check_defaults(command: click.Command, defaults, where: str,
+                    path: str = "nsim") -> None:
+    """Refuse option defaults for ``command`` that are not a JSON object or hold a
+    key naming neither a subcommand nor a parameter of it, at any depth."""
     if not isinstance(defaults, dict):
         raise ValueError(f"{where} must hold a JSON object")
-    for name, sub in getattr(command, "commands", {}).items():
-        if name in defaults:
-            _check_defaults(sub, defaults[name], f"{where}: {name!r}")
+    commands = getattr(command, "commands", {})
+    names = {param.name for param in command.params}
+    for key, value in defaults.items():
+        if key in commands:
+            _check_defaults(commands[key], value, f"{where}: {key!r}", f"{path} {key}")
+        elif key not in names:
+            known = ", ".join(sorted(names | set(commands)))
+            raise ValueError(f"{where}: {key!r} names no subcommand or parameter of "
+                             f"'{path}' (known: {known})")
 
 
 @click.group(context_settings={"auto_envvar_prefix": "NSIM",
@@ -165,7 +172,9 @@ def gen() -> None:
     """Generate communication schedules."""
 
 
-def _emit_schedule(schedule: goal_mod.Schedule, fmt: str, out: str) -> None:
+def _emit_schedule(schedule: Schedule, fmt: str, out: str) -> None:
+    from . import goal as goal_mod
+
     if fmt == "json":
         _write_text(out, goal_mod.schedule_to_json(schedule))
     else:
@@ -185,6 +194,8 @@ _OUT = click.option("-o", "--out", default="-", show_default=True)
 @_handle_errors
 def gen_dissem(nranks: int, size: int, fmt: str, out: str) -> None:
     """Butterfly dissemination (barrier/small-allreduce shape)."""
+    from . import goal as goal_mod
+
     _emit_schedule(goal_mod.gen_dissemination(nranks, size), fmt, out)
 
 
@@ -198,6 +209,8 @@ def gen_dissem(nranks: int, size: int, fmt: str, out: str) -> None:
 @_handle_errors
 def gen_ring(nranks: int, size: int, reduce_cost: int, fmt: str, out: str) -> None:
     """Ring allreduce (reduce-scatter then allgather)."""
+    from . import goal as goal_mod
+
     _emit_schedule(goal_mod.gen_ring_allreduce(nranks, size, reduce_cost), fmt, out)
 
 
@@ -213,6 +226,8 @@ def gen_ring(nranks: int, size: int, reduce_cost: int, fmt: str, out: str) -> No
 def gen_compapp(nranks: int, comp: int, pattern: str, size: int, iterations: int,
                 fmt: str, out: str) -> None:
     """Compute phase followed by a collective, repeated."""
+    from . import goal as goal_mod
+
     schedule = goal_mod.gen_compute_collective(nranks, comp, pattern, size, iterations)
     _emit_schedule(schedule, fmt, out)
 
@@ -245,6 +260,11 @@ def sim_run(goal_path: str, params_path: str, noise_lat: str | None,
             noise_bw: str | None, noise_os: str | None, seed: int, reps: int,
             workers: int, per_rank: bool, out: str) -> None:
     """Run a schedule under LogGP timing with optional measured noise."""
+    from datetime import datetime, timezone
+
+    from . import noise as noise_mod
+    from . import simengine
+
     schedule = _load_schedule(goal_path)
     params, params_doc = load_params_file(params_path)
     noise_model = NoiseModel(
@@ -252,7 +272,7 @@ def sim_run(goal_path: str, params_path: str, noise_lat: str | None,
         bandwidth=noise_mod.load_distribution(noise_bw) if noise_bw else None,
         os=noise_mod.load_detour_trace(noise_os) if noise_os else None,
     )
-    cfg = SimConfig(params=params, noise=noise_model, seed=seed)
+    cfg = simengine.SimConfig(params=params, noise=noise_model, seed=seed)
     results = simengine.run_many(schedule, cfg, reps, workers=workers)
     noise_meta = {
         "latency": {"path": noise_lat, "sha256": _sha256(noise_lat)} if noise_lat else None,
@@ -298,6 +318,8 @@ _UNIT = click.option("--unit", type=click.Choice([UNIT_NS, UNIT_GBPS]),
 @_handle_errors
 def trace_dist(in_path: str, unit: str, out: str) -> None:
     """Build a sorted empirical distribution from a trace."""
+    from . import noise as noise_mod
+
     t = noise_mod.parse_trace(_read_text(in_path), unit)
     _write_text(out, noise_mod.format_distribution(noise_mod.build_distribution(t)))
 
@@ -311,6 +333,8 @@ def trace_dist(in_path: str, unit: str, out: str) -> None:
 @_handle_errors
 def trace_normalize(in_path: str, unit: str, mode: str, out: str) -> None:
     """Normalize a trace to its minimum (latency) or maximum (bandwidth)."""
+    from . import noise as noise_mod
+
     t = noise_mod.parse_trace(_read_text(in_path), unit)
     result = noise_mod.normalize_min(t) if mode == "min" else noise_mod.normalize_max(t)
     _write_text(out, noise_mod.format_trace(result))
@@ -326,6 +350,8 @@ def trace_normalize(in_path: str, unit: str, mode: str, out: str) -> None:
 @_handle_errors
 def trace_top(in_path: str, unit: str, frac: float, side: str, out: str) -> None:
     """Keep only the most extreme samples of a trace."""
+    from . import noise as noise_mod
+
     t = noise_mod.parse_trace(_read_text(in_path), unit)
     _write_text(out, noise_mod.format_trace(noise_mod.top_fraction(t, frac, side)))
 
@@ -371,6 +397,8 @@ def _load_results(path: str, with_nranks: bool = False) -> tuple[list[int], int 
 def cost_cmd(results_path: str, price_catalog: str | None, provider: str, label: str,
              instance: str | None, baseline_path: str | None, out: str) -> None:
     """Convert simulated runtimes into USD (and relative increase vs a baseline)."""
+    from . import cost as cost_mod
+
     completions, nodes = _load_results(results_path, with_nranks=True)
     catalog_path = price_catalog or cost_mod.builtin_catalog_path()
     price = cost_mod.find_price(cost_mod.load_price_catalog(catalog_path),
@@ -423,6 +451,8 @@ def _result_groups(paths: tuple[str, ...], labels: tuple[str, ...]):
 def report_box(results: tuple[str, ...], labels: tuple[str, ...], fmt: str,
                include_samples: bool, out: str) -> None:
     """Boxplot statistics of one or more result files."""
+    from . import report as report_mod
+
     groups = _result_groups(results, labels)
     _write_text(out, report_mod.render(groups, fmt, include_samples=include_samples))
 
@@ -437,6 +467,8 @@ def report_box(results: tuple[str, ...], labels: tuple[str, ...], fmt: str,
 def report_svg(results: tuple[str, ...], labels: tuple[str, ...], log2: bool,
                title: str | None, out: str) -> None:
     """Self-contained SVG boxplot of one or more result files."""
+    from . import report as report_mod
+
     groups = _result_groups(results, labels)
     _write_text(out, report_mod.render(groups, "svg", log2_scale=log2, title=title))
 
@@ -456,6 +488,8 @@ def _maybe_pin(cpu: int | None) -> None:
 
 def _serve_or_peer(listen: str | None, peer: str | None) -> tuple[str, int] | None:
     """Serve as the responder until killed (--listen), else the --peer endpoint."""
+    from . import bench as bench_mod
+
     if listen:
         host, port = _parse_endpoint(listen)
         server = bench_mod.EchoServer(host, port)
@@ -483,6 +517,9 @@ def bench_pingpong(listen: str | None, peer: str | None, size: int, iterations: 
                    warmup: int, connections: int, interval: int, cpu: int | None,
                    out: str) -> None:
     """Ping-pong RTT/2 trace (multi-connection splits the payload)."""
+    from . import bench as bench_mod
+    from . import noise as noise_mod
+
     _maybe_pin(cpu)
     endpoint = _serve_or_peer(listen, peer)
     if endpoint is None:
@@ -510,6 +547,9 @@ def bench_bidir(listen: str | None, peer: str | None, size: int, iterations: int
                 warmup: int, connections: int, interval: int, cpu: int | None,
                 out_forward: str, out_reverse: str) -> None:
     """Two simultaneous ping-pongs, one initiated from each endpoint."""
+    from . import bench as bench_mod
+    from . import noise as noise_mod
+
     _maybe_pin(cpu)
     endpoint = _serve_or_peer(listen, peer)
     if endpoint is None:
@@ -538,6 +578,9 @@ def bench_bidir(listen: str | None, peer: str | None, size: int, iterations: int
 def bench_detour(records: int, threshold: float, probe: int,
                  max_iterations: int | None, cpu: int | None, out: str) -> None:
     """Selfish-detour OS noise recorder."""
+    from . import bench as bench_mod
+    from . import noise as noise_mod
+
     _maybe_pin(cpu)
     t_min, detour = bench_mod.selfish_detour(records, threshold, probe,
                                              max_iterations=max_iterations)

@@ -37,6 +37,8 @@ from array import array
 from dataclasses import dataclass
 from typing import Mapping
 
+from .errors import GoalSyntaxError, ScheduleValidationError
+
 __all__ = [
     "SEND",
     "RECV",
@@ -67,23 +69,6 @@ CALC = "calc"
 KINDS = (SEND, RECV, CALC)  # kind names, indexed by kind code
 KIND_SEND, KIND_RECV, KIND_CALC = 0, 1, 2  # kind codes of the ``kinds`` column
 _KIND_CODE = {SEND: KIND_SEND, RECV: KIND_RECV, CALC: KIND_CALC}
-
-
-class GoalSyntaxError(ValueError):
-    """Malformed schedule text; carries 1-based line and column."""
-
-    def __init__(self, message: str, line: int, col: int):
-        super().__init__(f"line {line}, col {col}: {message}")
-        self.line = line
-        self.col = col
-
-
-class ScheduleValidationError(ValueError):
-    """Structurally well-formed schedule that violates schedule semantics."""
-
-    def __init__(self, violations: list[str]):
-        super().__init__("; ".join(violations))
-        self.violations = list(violations)
 
 
 @dataclass(frozen=True)

@@ -121,6 +121,14 @@ class EmpiricalDistribution:
         """Build from unsorted values (a multiset copy, sorted ascending)."""
         return cls(tuple(sorted(map(float, values))), unit)
 
+    @classmethod
+    def _from_sorted(cls, samples: tuple[float, ...], unit: str) -> "EmpiricalDistribution":
+        """Wrap samples that the caller has already checked and sorted; not copied."""
+        dist = cls.__new__(cls)
+        object.__setattr__(dist, "samples", samples)
+        object.__setattr__(dist, "unit", unit)
+        return dist
+
     @property
     def count(self) -> int:
         return len(self.samples)

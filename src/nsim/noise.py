@@ -29,6 +29,7 @@ from itertools import islice, repeat
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple
 
+from .errors import TraceFormatError
 from .model import (
     UNIT_GBPS,
     UNIT_NS,
@@ -63,19 +64,13 @@ _TRACE_UNITS = (UNIT_NS, UNIT_GBPS, UNIT_RATIO)
 _HEADER = "timestamp_ns,value,unit"
 
 
-class TraceFormatError(ValueError):
-    """Bad trace file content; carries the 1-based line number."""
-
-    def __init__(self, message: str, line: int | None = None):
-        super().__init__(message if line is None else f"line {line}: {message}")
-        self.line = line
-
-
 class SampleTrace:
     """Per-sample measurements: (timestamp ns since start, value) rows.
 
     Stored as two columns, signed 64-bit timestamps and float values; ``rows``,
     ``timestamps`` and ``values`` are tuple views built on access. Immutable.
+    In ``ns`` and ``gbps`` traces every value is finite and > 0, which
+    ``build_distribution`` relies on.
     """
 
     __slots__ = ("_timestamps", "_values", "unit")
@@ -90,6 +85,8 @@ class SampleTrace:
             t, v = int(t), float(v)
             if timestamps and t < timestamps[-1]:
                 raise ValueError(f"row {i}: timestamps must be nondecreasing")
+            if not math.isfinite(v):
+                raise ValueError(f"row {i}: values must be finite, got {v}")
             if positive and v <= 0:
                 raise ValueError(f"row {i}: {unit} values must be > 0, got {v}")
             try:
@@ -304,7 +301,8 @@ def build_distribution(trace: SampleTrace) -> EmpiricalDistribution:
         raise ValueError(f"cannot build a noise distribution from a {trace.unit!r} trace")
     if len(trace) == 0:
         raise ValueError("empty trace")
-    return EmpiricalDistribution.from_values(trace._values, trace.unit)
+    # A trace's values are finite floats, > 0 in these units: sorting is all that is left.
+    return EmpiricalDistribution._from_sorted(tuple(sorted(trace._values)), trace.unit)
 
 
 def normalize_min(trace: SampleTrace) -> SampleTrace:

@@ -79,8 +79,8 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Sequence
 
-from .goal import (KIND_CALC, KIND_RECV, KIND_SEND, KINDS, Schedule,
-                   ScheduleValidationError, match_messages, validate)
+from .errors import DeadlockError, ScheduleValidationError
+from .goal import KIND_CALC, KIND_RECV, KIND_SEND, KINDS, Schedule, match_messages, validate
 from .model import DetourTrace, LogGPParams, NoiseModel, one_way_wire_ns
 
 __all__ = [
@@ -121,16 +121,6 @@ def derive_run_seed(seed: int, run_index: int) -> int:
 def _pick(seed: int, i: int, count: int) -> int:
     """Draw i of the counter-mode stream ``seed``, mapped to an index in [0, count)."""
     return (mix64(seed + (i + 1) * _GAMMA) * count) >> 64
-
-
-class DeadlockError(RuntimeError):
-    """Schedule with ops that can never run; lists the blocked ops."""
-
-    def __init__(self, blocked: list[tuple[int, int, str]]):
-        self.blocked = blocked
-        shown = ", ".join(f"rank {r} op {i} ({k})" for r, i, k in blocked[:16])
-        more = "" if len(blocked) <= 16 else f" and {len(blocked) - 16} more"
-        super().__init__(f"deadlock: {len(blocked)} op(s) blocked: {shown}{more}")
 
 
 @dataclass(frozen=True)

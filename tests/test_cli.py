@@ -440,3 +440,177 @@ def test_sim_run_validates_and_compiles_once(runner, params_file, monkeypatch, f
     assert r.exit_code == 0
     assert len(json.loads(r.output)["results"]) == 3
     assert len(verdicts) == 1 and len(compiles) == 1
+
+
+# ---------------------------------------------------------------------------
+# What each command loads, and the lazy `nsim` namespace
+
+_RESULTS_DOC = {"schema": "nsim.results/1", "metadata": {"nranks": 4},
+                "results": [{"run": 0, "completion_ns": 9000}]}
+
+
+def _modules_at_exit(tmp_path, *args):
+    """The names in sys.modules when `python -m nsim.cli <args>` exits, run afresh."""
+    listing = tmp_path / "modules.txt"
+    code = ("import atexit, runpy, sys\n"
+            "def dump():\n"
+            f"    with open({str(listing)!r}, 'w') as f:\n"
+            "        f.write('\\n'.join(sys.modules))\n"
+            "atexit.register(dump)\n"
+            "runpy.run_module('nsim.cli', run_name='__main__')\n")
+    proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return set(listing.read_text().split())
+
+
+def _startup_cases(tmp_path):
+    results = tmp_path / "res.json"
+    results.write_text(json.dumps(_RESULTS_DOC))
+    trace = tmp_path / "lat.csv"
+    trace.write_text("timestamp_ns,value,unit\n0,7000,ns\n5,7100,ns\n")
+    out = str(tmp_path / "out")
+    # (args, the module the command runs, modules it must not load)
+    return {
+        "help": (["--help"], None,
+                 ("goal", "noise", "simengine", "bench", "report", "cost", "numpy")),
+        "cost": (["cost", "--results", str(results), "--provider", "aws",
+                  "--label", "on_demand", "--instance", "c5n.18xlarge", "-o", out],
+                 "cost", ("goal", "noise", "simengine", "bench", "numpy")),
+        "report": (["report", "box", str(results), "-o", out], "report",
+                   ("goal", "noise", "simengine", "bench", "numpy")),
+        "trace": (["trace", "dist", "--in", str(trace), "-o", out], "noise",
+                  ("goal", "simengine", "bench", "numpy")),
+        "gen": (["gen", "dissem", "-p", "4", "-s", "16", "-o", out], "goal",
+                ("noise", "simengine", "bench")),
+    }
+
+
+@pytest.mark.parametrize("case", ["help", "cost", "report", "trace", "gen"])
+def test_command_loads_only_what_it_runs(tmp_path, case):
+    args, runs, unused = _startup_cases(tmp_path)[case]
+    loaded = _modules_at_exit(tmp_path, *args)
+    if runs is not None:
+        assert f"nsim.{runs}" in loaded
+    names = {m if m == "numpy" else f"nsim.{m}" for m in unused}
+    assert not names & loaded
+
+
+_PUBLIC = ["DetourTrace", "EmpiricalDistribution", "LogGPParams", "NoiseModel", "Schedule",
+           "ScheduleOp", "SimConfig", "SimResult", "bandwidth_to_G", "calibrate",
+           "emit_goal", "gen_compute_collective", "gen_dissemination", "gen_ring_allreduce",
+           "message_time", "parse_goal", "run_many", "simulate", "validate"]
+
+
+class TestPublicNamespace:
+    def test_every_public_name_resolves_and_is_listed(self):
+        import nsim
+        from nsim import goal, model, simengine
+
+        assert nsim.__all__ == _PUBLIC
+        listed = dir(nsim)
+        for name in _PUBLIC:
+            assert name in listed
+            value = getattr(nsim, name)
+            assert any(getattr(m, name, None) is value for m in (goal, model, simengine))
+
+    def test_star_import(self):
+        namespace: dict = {}
+        exec("from nsim import *", namespace)
+        import nsim
+
+        assert {name: namespace[name] for name in _PUBLIC} == \
+            {name: getattr(nsim, name) for name in _PUBLIC}
+
+    def test_import_nsim_loads_no_submodule(self):
+        code = ("import sys, nsim\n"
+                "print(sorted(m for m in sys.modules if m.startswith('nsim.')))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_unknown_attribute(self):
+        import nsim
+
+        with pytest.raises(AttributeError, match="no_such_name"):
+            nsim.no_such_name
+        assert not hasattr(nsim, "sample")
+
+
+def _error_cases():
+    from nsim import bench, errors, goal, noise, simengine
+
+    return [
+        (goal.GoalSyntaxError("bad token", 1, 2), errors.GoalSyntaxError, 3),
+        (goal.ScheduleValidationError(["rank 0 op 0: bad peer"]),
+         errors.ScheduleValidationError, 3),
+        (noise.TraceFormatError("bad value", 3), errors.TraceFormatError, 4),
+        (simengine.DeadlockError([(0, 0, "recv")]), errors.DeadlockError, 5),
+        (bench.ClockResolutionError("clock too coarse"), errors.ClockResolutionError, 3),
+        (bench.DetourLimitError("too few events"), errors.DetourLimitError, 3),
+    ]
+
+
+@pytest.mark.parametrize("exc, cls, code", _error_cases(),
+                         ids=lambda v: type(v).__name__ if isinstance(v, Exception) else None)
+def test_error_classes_keep_their_exit_codes(runner, monkeypatch, exc, cls, code):
+    from nsim import goal
+
+    assert type(exc) is cls
+
+    def fail(*args):
+        raise exc
+
+    monkeypatch.setattr(goal, "gen_dissemination", fail)
+    r = runner.invoke(cli, ["gen", "dissem", "-p", "2", "-s", "1"])
+    assert r.exit_code == code
+    assert r.output.startswith(f"error: {exc}")
+    r = runner.invoke(cli, ["--error-json", "gen", "dissem", "-p", "2", "-s", "1"])
+    assert r.exit_code == code
+    assert json.loads(r.output) == {"error": cls.__name__, "message": str(exc),
+                                    "exit_code": code}
+
+
+def test_config_unknown_key_exit_4(tmp_path):
+    cfg = tmp_path / "conf.json"
+    cfg.write_text(json.dumps({"gen": {"dissem": {"s": 16}}}))
+    proc = _run_cli("--config", str(cfg), "gen", "dissem", "-p", "2")
+    _assert_clean_exit(proc, 4)
+    assert len(proc.stderr.splitlines()) == 1
+    assert "'s'" in proc.stderr and "'nsim gen dissem'" in proc.stderr
+
+
+def test_config_unknown_command_exit_4(tmp_path):
+    cfg = tmp_path / "conf.json"
+    cfg.write_text(json.dumps({"gen": {"dissemination": {"size": 16}}}))
+    proc = _run_cli("--config", str(cfg), "gen", "dissem", "-p", "2", "-s", "1")
+    _assert_clean_exit(proc, 4)
+    assert "'dissemination'" in proc.stderr and "'nsim gen'" in proc.stderr
+
+
+# sha256 of `trace dist` on the benchmark's seed-1 traces, as written when
+# build_distribution still went through the checking EmpiricalDistribution.from_values.
+_TRACE_DIST_SHA256 = {
+    ("lat.csv", "ns"): "3502c2026b386b348812b198c17fac95bda53fe95eda4744f6c9bfb6383493ea",
+    ("bw.csv", "gbps"): "d4407ab09902ff7572d5a46c97bec776f3cdbba028a923d7f32b7016177010e1",
+}
+
+
+def test_trace_dist_bytes_on_benchmark_traces(runner, tmp_path, monkeypatch):
+    import hashlib
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parents[1]
+    monkeypatch.syspath_prepend(str(root))
+    from perfbench.synth import synthesize
+
+    inputs = synthesize(1, tmp_path)
+    pinned = json.loads((root / "perfbench" / "digests.json").read_text())["inputs"]
+    for (name, unit), digest in _TRACE_DIST_SHA256.items():
+        assert inputs.facts[name]["sha256"] == pinned[name]
+        out = tmp_path / f"{name}.json"
+        r = _invoke(runner, ["trace", "dist", "--in", str(tmp_path / name), "--unit", unit,
+                             "-o", str(out)])
+        assert r.exit_code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

@@ -1,3 +1,4 @@
+import json
 import math
 import subprocess
 import sys
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 import oracles
 from nsim import noise
-from nsim.model import DetourTrace
+from nsim.model import DetourTrace, EmpiricalDistribution
 from nsim.noise import (
     SampleTrace,
     TraceFormatError,
@@ -428,3 +429,36 @@ def test_normalize_and_top_write_the_same_bytes_as_row_built_traces():
         SampleTrace(tuple((ts, v / hi) for ts, v in t.rows), "ratio"))
     kept = top_fraction(t, 0.3, "smallest")
     assert format_trace(kept) == format_trace(SampleTrace(kept.rows, "ns"))
+
+
+class TestDistributionChecks:
+    """build_distribution skips the checks its trace already passed; the public
+    ways to make a distribution keep all of them."""
+
+    def test_build_matches_checked_constructor(self):
+        values = [5.0, 1.0, 5.0, 2.5, 1.0]
+        t = SampleTrace(tuple(enumerate(values)), "gbps")
+        assert build_distribution(t) == EmpiricalDistribution.from_values(values, "gbps")
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_trace_refuses_non_finite_values(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            SampleTrace(((0, 1.0), (1, bad)), "ratio")
+
+    @pytest.mark.parametrize("samples, unit, match", [
+        ((1.0, math.nan), "ns", "finite"),
+        ((2.0, 1.0), "ns", "sorted"),
+        ((0.0, 1.0), "ns", "> 0"),
+        ((-1.0, 5.0), "gbps", "> 0"),
+    ])
+    def test_public_constructors_refuse(self, tmp_path, samples, unit, match):
+        with pytest.raises(ValueError, match=match):
+            EmpiricalDistribution(samples, unit)
+        if match != "sorted":
+            with pytest.raises(ValueError, match=match):
+                EmpiricalDistribution.from_values(reversed(samples), unit)
+        p = tmp_path / "d.json"
+        p.write_text(json.dumps({"schema": "nsim.dist/1", "unit": unit,
+                                 "samples": list(samples)}))
+        with pytest.raises(ValueError, match=match):
+            load_distribution(p)
