@@ -11,10 +11,12 @@ echoes every byte until EOF; the payload is split into ``connections``
 contiguous disjoint parts, one per connection. For bidirectional runs (mode 2)
 the setup is followed in-band by reverse_port u16, inter-message interval u64
 and the initiator's epoch u64; the responder replies with its own epoch u64,
-runs a mirror-image pingpong back to reverse_port, and finally streams its
-trace rows (count u32, then per row: timestamp u64, RTT/2 f64) over the
-control socket. Both directions stamp timestamps against the epochs exchanged
-at setup, so the two traces share a time origin.
+runs a mirror-image pingpong of ``iterations`` rounds back to reverse_port,
+and finally streams its trace rows (count u32, then per row: timestamp u64,
+RTT/2 f64) over the control socket. The initiator asks for its own warmup plus
+measured iterations and drops the responder's warmup rows. Both directions
+stamp timestamps against the epochs exchanged at setup, so the two traces
+share a time origin.
 
 Iteration timing reproduces max-across-connections semantics: all workers
 leave a barrier together (the clock is read in the barrier action immediately
@@ -362,6 +364,12 @@ def pingpong_bidirectional(plan: BenchPlan) -> tuple[SampleTrace, SampleTrace]:
     initiates the mirror-image session back to an ephemeral local echo server.
     Returns (forward_trace, reverse_trace) with timestamps aligned to the
     epochs exchanged at setup.
+
+    Both sessions run the same warmup and measured iterations: the peer is
+    asked for warmup + iterations rows, and the first warmup rows it returns
+    are dropped. Otherwise the forward session's extra warmup iterations would
+    overlap the reverse session's first measured ones, and the forward session
+    would measure its last iterations alone, on an idle peer.
     """
     if plan.mode != "pingpong_bidir":
         raise ValueError(f"needs mode='pingpong_bidir', got {plan.mode!r}")
@@ -380,7 +388,7 @@ def pingpong_bidirectional(plan: BenchPlan) -> tuple[SampleTrace, SampleTrace]:
         control = _connect(plan.peer)
         try:
             control.sendall(pack_setup(MODE_BIDIR, plan.size, plan.connections,
-                                       plan.iterations))
+                                       plan.warmup_iterations + plan.iterations))
             epoch = time.perf_counter_ns()
             control.sendall(_BIDIR_EXTRA.pack(reverse_echo.port,
                                               plan.inter_message_interval_ns, epoch))
@@ -393,7 +401,8 @@ def pingpong_bidirectional(plan: BenchPlan) -> tuple[SampleTrace, SampleTrace]:
             ]
         finally:
             control.close()
-    reverse = SampleTrace(tuple((int(ts), float(v)) for ts, v in rows), UNIT_NS)
+    reverse = SampleTrace(tuple((int(ts), float(v)) for ts, v in rows[plan.warmup_iterations:]),
+                          UNIT_NS)
     return forward, reverse
 
 

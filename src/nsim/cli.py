@@ -20,10 +20,11 @@ import click
 
 from .errors import (ClockResolutionError, DeadlockError, DetourLimitError,
                      GoalSyntaxError, ScheduleValidationError, TraceFormatError)
-from .model import UNIT_GBPS, UNIT_NS, LogGPParams, NoiseModel
+from .units import UNIT_GBPS, UNIT_NS
 
 if TYPE_CHECKING:
     from .goal import Schedule
+    from .model import LogGPParams
 
 EXIT_VALIDATION = 3
 EXIT_IO = 4
@@ -87,6 +88,8 @@ def _load_schedule(path: str) -> Schedule:
 
 def load_params_file(path: str) -> tuple[LogGPParams, dict]:
     """Read a params JSON file; returns (params, full document)."""
+    from .model import LogGPParams
+
     doc = json.loads(_read_text(path))
     if not isinstance(doc, dict):
         raise ValueError(f"params file {path} must hold a JSON object")
@@ -264,6 +267,7 @@ def sim_run(goal_path: str, params_path: str, noise_lat: str | None,
 
     from . import noise as noise_mod
     from . import simengine
+    from .model import NoiseModel
 
     schedule = _load_schedule(goal_path)
     params, params_doc = load_params_file(params_path)

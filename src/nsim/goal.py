@@ -148,6 +148,7 @@ class _Columns:
         object.__setattr__(s, "nranks", nranks)
         object.__setattr__(s, "metadata", {} if metadata is None else metadata)
         object.__setattr__(s, "_verdict", None)
+        object.__setattr__(s, "_send_of", None)
         object.__setattr__(s, "_compiled", None)
         return s
 
@@ -170,7 +171,7 @@ class Schedule:
     compares schedules structurally.
     """
 
-    __slots__ = _Columns.__slots__ + ("nranks", "metadata", "_verdict", "_compiled")
+    __slots__ = _Columns.__slots__ + ("nranks", "metadata", "_verdict", "_send_of", "_compiled")
 
     def __new__(cls, nranks: int, ops, metadata: Mapping[str, object] | None = None):
         cols = _Columns()
@@ -402,14 +403,31 @@ def validate(schedule: Schedule) -> list[str]:
     Checks that send and recv multisets match per (src, dst, size) and that
     every rank's dependency graph is acyclic. Violations are returned as data
     rather than raised so callers can report them all at once. The verdict is
-    computed once per Schedule and memoized on it.
+    computed once per Schedule and memoized on it; so is the message pairing
+    of a valid schedule, until ``take_send_of`` hands it over.
     """
     if schedule._verdict is None:
-        object.__setattr__(schedule, "_verdict", tuple(_violations(schedule)))
+        violations, send_of = _violations(schedule)
+        object.__setattr__(schedule, "_verdict", tuple(violations))
+        object.__setattr__(schedule, "_send_of", None if violations else send_of)
     return list(schedule._verdict)
 
 
-def _violations(schedule: Schedule) -> list[str]:
+def take_send_of(schedule: Schedule) -> array:
+    """``match_messages(schedule)[0]`` of a schedule that ``validate`` accepted.
+
+    The first call hands over the pairing that ``validate`` computed and drops
+    it from the schedule, so that a compiled schedule keeps no pairing column;
+    a later call pairs the messages again.
+    """
+    send_of = schedule._send_of
+    if send_of is None:
+        return match_messages(schedule)[0]
+    object.__setattr__(schedule, "_send_of", None)
+    return send_of
+
+
+def _violations(schedule: Schedule) -> tuple[list[str], array]:
     violations: list[str] = []
     nranks = schedule.nranks
     kinds, peers, bounds = schedule.kinds, schedule.peers, schedule.rank_offsets
@@ -423,14 +441,14 @@ def _violations(schedule: Schedule) -> list[str]:
                 violations.append(f"rank {rank} op {g - lo}: peer equals own rank")
             elif peer >= nranks:
                 violations.append(f"rank {rank} op {g - lo}: peer {peer} out of range")
-    _, unmatched = match_messages(schedule)
+    send_of, unmatched = match_messages(schedule)
     for (src, dst, size), (ns, nr) in sorted(unmatched.items()):
         violations.append(
             f"unmatched messages {src}->{dst} size {size}: {ns} send(s), {nr} recv(s)")
     for rank in range(nranks):
         if _has_cycle(schedule, bounds[rank], bounds[rank + 1]):
             violations.append(f"rank {rank}: dependency cycle")
-    return violations
+    return violations, send_of
 
 
 def match_messages(schedule: Schedule) -> tuple[array, dict[tuple[int, int, int],

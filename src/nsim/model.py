@@ -24,6 +24,8 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Sequence
 
+from .units import UNIT_GBPS, UNIT_NS, UNIT_NS_PER_BYTE
+
 __all__ = [
     "UNIT_NS",
     "UNIT_GBPS",
@@ -39,10 +41,6 @@ __all__ = [
     "calibrate",
     "bandwidth_to_G",
 ]
-
-UNIT_NS = "ns"
-UNIT_GBPS = "gbps"
-UNIT_NS_PER_BYTE = "ns_per_byte"
 
 _DIST_UNITS = (UNIT_NS, UNIT_GBPS, UNIT_NS_PER_BYTE)
 # A latency (ns) or a rate (gbps) must be strictly positive; a per-byte gap may be 0.

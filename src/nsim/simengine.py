@@ -53,8 +53,10 @@ G_eff = 8/bw. With a detour trace, each rank gets an independent uniformly
 random cyclic phase into the trace per run, and any host occupancy is extended
 by the detour time it overlaps, re-checked until a fixed point. Both engines
 compute that fixed point in closed form: the occupancy ends once the host has
-accumulated its base duration of detour-free time, found by two bisections of
-per-span idle-time tables (``_detour_end``, ``_detour_end_vec``).
+accumulated its base duration of detour-free time, found by two lookups in
+per-span idle-time tables. The per-op engine bisects them (``_detour_end``);
+the batch engine finds both segments through bucket indexes over the sorted
+columns (``_bucket_index``, ``_detour_end_vec``).
 
 Determinism
 -----------
@@ -80,7 +82,7 @@ from itertools import accumulate
 from typing import Sequence
 
 from .errors import DeadlockError, ScheduleValidationError
-from .goal import KIND_CALC, KIND_RECV, KIND_SEND, KINDS, Schedule, match_messages, validate
+from .goal import KIND_CALC, KIND_RECV, KIND_SEND, KINDS, Schedule, take_send_of, validate
 from .model import DetourTrace, LogGPParams, NoiseModel, one_way_wire_ns
 
 __all__ = [
@@ -183,7 +185,7 @@ class _Compiled:
             rank += array("i", [r]) * (offsets[r + 1] - offsets[r])
 
         # Sends are numbered in op order; a recv shares its send's number.
-        send_of, _ = match_messages(schedule)
+        send_of = take_send_of(schedule)
         msg = array("q", [-1]) * n
         n_sends = calc_total = send_bytes = 0
         for g in range(n):
@@ -514,20 +516,67 @@ def _wire_vec(seeds, send_steps, size_m1, params: LogGPParams, lat_samples, bw_s
     return wire.astype(np.int64)
 
 
+def _bucket_index(keys, hi: int):
+    """A lookup of ``np.searchsorted(keys, x, side="right")`` for integers x in [0, hi).
+
+    ``keys`` are sorted integers. [0, hi) is cut into buckets of 2**shift
+    integers, at most two to four times as many buckets as keys, and ``base``
+    holds the answer at each bucket's lowest integer. With m the most keys in
+    one bucket, ``_bucket_find`` finishes in ceil(log2(m + 1)) steps: one or
+    two for evenly spread keys, and no more than a bisection when all keys
+    share one bucket. Step s reads the keys padded with the int64 maximum, from
+    position s - 1 on.
+    """
+    import numpy as np
+
+    keys = np.asarray(keys, dtype=np.int64)
+    shift = max(0, (hi - 1).bit_length() - len(keys).bit_length() - 1)
+    low = np.arange(((hi - 1) >> shift) + 1, dtype=np.int64) << shift
+    base = np.searchsorted(keys, low, side="right")
+    below_next = np.searchsorted(keys, np.append(low[1:], hi), side="left")
+    steps = int((below_next - base).max()).bit_length()
+    padded = np.append(keys, np.full(1 << steps, np.iinfo(np.int64).max))
+    return base, shift, [(1 << i, padded[(1 << i) - 1:]) for i in reversed(range(steps))]
+
+
+def _bucket_find(index, x):
+    """``np.searchsorted(keys, x, side="right")`` for an int64 array x in [0, hi),
+    through ``index = _bucket_index(keys, hi)``; branchless."""
+    base, shift, probes = index
+    j = base[x >> shift]
+    for s, probe in probes:  # probe[j] is keys[j + s - 1]
+        j += s * (probe[j] <= x)
+    return j
+
+
+def _detour_tables_vec(osn: DetourTrace):
+    """``_detour_tables(osn)`` for ``_detour_end_vec``: the columns as int64
+    arrays, with ``starts`` and ``idle_to`` as ``_bucket_index`` lookups."""
+    import numpy as np
+
+    starts, detour_before, seg_start, idle_at, idle_to, span, idle = _detour_tables(osn)
+    return (_bucket_index(starts, span), *(np.asarray(col, dtype=np.int64)
+                                           for col in (detour_before, seg_start, idle_at)),
+            _bucket_index(idle_to, idle), span, idle)
+
+
 def _detour_end_vec(t, dur, phase, tables):
-    """``_detour_end`` over int64 arrays: the same closed form on the same tables."""
+    """``_detour_end`` over int64 arrays: the same closed form on ``_detour_tables_vec``.
+
+    Both segment lookups go through bucket indexes. On integers,
+    ``searchsorted(idle_to, a, side="left")`` is the right-side lookup of
+    a - 1, so both use ``_bucket_find``.
+    """
     import numpy as np
 
     starts, detour_before, seg_start, idle_at, idle_to, span, idle = tables
-    x = t + phase
-    cycles, pos = np.divmod(x, span)
-    j = np.searchsorted(starts, pos, side="right")  # events that began by pos
+    cycles, pos = np.divmod(t + phase, span)
+    j = _bucket_find(starts, pos)  # events that began by pos
     target = (cycles * idle + pos - detour_before[j]
               + np.maximum(seg_start[j] - pos, 0) + dur)
-    cycles = (target - 1) // idle  # the last idle ns lies in this cycle
-    a = target - cycles * idle  # in [1, idle]
-    k = np.searchsorted(idle_to, a, side="left")
-    end = cycles * span + seg_start[k] + (a - idle_at[k]) - phase
+    cycles, a = np.divmod(target - 1, idle)  # the last idle ns is idle ns a + 1 of this cycle
+    k = _bucket_find(idle_to, a)  # idle segments that end before it
+    end = cycles * span + seg_start[k] + (a + 1 - idle_at[k]) - phase
     return np.where(dur > 0, end, t)
 
 
@@ -601,8 +650,7 @@ def _run_batch(c: _Compiled, cfg: SimConfig, run_indices: Sequence[int]) -> list
     bw_samples = None if noise.bandwidth is None else np.array(noise.bandwidth.samples)
     tables = None
     if osn is not None:
-        *cols, span, idle = _detour_tables(osn)
-        tables = (*(np.asarray(col, dtype=np.int64) for col in cols), span, idle)
+        tables = _detour_tables_vec(osn)
     draws = n_sends * ((lat_samples is not None) + (bw_samples is not None))
     send_steps = _steps(np.arange(n_sends, dtype=np.uint64))
     rank_steps = _steps(np.arange(nranks, dtype=np.uint64)) if tables is not None else None

@@ -136,6 +136,23 @@ class TestBidirectional:
         bw_r = bandwidth_from_rtt(plan.size, med_r)
         assert bw_f / bw_r < 2 and bw_r / bw_f < 2
 
+    def test_peer_runs_the_same_warmup(self):
+        # The peer's session runs warmup + iterations like the forward one;
+        # the initiator drops the peer's warmup rows.
+        sessions = []
+
+        class Recording(EchoServer):
+            def _bidir_session(self, conn, addr, size, connections, iterations):
+                sessions.append(iterations)
+                super()._bidir_session(conn, addr, size, connections, iterations)
+
+        with Recording() as server:
+            plan = BenchPlan(mode="pingpong_bidir", size=32, iterations=5,
+                             warmup_iterations=3, peer=(server.host, server.port))
+            fwd, rev = pingpong_bidirectional(plan)
+        assert sessions == [8]
+        assert len(fwd) == len(rev) == 5
+
     def test_zero_size_invalid(self, echo_server):
         with pytest.raises(ValueError):
             BenchPlan(mode="pingpong_bidir", size=0, iterations=1,

@@ -473,16 +473,16 @@ def _startup_cases(tmp_path):
     # (args, the module the command runs, modules it must not load)
     return {
         "help": (["--help"], None,
-                 ("goal", "noise", "simengine", "bench", "report", "cost", "numpy")),
+                 ("model", "goal", "noise", "simengine", "bench", "report", "cost", "numpy")),
         "cost": (["cost", "--results", str(results), "--provider", "aws",
                   "--label", "on_demand", "--instance", "c5n.18xlarge", "-o", out],
-                 "cost", ("goal", "noise", "simengine", "bench", "numpy")),
+                 "cost", ("model", "goal", "noise", "simengine", "bench", "numpy")),
         "report": (["report", "box", str(results), "-o", out], "report",
-                   ("goal", "noise", "simengine", "bench", "numpy")),
+                   ("model", "goal", "noise", "simengine", "bench", "numpy")),
         "trace": (["trace", "dist", "--in", str(trace), "-o", out], "noise",
                   ("goal", "simengine", "bench", "numpy")),
         "gen": (["gen", "dissem", "-p", "4", "-s", "16", "-o", out], "goal",
-                ("noise", "simengine", "bench")),
+                ("model", "noise", "simengine", "bench")),
     }
 
 

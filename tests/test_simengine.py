@@ -14,10 +14,13 @@ from nsim.goal import (
     Schedule,
     ScheduleOp,
     ScheduleValidationError,
+    emit_goal,
     gen_compute_collective,
     gen_dissemination,
     gen_ring_allreduce,
     parse_goal,
+    schedule_from_json,
+    schedule_to_json,
 )
 from nsim.model import DetourTrace, EmpiricalDistribution, LogGPParams, NoiseModel
 from nsim.simengine import (
@@ -28,12 +31,15 @@ from nsim.simengine import (
     run_many,
     simulate,
 )
-from nsim import simengine
+from nsim import goal, simengine
 from nsim.simengine import (
     _Compiled,
+    _bucket_find,
+    _bucket_index,
     _detour_end,
     _detour_end_vec,
     _detour_tables,
+    _detour_tables_vec,
     _pick,
     _pick_steps,
     _run,
@@ -437,6 +443,12 @@ _NOISE_MIXES = {
     "lat+os": NoiseModel(latency=_PIN_LAT, os=_PIN_OS),
     "bw+os": NoiseModel(bandwidth=_PIN_BW, os=_PIN_OS),
     "all": _PIN_NOISE["all"],
+    # Touching events give equal idle_to entries; the clustered events share
+    # one bucket in both of the batch engine's bucket indexes.
+    "os_adjacent": NoiseModel(os=DetourTrace(
+        ((300, 700), (1000, 1200), (2200, 50), (9000, 3000), (12000, 100)), span=20_000)),
+    "os_clustered": NoiseModel(latency=_PIN_LAT, os=DetourTrace(
+        tuple((5120 + 16 * i, 10) for i in range(24)), span=20_000)),
 }
 
 
@@ -553,8 +565,60 @@ def test_pick_vec_matches_pick(count):
     assert got == [[_pick(s, i, count) for s in seeds] for i in counters]
 
 
+@st.composite
+def sorted_keys(draw):
+    """Sorted int64 keys in [0, hi] and hi: spread, duplicated or clustered in
+    one bucket, possibly with keys at both ends of the range."""
+    hi = draw(st.one_of(st.integers(1, 100), st.integers(1, 2**62)))
+    lo = draw(st.integers(0, hi))
+    width = draw(st.sampled_from((0, 1, 7, hi)))
+    keys = draw(st.lists(st.integers(lo, min(hi, lo + width)), max_size=64))
+    keys += draw(st.sets(st.sampled_from((0, hi - 1, hi))))
+    return sorted(keys), hi
+
+
+def _assert_bucket_lookup(keys, hi):
+    import numpy as np
+
+    index = _bucket_index(keys, hi)
+    assert len(index[2]) <= len(keys).bit_length()  # no more steps than a bisection
+    xs = {0, hi - 1} | {k + d for k in keys for d in (-1, 0, 1)}
+    x = np.array(sorted(v for v in xs if 0 <= v < hi), dtype=np.int64)
+    arr = np.array(keys, dtype=np.int64)
+    assert _bucket_find(index, x).tolist() == np.searchsorted(arr, x, side="right").tolist()
+    # side="left" at x + 1 is side="right" at x on integers
+    assert _bucket_find(index, x).tolist() == np.searchsorted(arr, x + 1, side="left").tolist()
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=sorted_keys())
+def test_bucket_lookup_matches_searchsorted(case):
+    _assert_bucket_lookup(*case)
+
+
+_BUCKET_CASES = [
+    ([], 1), ([], 5), ([0], 1), ([1], 1), ([3], 10), ([0, 9], 10), ([0, 0, 10, 10], 10),
+    ([7] * 33, 2**40), (list(range(100, 164)), 2**62), ([2**62 - 1, 2**62], 2**62),
+]
+
+
+@pytest.mark.parametrize("keys, hi", _BUCKET_CASES, ids=range(len(_BUCKET_CASES)))
+def test_bucket_lookup_edge_cases(keys, hi):
+    _assert_bucket_lookup(keys, hi)
+
+
+def test_bucket_index_steps_follow_the_fullest_bucket():
+    spread = [i * 1000 + 17 for i in range(2000)]
+    assert len(_bucket_index(spread, 2_000_000)[2]) == 1
+    clustered = _NOISE_MIXES["os_clustered"].os
+    starts_index, *_, idle_index, _, _ = _detour_tables_vec(clustered)
+    assert len(starts_index[2]) == len(idle_index[2]) == (24).bit_length()
+
+
 _VEC_TRACES = [
     DetourTrace(((100, 50), (400, 200), (900, 30)), span=1000),
+    _NOISE_MIXES["os_adjacent"].os,
+    _NOISE_MIXES["os_clustered"].os,
     DetourTrace(((0, 10), (10, 5), (990, 10)), span=1000),  # touching, at both ends
     DetourTrace(((3, 1),), span=7),
     DetourTrace(((2**32 - 5, 40), (2**33 + 17, 3000)), span=3 * 2**32),
@@ -581,8 +645,7 @@ def test_detour_end_vec_matches_fixed_point(trace):
                   (s - phase + span - 4, 4, phase), (s - phase + span + d, 1, phase)]
     t, dur, phase = (np.array(col, dtype=np.int64) for col in zip(*cases))
     tables = _detour_tables(trace)
-    vec_tables = (*(np.asarray(col, dtype=np.int64) for col in tables[:5]), *tables[5:])
-    got = _detour_end_vec(t, dur, phase, vec_tables).tolist()
+    got = _detour_end_vec(t, dur, phase, _detour_tables_vec(trace)).tolist()
     for (ti, di, pi), g in zip(cases, got):
         assert _detour_end(ti, di, pi, tables) == g, (ti, di, pi)
         assert g == detour_end_fixed_point(ti, di, pi, trace), (ti, di, pi)
@@ -607,6 +670,24 @@ def test_schedule_compiles_once_across_calls(monkeypatch):
     assert simulate(s, cfg) == runs[0]
     assert len(compiles) == 1
     assert clean.completion == dag_completion(s, P1)
+
+
+@pytest.mark.parametrize("load", [schedule_from_json, parse_goal])
+def test_messages_are_paired_once_per_schedule(monkeypatch, load):
+    pairings = []
+    real = goal.match_messages
+    monkeypatch.setattr(goal, "match_messages", lambda s: pairings.append(s) or real(s))
+    text = (schedule_to_json if load is schedule_from_json else emit_goal)(
+        gen_dissemination(8, 16))
+    s = load(text)
+    cfg = SimConfig(params=P1, noise=_PIN_NOISE["all"], seed=3)
+    runs = run_many(s, cfg, 5)
+    assert len(pairings) == 1
+    assert s._send_of is None  # the compiled schedule keeps no pairing column
+    # A second compile of the same schedule pairs again and gives the same runs.
+    c = _Compiled(s)
+    assert len(pairings) == 2
+    assert [_run(c, cfg, i) for i in range(5)] == runs
 
 
 def test_unmatched_constructed_schedule_fails_on_every_call():
