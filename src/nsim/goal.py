@@ -34,10 +34,12 @@ import json
 import re
 import reprlib
 from array import array
+from collections import deque
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Mapping
 
-from .errors import GoalSyntaxError, ScheduleValidationError
+from .errors import DeadlockError, GoalSyntaxError, ScheduleValidationError
 
 __all__ = [
     "SEND",
@@ -147,9 +149,8 @@ class _Columns:
             object.__setattr__(s, name, getattr(self, name))
         object.__setattr__(s, "nranks", nranks)
         object.__setattr__(s, "metadata", {} if metadata is None else metadata)
-        object.__setattr__(s, "_verdict", None)
-        object.__setattr__(s, "_send_of", None)
-        object.__setattr__(s, "_compiled", None)
+        for memo in ("_verdict", "_order", "_compiled"):
+            object.__setattr__(s, memo, None)
         return s
 
 
@@ -162,7 +163,9 @@ class Schedule:
     op g requires the rank-local op ids ``req_targets[req_offsets[g]:
     req_offsets[g + 1]]``, sorted and unique. The columns are stdlib arrays
     and must not be modified: a Schedule is immutable, and ``validate`` and
-    the simulation engine memoize their work on it.
+    the simulation engine memoize their work on it, unpickled, in the slots
+    ``_verdict``, ``_order`` (``execution_order``'s columns, or the blocked
+    ops of a deadlock) and ``_compiled``.
 
     ``Schedule(nranks, ops)`` builds one from per-rank sequences of
     ScheduleOp, and ``ops`` gives them back as ScheduleOp views. metadata
@@ -171,7 +174,7 @@ class Schedule:
     compares schedules structurally.
     """
 
-    __slots__ = _Columns.__slots__ + ("nranks", "metadata", "_verdict", "_send_of", "_compiled")
+    __slots__ = _Columns.__slots__ + ("nranks", "metadata", "_verdict", "_order", "_compiled")
 
     def __new__(cls, nranks: int, ops, metadata: Mapping[str, object] | None = None):
         cols = _Columns()
@@ -284,7 +287,10 @@ def parse_goal(text: str) -> Schedule:
     nranks = int(m["nranks"])
     if nranks < 1:
         raise _error(text, m.start("nranks"), "num_ranks must be >= 1")
-    blocks: list[tuple[list, list] | None] = [None] * nranks  # (ops, requires)
+    try:
+        blocks: list[tuple[list, list] | None] = [None] * nranks  # (ops, requires)
+    except (MemoryError, OverflowError):
+        raise _error(text, m.start("nranks"), f"num_ranks {nranks} is too large") from None
     pos = m.end()
     while pos < len(text):
         m = _BLOCK_RE.match(text, pos)
@@ -303,11 +309,7 @@ def parse_goal(text: str) -> Schedule:
             for op, requires in zip(*block):
                 cols.add(*op, requires)
         cols.end_rank()
-    schedule = cols.schedule(nranks, None)
-    violations = validate(schedule)
-    if violations:
-        raise ScheduleValidationError(violations)
-    return schedule
+    return _validated(cols.schedule(nranks, None))
 
 
 def _parse_block(text: str, pos: int, rank: int,
@@ -400,55 +402,138 @@ def emit_goal(schedule: Schedule) -> str:
 def validate(schedule: Schedule) -> list[str]:
     """Collect schedule-semantics violations; empty list means runnable.
 
-    Checks that send and recv multisets match per (src, dst, size) and that
-    every rank's dependency graph is acyclic. Violations are returned as data
-    rather than raised so callers can report them all at once. The verdict is
-    computed once per Schedule and memoized on it; so is the message pairing
-    of a valid schedule, until ``take_send_of`` hands it over.
+    Checks that peers are other ranks in range, that send and recv multisets
+    match per (src, dst, size) and that no rank's requires form a cycle. One
+    ``_walk`` accepts a runnable schedule; only a failed walk is diagnosed,
+    all violations at once. Both results are memoized on the schedule.
     """
     if schedule._verdict is None:
-        violations, send_of = _violations(schedule)
-        object.__setattr__(schedule, "_verdict", tuple(violations))
-        object.__setattr__(schedule, "_send_of", None if violations else send_of)
+        walked = _walk(schedule)
+        violations = () if type(walked) is tuple else tuple(_violations(schedule))
+        object.__setattr__(schedule, "_verdict", violations)
+        object.__setattr__(schedule, "_order", None if violations else walked)
     return list(schedule._verdict)
 
 
-def take_send_of(schedule: Schedule) -> array:
-    """``match_messages(schedule)[0]`` of a schedule that ``validate`` accepted.
+def execution_order(schedule: Schedule) -> tuple[array, array, array]:
+    """``(msg, by_level, level_bounds)`` of a runnable schedule, from its walk.
 
-    The first call hands over the pairing that ``validate`` computed and drops
-    it from the schedule, so that a compiled schedule keeps no pairing column;
-    a later call pairs the messages again.
+    ``msg[g]`` is the index among all sends of send g or of the send paired
+    with recv g, and -1 for a calc. An op's level is one above its rank
+    predecessor's and, for a recv, its send's; level v holds the ops
+    ``by_level[level_bounds[v]:level_bounds[v + 1]]``, in op order. Raises
+    ScheduleValidationError, or DeadlockError when some ops can never run.
     """
-    send_of = schedule._send_of
-    if send_of is None:
-        return match_messages(schedule)[0]
-    object.__setattr__(schedule, "_send_of", None)
-    return send_of
+    order = _validated(schedule)._order
+    if type(order) is list:
+        raise DeadlockError(order)
+    return order
 
 
-def _violations(schedule: Schedule) -> tuple[list[str], array]:
+def _validated(schedule: Schedule) -> Schedule:
+    """The schedule, or ScheduleValidationError naming its violations."""
+    violations = validate(schedule)
+    if violations:
+        raise ScheduleValidationError(violations)
+    return schedule
+
+
+def _walk(schedule: Schedule) -> tuple[array, array, array] | list | None:
+    """Kahn's algorithm over program order, ``requires`` and message pairing.
+
+    A rank advances while its next op requires no later op and, for a recv,
+    a send of its (src, dst, size) triple is queued. A placed send is queued
+    and wakes its peer; a placed recv takes the oldest, pairing messages as
+    ``match_messages`` does. Returns ``execution_order``'s columns, or the
+    ops left unplaced as DeadlockError lists them (None for a bad peer).
+    """
+    nranks = schedule.nranks
+    kinds, peers, sizes, offsets = (schedule.kinds, schedule.peers, schedule.sizes,
+                                    schedule.rank_offsets)
+    req, req_off = schedule.req_targets, schedule.req_offsets
+    n = len(kinds)
+    code = "i" if n < 1 << 31 else "q"
+    msg, level = array(code, [-1]) * n, array(code, [0]) * n
+    # Per rank: the ops placed, the level of the last one and the next send number.
+    placed, last_level = [0] * nranks, [-1] * nranks
+    next_send = list(accumulate((kinds[lo:hi].count(KIND_SEND)
+                                 for lo, hi in zip(offsets, offsets[1:])), initial=0))
+    send_level = array(code, [0]) * next_send[-1]
+    # Each triple's sends not yet received: a send number, or a deque of several.
+    queued: dict[tuple[int, int, int], int | deque] = {}
+    todo = list(range(nranks))
+    while todo:
+        r = todo.pop()
+        lo, hi = offsets[r], offsets[r + 1]
+        g, lv, m = lo + placed[r], last_level[r], next_send[r]
+        while g < hi:
+            last_req = req_off[g + 1] - 1
+            if last_req >= req_off[g] and req[last_req] >= g - lo:
+                break
+            k = kinds[g]
+            if k == KIND_SEND:
+                p = peers[g]
+                if p == r or p >= nranks:
+                    return None
+                key = (r, p, sizes[g])
+                q = queued.get(key)
+                if q is None:
+                    queued[key] = m
+                elif type(q) is int:
+                    queued[key] = deque((q, m))
+                else:
+                    q.append(m)
+                msg[g] = m
+                send_level[m] = lv = lv + 1
+                m += 1
+                todo.append(p)
+            elif k == KIND_RECV:
+                key = (peers[g], r, sizes[g])
+                q = queued.pop(key, None)
+                if q is None:
+                    break
+                s = q if type(q) is int else q.popleft()
+                if type(q) is deque and q:
+                    queued[key] = q
+                msg[g] = s
+                lv = (lv if lv > send_level[s] else send_level[s]) + 1
+            else:
+                lv += 1
+            level[g] = lv
+            g += 1
+        placed[r], last_level[r], next_send[r] = g - lo, lv, m
+    if queued or sum(placed) != n:
+        return [(r, g - offsets[r], KINDS[kinds[g]])
+                for r in range(nranks) for g in range(offsets[r] + placed[r], offsets[r + 1])]
+    # Each level's ops in op order, which keeps the engines' gathers local.
+    levels = [array(code) for _ in range(max(level, default=-1) + 1)]
+    for g, lv in enumerate(level):
+        levels[lv].append(g)
+    del level
+    by_level, level_bounds = array(code), array(code, [0])
+    for ops in levels:
+        by_level += ops
+        level_bounds.append(len(by_level))
+    return msg, by_level, level_bounds
+
+
+def _violations(schedule: Schedule) -> list[str]:
     violations: list[str] = []
     nranks = schedule.nranks
-    kinds, peers, bounds = schedule.kinds, schedule.peers, schedule.rank_offsets
+    peers, bounds = schedule.peers, schedule.rank_offsets
     for rank in range(nranks):
         lo = bounds[rank]
         for g in range(lo, bounds[rank + 1]):
-            if kinds[g] == KIND_CALC:
-                continue
-            peer = peers[g]
+            peer = peers[g]  # -1 for a calc
             if peer == rank:
                 violations.append(f"rank {rank} op {g - lo}: peer equals own rank")
             elif peer >= nranks:
                 violations.append(f"rank {rank} op {g - lo}: peer {peer} out of range")
-    send_of, unmatched = match_messages(schedule)
-    for (src, dst, size), (ns, nr) in sorted(unmatched.items()):
+    for (src, dst, size), (ns, nr) in sorted(match_messages(schedule)[1].items()):
         violations.append(
             f"unmatched messages {src}->{dst} size {size}: {ns} send(s), {nr} recv(s)")
-    for rank in range(nranks):
-        if _has_cycle(schedule, bounds[rank], bounds[rank + 1]):
-            violations.append(f"rank {rank}: dependency cycle")
-    return violations, send_of
+    return violations + [f"rank {rank}: dependency cycle" for rank in range(nranks)
+                         if _has_cycle(schedule, bounds[rank], bounds[rank + 1])]
 
 
 def match_messages(schedule: Schedule) -> tuple[array, dict[tuple[int, int, int],
@@ -464,44 +549,30 @@ def match_messages(schedule: Schedule) -> tuple[array, dict[tuple[int, int, int]
     nranks = schedule.nranks
     kinds, peers, sizes, bounds = (schedule.kinds, schedule.peers, schedule.sizes,
                                    schedule.rank_offsets)
-    # (src, send) pairs per destination, so that one rank's queues are alive
-    # at a time.
-    incoming = [array("q") for _ in range(nranks)]
+    sends: dict[tuple[int, int, int], list[int]] = {}
+    recvs: dict[tuple[int, int, int], list[int]] = {}
     for rank in range(nranks):
         for g in range(bounds[rank], bounds[rank + 1]):
-            if kinds[g] == KIND_SEND and rank != peers[g] < nranks:
-                incoming[peers[g]].extend((rank, g))
+            peer = peers[g]
+            if kinds[g] == KIND_SEND and rank != peer < nranks:
+                sends.setdefault((rank, peer, sizes[g]), []).append(g)
+            elif kinds[g] == KIND_RECV and rank != peer < nranks:
+                recvs.setdefault((peer, rank, sizes[g]), []).append(g)
     send_of = array("q", [-1]) * len(kinds)
     unmatched: dict[tuple[int, int, int], tuple[int, int]] = {}
-    for rank in range(nranks):
-        sends: dict[tuple[int, int], list[int]] = {}
-        pairs = iter(incoming[rank])
-        for src, g in zip(pairs, pairs):
-            sends.setdefault((src, sizes[g]), []).append(g)
-        incoming[rank] = None
-        recvs: dict[tuple[int, int], list[int]] = {}
-        for g in range(bounds[rank], bounds[rank + 1]):
-            if kinds[g] == KIND_RECV and rank != peers[g] < nranks:
-                recvs.setdefault((peers[g], sizes[g]), []).append(g)
-        for key, recv_gs in recvs.items():
-            send_gs = sends.pop(key, ())
-            if len(send_gs) != len(recv_gs):
-                unmatched[key[0], rank, key[1]] = (len(send_gs), len(recv_gs))
-                continue
+    for key in sends.keys() | recvs.keys():
+        send_gs, recv_gs = sends.get(key, ()), recvs.get(key, ())
+        if len(send_gs) != len(recv_gs):
+            unmatched[key] = (len(send_gs), len(recv_gs))
+        else:
             for s, g in zip(send_gs, recv_gs):
                 send_of[g] = s
-        for (src, size), send_gs in sends.items():
-            unmatched[src, rank, size] = (len(send_gs), 0)
     return send_of, unmatched
 
 
 def _has_cycle(schedule: Schedule, lo: int, hi: int) -> bool:
     """Whether the requires of ops lo..hi-1 (one rank) form a cycle."""
     req, req_off = schedule.req_targets, schedule.req_offsets
-    # Requires that only point backwards in program order cannot form a cycle.
-    if all(req_off[g] == req_off[g + 1] or req[req_off[g + 1] - 1] < g - lo
-           for g in range(lo, hi)):
-        return False
     indeg = [req_off[g + 1] - req_off[g] for g in range(lo, hi)]
     dependents: list[list[int]] = [[] for _ in indeg]
     for i in range(hi - lo):
@@ -774,8 +845,4 @@ def schedule_from_json(text: str) -> Schedule:
         for i, entry in enumerate(rank_ops):
             add(*_op_entry(entry, r, i, len(rank_ops)))
         cols.end_rank()
-    schedule = cols.schedule(nranks, metadata)
-    violations = validate(schedule)
-    if violations:
-        raise ScheduleValidationError(violations)
-    return schedule
+    return _validated(cols.schedule(nranks, metadata))

@@ -17,9 +17,10 @@ host for their duration. Host occupancy intervals are stretched by OS detours
 (below). Message matching is in-order per (src, dst, size).
 
 Every edge above is fixed before a run starts; only edge weights depend on
-the noise draws. The order in which ops can execute is therefore static: it is
-computed once per schedule, and a schedule in which some op can never run
-raises DeadlockError at that point, before any run and before run_many starts
+the noise draws. The order in which ops can execute is therefore static: the
+walk that validates a schedule sorts its ops by DAG level once
+(``goal.execution_order``), and a schedule in which some op can never run
+raises DeadlockError there, before any run and before run_many starts
 workers. Durations are >= 0, so finishes never decrease along a rank's
 program order: a ``requires`` on an earlier op of the same rank is met once
 the previous op has released the host, and one on a later op is a cycle
@@ -27,11 +28,12 @@ through program order.
 
 Two engines
 -----------
-The per-op engine (``_run``) computes one run as one forward pass over that
-order in Python integers. The batch engine (``_run_batch``) computes a chunk
-of runs at once as int64 numpy arrays: it draws every message's wire delay up
-front, then visits the DAG levels in order, all ops of one level (which are
-independent) for all runs of the chunk together. ``simulate`` and
+Both engines visit the ops in that one level-sorted order. The per-op engine
+(``_run``) computes one run as one forward pass over it in Python integers.
+The batch engine (``_run_batch``) computes a chunk of runs at once as int64
+numpy arrays: it draws every message's wire delay up front, then visits the
+DAG levels in order, all ops of one level (which are independent) for all
+runs of the chunk together. ``simulate`` and
 ``run_many`` pick the batch engine when the schedule is wide, ops x reps >=
 ``_BATCH_K`` x levels, the op-runs are enough to pay for importing numpy,
 ops x reps >= ``_BATCH_MIN_OP_RUNS``, and every time value is provably below
@@ -78,11 +80,11 @@ import math
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, compress
 from typing import Sequence
 
-from .errors import DeadlockError, ScheduleValidationError
-from .goal import KIND_CALC, KIND_RECV, KIND_SEND, KINDS, Schedule, take_send_of, validate
+from .errors import DeadlockError
+from .goal import KIND_CALC, KIND_RECV, KIND_SEND, Schedule, execution_order
 from .model import DetourTrace, LogGPParams, NoiseModel, one_way_wire_ns
 
 __all__ = [
@@ -153,103 +155,39 @@ class SimResult:
 # ---------------------------------------------------------------------------
 # Static schedule compilation (shared by every run of a batch)
 
+# Byte maps from the ``kinds`` column to masks of its calcs and of its sends.
+_IS_CALC = bytes(k == KIND_CALC for k in range(256))
+_IS_SEND = bytes(k == KIND_SEND for k in range(256))
+
 
 class _Compiled:
     """Per-op columns and the static execution order of one schedule.
 
-    Ops are numbered globally in (rank, op id) order; ``offsets``, ``kind``
-    and ``size`` are the schedule's own columns. ``msg`` holds, for a send and
-    for its matched recv, the send's index among all sends, which is also the
-    counter of its noise draws. ``level`` is an op's depth in the execution
-    DAG: one more than the larger of the levels of its rank predecessor and,
-    for a recv, its send. Ops of one level are independent, and a rank has at
-    most one op per level. Every per-op column is a stdlib array.
+    Ops are numbered globally in (rank, op id) order. ``offsets``, ``kind``
+    and ``size`` are the schedule's columns, and ``msg`` (a send's index,
+    the counter of its noise draws), ``by_level`` and ``level_bounds`` are
+    ``goal.execution_order``'s, shared, not copied. Every per-op column is a
+    stdlib array.
     """
 
-    __slots__ = ("nranks", "offsets", "kind", "size", "rank", "msg", "n_sends", "order",
-                 "level", "n_levels", "calc_total", "n_calc", "send_bytes")
+    __slots__ = ("nranks", "offsets", "kind", "size", "rank", "msg", "n_sends", "by_level",
+                 "level_bounds", "n_levels", "calc_total", "n_calc", "send_bytes")
 
     def __init__(self, schedule: Schedule):
-        violations = validate(schedule)
-        if violations:
-            raise ScheduleValidationError(violations)
+        self.msg, self.by_level, self.level_bounds = execution_order(schedule)
         self.nranks = nranks = schedule.nranks
         self.offsets = offsets = schedule.rank_offsets
         self.kind = kind = schedule.kinds
         self.size = size = schedule.sizes
-        peer = schedule.peers
-        req, req_off = schedule.req_targets, schedule.req_offsets
-        n = len(kind)
-        rank = array("i")
+        self.rank = rank = array("i")
         for r in range(nranks):
             rank += array("i", [r]) * (offsets[r + 1] - offsets[r])
-
-        # Sends are numbered in op order; a recv shares its send's number.
-        send_of = take_send_of(schedule)
-        msg = array("q", [-1]) * n
-        n_sends = calc_total = send_bytes = 0
-        for g in range(n):
-            k = kind[g]
-            if k == KIND_SEND:
-                msg[g] = n_sends
-                n_sends += 1
-                send_bytes += size[g] - 1
-            elif k == KIND_CALC:
-                calc_total += size[g]
-        for g in range(n):
-            if kind[g] == KIND_RECV:
-                msg[g] = msg[send_of[g]]
-        del send_of
-
-        # Kahn's algorithm over program order, requires and matches. Program
-        # order makes each rank a chain, so a rank advances while its next op
-        # is ready: every op it requires already placed (an earlier op; a
-        # later one is a cycle through program order) and, for a recv, its
-        # send placed. Placing a send wakes the rank of its recv.
-        sent = bytearray(n_sends)
-        send_level = array("i", [0]) * n_sends
-        level = array("i", [0]) * n
-        placed = [0] * nranks  # ops of each rank placed so far
-        order = array("q")
-        todo = list(range(nranks))
-        while todo:
-            r = todo.pop()
-            base = offsets[r]
-            count = offsets[r + 1] - base
-            i = placed[r]
-            while i < count:
-                gid = base + i
-                k = kind[gid]
-                last_req = req_off[gid + 1] - 1
-                if (last_req >= req_off[gid] and req[last_req] >= i) or (
-                        k == KIND_RECV and not sent[msg[gid]]):
-                    break
-                order.append(gid)
-                lv = level[gid - 1] + 1 if i else 0
-                if k == KIND_SEND:
-                    sent[msg[gid]] = 1
-                    send_level[msg[gid]] = lv
-                    todo.append(peer[gid])
-                elif k == KIND_RECV and send_level[msg[gid]] >= lv:
-                    lv = send_level[msg[gid]] + 1
-                level[gid] = lv
-                i += 1
-            placed[r] = i
-        if len(order) < n:
-            raise DeadlockError([
-                (r, i, KINDS[kind[offsets[r] + i]])
-                for r in range(nranks)
-                for i in range(placed[r], offsets[r + 1] - offsets[r])
-            ])
-        self.rank = rank
-        self.msg = msg
-        self.n_sends = n_sends
-        self.order = order
-        self.level = level
-        self.n_levels = max(level) + 1 if n else 0
-        self.calc_total = calc_total
+        self.n_levels = len(self.level_bounds) - 1
+        self.n_sends = kind.count(KIND_SEND)
         self.n_calc = kind.count(KIND_CALC)
-        self.send_bytes = send_bytes
+        codes = kind.tobytes()
+        self.calc_total = sum(compress(size, codes.translate(_IS_CALC)))
+        self.send_bytes = sum(compress(size, codes.translate(_IS_SEND))) - self.n_sends
 
     def time_bound(self, cfg: SimConfig) -> int | float:
         """An upper bound on every time value a run under ``cfg`` computes.
@@ -373,7 +311,7 @@ def _run(c: _Compiled, cfg: SimConfig, run_index: int) -> SimResult:
     msg_ok = [0] * c.nranks  # earliest start of each rank's next message op
     arrival = [0] * c.n_sends  # when message m reaches its recv
 
-    for gid in c.order.tolist():
+    for gid in c.by_level.tolist():
         r = rank[gid]
         t = free[r]
         k = kind[gid]
@@ -596,15 +534,13 @@ def _levels(c: _Compiled, o: int):
 
     kind = np.frombuffer(c.kind, dtype=np.int8)
     rank = np.frombuffer(c.rank, dtype=np.int32).astype(np.intp)
-    msg = np.frombuffer(c.msg, dtype=np.int64).astype(np.intp)
-    level = np.frombuffer(c.level, dtype=np.int32)
+    msg = np.array(c.msg, dtype=np.intp)
+    by_level = np.array(c.by_level, dtype=np.intp)
     is_calc = kind == KIND_CALC
     dur_all = np.full(len(kind), o, dtype=np.int64)
     dur_all[is_calc] = np.frombuffer(c.size, dtype=np.uint64)[is_calc]
-    by_level = np.argsort(level, kind="stable")
-    bounds = np.searchsorted(level[by_level], np.arange(c.n_levels + 1))
     levels = []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
+    for lo, hi in zip(c.level_bounds, c.level_bounds[1:]):
         gids = by_level[lo:hi]
         k = kind[gids]
         ranks = rank[gids]

@@ -5,8 +5,9 @@ production code: the schedule oracle is an explicit edge-weighted longest-path
 computation over a built graph, the detour oracle is the literal
 extend-and-recheck fixed point, the KS distance is an exact sup over ECDF
 step functions, the schedule writers build the document op by op from
-``ScheduleOp`` views (JSON through ``json.dumps(indent=2)``), and the trace
-readers take the whole text one row at a time.
+``ScheduleOp`` views (JSON through ``json.dumps(indent=2)``), the trace
+readers take the whole text one row at a time, and the static analysis of a
+schedule makes three passes where the package makes one walk.
 """
 
 from __future__ import annotations
@@ -117,6 +118,67 @@ def dag_completion(
                 queue.append(dep_gid)
     assert done == n, "oracle: schedule has a cycle"
     return max(finish) if finish else 0
+
+
+def static_analysis(schedule):
+    """The verdict, message numbers and levels of a schedule, in three passes.
+
+    First the diagnostics (``goal._violations``, which pairs the messages
+    with ``match_messages`` and runs ``_has_cycle`` per rank), then the
+    message numbers from a second ``match_messages`` pairing, then Kahn's
+    algorithm over program order, requires and pairing for the levels.
+    Returns ``(violations, msg, level, blocked)``: msg and level are per-op
+    lists of a runnable schedule, blocked the DeadlockError list of one that
+    validates but cannot run, and the fields that do not apply are None.
+    """
+    from nsim.goal import KIND_RECV, KIND_SEND, KINDS, _violations, match_messages
+
+    violations = _violations(schedule)
+    if violations:
+        return violations, None, None, None
+    nranks = schedule.nranks
+    offsets, kind, peer = schedule.rank_offsets, schedule.kinds, schedule.peers
+    req, req_off = schedule.req_targets, schedule.req_offsets
+    n = len(kind)
+    send_of = match_messages(schedule)[0]
+    msg = [-1] * n
+    n_sends = 0
+    for g in range(n):
+        if kind[g] == KIND_SEND:
+            msg[g] = n_sends
+            n_sends += 1
+    for g in range(n):
+        if kind[g] == KIND_RECV:
+            msg[g] = msg[send_of[g]]
+    sent = [False] * n_sends
+    send_level = [0] * n_sends
+    level = [0] * n
+    placed = [0] * nranks
+    todo = list(range(nranks))
+    while todo:
+        r = todo.pop()
+        base, count = offsets[r], offsets[r + 1] - offsets[r]
+        i = placed[r]
+        while i < count:
+            g = base + i
+            if any(d >= i for d in req[req_off[g]:req_off[g + 1]]) or (
+                    kind[g] == KIND_RECV and not sent[msg[g]]):
+                break
+            lv = level[g - 1] + 1 if i else 0
+            if kind[g] == KIND_SEND:
+                sent[msg[g]] = True
+                send_level[msg[g]] = lv
+                todo.append(peer[g])
+            elif kind[g] == KIND_RECV:
+                lv = max(lv, send_level[msg[g]] + 1)
+            level[g] = lv
+            i += 1
+        placed[r] = i
+    blocked = [(r, i, KINDS[kind[offsets[r] + i]])
+               for r in range(nranks) for i in range(placed[r], offsets[r + 1] - offsets[r])]
+    if blocked:
+        return [], None, None, blocked
+    return [], msg, level, None
 
 
 def detour_end_fixed_point(start: int, duration: int, phase: int, trace) -> int:

@@ -155,6 +155,13 @@ class TestSimRun:
                           input="num_ranks 2\nrank 0 { a: send 4b to 1 }\n")
         assert r.exit_code == 3
 
+    def test_num_ranks_too_large_exit_3(self, params_file):
+        # 10**15 rank slots fail to allocate at once; no memory is touched.
+        proc = _run_cli("sim", "run", "--params", params_file,
+                        input="num_ranks 1000000000000000\n")
+        _assert_clean_exit(proc, 3)
+        assert proc.stderr == "error: line 1, col 11: num_ranks 1000000000000000 is too large\n"
+
     def test_missing_file_exit_4(self, runner, params_file):
         r = runner.invoke(cli, ["sim", "run", "--goal", "/nonexistent/x.goal",
                                 "--params", params_file])
@@ -419,10 +426,10 @@ class TestBench:
 def test_sim_run_validates_and_compiles_once(runner, params_file, monkeypatch, fmt):
     from nsim import goal, simengine
 
-    verdicts, compiles = [], []
-    real_violations = goal._violations
-    monkeypatch.setattr(goal, "_violations",
-                        lambda s: verdicts.append(s) or real_violations(s))
+    walks, pairings, compiles = [], [], []
+    real_walk, real_match = goal._walk, goal.match_messages
+    monkeypatch.setattr(goal, "_walk", lambda s: walks.append(s) or real_walk(s))
+    monkeypatch.setattr(goal, "match_messages", lambda s: pairings.append(s) or real_match(s))
 
     class Counted(simengine._Compiled):
         __slots__ = ()
@@ -439,7 +446,7 @@ def test_sim_run_validates_and_compiles_once(runner, params_file, monkeypatch, f
                 input=gen.output)
     assert r.exit_code == 0
     assert len(json.loads(r.output)["results"]) == 3
-    assert len(verdicts) == 1 and len(compiles) == 1
+    assert len(walks) == 1 and len(compiles) == 1 and pairings == []
 
 
 # ---------------------------------------------------------------------------

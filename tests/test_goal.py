@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nsim.errors import DeadlockError
 from nsim.goal import (
     CALC,
     RECV,
@@ -17,6 +18,7 @@ from nsim.goal import (
     ScheduleOp,
     ScheduleValidationError,
     emit_goal,
+    execution_order,
     gen_compute_collective,
     gen_dissemination,
     gen_ring_allreduce,
@@ -607,16 +609,133 @@ def test_ir_memory_per_op():
     assert held / s.op_count() <= 64, held / s.op_count()
 
 
+def test_compiled_memory_per_op():
+    import tracemalloc
+
+    from nsim.simengine import _Compiled
+
+    # What validate and _Compiled keep on top of the schedule's columns (the
+    # walk's msg, by_level and level bounds, and the rank column), and at the
+    # peak the walk's own per-op level and send-level columns and its queues.
+    s = gen_dissemination(4096, 16)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        c = _Compiled(s)
+        held, peak = (m - before for m in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert c.n_levels == 2 * 12
+    assert held / s.op_count() <= 14, held / s.op_count()
+    assert peak / s.op_count() <= 28, peak / s.op_count()
+
+
 def test_validate_runs_once_per_schedule(monkeypatch):
     from nsim import goal
 
-    calls = []
-    real = goal._violations
-    monkeypatch.setattr(goal, "_violations", lambda s: calls.append(s) or real(s))
+    walks, pairings = [], []
+    real_walk, real_match = goal._walk, goal.match_messages
+    monkeypatch.setattr(goal, "_walk", lambda s: walks.append(s) or real_walk(s))
+    monkeypatch.setattr(goal, "match_messages", lambda s: pairings.append(s) or real_match(s))
     s = schedule_from_json(schedule_to_json(gen_ring_allreduce(4, 512, 7)))
     assert validate(s) == [] and validate(s) == []
-    assert len(calls) == 1
+    assert execution_order(s) is execution_order(s)
+    assert len(walks) == 1 and pairings == []
     bad = Schedule(nranks=2, ops=((ScheduleOp(0, SEND, 1, 4),), ()))
     assert validate(bad) == validate(bad) == [
         "unmatched messages 0->1 size 4: 1 send(s), 0 recv(s)"]
-    assert len(calls) == 2
+    for _ in range(2):
+        with pytest.raises(ScheduleValidationError, match="unmatched"):
+            execution_order(bad)
+    assert len(walks) == 2 and pairings == [bad]
+
+
+# ---------------------------------------------------------------------------
+# The one static walk against the three-pass oracle in tests/oracles.py
+
+from oracles import static_analysis  # noqa: E402
+
+_FAULTS = ("none", "extra_send", "extra_recv", "cycle", "forward_requires", "head_of_line",
+           "self_peer", "peer_out_of_range")
+
+
+@st.composite
+def faulty_schedules(draw):
+    """A ``runnable_schedules`` example with at most one deliberate fault: an
+    unmatched triple (an extra send or an extra recv), a requires cycle, a
+    forward requires without a cycle, a recv-first head-of-line deadlock
+    between two ranks, or a message op whose peer is its own rank or out of
+    range."""
+    base = draw(runnable_schedules())
+    nranks = base.nranks
+    ops = [list(rank_ops) for rank_ops in base.ops]
+    fault = draw(st.sampled_from(_FAULTS))
+    r = draw(st.integers(0, nranks - 1))
+    size = draw(st.sampled_from((1, 16)))
+
+    def append(rank, kind, peer, size):
+        ops[rank].append(ScheduleOp(len(ops[rank]), kind, peer, size))
+
+    def other(rank):
+        return draw(st.integers(0, nranks - 1).filter(lambda p: p != rank))
+
+    if fault in ("extra_send", "extra_recv") and nranks > 1:
+        append(r, SEND if fault == "extra_send" else RECV, other(r), size)
+    elif fault in ("cycle", "forward_requires"):
+        while len(ops[r]) < 2:
+            append(r, CALC, None, 1)
+        i, j = sorted(draw(st.lists(st.integers(0, len(ops[r]) - 1), min_size=2, max_size=2,
+                                    unique=True)))
+        op_i, op_j = ops[r][i], ops[r][j]
+        # Op i requires the later op j. For a cycle, j requires i as well;
+        # otherwise j keeps only requires before i, so no path leads back.
+        j_requires = (op_j.requires | {i} if fault == "cycle"
+                      else {d for d in op_j.requires if d < i})
+        ops[r][j] = ScheduleOp(j, op_j.kind, op_j.peer, op_j.size, j_requires)
+        ops[r][i] = ScheduleOp(i, op_i.kind, op_i.peer, op_i.size, op_i.requires | {j})
+    elif fault == "head_of_line" and nranks > 1:
+        b = other(r)
+        for x, y in ((r, b), (b, r)):
+            append(x, RECV, y, size)
+            append(x, SEND, y, size)
+    elif fault in ("self_peer", "peer_out_of_range"):
+        peer = r if fault == "self_peer" else draw(st.integers(nranks, nranks + 2))
+        append(r, draw(st.sampled_from((SEND, RECV))), peer, size)
+    return Schedule(nranks, tuple(map(tuple, ops)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(schedule=faulty_schedules())
+def test_walk_matches_three_pass_oracle(schedule):
+    from nsim.simengine import _Compiled
+
+    violations, msg, level, blocked = static_analysis(schedule)
+    assert validate(schedule) == violations
+    if violations:
+        for analyse in (execution_order, _Compiled):
+            with pytest.raises(ScheduleValidationError) as err:
+                analyse(schedule)
+            assert err.value.violations == violations
+    elif blocked is not None:
+        for analyse in (execution_order, _Compiled):
+            with pytest.raises(DeadlockError) as err:
+                analyse(schedule)
+            assert err.value.blocked == blocked
+            assert str(err.value) == str(DeadlockError(blocked))
+    else:
+        got_msg, by_level, bounds = execution_order(schedule)
+        assert got_msg.tolist() == msg
+        # Sorted by level, each level in op order, level v filling
+        # by_level[bounds[v]:bounds[v + 1]].
+        assert by_level.tolist() == sorted(range(len(level)), key=level.__getitem__)
+        assert bounds[0] == 0 and bounds[-1] == len(level)
+        assert [level[g] for g in by_level] == [
+            v for v in range(len(bounds) - 1) for _ in range(bounds[v], bounds[v + 1])]
+
+
+def test_num_ranks_too_large_to_allocate():
+    # 10**15 rank slots fail to allocate at once; no memory is touched.
+    with pytest.raises(GoalSyntaxError, match="line 1, col 11: num_ranks 10+ is too large"):
+        parse_goal("num_ranks 1000000000000000\n")
+    with pytest.raises(GoalSyntaxError, match="num_ranks 10+ is too large"):
+        parse_goal("num_ranks 100000000000000000000\n")

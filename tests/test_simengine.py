@@ -674,20 +674,26 @@ def test_schedule_compiles_once_across_calls(monkeypatch):
 
 @pytest.mark.parametrize("load", [schedule_from_json, parse_goal])
 def test_messages_are_paired_once_per_schedule(monkeypatch, load):
-    pairings = []
-    real = goal.match_messages
-    monkeypatch.setattr(goal, "match_messages", lambda s: pairings.append(s) or real(s))
+    # One walk pairs the messages and levels the ops; match_messages only
+    # names the faults of a schedule that the walk rejects.
+    walks, pairings = [], []
+    real_walk, real_match = goal._walk, goal.match_messages
+    monkeypatch.setattr(goal, "_walk", lambda s: walks.append(s) or real_walk(s))
+    monkeypatch.setattr(goal, "match_messages", lambda s: pairings.append(s) or real_match(s))
     text = (schedule_to_json if load is schedule_from_json else emit_goal)(
         gen_dissemination(8, 16))
     s = load(text)
     cfg = SimConfig(params=P1, noise=_PIN_NOISE["all"], seed=3)
+    clean = simulate(s, SimConfig(params=P1))
     runs = run_many(s, cfg, 5)
-    assert len(pairings) == 1
-    assert s._send_of is None  # the compiled schedule keeps no pairing column
-    # A second compile of the same schedule pairs again and gives the same runs.
+    assert run_many(s, cfg, 5, workers=2) == runs
+    assert len(walks) == 1 and pairings == []
+    # A second compile of the same schedule shares the walk's columns.
     c = _Compiled(s)
-    assert len(pairings) == 2
+    assert len(walks) == 1
+    assert c.by_level is s._compiled.by_level and c.msg is s._compiled.msg
     assert [_run(c, cfg, i) for i in range(5)] == runs
+    assert clean.completion == dag_completion(s, P1)
 
 
 def test_unmatched_constructed_schedule_fails_on_every_call():
