@@ -56,7 +56,6 @@ __all__ = [
     "parse_goal",
     "emit_goal",
     "validate",
-    "match_messages",
     "gen_dissemination",
     "gen_ring_allreduce",
     "gen_compute_collective",
@@ -443,8 +442,8 @@ def _walk(schedule: Schedule) -> tuple[array, array, array] | list | None:
 
     A rank advances while its next op requires no later op and, for a recv,
     a send of its (src, dst, size) triple is queued. A placed send is queued
-    and wakes its peer; a placed recv takes the oldest, pairing messages as
-    ``match_messages`` does. Returns ``execution_order``'s columns, or the
+    and wakes its peer; a placed recv takes the oldest, pairing messages in
+    order per triple. Returns ``execution_order``'s columns, or the
     ops left unplaced as DeadlockError lists them (None for a bad peer).
     """
     nranks = schedule.nranks
@@ -518,9 +517,14 @@ def _walk(schedule: Schedule) -> tuple[array, array, array] | list | None:
 
 
 def _violations(schedule: Schedule) -> list[str]:
+    """The diagnostics of a schedule that ``_walk`` rejects: bad peers, the
+    (src, dst, size) triples whose send and recv counts differ, and the ranks
+    whose requires form a cycle."""
     violations: list[str] = []
     nranks = schedule.nranks
-    peers, bounds = schedule.peers, schedule.rank_offsets
+    kinds, peers, sizes, bounds = (schedule.kinds, schedule.peers, schedule.sizes,
+                                   schedule.rank_offsets)
+    counts: dict[tuple[int, int, int], list[int]] = {}  # sends and recvs per triple
     for rank in range(nranks):
         lo = bounds[rank]
         for g in range(lo, bounds[rank + 1]):
@@ -529,45 +533,16 @@ def _violations(schedule: Schedule) -> list[str]:
                 violations.append(f"rank {rank} op {g - lo}: peer equals own rank")
             elif peer >= nranks:
                 violations.append(f"rank {rank} op {g - lo}: peer {peer} out of range")
-    for (src, dst, size), (ns, nr) in sorted(match_messages(schedule)[1].items()):
-        violations.append(
-            f"unmatched messages {src}->{dst} size {size}: {ns} send(s), {nr} recv(s)")
+            elif kinds[g] == KIND_SEND:
+                counts.setdefault((rank, peer, sizes[g]), [0, 0])[0] += 1
+            elif kinds[g] == KIND_RECV:
+                counts.setdefault((peer, rank, sizes[g]), [0, 0])[1] += 1
+    for (src, dst, size), (ns, nr) in sorted(counts.items()):
+        if ns != nr:
+            violations.append(
+                f"unmatched messages {src}->{dst} size {size}: {ns} send(s), {nr} recv(s)")
     return violations + [f"rank {rank}: dependency cycle" for rank in range(nranks)
                          if _has_cycle(schedule, bounds[rank], bounds[rank + 1])]
-
-
-def match_messages(schedule: Schedule) -> tuple[array, dict[tuple[int, int, int],
-                                                             tuple[int, int]]]:
-    """Pair sends with recvs, in order per (src, dst, size) triple.
-
-    Returns ``(send_of, unmatched)``: ``send_of[g]`` is the global op index
-    of the send that recv g receives, or -1 for an op that is no matched
-    recv; ``unmatched`` maps each triple whose send and recv counts differ to
-    those counts, and its ops stay unpaired. Message ops whose peer is their
-    own rank or out of range are left out.
-    """
-    nranks = schedule.nranks
-    kinds, peers, sizes, bounds = (schedule.kinds, schedule.peers, schedule.sizes,
-                                   schedule.rank_offsets)
-    sends: dict[tuple[int, int, int], list[int]] = {}
-    recvs: dict[tuple[int, int, int], list[int]] = {}
-    for rank in range(nranks):
-        for g in range(bounds[rank], bounds[rank + 1]):
-            peer = peers[g]
-            if kinds[g] == KIND_SEND and rank != peer < nranks:
-                sends.setdefault((rank, peer, sizes[g]), []).append(g)
-            elif kinds[g] == KIND_RECV and rank != peer < nranks:
-                recvs.setdefault((peer, rank, sizes[g]), []).append(g)
-    send_of = array("q", [-1]) * len(kinds)
-    unmatched: dict[tuple[int, int, int], tuple[int, int]] = {}
-    for key in sends.keys() | recvs.keys():
-        send_gs, recv_gs = sends.get(key, ()), recvs.get(key, ())
-        if len(send_gs) != len(recv_gs):
-            unmatched[key] = (len(send_gs), len(recv_gs))
-        else:
-            for s, g in zip(send_gs, recv_gs):
-                send_of[g] = s
-    return send_of, unmatched
 
 
 def _has_cycle(schedule: Schedule, lo: int, hi: int) -> bool:

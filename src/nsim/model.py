@@ -79,11 +79,17 @@ class LogGPParams:
                 raise ValueError(f"{name} must be an integer nanosecond count, got {v!r}")
             if v < 0:
                 raise ValueError(f"{name} must be >= 0, got {v}")
+            if v >= 1 << 63:
+                raise ValueError(f"{name} must fit in signed 64-bit ns (< 2**63)")
         if isinstance(self.G, bool) or not isinstance(self.G, (int, float)):
             raise ValueError(f"G must be a number of ns per byte, got {self.G!r}")
-        object.__setattr__(self, "G", float(self.G))
-        if not 0.0 <= self.G < math.inf:
-            raise ValueError(f"G must be finite and >= 0, got {self.G}")
+        try:
+            G = float(self.G)
+        except OverflowError:  # an int beyond the float range
+            G = math.inf if self.G > 0 else -math.inf
+        object.__setattr__(self, "G", G)
+        if not 0.0 <= G < math.inf:
+            raise ValueError(f"G must be finite and >= 0, got {G}")
 
 
 @dataclass(frozen=True)
@@ -105,7 +111,10 @@ class EmpiricalDistribution:
             raise ValueError(f"unknown distribution unit {self.unit!r}")
         if len(self.samples) < 1:
             raise ValueError("distribution needs at least one sample")
-        samples = tuple(map(float, self.samples))
+        try:
+            samples = tuple(map(float, self.samples))
+        except OverflowError:  # an int beyond the float range
+            samples = (math.inf,)
         object.__setattr__(self, "samples", samples)
         if not all(map(math.isfinite, samples)):
             raise ValueError("samples must be finite numbers")

@@ -31,9 +31,11 @@ Two engines
 Both engines visit the ops in that one level-sorted order. The per-op engine
 (``_run``) computes one run as one forward pass over it in Python integers.
 The batch engine (``_run_batch``) computes a chunk of runs at once as int64
-numpy arrays: it draws every message's wire delay up front, then visits the
-DAG levels in order, all ops of one level (which are independent) for all
-runs of the chunk together. ``simulate`` and
+numpy arrays. It draws every message's wire delay up front as the seed of
+that message's arrival row, then visits the DAG levels in order, each level
+a slice of one set of per-op columns sorted by level (``_level_columns``):
+all ops of one level (which are independent) for all runs of the chunk
+together, each send adding its finish to its arrival row. ``simulate`` and
 ``run_many`` pick the batch engine when the schedule is wide, ops x reps >=
 ``_BATCH_K`` x levels, the op-runs are enough to pay for importing numpy,
 ops x reps >= ``_BATCH_MIN_OP_RUNS``, and every time value is provably below
@@ -518,48 +520,35 @@ def _detour_end_vec(t, dur, phase, tables):
     return np.where(dur > 0, end, t)
 
 
-def _levels(c: _Compiled, o: int):
-    """Per DAG level, the index arrays ``_run_batch`` gathers and scatters with.
+def _level_columns(c: _Compiled, o: int):
+    """Per-op columns in ``c.by_level`` order, which ``_run_batch`` slices by level.
 
-    Each level is a tuple: the level's op ids; their ranks; their durations
-    (``o`` for a message op) as a column; the msg_ok rows they read; the positions of the message ops
-    among them (None when all are); the msg_ok rows those write; the arrival
-    rows they read; the positions of the sends among them; and the sends'
-    message indices. Rows ``c.nranks`` of msg_ok and ``c.n_sends`` of arrival
-    stay 0, and ops that do not wait on them read those rows: every time is
-    >= 0. The msg_ok and arrival reads are None for a level without message
-    ops or recvs.
+    Level v is slice ``c.level_bounds[v]:c.level_bounds[v + 1]`` of each. Returns ``(gids, ranks, dur, ok_in, ok_out, arr_in, arr_out)``: each op's
+    id, rank and duration (``o`` for a message op) as a column, the msg_ok
+    row it reads and writes, and the arrival row it reads and writes. A
+    message op reads and writes its rank's msg_ok row, a recv reads its
+    message's arrival row and a send writes it. Every other op reads a
+    read-dummy row, ``c.nranks`` of msg_ok or ``c.n_sends`` of arrival, which
+    stays 0 (every time is >= 0), and writes a sink row, ``c.nranks + 1`` or
+    ``c.n_sends + 1``, which nothing reads. A level holds at most one op per
+    rank and each message has one send, so no two ops of a level write the
+    same real row.
     """
     import numpy as np
 
-    kind = np.frombuffer(c.kind, dtype=np.int8)
-    rank = np.frombuffer(c.rank, dtype=np.int32).astype(np.intp)
-    msg = np.array(c.msg, dtype=np.intp)
-    by_level = np.array(c.by_level, dtype=np.intp)
-    is_calc = kind == KIND_CALC
-    dur_all = np.full(len(kind), o, dtype=np.int64)
-    dur_all[is_calc] = np.frombuffer(c.size, dtype=np.uint64)[is_calc]
-    levels = []
-    for lo, hi in zip(c.level_bounds, c.level_bounds[1:]):
-        gids = by_level[lo:hi]
-        k = kind[gids]
-        ranks = rank[gids]
-        is_msg = k != KIND_CALC
-        is_recv = k == KIND_RECV
-        is_send = k == KIND_SEND
-        all_msg = bool(is_msg.all())
-        levels.append((
-            gids,
-            ranks,
-            dur_all[gids][:, None],
-            np.where(is_msg, ranks, c.nranks) if is_msg.any() else None,
-            None if all_msg else np.flatnonzero(is_msg),
-            ranks[is_msg],
-            np.where(is_recv, msg[gids], c.n_sends) if is_recv.any() else None,
-            np.flatnonzero(is_send),
-            msg[gids][is_send],
-        ))
-    return levels
+    gids = np.array(c.by_level, dtype=np.intp)
+    kind = np.frombuffer(c.kind, dtype=np.int8)[gids]
+    ranks = np.frombuffer(c.rank, dtype=np.int32)[gids].astype(np.intp)
+    is_msg = kind != KIND_CALC
+    dur = np.frombuffer(c.size, dtype=np.uint64)[gids].view(np.int64)
+    dur[is_msg] = o
+    ok_in = np.where(is_msg, ranks, c.nranks)
+    ok_out = np.where(is_msg, ranks, c.nranks + 1)
+    del is_msg
+    msg = np.frombuffer(c.msg, dtype=c.msg.typecode)[gids].astype(np.intp)
+    arr_in = np.where(kind == KIND_RECV, msg, c.n_sends)
+    arr_out = np.where(kind == KIND_SEND, msg, c.n_sends + 1)
+    return gids, ranks, dur[:, None], ok_in, ok_out, arr_in, arr_out
 
 
 def _run_batch(c: _Compiled, cfg: SimConfig, run_indices: Sequence[int]) -> list[SimResult]:
@@ -579,7 +568,8 @@ def _run_batch(c: _Compiled, cfg: SimConfig, run_indices: Sequence[int]) -> list
     gap = max(o, params.g)
     osn = noise.os
     nranks, n_sends, n_ops = c.nranks, c.n_sends, len(c.kind)
-    levels = _levels(c, o)
+    gids, ranks, dur, ok_in, ok_out, arr_in, arr_out = _level_columns(c, o)
+    bounds = c.level_bounds.tolist()
     is_send = np.frombuffer(c.kind, dtype=np.int8) == KIND_SEND
     size_m1 = (np.frombuffer(c.size, dtype=np.uint64)[is_send] - 1).astype(np.float64)[:, None]
     lat_samples = None if noise.latency is None else np.array(noise.latency.samples)
@@ -593,15 +583,16 @@ def _run_batch(c: _Compiled, cfg: SimConfig, run_indices: Sequence[int]) -> list
 
     # Words per rep of a chunk's numpy arrays at the larger of its two peaks.
     # Drawing: at most five (nranks,) temporaries for the detour phases, then,
-    # with the phases alive, at most six (n_sends,) ones in _wire_vec. The
-    # level loop: free, msg_ok, phases, arrival, wire, the recorded starts and
-    # finishes, and about eight temporaries of the widest level.
-    widest = max((len(lv[0]) for lv in levels), default=0)
+    # with the phases alive, at most six (n_sends,) ones in _wire_vec, and
+    # after it only the wire delays and arrival. The level loop: free,
+    # msg_ok, phases, arrival, the recorded starts and finishes, and about
+    # eight temporaries of the widest level.
+    widest = max(map(int.__sub__, bounds[1:], bounds), default=0)
     os_words = nranks if tables is not None else 0
     wire_words = n_sends if draws else 0
     draw_words = 5 * os_words + 6 * wire_words
-    loop_words = (2 * nranks + os_words + n_sends + wire_words + 8 * widest
-                  + (2 * n_ops if cfg.record_per_op else 0) + 2)
+    loop_words = (2 * nranks + os_words + n_sends + 8 * widest
+                  + (2 * n_ops if cfg.record_per_op else 0) + 4)
     chunk = max(1, _CHUNK_BYTES // (8 * max(draw_words, loop_words)))
 
     def run_chunk(indices: Sequence[int]) -> list[SimResult]:
@@ -613,31 +604,31 @@ def _run_batch(c: _Compiled, cfg: SimConfig, run_indices: Sequence[int]) -> list
             phases = _pick_steps(seeds ^ np.uint64(_OS_STREAM), rank_steps,
                                  osn.span).astype(np.int64)
         wire = _wire_vec(seeds, send_steps, size_m1, params, lat_samples, bw_samples)
-
+        # Each level adds a send's finish to its wire delay; the two rows
+        # past the messages are the read-dummy and the sink.
+        arrival = np.zeros((n_sends + 2, reps), dtype=np.int64)
+        arrival[:n_sends] = wire
+        del wire
         free = np.zeros((nranks, reps), dtype=np.int64)
-        msg_ok = np.zeros((nranks + 1, reps), dtype=np.int64)
-        arrival = np.zeros((n_sends + 1, reps), dtype=np.int64)
+        msg_ok = np.zeros((nranks + 2, reps), dtype=np.int64)
         if cfg.record_per_op:
             start = np.empty((n_ops, reps), dtype=np.int64)
             finish = np.empty((n_ops, reps), dtype=np.int64)
-        for (gids, ranks, dur, ok_rows, msg_pos, msg_ranks, arr_rows,
-             send_pos, send_m) in levels:
-            t = take(free, ranks, axis=0)
-            if arr_rows is not None:
-                np.maximum(t, take(arrival, arr_rows, axis=0), out=t)
-            if ok_rows is not None:
-                np.maximum(t, take(msg_ok, ok_rows, axis=0), out=t)
-                msg_ok[msg_ranks] = (t if msg_pos is None else take(t, msg_pos, axis=0)) + gap
+        for lo, hi in zip(bounds, bounds[1:]):
+            r = ranks[lo:hi]
+            t = take(free, r, axis=0)
+            np.maximum(t, take(arrival, arr_in[lo:hi], axis=0), out=t)
+            np.maximum(t, take(msg_ok, ok_in[lo:hi], axis=0), out=t)
+            msg_ok[ok_out[lo:hi]] = t + gap
             if tables is None:
-                f = t + dur
+                f = t + dur[lo:hi]
             else:
-                f = _detour_end_vec(t, dur, take(phases, ranks, axis=0), tables)
-            free[ranks] = f
-            if len(send_m):
-                arrival[send_m] = take(f, send_pos, axis=0) + take(wire, send_m, axis=0)
+                f = _detour_end_vec(t, dur[lo:hi], take(phases, r, axis=0), tables)
+            free[r] = f
+            arrival[arr_out[lo:hi]] += f
             if cfg.record_per_op:
-                start[gids] = t
-                finish[gids] = f
+                start[gids[lo:hi]] = t
+                finish[gids[lo:hi]] = f
 
         per_rank = free.T.tolist()
         if cfg.record_per_op:

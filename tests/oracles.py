@@ -123,33 +123,38 @@ def dag_completion(
 def static_analysis(schedule):
     """The verdict, message numbers and levels of a schedule, in three passes.
 
-    First the diagnostics (``goal._violations``, which pairs the messages
-    with ``match_messages`` and runs ``_has_cycle`` per rank), then the
-    message numbers from a second ``match_messages`` pairing, then Kahn's
-    algorithm over program order, requires and pairing for the levels.
+    First the diagnostics (``goal._violations``, which counts each
+    (src, dst, size) triple's sends and recvs and runs ``_has_cycle`` per
+    rank), then the message numbers from pairing sends with recvs in order
+    per triple, then Kahn's algorithm over program order, requires and
+    pairing for the levels.
     Returns ``(violations, msg, level, blocked)``: msg and level are per-op
     lists of a runnable schedule, blocked the DeadlockError list of one that
     validates but cannot run, and the fields that do not apply are None.
     """
-    from nsim.goal import KIND_RECV, KIND_SEND, KINDS, _violations, match_messages
+    from nsim.goal import KIND_RECV, KIND_SEND, KINDS, _violations
 
     violations = _violations(schedule)
     if violations:
         return violations, None, None, None
     nranks = schedule.nranks
-    offsets, kind, peer = schedule.rank_offsets, schedule.kinds, schedule.peers
+    offsets, kind, peer, size = (schedule.rank_offsets, schedule.kinds, schedule.peers,
+                                 schedule.sizes)
     req, req_off = schedule.req_targets, schedule.req_offsets
     n = len(kind)
-    send_of = match_messages(schedule)[0]
     msg = [-1] * n
+    queued: dict[tuple[int, int, int], deque] = {}  # each triple's send numbers
     n_sends = 0
-    for g in range(n):
-        if kind[g] == KIND_SEND:
-            msg[g] = n_sends
-            n_sends += 1
-    for g in range(n):
-        if kind[g] == KIND_RECV:
-            msg[g] = msg[send_of[g]]
+    for r in range(nranks):
+        for g in range(offsets[r], offsets[r + 1]):
+            if kind[g] == KIND_SEND:
+                msg[g] = n_sends
+                queued.setdefault((r, peer[g], size[g]), deque()).append(n_sends)
+                n_sends += 1
+    for r in range(nranks):
+        for g in range(offsets[r], offsets[r + 1]):
+            if kind[g] == KIND_RECV:
+                msg[g] = queued[(peer[g], r, size[g])].popleft()
     sent = [False] * n_sends
     send_level = [0] * n_sends
     level = [0] * n

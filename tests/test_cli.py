@@ -376,13 +376,24 @@ class TestMalformedInputExit:
         {"schema": "nsim.dist/1", "unit": "ns", "samples": [None]},
         {"schema": "nsim.dist/1", "unit": "ns"},
         [7000.0],
-    ], ids=["null_sample", "missing_samples", "top_level_list"])
+        {"schema": "nsim.dist/1", "unit": "ns", "samples": [7000.0, 10**400]},
+    ], ids=["null_sample", "missing_samples", "top_level_list", "sample_beyond_float"])
     def test_distribution_json_exit_3(self, params_file, tmp_path, doc):
         lat = tmp_path / "lat.json"
         lat.write_text(json.dumps(doc))
         proc = _run_cli("sim", "run", "--params", params_file, "--noise-lat", str(lat),
                         input=_TWO_RANK_MESSAGE)
         _assert_clean_exit(proc, 3)
+
+    @pytest.mark.parametrize("key", ["G_ns_per_byte", "L_ns"])
+    def test_params_beyond_range_exit_3(self, tmp_path, key):
+        # A 401-digit number fits neither a float nor 64-bit ns.
+        doc = {"L_ns": 5000, "o_ns": 1000, "g_ns": 1000, "G_ns_per_byte": 0.01, key: 10**400}
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(doc))
+        proc = _run_cli("sim", "run", "--params", str(path), input=_TWO_RANK_MESSAGE)
+        _assert_clean_exit(proc, 3)
+        assert len(proc.stderr.splitlines()) == 1
 
     def test_detour_span_not_a_number_exit_4(self, params_file, tmp_path):
         trace = tmp_path / "detour.csv"
@@ -426,10 +437,10 @@ class TestBench:
 def test_sim_run_validates_and_compiles_once(runner, params_file, monkeypatch, fmt):
     from nsim import goal, simengine
 
-    walks, pairings, compiles = [], [], []
-    real_walk, real_match = goal._walk, goal.match_messages
+    walks, diagnoses, compiles = [], [], []
+    real_walk, real_diagnose = goal._walk, goal._violations
     monkeypatch.setattr(goal, "_walk", lambda s: walks.append(s) or real_walk(s))
-    monkeypatch.setattr(goal, "match_messages", lambda s: pairings.append(s) or real_match(s))
+    monkeypatch.setattr(goal, "_violations", lambda s: diagnoses.append(s) or real_diagnose(s))
 
     class Counted(simengine._Compiled):
         __slots__ = ()
@@ -446,7 +457,7 @@ def test_sim_run_validates_and_compiles_once(runner, params_file, monkeypatch, f
                 input=gen.output)
     assert r.exit_code == 0
     assert len(json.loads(r.output)["results"]) == 3
-    assert len(walks) == 1 and len(compiles) == 1 and pairings == []
+    assert len(walks) == 1 and len(compiles) == 1 and diagnoses == []
 
 
 # ---------------------------------------------------------------------------

@@ -630,24 +630,52 @@ def test_compiled_memory_per_op():
     assert peak / s.op_count() <= 28, peak / s.op_count()
 
 
+@pytest.mark.parametrize("make", [
+    lambda: gen_dissemination(4096, 16),
+    lambda: gen_compute_collective(8, 100_000, "ring", 65536, 100),
+], ids=["wide", "deep"])
+def test_level_columns_memory_per_op(make):
+    import tracemalloc
+
+    from nsim.simengine import _Compiled, _level_columns
+
+    # The batch engine's layout: seven 8-byte columns in level order, plus
+    # the arrays' headers (under 4 KB in all), whatever the number of levels;
+    # at the peak also the gathered kinds, masks and message numbers.
+    s = make()
+    c = _Compiled(s)
+    _level_columns(c, 1000)  # numpy's own first-call allocations
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        columns = _level_columns(c, 1000)
+        held, peak = (m - before for m in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    n = s.op_count()
+    assert all(len(col) == n for col in columns)
+    assert held <= 56 * n + 4096, held / n
+    assert peak <= 70 * n, peak / n
+
+
 def test_validate_runs_once_per_schedule(monkeypatch):
     from nsim import goal
 
-    walks, pairings = [], []
-    real_walk, real_match = goal._walk, goal.match_messages
+    walks, diagnoses = [], []
+    real_walk, real_diagnose = goal._walk, goal._violations
     monkeypatch.setattr(goal, "_walk", lambda s: walks.append(s) or real_walk(s))
-    monkeypatch.setattr(goal, "match_messages", lambda s: pairings.append(s) or real_match(s))
+    monkeypatch.setattr(goal, "_violations", lambda s: diagnoses.append(s) or real_diagnose(s))
     s = schedule_from_json(schedule_to_json(gen_ring_allreduce(4, 512, 7)))
     assert validate(s) == [] and validate(s) == []
     assert execution_order(s) is execution_order(s)
-    assert len(walks) == 1 and pairings == []
+    assert len(walks) == 1 and diagnoses == []
     bad = Schedule(nranks=2, ops=((ScheduleOp(0, SEND, 1, 4),), ()))
     assert validate(bad) == validate(bad) == [
         "unmatched messages 0->1 size 4: 1 send(s), 0 recv(s)"]
     for _ in range(2):
         with pytest.raises(ScheduleValidationError, match="unmatched"):
             execution_order(bad)
-    assert len(walks) == 2 and pairings == [bad]
+    assert len(walks) == 2 and diagnoses == [bad]
 
 
 # ---------------------------------------------------------------------------

@@ -44,6 +44,19 @@ class TestLogGPParams:
         with pytest.raises(ValueError):
             LogGPParams(L=0, o=0, g=0, G=G)
 
+    @pytest.mark.parametrize("G", [10**400, -10**400])
+    def test_rejects_G_beyond_the_float_range(self, G):
+        with pytest.raises(ValueError, match="G must be finite"):
+            LogGPParams(L=0, o=0, g=0, G=G)
+
+    @pytest.mark.parametrize("name", ["L", "o", "g"])
+    def test_times_fit_in_int64(self, name):
+        zero = dict(L=0, o=0, g=0, G=0.0)
+        assert getattr(LogGPParams(**{**zero, name: 2**63 - 1}), name) == 2**63 - 1
+        for v in (2**63, 10**400):
+            with pytest.raises(ValueError, match="signed 64-bit"):
+                LogGPParams(**{**zero, name: v})
+
 
 class TestMessageTime:
     def test_one_byte(self):
@@ -99,6 +112,10 @@ class TestEmpiricalDistribution:
     def test_rejects_non_finite(self, bad):
         with pytest.raises(ValueError, match="finite"):
             EmpiricalDistribution.from_values([1.0, bad], "ns_per_byte")
+
+    def test_rejects_sample_beyond_the_float_range(self):
+        with pytest.raises(ValueError, match="samples must be finite numbers"):
+            EmpiricalDistribution((7000.0, 10**400), "ns")
 
     def test_rejects_nonpositive_latency_or_rate(self):
         with pytest.raises(ValueError):

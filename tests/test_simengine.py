@@ -674,12 +674,12 @@ def test_schedule_compiles_once_across_calls(monkeypatch):
 
 @pytest.mark.parametrize("load", [schedule_from_json, parse_goal])
 def test_messages_are_paired_once_per_schedule(monkeypatch, load):
-    # One walk pairs the messages and levels the ops; match_messages only
+    # One walk pairs the messages and levels the ops; _violations only
     # names the faults of a schedule that the walk rejects.
-    walks, pairings = [], []
-    real_walk, real_match = goal._walk, goal.match_messages
+    walks, diagnoses = [], []
+    real_walk, real_diagnose = goal._walk, goal._violations
     monkeypatch.setattr(goal, "_walk", lambda s: walks.append(s) or real_walk(s))
-    monkeypatch.setattr(goal, "match_messages", lambda s: pairings.append(s) or real_match(s))
+    monkeypatch.setattr(goal, "_violations", lambda s: diagnoses.append(s) or real_diagnose(s))
     text = (schedule_to_json if load is schedule_from_json else emit_goal)(
         gen_dissemination(8, 16))
     s = load(text)
@@ -687,7 +687,7 @@ def test_messages_are_paired_once_per_schedule(monkeypatch, load):
     clean = simulate(s, SimConfig(params=P1))
     runs = run_many(s, cfg, 5)
     assert run_many(s, cfg, 5, workers=2) == runs
-    assert len(walks) == 1 and pairings == []
+    assert len(walks) == 1 and diagnoses == []
     # A second compile of the same schedule shares the walk's columns.
     c = _Compiled(s)
     assert len(walks) == 1
