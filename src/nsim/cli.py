@@ -367,6 +367,14 @@ def _is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _check_float_range(path: str, key: str, values: list[int]) -> None:
+    """ValueError unless a float can hold each of the integers ``values``."""
+    try:
+        float(max(map(abs, values)))
+    except OverflowError:
+        raise ValueError(f"{path}: {key!r} is beyond the float range") from None
+
+
 def _load_results(path: str, with_nranks: bool = False) -> tuple[list[int], int | None]:
     """Completion times of a `sim run` results file, plus metadata.nranks if asked."""
     doc = json.loads(_read_text(path))
@@ -377,12 +385,14 @@ def _load_results(path: str, with_nranks: bool = False) -> tuple[list[int], int 
                    for run in runs]
     if not all(map(_is_int, completions)):
         raise ValueError(f"{path}: every run needs an integer 'completion_ns'")
+    _check_float_range(path, "completion_ns", completions)
     if not with_nranks:
         return completions, None
     metadata = doc.get("metadata")
     nranks = metadata.get("nranks") if isinstance(metadata, dict) else None
     if not _is_int(nranks):
         raise ValueError(f"{path}: 'metadata.nranks' must be an integer")
+    _check_float_range(path, "metadata.nranks", [nranks])
     return completions, nranks
 
 

@@ -74,7 +74,9 @@ _KIND_CODE = {SEND: KIND_SEND, RECV: KIND_RECV, CALC: KIND_CALC}
 
 @dataclass(frozen=True)
 class ScheduleOp:
-    """One operation of one rank.
+    """One operation of one rank: an unchecked input record of ``Schedule(nranks,
+    ops)`` (only its kind is checked here, the rest when it is put into a
+    Schedule) and the read-only view ``Schedule.ops`` gives back.
 
     id is the rank-local position (ops are numbered 0..n-1 in program order).
     size holds bytes for send/recv and a duration in ns for calc. requires
@@ -90,26 +92,22 @@ class ScheduleOp:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown op kind {self.kind!r}")
-        if self.id < 0:
-            raise ValueError("op id must be >= 0")
         object.__setattr__(self, "requires", frozenset(self.requires))
-        if self.kind == CALC:
-            if self.peer is not None:
-                raise ValueError("calc ops take no peer")
-            if self.size < 0:
-                raise ValueError("calc duration must be >= 0 ns")
-        else:
-            if self.peer is None or self.peer < 0:
-                raise ValueError(f"{self.kind} needs a peer rank >= 0")
-            if self.size < 1:
-                raise ValueError(f"{self.kind} size must be >= 1 byte")
+
+
+def _op_id_error(op_id: int, rank: int) -> ValueError:
+    """The error for an op of rank ``rank`` whose id is not its position."""
+    return ValueError("op id must be >= 0" if op_id < 0
+                      else f"rank {rank}: op ids must be 0..n-1 in order")
 
 
 class _Columns:
     """The growing columns of a schedule under construction.
 
-    Callers append one op at a time with ``add`` (requires sorted, unique and
-    rank-local) and close each rank with ``end_rank``.
+    Every schedule source appends one op at a time with ``add`` (requires
+    sorted and unique) and closes each rank with ``end_rank``; they are the
+    one place that checks op values. ``add`` checks peer, size and duration,
+    ``end_rank`` that the rank's requires name its own ops.
     """
 
     __slots__ = ("rank_offsets", "kinds", "peers", "sizes", "req_offsets", "req_targets")
@@ -123,19 +121,39 @@ class _Columns:
         self.req_targets = array("q")
 
     def add(self, kind: int, peer: int, size: int, requires=()) -> None:
+        if (peer < 0 or size < 1) and kind != KIND_CALC:
+            raise ValueError(f"{KINDS[kind]} needs a peer rank >= 0" if peer < 0
+                             else f"{KINDS[kind]} size must be >= 1 byte")
         try:
             self.sizes.append(size)
             self.peers.append(peer)
         except OverflowError:
+            if size < 0:
+                raise ValueError("calc duration must be >= 0 ns") from None
             field = ("size", size) if size >> 64 else ("peer", peer)
             raise ValueError("op %s %d does not fit in 64 bits" % field) from None
         self.kinds.append(kind)
         if requires:
-            self.req_targets.extend(requires)
+            try:
+                self.req_targets.extend(requires)
+            except OverflowError:  # beyond 64 bits, so beyond any rank's ops
+                self._check_requires(len(self.kinds) - 1, requires, 1 << 63)
         self.req_offsets.append(len(self.req_targets))
 
     def end_rank(self) -> None:
-        self.rank_offsets.append(len(self.kinds))
+        lo, hi = self.rank_offsets[-1], len(self.kinds)
+        req, req_off = self.req_targets, self.req_offsets
+        targets = req[req_off[lo]:]
+        if targets and not 0 <= min(targets) <= max(targets) < hi - lo:
+            for g in range(lo, hi):
+                self._check_requires(g, req[req_off[g]:req_off[g + 1]], hi - lo)
+        self.rank_offsets.append(hi)
+
+    def _check_requires(self, g: int, requires, n: int) -> None:
+        missing = [d for d in requires if not 0 <= d < n]  # op g of the open rank
+        if missing:
+            rank, lo = len(self.rank_offsets) - 1, self.rank_offsets[-1]
+            raise ValueError(f"rank {rank} op {g - lo}: unknown requires {missing}")
 
     def schedule(self, nranks: int, metadata: Mapping[str, object] | None) -> Schedule:
         """The finished Schedule; checks that it has one op list per rank."""
@@ -178,16 +196,13 @@ class Schedule:
     def __new__(cls, nranks: int, ops, metadata: Mapping[str, object] | None = None):
         cols = _Columns()
         for rank, rank_ops in enumerate(ops):
-            rank_ops = tuple(rank_ops)
             for pos, op in enumerate(rank_ops):
                 if op.id != pos:
-                    raise ValueError(f"rank {rank}: op ids must be 0..n-1 in order")
-                requires = sorted(op.requires)
-                if requires and not 0 <= requires[0] <= requires[-1] < len(rank_ops):
-                    missing = [d for d in requires if not 0 <= d < len(rank_ops)]
-                    raise ValueError(f"rank {rank} op {op.id}: unknown requires {missing}")
+                    raise _op_id_error(op.id, rank)
+                if op.kind == CALC and op.peer is not None:
+                    raise ValueError("calc ops take no peer")
                 cols.add(_KIND_CODE[op.kind], -1 if op.peer is None else op.peer, op.size,
-                         requires)
+                         sorted(op.requires))
             cols.end_rank()
         return cols.schedule(nranks, metadata)
 
@@ -355,9 +370,6 @@ def _parse_block(text: str, pos: int, rank: int,
             if name not in labels:
                 raise _error(text, at, f"dangling dependency label {name!r}")
         requires[labels[label]].update(labels[t] for t in targets)
-    for kind, _, size in ops:
-        if kind != KIND_CALC and size < 1:
-            raise ValueError(f"{KINDS[kind]} size must be >= 1 byte")
     return ops, [sorted(req) for req in requires], m.end()
 
 
@@ -758,11 +770,11 @@ def _op_int(entry: dict, key: str, r: int, i: int) -> int:
     return value
 
 
-def _op_entry(entry: object, r: int, i: int, n: int) -> tuple[int, int, int, list[int]]:
-    """Kind code, peer, size and sorted requires of op entry i of rank r's n.
+def _op_entry(entry: object, r: int, i: int) -> tuple[int, int, int, list[int]]:
+    """Kind code, peer, size and sorted requires of op entry i of rank r.
 
-    Checks the entry's types, then what ScheduleOp and Schedule check, and
-    raises ValueError naming the first fault.
+    Checks the entry's JSON types and its id, and raises ValueError naming
+    the first fault; ``_Columns`` checks the values.
     """
     if not isinstance(entry, dict):
         raise ValueError(f"rank {r} op entry {i} must be an object, got {type(entry).__name__}")
@@ -778,22 +790,9 @@ def _op_entry(entry: object, r: int, i: int, n: int) -> tuple[int, int, int, lis
     if not isinstance(requires, list) or any(type(d) is not int for d in requires):
         raise ValueError(f"rank {r} op entry {i}: 'requires' must be a list of integers")
     op_id = _op_int(entry, "id", r, i)
-    if op_id < 0:
-        raise ValueError("op id must be >= 0")
-    if kind == CALC:
-        if size < 0:
-            raise ValueError("calc duration must be >= 0 ns")
-    elif peer < 0:
-        raise ValueError(f"{kind} needs a peer rank >= 0")
-    elif size < 1:
-        raise ValueError(f"{kind} size must be >= 1 byte")
     if op_id != i:
-        raise ValueError(f"rank {r}: op ids must be 0..n-1 in order")
-    requires = sorted(set(requires))
-    if requires and not 0 <= requires[0] <= requires[-1] < n:
-        missing = [d for d in requires if not 0 <= d < n]
-        raise ValueError(f"rank {r} op {i}: unknown requires {missing}")
-    return _KIND_CODE[kind], peer, size, requires
+        raise _op_id_error(op_id, r)
+    return _KIND_CODE[kind], peer, size, sorted(set(requires))
 
 
 def schedule_from_json(text: str) -> Schedule:
@@ -818,6 +817,6 @@ def schedule_from_json(text: str) -> Schedule:
         if not isinstance(rank_ops, list):
             raise ValueError(f"rank {r}'s ops must be a list, got {type(rank_ops).__name__}")
         for i, entry in enumerate(rank_ops):
-            add(*_op_entry(entry, r, i, len(rank_ops)))
+            add(*_op_entry(entry, r, i))
         cols.end_rank()
     return _validated(cols.schedule(nranks, metadata))

@@ -92,6 +92,15 @@ class LogGPParams:
             raise ValueError(f"G must be finite and >= 0, got {G}")
 
 
+def _floats(values) -> tuple[float, ...]:
+    """values as floats; an int beyond the float range gives ``(inf,)``, which
+    the finiteness check refuses."""
+    try:
+        return tuple(map(float, values))
+    except OverflowError:
+        return (math.inf,)
+
+
 @dataclass(frozen=True)
 class EmpiricalDistribution:
     """Sorted measured samples for inverse-ECDF draws.
@@ -111,10 +120,7 @@ class EmpiricalDistribution:
             raise ValueError(f"unknown distribution unit {self.unit!r}")
         if len(self.samples) < 1:
             raise ValueError("distribution needs at least one sample")
-        try:
-            samples = tuple(map(float, self.samples))
-        except OverflowError:  # an int beyond the float range
-            samples = (math.inf,)
+        samples = _floats(self.samples)
         object.__setattr__(self, "samples", samples)
         if not all(map(math.isfinite, samples)):
             raise ValueError("samples must be finite numbers")
@@ -126,7 +132,7 @@ class EmpiricalDistribution:
     @classmethod
     def from_values(cls, values: Sequence[float], unit: str) -> "EmpiricalDistribution":
         """Build from unsorted values (a multiset copy, sorted ascending)."""
-        return cls(tuple(sorted(map(float, values))), unit)
+        return cls(tuple(sorted(_floats(values))), unit)
 
     @classmethod
     def _from_sorted(cls, samples: tuple[float, ...], unit: str) -> "EmpiricalDistribution":

@@ -173,7 +173,7 @@ class _Compiled:
     """
 
     __slots__ = ("nranks", "offsets", "kind", "size", "rank", "msg", "n_sends", "by_level",
-                 "level_bounds", "n_levels", "calc_total", "n_calc", "send_bytes")
+                 "level_bounds", "n_levels", "calc_total", "n_calc", "send_bytes", "max_send")
 
     def __init__(self, schedule: Schedule):
         self.msg, self.by_level, self.level_bounds = execution_order(schedule)
@@ -190,6 +190,19 @@ class _Compiled:
         codes = kind.tobytes()
         self.calc_total = sum(compress(size, codes.translate(_IS_CALC)))
         self.send_bytes = sum(compress(size, codes.translate(_IS_SEND))) - self.n_sends
+        self.max_send = max(compress(size, codes.translate(_IS_SEND)), default=0)
+
+    def wire_max(self, cfg: SimConfig) -> tuple[float, float]:
+        """The largest wire latency and per-byte gap a run under ``cfg`` can
+        draw. Raises ValueError when the wire delay of the largest send under
+        them is not a finite number."""
+        params, lat, bw = cfg.params, cfg.noise.latency, cfg.noise.bandwidth
+        lat_max = params.L if lat is None else max(0.0, lat.samples[-1] - 2 * params.o)
+        g_max = params.G if bw is None else 8.0 / bw.samples[0]
+        if self.max_send and not math.isfinite(lat_max + (self.max_send - 1) * g_max):
+            raise ValueError(f"the wire delay of a {self.max_send}-byte message, {lat_max} ns "
+                             f"+ {self.max_send - 1} x {g_max} ns/byte, is not a finite number")
+        return lat_max, g_max
 
     def time_bound(self, cfg: SimConfig) -> int | float:
         """An upper bound on every time value a run under ``cfg`` computes.
@@ -212,11 +225,8 @@ class _Compiled:
             idle = osn.span - osn.total_detour
             busy = ((self.calc_total // idle + self.n_calc) * osn.span
                     + n_msg * ((o // idle + 1) * osn.span + gap) + osn.span)
-        lat = noise.latency
-        bw = noise.bandwidth
+        lat_max, g_max = self.wire_max(cfg)
         try:
-            lat_max = params.L if lat is None else max(0.0, lat.samples[-1] - 2 * o)
-            g_max = params.G if bw is None else 8.0 / bw.samples[0]
             return busy + math.ceil(self.n_sends * (lat_max + 1.0) + self.send_bytes * g_max)
         except (OverflowError, ValueError):  # an infinite or NaN wire bound
             return math.inf
@@ -523,20 +533,21 @@ def _detour_end_vec(t, dur, phase, tables):
 def _level_columns(c: _Compiled, o: int):
     """Per-op columns in ``c.by_level`` order, which ``_run_batch`` slices by level.
 
-    Level v is slice ``c.level_bounds[v]:c.level_bounds[v + 1]`` of each. Returns ``(gids, ranks, dur, ok_in, ok_out, arr_in, arr_out)``: each op's
-    id, rank and duration (``o`` for a message op) as a column, the msg_ok
-    row it reads and writes, and the arrival row it reads and writes. A
-    message op reads and writes its rank's msg_ok row, a recv reads its
-    message's arrival row and a send writes it. Every other op reads a
-    read-dummy row, ``c.nranks`` of msg_ok or ``c.n_sends`` of arrival, which
-    stays 0 (every time is >= 0), and writes a sink row, ``c.nranks + 1`` or
-    ``c.n_sends + 1``, which nothing reads. A level holds at most one op per
-    rank and each message has one send, so no two ops of a level write the
-    same real row.
+    Level v is slice ``c.level_bounds[v]:c.level_bounds[v + 1]`` of each.
+    Returns ``(gids, ranks, dur, ok_in, ok_out, arr_in, arr_out)``: each op's
+    id (a view of ``c.by_level``, not a copy), rank and duration (``o`` for a
+    message op) as a column, the msg_ok row it reads and writes, and the
+    arrival row it reads and writes. A message op reads and writes its rank's
+    msg_ok row, a recv reads its message's arrival row and a send writes it.
+    Every other op reads a read-dummy row, ``c.nranks`` of msg_ok or
+    ``c.n_sends`` of arrival, which stays 0 (every time is >= 0), and writes
+    a sink row, ``c.nranks + 1`` or ``c.n_sends + 1``, which nothing reads. A
+    level holds at most one op per rank and each message has one send, so no
+    two ops of a level write the same real row.
     """
     import numpy as np
 
-    gids = np.array(c.by_level, dtype=np.intp)
+    gids = np.frombuffer(c.by_level, dtype=c.by_level.typecode)
     kind = np.frombuffer(c.kind, dtype=np.int8)[gids]
     ranks = np.frombuffer(c.rank, dtype=np.int32)[gids].astype(np.intp)
     is_msg = kind != KIND_CALC
@@ -656,18 +667,20 @@ def _run_reps(c: _Compiled, cfg: SimConfig, run_indices: Sequence[int]) -> list[
 # ---------------------------------------------------------------------------
 # Public API
 
-def _compiled(schedule: Schedule) -> _Compiled:
-    """The compiled form of ``schedule``, built on first use and kept on it."""
+def _compiled(schedule: Schedule, cfg: SimConfig) -> _Compiled:
+    """The compiled form of ``schedule``, built on first use and kept on it,
+    once ``cfg`` is known to give every message a finite wire delay."""
     c = schedule._compiled
     if c is None:
         c = _Compiled(schedule)
         object.__setattr__(schedule, "_compiled", c)
+    c.wire_max(cfg)
     return c
 
 
 def simulate(schedule: Schedule, cfg: SimConfig) -> SimResult:
     """Run one simulation; identical to run_many(schedule, cfg, 1)[0]."""
-    return _run_reps(_compiled(schedule), cfg, [0])[0]
+    return _run_reps(_compiled(schedule, cfg), cfg, [0])[0]
 
 
 _FORK_STATE: tuple[_Compiled, SimConfig] | None = None
@@ -693,7 +706,7 @@ def run_many(
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    c = _compiled(schedule)
+    c = _compiled(schedule, cfg)
     if workers is None:
         workers = 1
     workers = min(workers, n)

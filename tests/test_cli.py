@@ -395,6 +395,47 @@ class TestMalformedInputExit:
         _assert_clean_exit(proc, 3)
         assert len(proc.stderr.splitlines()) == 1
 
+    @pytest.mark.parametrize("case", ["bandwidth_sample", "byte_gap"])
+    def test_infinite_wire_delay_exit_3(self, params_file, tmp_path, case):
+        # Valid inputs whose largest wire delay, L + (size - 1) * G, is inf.
+        if case == "bandwidth_sample":
+            bw = tmp_path / "bw.json"
+            bw.write_text(json.dumps({"schema": "nsim.dist/1", "unit": "gbps",
+                                      "samples": [1e-320]}))
+            proc = _run_cli("sim", "run", "--params", params_file, "--noise-bw", str(bw),
+                            input=_TWO_RANK_MESSAGE)
+        else:
+            params = tmp_path / "p.json"
+            params.write_text(json.dumps({"L_ns": 5000, "o_ns": 1000, "g_ns": 1000,
+                                          "G_ns_per_byte": 1e300}))
+            ring = _run_cli("gen", "ring", "-p", "4", "-s", "4000000000000000000").stdout
+            proc = _run_cli("sim", "run", "--params", str(params), input=ring)
+        _assert_clean_exit(proc, 3)
+        assert len(proc.stderr.splitlines()) == 1 and "wire delay" in proc.stderr
+
+    @pytest.mark.parametrize("case", ["cost", "cost_baseline", "cost_nranks", "report_box",
+                                      "report_svg"])
+    def test_results_beyond_float_exit_3(self, tmp_path, case):
+        # A 401-digit integer fits no float.
+        big, small, out = tmp_path / "big.json", tmp_path / "small.json", str(tmp_path / "out")
+        nranks, completion = (10**400, 9000) if case == "cost_nranks" else (4, 10**400)
+        big.write_text(json.dumps({"schema": "nsim.results/1", "metadata": {"nranks": nranks},
+                                   "results": [{"run": 0, "completion_ns": completion}]}))
+        small.write_text(json.dumps({"schema": "nsim.results/1", "metadata": {"nranks": 4},
+                                     "results": [{"run": 0, "completion_ns": 9000}]}))
+        cost = ["cost", "--provider", "aws", "--label", "on_demand", "--instance",
+                "c5n.18xlarge", "-o", out]
+        args = {
+            "cost": [*cost, "--results", str(big)],
+            "cost_baseline": [*cost, "--results", str(small), "--baseline", str(big)],
+            "cost_nranks": [*cost, "--results", str(big)],
+            "report_box": ["report", "box", str(big), "-o", out],
+            "report_svg": ["report", "svg", str(big), "-o", out],
+        }[case]
+        proc = _run_cli(*args)
+        _assert_clean_exit(proc, 3)
+        assert len(proc.stderr.splitlines()) == 1 and str(big) in proc.stderr
+
     def test_detour_span_not_a_number_exit_4(self, params_file, tmp_path):
         trace = tmp_path / "detour.csv"
         trace.write_text("# span_ns=abc\ntimestamp_ns,value,unit\n0,10,ns\n")

@@ -582,6 +582,56 @@ def test_json_loader_and_constructor_agree_on_faults(ranks, message):
     assert str(built.value) == str(loaded.value) == message
 
 
+# The op entry field that holds each fault, and the message naming it.
+_OP_FAULTS = {
+    "peer": "{kind} needs a peer rank >= 0",
+    "size_bytes": "{kind} size must be >= 1 byte",
+    "duration_ns": "calc duration must be >= 0 ns",
+    "requires": "rank {r} op {i}: unknown requires [{bad}]",
+}
+_MARK = 987654321  # the corrupt op's size before it is corrupted; no other op has it
+
+
+@settings(max_examples=200, deadline=None)
+@given(base=runnable_schedules(), data=st.data())
+def test_loaders_name_a_corrupt_op_alike_at_any_position(base, data):
+    # The empty rank added last is a peer for every rank, so in the text a
+    # zero size is the only fault.
+    nranks = base.nranks + 1
+    ops = [list(rank_ops) for rank_ops in base.ops] + [[]]
+    r = data.draw(st.integers(0, nranks - 1), label="rank")
+    i = data.draw(st.integers(0, len(ops[r])), label="op")
+    field = data.draw(st.sampled_from(sorted(_OP_FAULTS)), label="fault")
+    kinds = {"duration_ns": (CALC,), "requires": (SEND, RECV, CALC)}.get(field, (SEND, RECV))
+    kind = data.draw(st.sampled_from(kinds), label="kind")
+    requires = ops[r][i].requires if i < len(ops[r]) else frozenset()
+    peer = None if kind == CALC else 0 if r == nranks - 1 else nranks - 1
+    ops[r][i:i + 1] = [ScheduleOp(i, kind, peer, _MARK, requires)]
+    good = Schedule(nranks, ops)
+    doc, text = json.loads(schedule_to_json(good)), emit_goal(good)
+    bad = data.draw(st.sampled_from((-1, len(ops[r]), len(ops[r]) + 2, 2**64)))
+    if field == "requires":
+        value = sorted(requires | {bad})
+        ops[r][i] = ScheduleOp(i, kind, peer, _MARK, frozenset(value))
+    elif field == "peer":
+        value = -data.draw(st.integers(1, 3))
+        ops[r][i] = ScheduleOp(i, kind, value, _MARK, requires)
+    else:
+        value = 0 if field == "size_bytes" else -data.draw(st.integers(1, 3))
+        ops[r][i] = ScheduleOp(i, kind, peer, value, requires)
+    doc["ranks"][r][i][field] = value
+    message = _OP_FAULTS[field].format(kind=kind, r=r, i=i, bad=bad)
+    with pytest.raises(ValueError) as built:
+        Schedule(nranks, ops)
+    with pytest.raises(ValueError) as loaded:
+        schedule_from_json(json.dumps(doc))
+    assert str(built.value) == str(loaded.value) == message
+    if field == "size_bytes":
+        with pytest.raises(ValueError) as parsed:
+            parse_goal(text.replace(f" {_MARK}b ", " 0b "))
+        assert str(parsed.value) == message
+
+
 @pytest.mark.parametrize("load", [
     lambda size: schedule_from_json(json.dumps({
         "schema": "nsim.schedule/1", "num_ranks": 1,
@@ -639,9 +689,10 @@ def test_level_columns_memory_per_op(make):
 
     from nsim.simengine import _Compiled, _level_columns
 
-    # The batch engine's layout: seven 8-byte columns in level order, plus
-    # the arrays' headers (under 4 KB in all), whatever the number of levels;
-    # at the peak also the gathered kinds, masks and message numbers.
+    # The batch engine's layout: six 8-byte columns in level order and a view
+    # of the walk's op ids, plus the arrays' headers (under 4 KB in all),
+    # whatever the number of levels; at the peak also the gathered kinds,
+    # masks and message numbers.
     s = make()
     c = _Compiled(s)
     _level_columns(c, 1000)  # numpy's own first-call allocations
@@ -654,8 +705,8 @@ def test_level_columns_memory_per_op(make):
         tracemalloc.stop()
     n = s.op_count()
     assert all(len(col) == n for col in columns)
-    assert held <= 56 * n + 4096, held / n
-    assert peak <= 70 * n, peak / n
+    assert held <= 48 * n + 4096, held / n
+    assert peak <= 60 * n, peak / n
 
 
 def test_validate_runs_once_per_schedule(monkeypatch):

@@ -116,6 +116,8 @@ class TestEmpiricalDistribution:
     def test_rejects_sample_beyond_the_float_range(self):
         with pytest.raises(ValueError, match="samples must be finite numbers"):
             EmpiricalDistribution((7000.0, 10**400), "ns")
+        with pytest.raises(ValueError, match="samples must be finite numbers"):
+            EmpiricalDistribution.from_values([7000.0, 10**400], "ns")
 
     def test_rejects_nonpositive_latency_or_rate(self):
         with pytest.raises(ValueError):
