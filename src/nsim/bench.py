@@ -28,11 +28,13 @@ waits for the previous completion plus the inter-message interval.
 
 from __future__ import annotations
 
+import math
 import socket
 import struct
 import threading
 import time
 from dataclasses import dataclass
+from itertools import starmap
 
 from .errors import ClockResolutionError, DetourLimitError
 from .model import UNIT_NS, DetourTrace
@@ -67,24 +69,23 @@ _EPOCH_STRUCT = struct.Struct("!Q")
 _ROW_COUNT = struct.Struct("!I")
 _ROW_STRUCT = struct.Struct("!Qd")
 
-_MODES = ("pingpong", "pingpong_bidir")
-
 
 @dataclass(frozen=True)
 class BenchPlan:
-    """Parameters of one benchmark session."""
+    """Parameters of one benchmark session toward the responder at ``peer``.
 
-    mode: str
+    The function it is passed to, ``pingpong`` or ``pingpong_bidirectional``,
+    decides the kind of session.
+    """
+
+    peer: tuple[str, int]
     size: int = 1
     iterations: int = 100
     warmup_iterations: int = 10
     connections: int = 1
     inter_message_interval_ns: int = 0
-    peer: tuple[str, int] | None = None
 
     def __post_init__(self) -> None:
-        if self.mode not in _MODES:
-            raise ValueError(f"unknown mode {self.mode!r}")
         if self.connections < 1:
             raise ValueError("connections must be >= 1")
         if self.iterations < 1:
@@ -100,6 +101,15 @@ class BenchPlan:
                 f"size ({self.size}) must be >= connections ({self.connections}) "
                 "so every part is non-empty"
             )
+        # the setup message carries each of these in a fixed-width field
+        for name, value, bits in (
+            ("payload size", self.size, 64),
+            ("connections", self.connections, 16),
+            ("warmup_iterations + iterations", self.warmup_iterations + self.iterations, 32),
+            ("inter_message_interval_ns", self.inter_message_interval_ns, 64),
+        ):
+            if value >= 1 << bits:
+                raise ValueError(f"{name} must be < 2**{bits}, got {value}")
 
 
 def part_sizes(size: int, connections: int) -> list[int]:
@@ -237,18 +247,16 @@ class EchoServer:
         epoch = time.perf_counter_ns()
         conn.sendall(_EPOCH_STRUCT.pack(epoch))
         plan = BenchPlan(
-            mode="pingpong",
+            peer=(addr[0], reverse_port),
             size=size,
             iterations=iterations,
             warmup_iterations=0,
             connections=connections,
             inter_message_interval_ns=interval,
-            peer=(addr[0], reverse_port),
         )
         trace = pingpong(plan, epoch_ns=epoch)
-        conn.sendall(_ROW_COUNT.pack(len(trace.rows)))
-        for ts, value in trace.rows:
-            conn.sendall(_ROW_STRUCT.pack(ts, value))
+        conn.sendall(_ROW_COUNT.pack(len(trace))
+                     + b"".join(starmap(_ROW_STRUCT.pack, trace.rows)))
         conn.close()
 
 
@@ -302,10 +310,6 @@ def pingpong(
     row records the maximum across concurrent connections. Warmup iterations
     run first and are excluded from the trace.
     """
-    if plan.mode != "pingpong":
-        raise ValueError(f"pingpong() needs mode='pingpong', got {plan.mode!r}")
-    if plan.peer is None:
-        raise ValueError("plan.peer is required for the initiator role")
     parts = part_sizes(plan.size, plan.connections)
     timer = _IterationTimer(plan.warmup_iterations, plan.inter_message_interval_ns,
                             clock, epoch_ns)
@@ -371,19 +375,6 @@ def pingpong_bidirectional(plan: BenchPlan) -> tuple[SampleTrace, SampleTrace]:
     overlap the reverse session's first measured ones, and the forward session
     would measure its last iterations alone, on an idle peer.
     """
-    if plan.mode != "pingpong_bidir":
-        raise ValueError(f"needs mode='pingpong_bidir', got {plan.mode!r}")
-    if plan.peer is None:
-        raise ValueError("plan.peer is required for the initiator role")
-    forward_plan = BenchPlan(
-        mode="pingpong",
-        size=plan.size,
-        iterations=plan.iterations,
-        warmup_iterations=plan.warmup_iterations,
-        connections=plan.connections,
-        inter_message_interval_ns=plan.inter_message_interval_ns,
-        peer=plan.peer,
-    )
     with EchoServer() as reverse_echo:
         control = _connect(plan.peer)
         try:
@@ -393,16 +384,13 @@ def pingpong_bidirectional(plan: BenchPlan) -> tuple[SampleTrace, SampleTrace]:
             control.sendall(_BIDIR_EXTRA.pack(reverse_echo.port,
                                               plan.inter_message_interval_ns, epoch))
             _EPOCH_STRUCT.unpack(_recvall(control, _EPOCH_STRUCT.size))
-            forward = pingpong(forward_plan, epoch_ns=epoch)
+            forward = pingpong(plan, epoch_ns=epoch)
             (count,) = _ROW_COUNT.unpack(_recvall(control, _ROW_COUNT.size))
-            rows = [
-                _ROW_STRUCT.unpack(_recvall(control, _ROW_STRUCT.size))
-                for _ in range(count)
-            ]
+            rows = _recvall(control, count * _ROW_STRUCT.size)
         finally:
             control.close()
-    reverse = SampleTrace(tuple((int(ts), float(v)) for ts, v in rows[plan.warmup_iterations:]),
-                          UNIT_NS)
+    warmup_bytes = plan.warmup_iterations * _ROW_STRUCT.size
+    reverse = SampleTrace(_ROW_STRUCT.iter_unpack(rows[warmup_bytes:]), UNIT_NS)
     return forward, reverse
 
 
@@ -431,8 +419,9 @@ def selfish_detour(
     """
     if target_records < 1:
         raise ValueError("target_records must be >= 1")
-    if threshold_multiplier <= 1.0:
-        raise ValueError("threshold_multiplier must be > 1")
+    if not 1.0 < threshold_multiplier < math.inf:
+        raise ValueError(f"threshold_multiplier must be a finite number > 1, "
+                         f"got {threshold_multiplier}")
     if resolution_probe_iterations < 2:
         raise ValueError("resolution_probe_iterations must be >= 2")
     t_min = None

@@ -23,6 +23,7 @@ from .errors import (ClockResolutionError, DeadlockError, DetourLimitError,
 from .units import UNIT_GBPS, UNIT_NS
 
 if TYPE_CHECKING:
+    from .bench import BenchPlan
     from .goal import Schedule
     from .model import LogGPParams
 
@@ -500,10 +501,33 @@ def _maybe_pin(cpu: int | None) -> None:
         os.sched_setaffinity(0, {cpu})
 
 
-def _serve_or_peer(listen: str | None, peer: str | None) -> tuple[str, int] | None:
-    """Serve as the responder until killed (--listen), else the --peer endpoint."""
+_SESSION = (
+    click.option("--listen", help="Responder role: HOST:PORT or PORT to serve on."),
+    click.option("--peer", help="Initiator role: HOST:PORT of the responder."),
+    click.option("--size", type=int, default=1, show_default=True),
+    click.option("--iterations", type=int, default=1000, show_default=True),
+    click.option("--warmup", type=int, default=10, show_default=True),
+    click.option("--connections", type=int, default=1, show_default=True),
+    click.option("--interval", type=int, default=0, show_default=True,
+                 help="Inter-message interval in ns."),
+    click.option("--cpu", type=int, help="Pin this process to one CPU."),
+)
+
+
+def _session_options(fn):
+    """Attach the _SESSION options of a ping-pong command, in the order listed."""
+    for option in reversed(_SESSION):
+        fn = option(fn)
+    return fn
+
+
+def _session_plan(listen: str | None, peer: str | None, size: int, iterations: int,
+                  warmup: int, connections: int, interval: int,
+                  cpu: int | None) -> BenchPlan | None:
+    """Serve as the responder until killed (--listen, None), else the --peer plan."""
     from . import bench as bench_mod
 
+    _maybe_pin(cpu)
     if listen:
         host, port = _parse_endpoint(listen)
         server = bench_mod.EchoServer(host, port)
@@ -512,70 +536,42 @@ def _serve_or_peer(listen: str | None, peer: str | None) -> tuple[str, int] | No
         return None
     if not peer:
         raise ValueError("either --listen or --peer is required")
-    return _parse_endpoint(peer)
+    return bench_mod.BenchPlan(
+        peer=_parse_endpoint(peer), size=size, iterations=iterations,
+        warmup_iterations=warmup, connections=connections,
+        inter_message_interval_ns=interval,
+    )
 
 
 @bench_group.command("pingpong")
-@click.option("--listen", help="Responder role: HOST:PORT or PORT to serve on.")
-@click.option("--peer", help="Initiator role: HOST:PORT of the responder.")
-@click.option("--size", type=int, default=1, show_default=True)
-@click.option("--iterations", type=int, default=1000, show_default=True)
-@click.option("--warmup", type=int, default=10, show_default=True)
-@click.option("--connections", type=int, default=1, show_default=True)
-@click.option("--interval", type=int, default=0, show_default=True,
-              help="Inter-message interval in ns.")
-@click.option("--cpu", type=int, help="Pin this process to one CPU.")
+@_session_options
 @_OUT
 @_handle_errors
-def bench_pingpong(listen: str | None, peer: str | None, size: int, iterations: int,
-                   warmup: int, connections: int, interval: int, cpu: int | None,
-                   out: str) -> None:
+def bench_pingpong(out: str, **session) -> None:
     """Ping-pong RTT/2 trace (multi-connection splits the payload)."""
     from . import bench as bench_mod
     from . import noise as noise_mod
 
-    _maybe_pin(cpu)
-    endpoint = _serve_or_peer(listen, peer)
-    if endpoint is None:
-        return
-    plan = bench_mod.BenchPlan(
-        mode="pingpong", size=size, iterations=iterations, warmup_iterations=warmup,
-        connections=connections, inter_message_interval_ns=interval, peer=endpoint,
-    )
-    _write_text(out, noise_mod.format_trace(bench_mod.pingpong(plan)))
+    plan = _session_plan(**session)
+    if plan is not None:
+        _write_text(out, noise_mod.format_trace(bench_mod.pingpong(plan)))
 
 
 @bench_group.command("bidir")
-@click.option("--listen", help="Responder role: HOST:PORT or PORT to serve on.")
-@click.option("--peer", help="Initiator role: HOST:PORT of the responder.")
-@click.option("--size", type=int, default=1, show_default=True)
-@click.option("--iterations", type=int, default=1000, show_default=True)
-@click.option("--warmup", type=int, default=10, show_default=True)
-@click.option("--connections", type=int, default=1, show_default=True)
-@click.option("--interval", type=int, default=0, show_default=True)
-@click.option("--cpu", type=int)
+@_session_options
 @click.option("--out-forward", default="-", show_default=True)
 @click.option("--out-reverse", default="-", show_default=True)
 @_handle_errors
-def bench_bidir(listen: str | None, peer: str | None, size: int, iterations: int,
-                warmup: int, connections: int, interval: int, cpu: int | None,
-                out_forward: str, out_reverse: str) -> None:
+def bench_bidir(out_forward: str, out_reverse: str, **session) -> None:
     """Two simultaneous ping-pongs, one initiated from each endpoint."""
     from . import bench as bench_mod
     from . import noise as noise_mod
 
-    _maybe_pin(cpu)
-    endpoint = _serve_or_peer(listen, peer)
-    if endpoint is None:
-        return
-    plan = bench_mod.BenchPlan(
-        mode="pingpong_bidir", size=size, iterations=iterations,
-        warmup_iterations=warmup, connections=connections,
-        inter_message_interval_ns=interval, peer=endpoint,
-    )
-    forward, reverse = bench_mod.pingpong_bidirectional(plan)
-    _write_text(out_forward, noise_mod.format_trace(forward))
-    _write_text(out_reverse, noise_mod.format_trace(reverse))
+    plan = _session_plan(**session)
+    if plan is not None:
+        forward, reverse = bench_mod.pingpong_bidirectional(plan)
+        _write_text(out_forward, noise_mod.format_trace(forward))
+        _write_text(out_reverse, noise_mod.format_trace(reverse))
 
 
 @bench_group.command("detour")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -182,16 +183,21 @@ def _render_svg(pairs, log2_scale: bool, title: str | None) -> str:
             raise ValueError("log2 scale requires strictly positive values")
         tx = math.log2
         fmt = lambda t: _fmt_number(2.0 ** t)
+        top = math.nextafter(1024.0, 0.0)  # the largest t whose 2**t is a float
     else:
         tx = float
         fmt = _fmt_number
+        top = sys.float_info.max
     lo = min(tx(v) for v in values)
     hi = max(tx(v) for v in values)
     if hi == lo:
-        hi = lo + 1.0
-    pad = 0.05 * (hi - lo)
-    lo -= pad
-    hi += pad
+        # lo + 1 is lo itself from 2**53 up
+        hi = max(lo + 1.0, math.nextafter(lo, math.inf))
+    # pad by 5% of the length; halves keep the length itself a finite float
+    pad = 0.1 * (hi / 2 - lo / 2)
+    lo = max(lo - pad, -top)
+    hi = min(hi + pad, top)
+    half_length = hi / 2 - lo / 2
 
     width = _MARGIN_L + _W_PER_GROUP * len(stats) + _MARGIN_R
     height = _MARGIN_T + _PLOT_H + _MARGIN_B
@@ -203,7 +209,7 @@ def _render_svg(pairs, log2_scale: bool, title: str | None) -> str:
             tv = lo
         else:
             tv = min(max(tx(v), lo), hi)
-        return _MARGIN_T + _PLOT_H * (hi - tv) / (hi - lo)
+        return _MARGIN_T + _PLOT_H * ((hi / 2 - tv / 2) / half_length)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
@@ -218,8 +224,9 @@ def _render_svg(pairs, log2_scale: bool, title: str | None) -> str:
     parts.append(f'<line x1="{axis_x}" y1="{_MARGIN_T}" x2="{axis_x}" '
                  f'y2="{_MARGIN_T + _PLOT_H}" stroke="black"/>')
     for i in range(6):
-        t = lo + (hi - lo) * i / 5
-        yy = _MARGIN_T + _PLOT_H * (hi - t) / (hi - lo)
+        w = i / 5
+        t = lo * (1 - w) + hi * w
+        yy = _MARGIN_T + _PLOT_H * (1 - w)
         parts.append(f'<line x1="{axis_x - 4}" y1="{yy:.1f}" x2="{axis_x}" y2="{yy:.1f}" '
                      f'stroke="black"/>')
         parts.append(f'<text x="{axis_x - 8}" y="{yy + 4:.1f}" text-anchor="end">'

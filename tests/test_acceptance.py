@@ -194,11 +194,11 @@ def test_c07_localhost_validation():
 
     with EchoServer() as server:
         small = pingpong(BenchPlan(
-            mode="pingpong", size=1, iterations=2500, warmup_iterations=100,
+            size=1, iterations=2500, warmup_iterations=100,
             peer=(server.host, server.port)))
         large_size = 1 << 20
         large = pingpong(BenchPlan(
-            mode="pingpong", size=large_size, iterations=100, warmup_iterations=10,
+            size=large_size, iterations=100, warmup_iterations=10,
             peer=(server.host, server.port)))
     params = calibrate(small.values, large.values, large_size, o_fraction=0.5)
 

@@ -1,9 +1,11 @@
+import math
 import socket
 
 import pytest
 
 from nsim.bench import (
     MAGIC,
+    MODE_BIDIR,
     MODE_PINGPONG,
     SETUP_STRUCT,
     BenchPlan,
@@ -55,15 +57,29 @@ class TestWireProtocol:
 class TestPlanValidation:
     def test_zero_size_payload(self):
         with pytest.raises(ValueError):
-            BenchPlan(mode="pingpong", size=0)
+            BenchPlan(size=0, peer=("127.0.0.1", 1))
 
     def test_size_below_connections(self):
         with pytest.raises(ValueError):
-            BenchPlan(mode="pingpong", size=3, connections=4)
+            BenchPlan(size=3, connections=4, peer=("127.0.0.1", 1))
 
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            BenchPlan(mode="warp")
+    @pytest.mark.parametrize("fields", [
+        {"size": 2**64, "connections": 1},
+        {"size": 65536, "connections": 65536},
+        {"iterations": 2**32 - 10, "warmup_iterations": 10},
+        {"inter_message_interval_ns": 2**64},
+    ], ids=["size", "connections", "warmup_plus_iterations", "interval"])
+    def test_value_beyond_its_setup_field(self, fields):
+        with pytest.raises(ValueError, match="must be < 2"):
+            BenchPlan(peer=("127.0.0.1", 1), **fields)
+
+    def test_largest_plan_packs(self):
+        plan = BenchPlan(peer=("127.0.0.1", 1), size=2**64 - 1, connections=2**16 - 1,
+                         iterations=2**32 - 11, warmup_iterations=10,
+                         inter_message_interval_ns=2**64 - 1)
+        blob = pack_setup(MODE_BIDIR, plan.size, plan.connections,
+                          plan.warmup_iterations + plan.iterations)
+        assert unpack_setup(blob) == (MODE_BIDIR, 2**64 - 1, 2**16 - 1, 2**32 - 1)
 
 
 @pytest.fixture()
@@ -74,7 +90,7 @@ def echo_server():
 
 class TestPingpong:
     def test_trace_shape(self, echo_server):
-        plan = BenchPlan(mode="pingpong", size=64, iterations=40, warmup_iterations=5,
+        plan = BenchPlan(size=64, iterations=40, warmup_iterations=5,
                          peer=(echo_server.host, echo_server.port))
         trace = pingpong(plan)
         assert len(trace) == 40  # warmup excluded
@@ -83,7 +99,7 @@ class TestPingpong:
         assert all(v > 0 for v in trace.values)
 
     def test_derived_bandwidth_sane(self, echo_server):
-        plan = BenchPlan(mode="pingpong", size=4096, iterations=30, warmup_iterations=5,
+        plan = BenchPlan(size=4096, iterations=30, warmup_iterations=5,
                          peer=(echo_server.host, echo_server.port))
         trace = pingpong(plan)
         median = sorted(trace.values)[len(trace) // 2]
@@ -91,14 +107,14 @@ class TestPingpong:
         assert 0 < bw < 10_000  # positive, finite, below any plausible loopback rate
 
     def test_multi_connection(self, echo_server):
-        plan = BenchPlan(mode="pingpong", size=64 * 1024, connections=4, iterations=15,
+        plan = BenchPlan(size=64 * 1024, connections=4, iterations=15,
                          warmup_iterations=3, peer=(echo_server.host, echo_server.port))
         trace = pingpong(plan)
         assert len(trace) == 15
 
     def test_inter_message_interval_paces_iterations(self, echo_server):
         interval = 3_000_000  # 3 ms
-        plan = BenchPlan(mode="pingpong", size=8, iterations=4, warmup_iterations=0,
+        plan = BenchPlan(size=8, iterations=4, warmup_iterations=0,
                          inter_message_interval_ns=interval,
                          peer=(echo_server.host, echo_server.port))
         trace = pingpong(plan)
@@ -109,7 +125,7 @@ class TestPingpong:
         with socket.socket() as probe:
             probe.bind(("127.0.0.1", 0))
             free_port = probe.getsockname()[1]
-        plan = BenchPlan(mode="pingpong", size=8, iterations=1,
+        plan = BenchPlan(size=8, iterations=1,
                          peer=("127.0.0.1", free_port))
         with pytest.raises(OSError):
             pingpong(plan)
@@ -117,7 +133,7 @@ class TestPingpong:
 
 class TestBidirectional:
     def test_single_iteration_one_row_each(self, echo_server):
-        plan = BenchPlan(mode="pingpong_bidir", size=32, iterations=1,
+        plan = BenchPlan(size=32, iterations=1,
                          warmup_iterations=0,
                          peer=(echo_server.host, echo_server.port))
         fwd, rev = pingpong_bidirectional(plan)
@@ -126,7 +142,7 @@ class TestBidirectional:
 
     def test_symmetric_loopback_within_2x(self, echo_server):
         # enough iterations that one scheduler stall cannot move a median
-        plan = BenchPlan(mode="pingpong_bidir", size=16 * 1024, iterations=80,
+        plan = BenchPlan(size=16 * 1024, iterations=80,
                          warmup_iterations=8,
                          peer=(echo_server.host, echo_server.port))
         fwd, rev = pingpong_bidirectional(plan)
@@ -147,7 +163,7 @@ class TestBidirectional:
                 super()._bidir_session(conn, addr, size, connections, iterations)
 
         with Recording() as server:
-            plan = BenchPlan(mode="pingpong_bidir", size=32, iterations=5,
+            plan = BenchPlan(size=32, iterations=5,
                              warmup_iterations=3, peer=(server.host, server.port))
             fwd, rev = pingpong_bidirectional(plan)
         assert sessions == [8]
@@ -155,7 +171,7 @@ class TestBidirectional:
 
     def test_zero_size_invalid(self, echo_server):
         with pytest.raises(ValueError):
-            BenchPlan(mode="pingpong_bidir", size=0, iterations=1,
+            BenchPlan(size=0, iterations=1,
                       peer=(echo_server.host, echo_server.port))
 
 
@@ -215,6 +231,14 @@ class TestSelfishDetour:
         clock = _clock_for([10, 10, 10], [10] * 50)
         with pytest.raises(RuntimeError, match="collected only"):
             selfish_detour(1, resolution_probe_iterations=3, clock=clock,
+                           max_iterations=20)
+
+    @pytest.mark.parametrize("multiplier", [math.nan, math.inf])
+    def test_non_finite_multiplier_refused(self, multiplier):
+        # no iteration is ever longer than nan or inf times t_min
+        clock = _clock_for([10, 10, 10], [10] * 50)
+        with pytest.raises(ValueError, match="threshold_multiplier"):
+            selfish_detour(1, multiplier, resolution_probe_iterations=3, clock=clock,
                            max_iterations=20)
 
     def test_real_clock_smoke(self):

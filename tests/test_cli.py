@@ -270,6 +270,24 @@ class TestCostAndReport:
         content = svg_path.read_text()
         assert content.count('class="box"') == 2
 
+    @pytest.mark.parametrize("completions, log2", [
+        ([1, int(1.79e308)], False),
+        ([1, 10**308], True),
+        ([10**17, 10**17], False),
+    ], ids=["linear", "log2", "one_value_above_2_53"])
+    def test_svg_near_the_float_maximum(self, runner, tmp_path, completions, log2):
+        res, svg_path = tmp_path / "res.json", tmp_path / "plot.svg"
+        res.write_text(json.dumps({
+            "schema": "nsim.results/1", "metadata": {"nranks": 4},
+            "results": [{"run": i, "completion_ns": c} for i, c in enumerate(completions)],
+        }))
+        r = runner.invoke(cli, ["report", "svg", str(res), *(["--log2"] if log2 else []),
+                                "-o", str(svg_path)])
+        assert r.exit_code == 0, r.output
+        content = svg_path.read_text()
+        assert content.count('class="box"') == 1
+        assert not re.search("nan|inf", content)
+
     def test_cost_without_runs_exit_3(self, tmp_path):
         res = tmp_path / "res.json"
         res.write_text(json.dumps({"schema": "nsim.results/1",
@@ -472,6 +490,34 @@ class TestBench:
         assert lines[0] == "timestamp_ns,value,unit"
         assert len(lines) == 4
         assert all(re.fullmatch(r"\d+,\d+\.\d+,ns", line) for line in lines[1:])
+
+    def test_bidir_trace_csvs(self, runner, tmp_path):
+        forward, reverse = tmp_path / "fwd.csv", tmp_path / "rev.csv"
+        with EchoServer() as server:
+            r = _invoke(runner, ["bench", "bidir", "--peer", f"127.0.0.1:{server.port}",
+                                 "--size", "8", "--iterations", "3", "--warmup", "1",
+                                 "--out-forward", str(forward), "--out-reverse", str(reverse)])
+        assert r.exit_code == 0
+        for path in (forward, reverse):
+            lines = path.read_text().splitlines()
+            assert lines[0] == "timestamp_ns,value,unit"
+            assert len(lines) == 4
+            assert all(re.fullmatch(r"\d+,\d+\.\d+,ns", line) for line in lines[1:])
+
+    def test_pingpong_iterations_beyond_setup_exit_3(self):
+        # the setup message carries iterations in 32 bits
+        with EchoServer() as server:
+            proc = _run_cli("bench", "pingpong", "--peer", f"127.0.0.1:{server.port}",
+                            "--iterations", str(2**32))
+        _assert_clean_exit(proc, 3)
+        assert len(proc.stderr.splitlines()) == 1
+
+    @pytest.mark.parametrize("threshold", ["nan", "inf"])
+    def test_detour_threshold_not_finite_exit_3(self, threshold):
+        proc = _run_cli("bench", "detour", "--threshold", threshold, "--records", "1",
+                        "--probe", "100", "--max-iterations", "1000")
+        _assert_clean_exit(proc, 3)
+        assert len(proc.stderr.splitlines()) == 1 and "threshold" in proc.stderr
 
 
 @pytest.mark.parametrize("fmt", ["json", "goal"])
