@@ -1,8 +1,9 @@
 """Host microbenchmarks producing sample traces: ping-pong and selfish detour.
 
-Transport is a plain TCP byte stream with Nagle disabled, one dedicated worker
-thread per connection. A session starts with a fixed setup message in network
-byte order:
+Transport is a plain TCP byte stream with Nagle disabled. The responder is a
+stdlib ``socketserver.ThreadingTCPServer`` with one daemon thread per connection;
+its stop() does not wait for open sessions. The initiator runs one worker thread
+per connection. A session starts with a fixed setup message in network byte order:
 
     magic "NSIM" | version u8 | mode u8 | size u64 | connections u16 | iterations u32
 
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import math
 import socket
+import socketserver
 import struct
 import threading
 import time
@@ -154,41 +156,33 @@ def _connect(peer: tuple[str, int]) -> socket.socket:
 # ---------------------------------------------------------------------------
 # Responder
 
-class EchoServer:
+class EchoServer(socketserver.ThreadingTCPServer):
     """Responder side: echoes pingpong sessions, mirrors bidirectional ones.
 
-    Runs accept/handler threads until stop(). Usable as a context manager in
-    tests; the CLI keeps one in the foreground.
+    One daemon thread per connection, which the server closes when its session
+    ends. start() serves on a background thread until stop(), which does not
+    wait for open sessions. Usable as a context manager in tests; the CLI calls
+    serve_forever() in the foreground.
     """
 
+    allow_reuse_address = True
+    daemon_threads = True
+    request_queue_size = 64
+
     def __init__(self, host: str = "127.0.0.1", port: int = 0):
-        self._srv = socket.socket()
-        self._srv.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._srv.bind((host, port))
-        self._srv.listen(64)
-        # closing a listening socket does not wake a blocked accept() on
-        # Linux; poll with a timeout instead so stop() returns promptly
-        self._srv.settimeout(0.1)
-        self.host, self.port = self._srv.getsockname()[:2]
-        self._stopping = threading.Event()
-        self._accept_thread: threading.Thread | None = None
-        self._handlers: list[threading.Thread] = []
+        super().__init__((host, port), _SessionHandler)
+        self.host, self.port = self.server_address[:2]
+        self._serving: threading.Thread | None = None
 
     def start(self) -> "EchoServer":
-        self._accept_thread = threading.Thread(target=self._accept_loop, daemon=True)
-        self._accept_thread.start()
+        self._serving = threading.Thread(target=self.serve_forever, args=(0.1,), daemon=True)
+        self._serving.start()
         return self
 
     def stop(self) -> None:
-        self._stopping.set()
-        try:
-            self._srv.close()
-        except OSError:
-            pass
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout=5)
-        for t in self._handlers:
-            t.join(timeout=5)
+        if self._serving is not None:  # shutdown() waits for serve_forever() to end
+            self.shutdown()
+        self.server_close()
 
     def __enter__(self) -> "EchoServer":
         return self.start()
@@ -196,68 +190,36 @@ class EchoServer:
     def __exit__(self, *exc) -> None:
         self.stop()
 
-    def serve_forever(self) -> None:
-        """Foreground accept loop (CLI responder role)."""
-        self._accept_loop()
-
-    def _accept_loop(self) -> None:
-        while not self._stopping.is_set():
-            try:
-                conn, addr = self._srv.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                return
-            conn.setblocking(True)
-            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            t = threading.Thread(target=self._handle, args=(conn, addr), daemon=True)
-            t.start()
-            self._handlers.append(t)
-
-    def _handle(self, conn: socket.socket, addr) -> None:
-        try:
-            mode, size, connections, iterations = unpack_setup(
-                _recvall(conn, SETUP_STRUCT.size)
-            )
-            if mode == MODE_PINGPONG:
-                self._echo_loop(conn)
-            elif mode == MODE_BIDIR:
-                self._bidir_session(conn, addr, size, connections, iterations)
-            else:
-                conn.close()
-        except (OSError, ValueError, ConnectionResetError):
-            try:
-                conn.close()
-            except OSError:
-                pass
-
-    @staticmethod
-    def _echo_loop(conn: socket.socket) -> None:
-        while True:
-            data = conn.recv(1 << 16)
-            if not data:
-                break
-            conn.sendall(data)
-        conn.close()
-
     def _bidir_session(self, conn, addr, size, connections, iterations) -> None:
         reverse_port, interval, _their_epoch = _BIDIR_EXTRA.unpack(
             _recvall(conn, _BIDIR_EXTRA.size)
         )
         epoch = time.perf_counter_ns()
         conn.sendall(_EPOCH_STRUCT.pack(epoch))
-        plan = BenchPlan(
-            peer=(addr[0], reverse_port),
-            size=size,
-            iterations=iterations,
-            warmup_iterations=0,
-            connections=connections,
-            inter_message_interval_ns=interval,
-        )
+        plan = BenchPlan(peer=(addr[0], reverse_port), size=size, iterations=iterations,
+                         warmup_iterations=0, connections=connections,
+                         inter_message_interval_ns=interval)
         trace = pingpong(plan, epoch_ns=epoch)
         conn.sendall(_ROW_COUNT.pack(len(trace))
                      + b"".join(starmap(_ROW_STRUCT.pack, trace.rows)))
-        conn.close()
+
+
+class _SessionHandler(socketserver.BaseRequestHandler):
+    def handle(self) -> None:
+        conn = self.request
+        try:
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            mode, size, connections, iterations = unpack_setup(
+                _recvall(conn, SETUP_STRUCT.size)
+            )
+            if mode == MODE_PINGPONG:
+                while data := conn.recv(1 << 16):
+                    conn.sendall(data)
+            elif mode == MODE_BIDIR:
+                self.server._bidir_session(conn, self.client_address, size,
+                                           connections, iterations)
+        except (OSError, ValueError):
+            pass
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -386,6 +387,8 @@ def _load_results(path: str, with_nranks: bool = False) -> tuple[list[int], int 
                    for run in runs]
     if not all(map(_is_int, completions)):
         raise ValueError(f"{path}: every run needs an integer 'completion_ns'")
+    if min(completions) < 0:
+        raise ValueError(f"{path}: 'completion_ns' must be >= 0")
     _check_float_range(path, "completion_ns", completions)
     if not with_nranks:
         return completions, None
@@ -395,6 +398,14 @@ def _load_results(path: str, with_nranks: bool = False) -> tuple[list[int], int 
         raise ValueError(f"{path}: 'metadata.nranks' must be an integer")
     _check_float_range(path, "metadata.nranks", [nranks])
     return completions, nranks
+
+
+def _mean(values: list[float]) -> float:
+    """sum / len, computed term by term when the sum passes the float maximum."""
+    mean = sum(values) / len(values)
+    if math.isinf(mean):
+        mean = min(math.fsum(v / len(values) for v in values), max(values))
+    return mean
 
 
 @cli.command("cost")
@@ -426,14 +437,14 @@ def cost_cmd(results_path: str, price_catalog: str | None, provider: str, label:
         "usd_per_node_hour": price.per_node_hour,
         "nodes": nodes,
         "per_run_usd": costs,
-        "mean_usd": sum(costs) / len(costs),
+        "mean_usd": _mean(costs),
     }
     if baseline_path:
         base = _load_results(baseline_path)[0][0]
         increases = cost_mod.completion_increase(completions, base)
         output["baseline_completion_ns"] = base
         output["relative_increase"] = increases
-        output["mean_relative_increase"] = sum(increases) / len(increases)
+        output["mean_relative_increase"] = _mean(increases)
     _write_text(out, json.dumps(output, indent=2) + "\n")
 
 

@@ -5,7 +5,7 @@ interpolation between order statistics (the "type-7" rule), the whiskers are
 the smallest sample > Q1 - 1.5*IQR and the largest sample < Q3 + 1.5*IQR
 (falling back to Q1/Q3 when no sample qualifies), samples outside the whiskers
 are outliers, and the notch is the McGill median confidence interval
-median +- 1.57 * IQR / sqrt(n).
+median +- 1.57 * IQR / sqrt(n), clamped to the float range.
 """
 
 from __future__ import annotations
@@ -55,7 +55,10 @@ def box_stats(samples: Sequence[float]) -> BoxStats:
     if n < 1:
         raise ValueError("box_stats needs at least one sample")
     xs = sorted(float(v) for v in samples)
-    mean = math.fsum(xs) / n
+    try:
+        mean = math.fsum(xs) / n
+    except OverflowError:  # the sum passed the float maximum; the mean is <= xs[-1]
+        mean = min(math.fsum(x / n for x in xs), xs[-1])
     q1 = _quantile(xs, 0.25)
     median = _quantile(xs, 0.50)
     q3 = _quantile(xs, 0.75)
@@ -68,6 +71,9 @@ def box_stats(samples: Sequence[float]) -> BoxStats:
     whisker_high = max(in_hi) if in_hi and max(in_hi) >= q3 else q3
     outliers = tuple(v for v in xs if v < whisker_low or v > whisker_high)
     half_notch = 1.57 * iqr / math.sqrt(n)
+    if math.isinf(half_notch):  # 1.57 * iqr alone passed the float maximum
+        half_notch = 1.57 * (iqr / math.sqrt(n))
+    top = sys.float_info.max
     return BoxStats(
         n=n,
         mean=mean,
@@ -77,8 +83,8 @@ def box_stats(samples: Sequence[float]) -> BoxStats:
         iqr=iqr,
         whisker_low=whisker_low,
         whisker_high=whisker_high,
-        notch_low=median - half_notch,
-        notch_high=median + half_notch,
+        notch_low=max(median - half_notch, -top),
+        notch_high=min(median + half_notch, top),
         outliers=outliers,
     )
 

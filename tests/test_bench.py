@@ -1,5 +1,7 @@
 import math
 import socket
+import threading
+import time
 
 import pytest
 
@@ -173,6 +175,34 @@ class TestBidirectional:
         with pytest.raises(ValueError):
             BenchPlan(size=0, iterations=1,
                       peer=(echo_server.host, echo_server.port))
+
+
+class TestResponder:
+    def test_stop_does_not_wait_for_an_open_session(self):
+        server = EchoServer().start()
+        with socket.create_connection((server.host, server.port), timeout=5) as client:
+            client.sendall(pack_setup(MODE_PINGPONG, 1, 1, 1) + b"x")
+            assert client.recv(1) == b"x"  # the session is open
+            start = time.monotonic()
+            server.stop()
+            assert time.monotonic() - start < 1
+
+    def test_stop_without_start_returns(self):
+        stopper = threading.Thread(target=EchoServer().stop, daemon=True)
+        stopper.start()
+        stopper.join(timeout=5)
+        assert not stopper.is_alive()
+
+    @pytest.mark.parametrize("setup", [
+        b"XXXX" + pack_setup(MODE_PINGPONG, 8, 1, 1)[4:],
+        pack_setup(3, 8, 1, 1),
+    ], ids=["bad_magic", "unknown_mode"])
+    def test_bad_setup_gets_eof_and_the_server_goes_on(self, echo_server, setup):
+        peer = (echo_server.host, echo_server.port)
+        with socket.create_connection(peer, timeout=5) as client:
+            client.sendall(setup)
+            assert client.recv(1) == b""
+        assert len(pingpong(BenchPlan(size=8, iterations=2, peer=peer))) == 2
 
 
 class _StepClock:

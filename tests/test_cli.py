@@ -6,7 +6,7 @@ import sys
 import pytest
 from click.testing import CliRunner
 
-from nsim.bench import EchoServer
+from nsim.bench import BenchPlan, EchoServer, pingpong, pingpong_bidirectional
 from nsim.cli import cli, dump_params_file, load_params_file
 from nsim.goal import parse_goal, schedule_from_json
 from nsim.model import DetourTrace, LogGPParams
@@ -35,6 +35,16 @@ def _run_cli(*args, input=None):
     """Run the CLI in a fresh interpreter, as a shell user would."""
     return subprocess.run([sys.executable, "-m", "nsim.cli", *args], input=input,
                           capture_output=True, text=True, timeout=120)
+
+
+def _results_doc(completions):
+    return json.dumps({"schema": "nsim.results/1", "metadata": {"nranks": 4},
+                       "results": [{"run": i, "completion_ns": c}
+                                   for i, c in enumerate(completions)]})
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
 
 
 def _assert_clean_exit(proc, code):
@@ -274,7 +284,8 @@ class TestCostAndReport:
         ([1, int(1.79e308)], False),
         ([1, 10**308], True),
         ([10**17, 10**17], False),
-    ], ids=["linear", "log2", "one_value_above_2_53"])
+        ([int(1.7e308)] * 2, False),
+    ], ids=["linear", "log2", "one_value_above_2_53", "sum_beyond_max"])
     def test_svg_near_the_float_maximum(self, runner, tmp_path, completions, log2):
         res, svg_path = tmp_path / "res.json", tmp_path / "plot.svg"
         res.write_text(json.dumps({
@@ -287,6 +298,28 @@ class TestCostAndReport:
         content = svg_path.read_text()
         assert content.count('class="box"') == 1
         assert not re.search("nan|inf", content)
+
+    @pytest.mark.parametrize("completions", [[int(1.7e308)] * 2, [1, int(1.79e308)]],
+                             ids=["sum_beyond_max", "notch_beyond_max"])
+    def test_box_near_the_float_maximum(self, runner, tmp_path, completions):
+        res = tmp_path / "res.json"
+        res.write_text(_results_doc(completions))
+        r = runner.invoke(cli, ["report", "box", str(res)])
+        assert r.exit_code == 0, r.output
+        stats = json.loads(r.output, parse_constant=_refuse_constant)["groups"][0]["stats"]
+        assert stats["mean"] == sum(completions) / 2
+        assert stats["notch_low"] <= stats["median"] <= stats["notch_high"]
+
+    def test_mean_increase_near_the_float_maximum(self, runner, tmp_path):
+        res, base = tmp_path / "res.json", tmp_path / "base.json"
+        res.write_text(_results_doc([int(1.7e308)] * 2))
+        base.write_text(_results_doc([1]))
+        r = runner.invoke(cli, ["cost", "--results", str(res), "--provider", "aws",
+                                "--label", "on_demand", "--instance", "c5n.18xlarge",
+                                "--baseline", str(base)])
+        assert r.exit_code == 0, r.output
+        doc = json.loads(r.output, parse_constant=_refuse_constant)
+        assert doc["mean_relative_increase"] == doc["relative_increase"][0] == 1.7e308
 
     def test_cost_without_runs_exit_3(self, tmp_path):
         res = tmp_path / "res.json"
@@ -454,6 +487,20 @@ class TestMalformedInputExit:
         _assert_clean_exit(proc, 3)
         assert len(proc.stderr.splitlines()) == 1 and str(big) in proc.stderr
 
+    @pytest.mark.parametrize("command", ["cost", "report_box", "report_svg"])
+    def test_negative_completion_exit_3(self, tmp_path, command):
+        res, out = tmp_path / "res.json", str(tmp_path / "out")
+        res.write_text(_results_doc([-int(1.7e308), int(1.7e308)]))
+        args = {
+            "cost": ["cost", "--results", str(res), "--provider", "aws", "--label",
+                     "on_demand", "--instance", "c5n.18xlarge", "-o", out],
+            "report_box": ["report", "box", str(res), "-o", out],
+            "report_svg": ["report", "svg", str(res), "-o", out],
+        }[command]
+        proc = _run_cli(*args)
+        _assert_clean_exit(proc, 3)
+        assert proc.stderr == f"error: {res}: 'completion_ns' must be >= 0\n"
+
     def test_detour_span_not_a_number_exit_4(self, params_file, tmp_path):
         trace = tmp_path / "detour.csv"
         trace.write_text("# span_ns=abc\ntimestamp_ns,value,unit\n0,10,ns\n")
@@ -511,6 +558,21 @@ class TestBench:
                             "--iterations", str(2**32))
         _assert_clean_exit(proc, 3)
         assert len(proc.stderr.splitlines()) == 1
+
+    def test_listen_serves_pingpong_and_bidir(self):
+        with subprocess.Popen([sys.executable, "-m", "nsim.cli", "bench", "pingpong",
+                               "--listen", "127.0.0.1:0"],
+                              stderr=subprocess.PIPE, text=True) as proc:
+            try:
+                line = proc.stderr.readline()
+                host, port = re.fullmatch(r"listening on (\S+):(\d+)\n", line).groups()
+                plan = BenchPlan(size=8, iterations=3, warmup_iterations=1,
+                                 peer=(host, int(port)))
+                assert len(pingpong(plan)) == 3
+                forward, reverse = pingpong_bidirectional(plan)
+                assert len(forward) == len(reverse) == 3
+            finally:
+                proc.kill()
 
     @pytest.mark.parametrize("threshold", ["nan", "inf"])
     def test_detour_threshold_not_finite_exit_3(self, threshold):

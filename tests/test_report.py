@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 from collections import Counter
 
 import pytest
@@ -63,6 +64,17 @@ def test_partition_property(samples):
     inside = [v for v in samples if s.whisker_low <= v <= s.whisker_high]
     assert Counter(inside) + Counter(s.outliers) == Counter(float(v) for v in samples)
     assert s.whisker_low <= s.q1 and s.whisker_high >= s.q3
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(0, sys.float_info.max), min_size=1, max_size=50))
+def test_fields_stay_finite_up_to_the_float_maximum(samples):
+    s = box_stats(samples)
+    fields = [v for k, v in vars(s).items() if k not in ("n", "outliers")]
+    assert all(map(math.isfinite, fields)), s
+    assert s.notch_low <= s.median <= s.notch_high
+    # not clamped to -max: the half-notch 1.57 * IQR / sqrt(n) stays finite
+    assert s.median - s.notch_low <= 1.6 * (s.iqr / math.sqrt(s.n)) + math.ulp(s.median)
 
 
 class TestRender:
