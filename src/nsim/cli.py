@@ -264,20 +264,24 @@ def sim() -> None:
 def sim_run(goal_path: str, params_path: str, noise_lat: str | None,
             noise_bw: str | None, noise_os: str | None, seed: int, reps: int,
             workers: int, per_rank: bool, out: str) -> None:
-    """Run a schedule under LogGP timing with optional measured noise."""
+    """Run a schedule under LogGP timing with optional measured noise.
+
+    Params and noise files are read before the schedule, so that in a
+    `gen | sim run` pipe they load while `gen` is still writing.
+    """
     from datetime import datetime, timezone
 
     from . import noise as noise_mod
     from . import simengine
     from .model import NoiseModel
 
-    schedule = _load_schedule(goal_path)
     params, params_doc = load_params_file(params_path)
     noise_model = NoiseModel(
         latency=noise_mod.load_distribution(noise_lat) if noise_lat else None,
         bandwidth=noise_mod.load_distribution(noise_bw) if noise_bw else None,
         os=noise_mod.load_detour_trace(noise_os) if noise_os else None,
     )
+    schedule = _load_schedule(goal_path)
     cfg = simengine.SimConfig(params=params, noise=noise_model, seed=seed)
     results = simengine.run_many(schedule, cfg, reps, workers=workers)
     noise_meta = {
@@ -402,9 +406,10 @@ def _load_results(path: str, with_nranks: bool = False) -> tuple[list[int], int 
 
 def _mean(values: list[float]) -> float:
     """sum / len, computed term by term when the sum passes the float maximum."""
-    mean = sum(values) / len(values)
-    if math.isinf(mean):
-        mean = min(math.fsum(v / len(values) for v in values), max(values))
+    n = len(values)
+    mean = sum(values) / n
+    if math.isinf(mean):  # terms of at most max / 2n keep every partial sum of fsum finite
+        mean = min(2 * math.fsum(v / (2 * n) for v in values), max(values))
     return mean
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -35,12 +36,21 @@ class PriceSpec:
 
 
 def run_cost(runtime_ns: int, nodes: int, price: PriceSpec) -> float:
-    """USD for running ``nodes`` instances for ``runtime_ns``; pure linear billing."""
+    """USD for running ``nodes`` instances for ``runtime_ns``; pure linear billing.
+
+    Raises ValueError when the cost is beyond the float range.
+    """
     if nodes < 1:
         raise ValueError(f"nodes must be >= 1, got {nodes}")
     if runtime_ns < 0:
         raise ValueError(f"runtime must be >= 0 ns, got {runtime_ns}")
-    return (runtime_ns / _NS_PER_HOUR) * nodes * price.per_node_hour
+    try:
+        usd = (runtime_ns / _NS_PER_HOUR) * nodes * price.per_node_hour
+    except OverflowError:
+        usd = math.inf
+    if not math.isfinite(usd):
+        raise ValueError("run cost (runtime x nodes x price) is beyond the float range")
+    return usd
 
 
 def completion_increase(completions: Sequence[int], baseline: int) -> list[float]:

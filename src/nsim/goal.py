@@ -34,9 +34,11 @@ import json
 import re
 import reprlib
 from array import array
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain, compress, islice, repeat
+from operator import add, mod, not_
 from typing import Mapping
 
 from .errors import DeadlockError, GoalSyntaxError, ScheduleValidationError
@@ -101,16 +103,21 @@ def _op_id_error(op_id: int, rank: int) -> ValueError:
                       else f"rank {rank}: op ids must be 0..n-1 in order")
 
 
+_COLUMNS = ("rank_offsets", "kinds", "peers", "sizes", "req_offsets", "req_targets")
+
+
 class _Columns:
     """The growing columns of a schedule under construction.
 
-    Every schedule source appends one op at a time with ``add`` (requires
-    sorted and unique) and closes each rank with ``end_rank``; they are the
-    one place that checks op values. ``add`` checks peer, size and duration,
-    ``end_rank`` that the rank's requires name its own ops.
+    Every schedule source appends ops with ``add``, one at a time (requires
+    sorted and unique) and closing each rank with ``end_rank``, or a rank at
+    a time with ``add_rank``; they are the one place that checks op values.
+    ``add`` checks peer, size and duration, ``end_rank`` that the rank's
+    requires name its own ops: ``add`` notes a negative one (requires arrive
+    sorted), so ``end_rank`` needs only their maximum.
     """
 
-    __slots__ = ("rank_offsets", "kinds", "peers", "sizes", "req_offsets", "req_targets")
+    __slots__ = _COLUMNS + ("_negative",)
 
     def __init__(self) -> None:
         self.rank_offsets = array("q", [0])
@@ -119,6 +126,7 @@ class _Columns:
         self.sizes = array("Q")
         self.req_offsets = array("q", [0])
         self.req_targets = array("q")
+        self._negative = False  # an op requires an op < 0, which end_rank names
 
     def add(self, kind: int, peer: int, size: int, requires=()) -> None:
         if (peer < 0 or size < 1) and kind != KIND_CALC:
@@ -134,6 +142,8 @@ class _Columns:
             raise ValueError("op %s %d does not fit in 64 bits" % field) from None
         self.kinds.append(kind)
         if requires:
+            if requires[0] < 0:
+                self._negative = True
             try:
                 self.req_targets.extend(requires)
             except OverflowError:  # beyond 64 bits, so beyond any rank's ops
@@ -143,11 +153,47 @@ class _Columns:
     def end_rank(self) -> None:
         lo, hi = self.rank_offsets[-1], len(self.kinds)
         req, req_off = self.req_targets, self.req_offsets
-        targets = req[req_off[lo]:]
-        if targets and not 0 <= min(targets) <= max(targets) < hi - lo:
+        first = req_off[lo]
+        if self._negative or (first < len(req) and max(req[first:]) >= hi - lo):
             for g in range(lo, hi):
                 self._check_requires(g, req[req_off[g]:req_off[g + 1]], hi - lo)
         self.rank_offsets.append(hi)
+
+    def add_rank(self, kinds, peers, sizes, req_offsets, req_targets) -> None:
+        """Append a rank's ops from its columns and close it, as ``add`` and
+        ``end_rank`` would: op i requires ``req_targets[req_offsets[i]:
+        req_offsets[i + 1]]``, sorted and unique, with ``req_offsets[0] == 0``.
+
+        The values are checked a column at a time: the minimum peer and size of
+        the sends and recvs, the requires' minimum and maximum, and the 64-bit
+        range as the arrays check it. A rank that fails is replayed through
+        ``add``, which names its first fault.
+        """
+        n = len(kinds)
+        if KIND_CALC in kinds:
+            is_msg = list(map(KIND_CALC.__ne__, kinds))
+            msg_peers, msg_sizes = compress(peers, is_msg), compress(sizes, is_msg)
+        else:
+            msg_peers, msg_sizes = peers, sizes
+        try:
+            columns = (array("b", kinds), array("q", peers), array("Q", sizes),
+                       array("q", req_targets))
+        except OverflowError:
+            columns = None
+        if (columns is None or min(msg_peers, default=0) < 0 or min(msg_sizes, default=1) < 1
+                or (req_targets and not 0 <= min(req_targets) <= max(req_targets) < n)):
+            for i in range(n):
+                self.add(kinds[i], peers[i], sizes[i],
+                         req_targets[req_offsets[i]:req_offsets[i + 1]])
+            self.end_rank()
+            return
+        base = len(self.req_targets)
+        self.kinds += columns[0]
+        self.peers += columns[1]
+        self.sizes += columns[2]
+        self.req_targets += columns[3]
+        self.req_offsets.extend(map(base.__add__, islice(req_offsets, 1, None)))
+        self.rank_offsets.append(len(self.kinds))
 
     def _check_requires(self, g: int, requires, n: int) -> None:
         missing = [d for d in requires if not 0 <= d < n]  # op g of the open rank
@@ -162,7 +208,7 @@ class _Columns:
         if len(self.rank_offsets) != nranks + 1:
             raise ValueError(f"expected {nranks} rank op lists, got {len(self.rank_offsets) - 1}")
         s = object.__new__(Schedule)
-        for name in self.__slots__:
+        for name in _COLUMNS:
             object.__setattr__(s, name, getattr(self, name))
         object.__setattr__(s, "nranks", nranks)
         object.__setattr__(s, "metadata", {} if metadata is None else metadata)
@@ -191,7 +237,7 @@ class Schedule:
     compares schedules structurally.
     """
 
-    __slots__ = _Columns.__slots__ + ("nranks", "metadata", "_verdict", "_order", "_compiled")
+    __slots__ = _COLUMNS + ("nranks", "metadata", "_verdict", "_order", "_compiled")
 
     def __new__(cls, nranks: int, ops, metadata: Mapping[str, object] | None = None):
         cols = _Columns()
@@ -272,6 +318,24 @@ _STMT_RE = re.compile(
     re.VERBOSE,
 )
 _STMT_FORMS = "'LABEL: send|recv|calc ...', 'LABEL requires ...' or '}'"
+_SEP_RE = re.compile(_SEP)
+# The statements of a block body that holds no comment, so that every
+# separator is \s*, read whole with findall. Each row is one statement and
+# the whitespace after it, or one character of anything else in the junk
+# group (the last), so the rows cover the body. An op statement fills label,
+# kind, size and, for a send or recv, preposition and peer; a requires
+# statement fills label and requires list. The op forms are folded into one,
+# so a row whose kind and preposition do not pair as send-to, recv-from or
+# calc alone is not a statement.
+_BULK_RE = re.compile(
+    rf"""(?: ({_LABEL})\s*
+             (?: :\s*(send|recv|calc)\b\s*(\d+)(?:b\b\s*(to|from)\b\s*(\d+))?\b
+               | requires\b\s*({_LABEL}(?:\s*,\s*{_LABEL})*) )\s*
+         | ([\s\S]) )""",
+    re.VERBOSE,
+)
+_BULK_FORMS = {"sendto", "recvfrom", "calc", ""}  # kind + preposition of each row
+_CALC_PEER = {"": "-1"}  # a calc's peer text, which is empty, to its peer column value
 
 
 def _error(text: str, pos: int, message: str) -> GoalSyntaxError:
@@ -288,12 +352,15 @@ def _expected(text: str, pos: int, what: str) -> GoalSyntaxError:
 def parse_goal(text: str) -> Schedule:
     """Parse schedule text into a validated Schedule.
 
-    The text is read one statement per regex match: ``num_ranks N``, then
-    ``rank N {`` blocks of op, requires and ``}`` statements. Raises
-    GoalSyntaxError for malformed text, with the line and column of the first
-    statement that does not parse (or, for a bad value, of the offending rank
-    id, peer, size or label), and ScheduleValidationError for well-formed text
-    that is not a runnable schedule (unmatched messages, dependency cycles).
+    After ``num_ranks N``, each ``rank N {`` block is read one of two ways.
+    A block whose body, up to the next ``}``, holds no ``#`` and parses whole
+    under ``_BULK_RE`` becomes columns in bulk (``_BulkReader``); any other
+    block goes to ``_parse_block``, which reads it one statement per regex
+    match and is the only source of syntax errors. Raises GoalSyntaxError for
+    malformed text, with the line and column of the first statement that does
+    not parse (or, for a bad value, of the offending rank id, peer, size or
+    label), and ScheduleValidationError for well-formed text that is not a
+    runnable schedule (unmatched messages, dependency cycles).
     """
     m = _HEADER_RE.match(text)
     if m["nranks"] is None:
@@ -302,9 +369,10 @@ def parse_goal(text: str) -> Schedule:
     if nranks < 1:
         raise _error(text, m.start("nranks"), "num_ranks must be >= 1")
     try:
-        blocks: list[tuple[list, list] | None] = [None] * nranks  # (ops, requires)
+        blocks: list[tuple | None] = [None] * nranks  # add_rank's arguments
     except (MemoryError, OverflowError):
         raise _error(text, m.start("nranks"), f"num_ranks {nranks} is too large") from None
+    bulk = _BulkReader(nranks)
     pos = m.end()
     while pos < len(text):
         m = _BLOCK_RE.match(text, pos)
@@ -315,15 +383,90 @@ def parse_goal(text: str) -> Schedule:
             raise _error(text, m.start("rank"), f"rank {rank} out of range (num_ranks {nranks})")
         if blocks[rank] is not None:
             raise _error(text, pos, f"duplicate block for rank {rank}")
-        ops, requires, pos = _parse_block(text, m.end(), rank, nranks)
-        blocks[rank] = (ops, requires)
+        start, close = m.end(), text.find("}", m.end())
+        block = (bulk.read(text, start, close, rank)
+                 if close >= 0 and text.find("#", start, close) < 0 else None)
+        if block is None:
+            ops, requires, pos = _parse_block(text, start, rank, nranks)
+            kinds, peers, sizes = zip(*ops) if ops else ((), (), ())
+            block = (kinds, peers, sizes, list(accumulate(map(len, requires), initial=0)),
+                     list(chain.from_iterable(requires)))
+        else:
+            pos = _SEP_RE.match(text, close + 1).end()
+        blocks[rank] = block
     cols = _Columns()
     for block in blocks:
-        if block is not None:
-            for op, requires in zip(*block):
-                cols.add(*op, requires)
-        cols.end_rank()
+        if block is None:
+            cols.end_rank()
+        else:
+            cols.add_rank(*block)
     return _validated(cols.schedule(nranks, None))
+
+
+class _BulkReader:
+    """Reads comment-free block bodies of one text into ``add_rank``'s arguments.
+
+    ``read`` gives None for a body unless every statement in it parses and
+    names a good peer and known labels. Each step runs over a whole column in
+    C; there is no Python work per statement. The ranks of a generated
+    schedule mostly share their labels and requires statements, so the
+    requires columns of the last body are reused for a body that has the
+    same labels and requires lists.
+    """
+
+    __slots__ = ("nranks", "_structure", "_requires")
+
+    def __init__(self, nranks: int) -> None:
+        self.nranks = nranks
+        self._structure: tuple | None = None  # the last body's labels and requires lists
+        self._requires: tuple = ()  # and its requires columns
+
+    def read(self, text: str, start: int, end: int, rank: int) -> tuple | None:
+        """The columns of the body ``text[start:end]`` of rank ``rank``'s block."""
+        rows = _BULK_RE.findall(text, start, end)
+        if not rows:
+            return (), (), (), (0,), ()
+        labels, kind, size, prep, peer, deps, junk = zip(*rows)
+        if any(junk) or not _BULK_FORMS.issuperset(map(add, kind, prep)):
+            return None
+        if (labels, deps) != self._structure:
+            requires = _requires_columns(labels, deps)
+            if requires is None:
+                return None
+            self._structure, self._requires = (labels, deps), requires
+        peer = list(compress(peer, kind))  # "" for a calc
+        try:
+            sizes = array("Q", map(int, filter(None, size)))
+            peers = array("q", map(int, map(_CALC_PEER.get, peer, peer)))
+        except OverflowError:
+            return None
+        if peers and (max(peers) >= self.nranks or rank in peers):
+            return None
+        kinds = array("b", map(_KIND_CODE.__getitem__, filter(None, kind)))
+        return (kinds, peers, sizes, *self._requires)
+
+
+def _requires_columns(labels: tuple[str, ...], deps: tuple[str, ...]) -> tuple | None:
+    """A body's requires offsets and targets from its rows' labels and
+    requires lists (empty in an op statement), or None for a duplicate or
+    unknown label. Op i's requires are the keys ``i * n + target`` of its
+    requires statements, sorted and unique."""
+    op_labels = list(compress(labels, map(not_, deps)))
+    n = len(op_labels)
+    index = dict(zip(op_labels, range(n)))
+    if len(index) != n:
+        return None
+    lists = list(filter(None, deps))
+    try:
+        owners = map(index.__getitem__, compress(labels, deps))
+        targets = map(index.__getitem__, ",".join(lists).replace(",", " ").split())
+        counts = map(len, map(str.split, lists, repeat(",")))
+        bases = chain.from_iterable(map(repeat, map(n.__mul__, owners), counts))
+        keys = sorted(set(map(add, bases, targets)))
+    except KeyError:
+        return None
+    offsets = array("q", map(bisect_left, repeat(keys), range(0, n * n + 1, n or 1)))
+    return offsets, array("q", map(mod, keys, repeat(n)))
 
 
 def _parse_block(text: str, pos: int, rank: int,
@@ -592,14 +735,15 @@ def gen_dissemination(nranks: int, size: int) -> Schedule:
     if size < 1:
         raise ValueError(f"size must be >= 1 byte, got {size}")
     rounds = (nranks - 1).bit_length()
+    # Every rank has the same ops but for their peers.
+    kinds, sizes = [KIND_SEND, KIND_RECV] * rounds, [size] * (2 * rounds)
+    req_offsets = list(accumulate([0, 0] + [2] * (2 * rounds - 2), initial=0))
+    req_targets = [t for k in range(1, rounds) for t in (2 * k - 2, 2 * k - 1) * 2]
     cols = _Columns()
-    add = cols.add
     for r in range(nranks):
-        for k in range(rounds):
-            req = (2 * k - 2, 2 * k - 1) if k > 0 else ()
-            add(KIND_SEND, (r + (1 << k)) % nranks, size, req)
-            add(KIND_RECV, (r - (1 << k)) % nranks, size, req)
-        cols.end_rank()
+        peers = [p for k in range(rounds) for p in ((r + (1 << k)) % nranks,
+                                                     (r - (1 << k)) % nranks)]
+        cols.add_rank(kinds, peers, sizes, req_offsets, req_targets)
     return cols.schedule(
         nranks, {"generator": "dissemination", "nranks": nranks, "size_bytes": size})
 

@@ -20,9 +20,10 @@ from __future__ import annotations
 import math
 import operator
 import warnings
+from array import array
 from dataclasses import dataclass
 from itertools import islice
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .units import UNIT_GBPS, UNIT_NS, UNIT_NS_PER_BYTE
 
@@ -92,16 +93,6 @@ class LogGPParams:
             raise ValueError(f"G must be finite and >= 0, got {G}")
 
 
-def _floats(values) -> tuple[float, ...]:
-    """values as floats; an int beyond the float range gives ``(inf,)``, which
-    the finiteness check refuses."""
-    try:
-        return tuple(map(float, values))
-    except OverflowError:
-        return (math.inf,)
-
-
-@dataclass(frozen=True)
 class EmpiricalDistribution:
     """Sorted measured samples for inverse-ECDF draws.
 
@@ -110,41 +101,75 @@ class EmpiricalDistribution:
     interpolation, so every value a simulation can draw was actually
     observed. This is what lets rare heavy-tail outliers in measured traces
     reappear at full size instead of being smoothed away.
+
+    The samples are stored as one float column, which both engines read;
+    ``samples`` is a tuple view built on access. Immutable.
     """
 
-    samples: tuple[float, ...]
-    unit: str
+    __slots__ = ("_samples", "unit")
 
-    def __post_init__(self) -> None:
-        if self.unit not in _DIST_UNITS:
-            raise ValueError(f"unknown distribution unit {self.unit!r}")
-        if len(self.samples) < 1:
+    def __init__(self, samples: Iterable[float], unit: str) -> None:
+        if unit not in _DIST_UNITS:
+            raise ValueError(f"unknown distribution unit {unit!r}")
+        try:
+            column = array("d", map(float, samples))
+        except OverflowError:  # an int beyond the float range
+            column = array("d", [math.inf])
+        if not column:
             raise ValueError("distribution needs at least one sample")
-        samples = _floats(self.samples)
-        object.__setattr__(self, "samples", samples)
-        if not all(map(math.isfinite, samples)):
+        if not all(map(math.isfinite, column)):
             raise ValueError("samples must be finite numbers")
-        if any(map(operator.lt, islice(samples, 1, None), samples)):
+        if any(map(operator.lt, islice(column, 1, None), column)):
             raise ValueError("samples must be sorted ascending")
-        if self.unit in _POSITIVE_UNITS and samples[0] <= 0.0:
-            raise ValueError(f"{self.unit} samples must be > 0, got min {samples[0]}")
+        if unit in _POSITIVE_UNITS and column[0] <= 0.0:
+            raise ValueError(f"{unit} samples must be > 0, got min {column[0]}")
+        self._set(column, unit)
 
     @classmethod
-    def from_values(cls, values: Sequence[float], unit: str) -> "EmpiricalDistribution":
+    def from_values(cls, values: Iterable[float], unit: str) -> "EmpiricalDistribution":
         """Build from unsorted values (a multiset copy, sorted ascending)."""
-        return cls(tuple(sorted(_floats(values))), unit)
+        try:
+            values = sorted(map(float, values))
+        except OverflowError:  # an int beyond the float range, refused as inf
+            values = [math.inf]
+        return cls(values, unit)
 
     @classmethod
-    def _from_sorted(cls, samples: tuple[float, ...], unit: str) -> "EmpiricalDistribution":
-        """Wrap samples that the caller has already checked and sorted; not copied."""
+    def _from_sorted(cls, samples: array, unit: str) -> "EmpiricalDistribution":
+        """Wrap a float column that the caller has already checked and sorted;
+        it is not copied."""
         dist = cls.__new__(cls)
-        object.__setattr__(dist, "samples", samples)
-        object.__setattr__(dist, "unit", unit)
+        dist._set(samples, unit)
         return dist
+
+    def _set(self, samples: array, unit: str) -> None:
+        object.__setattr__(self, "_samples", samples)
+        object.__setattr__(self, "unit", unit)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"EmpiricalDistribution is immutable; cannot set {name!r}")
+
+    def __reduce__(self):
+        return (self._from_sorted, (self._samples, self.unit))
+
+    @property
+    def samples(self) -> tuple[float, ...]:
+        return tuple(self._samples)
 
     @property
     def count(self) -> int:
-        return len(self.samples)
+        return len(self._samples)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.unit == other.unit and self._samples == other._samples
+
+    def __hash__(self) -> int:
+        return hash((self.samples, self.unit))
+
+    def __repr__(self) -> str:
+        return f"EmpiricalDistribution(samples={self.samples!r}, unit={self.unit!r})"
 
 
 @dataclass(frozen=True)

@@ -302,7 +302,7 @@ def build_distribution(trace: SampleTrace) -> EmpiricalDistribution:
     if len(trace) == 0:
         raise ValueError("empty trace")
     # A trace's values are finite floats, > 0 in these units: sorting is all that is left.
-    return EmpiricalDistribution._from_sorted(tuple(sorted(trace._values)), trace.unit)
+    return EmpiricalDistribution._from_sorted(array("d", sorted(trace._values)), trace.unit)
 
 
 def normalize_min(trace: SampleTrace) -> SampleTrace:
@@ -415,7 +415,7 @@ _DIST_SCHEMA = "nsim.dist/1"
 
 
 def format_distribution(dist: EmpiricalDistribution) -> str:
-    doc = {"schema": _DIST_SCHEMA, "unit": dist.unit, "samples": list(dist.samples)}
+    doc = {"schema": _DIST_SCHEMA, "unit": dist.unit, "samples": dist._samples.tolist()}
     return json.dumps(doc) + "\n"
 
 
@@ -434,4 +434,4 @@ def load_distribution(path: str | Path) -> EmpiricalDistribution:
     samples = doc.get("samples")
     if not isinstance(samples, list) or not set(map(type, samples)) <= {int, float}:
         raise ValueError(f"{path}: 'samples' must be a list of numbers")
-    return EmpiricalDistribution(tuple(samples), doc.get("unit"))
+    return EmpiricalDistribution(samples, doc.get("unit"))

@@ -58,7 +58,8 @@ def box_stats(samples: Sequence[float]) -> BoxStats:
     try:
         mean = math.fsum(xs) / n
     except OverflowError:  # the sum passed the float maximum; the mean is <= xs[-1]
-        mean = min(math.fsum(x / n for x in xs), xs[-1])
+        # terms of at most max / 2n keep every partial sum of fsum finite
+        mean = min(2 * math.fsum(x / (2 * n) for x in xs), xs[-1])
     q1 = _quantile(xs, 0.25)
     median = _quantile(xs, 0.50)
     q3 = _quantile(xs, 0.75)

@@ -197,8 +197,8 @@ class _Compiled:
         draw. Raises ValueError when the wire delay of the largest send under
         them is not a finite number."""
         params, lat, bw = cfg.params, cfg.noise.latency, cfg.noise.bandwidth
-        lat_max = params.L if lat is None else max(0.0, lat.samples[-1] - 2 * params.o)
-        g_max = params.G if bw is None else 8.0 / bw.samples[0]
+        lat_max = params.L if lat is None else max(0.0, lat._samples[-1] - 2 * params.o)
+        g_max = params.G if bw is None else 8.0 / bw._samples[0]
         if self.max_send and not math.isfinite(lat_max + (self.max_send - 1) * g_max):
             raise ValueError(f"the wire delay of a {self.max_send}-byte message, {lat_max} ns "
                              f"+ {self.max_send - 1} x {g_max} ns/byte, is not a finite number")
@@ -346,12 +346,12 @@ def _run(c: _Compiled, cfg: SimConfig, run_index: int) -> SimResult:
         if k == KIND_SEND:
             m = msg[gid]
             if lat is not None:
-                lat_eff = lat.samples[_pick(lat_seed, m, lat.count)] - two_o
+                lat_eff = lat._samples[_pick(lat_seed, m, lat.count)] - two_o
                 if lat_eff < 0.0:
                     lat_eff = 0.0
             else:
                 lat_eff = params.L
-            g_eff = params.G if bw is None else 8.0 / bw.samples[_pick(bw_seed, m, bw.count)]
+            g_eff = params.G if bw is None else 8.0 / bw._samples[_pick(bw_seed, m, bw.count)]
             arrival[m] = f + one_way_wire_ns(lat_eff, size[gid], g_eff)
 
     draws = c.n_sends * ((lat is not None) + (bw is not None))
@@ -583,8 +583,8 @@ def _run_batch(c: _Compiled, cfg: SimConfig, run_indices: Sequence[int]) -> list
     bounds = c.level_bounds.tolist()
     is_send = np.frombuffer(c.kind, dtype=np.int8) == KIND_SEND
     size_m1 = (np.frombuffer(c.size, dtype=np.uint64)[is_send] - 1).astype(np.float64)[:, None]
-    lat_samples = None if noise.latency is None else np.array(noise.latency.samples)
-    bw_samples = None if noise.bandwidth is None else np.array(noise.bandwidth.samples)
+    lat_samples = None if noise.latency is None else np.frombuffer(noise.latency._samples)
+    bw_samples = None if noise.bandwidth is None else np.frombuffer(noise.bandwidth._samples)
     tables = None
     if osn is not None:
         tables = _detour_tables_vec(osn)

@@ -6,8 +6,9 @@ computation over a built graph, the detour oracle is the literal
 extend-and-recheck fixed point, the KS distance is an exact sup over ECDF
 step functions, the schedule writers build the document op by op from
 ``ScheduleOp`` views (JSON through ``json.dumps(indent=2)``), the trace
-readers take the whole text one row at a time, and the static analysis of a
-schedule makes three passes where the package makes one walk.
+readers take the whole text one row at a time, the GOAL text reader takes
+every block one statement at a time, and the static analysis of a schedule
+makes three passes where the package makes one walk.
 """
 
 from __future__ import annotations
@@ -371,3 +372,99 @@ def load_detour_trace(path):
     if span is None:
         span = max(s + d for s, d in events)
     return DetourTrace(tuple(events), span)
+
+
+# The GOAL text reader one statement per regex match in every block, as the
+# package read all text before its bulk block reader.
+
+def parse_goal(text: str):
+    """Parse schedule text into a validated Schedule.
+
+    The text is read one statement per regex match: ``num_ranks N``, then
+    ``rank N {`` blocks of op, requires and ``}`` statements. Raises
+    GoalSyntaxError for malformed text, with the line and column of the first
+    statement that does not parse (or, for a bad value, of the offending rank
+    id, peer, size or label), and ScheduleValidationError for well-formed text
+    that is not a runnable schedule (unmatched messages, dependency cycles).
+    """
+    from nsim.goal import _BLOCK_RE, _HEADER_RE, _Columns, _error, _expected, _validated
+
+    m = _HEADER_RE.match(text)
+    if m["nranks"] is None:
+        raise _expected(text, m.end(), "'num_ranks N'")
+    nranks = int(m["nranks"])
+    if nranks < 1:
+        raise _error(text, m.start("nranks"), "num_ranks must be >= 1")
+    try:
+        blocks: list[tuple[list, list] | None] = [None] * nranks  # (ops, requires)
+    except (MemoryError, OverflowError):
+        raise _error(text, m.start("nranks"), f"num_ranks {nranks} is too large") from None
+    pos = m.end()
+    while pos < len(text):
+        m = _BLOCK_RE.match(text, pos)
+        if m is None:
+            raise _expected(text, pos, "'rank N {'")
+        rank = int(m["rank"])
+        if rank >= nranks:
+            raise _error(text, m.start("rank"), f"rank {rank} out of range (num_ranks {nranks})")
+        if blocks[rank] is not None:
+            raise _error(text, pos, f"duplicate block for rank {rank}")
+        ops, requires, pos = _parse_block(text, m.end(), rank, nranks)
+        blocks[rank] = (ops, requires)
+    cols = _Columns()
+    for block in blocks:
+        if block is not None:
+            for op, requires in zip(*block):
+                cols.add(*op, requires)
+        cols.end_rank()
+    return _validated(cols.schedule(nranks, None))
+
+
+def _parse_block(text: str, pos: int, rank: int,
+                 nranks: int) -> tuple[list[tuple[int, int, int]], list[list[int]], int]:
+    """The block body starting at ``pos``: its ops as (kind code, peer, size),
+    their sorted requires, and the offset after its '}'."""
+    from nsim.goal import (KIND_CALC, KIND_RECV, KIND_SEND, _STMT_FORMS, _STMT_RE, _error,
+                           _expected)
+
+    ops: list[tuple[int, int, int]] = []
+    labels: dict[str, int] = {}
+    deps: list[tuple[int, str, str]] = []  # (offset, label, dependency list text)
+    while True:
+        m = _STMT_RE.match(text, pos)
+        if m is None:
+            if pos == len(text):
+                raise _error(text, pos, "unterminated rank block")
+            raise _expected(text, pos, _STMT_FORMS)
+        kind, label = m.lastgroup, m["label"]
+        if kind == "close":
+            break
+        if kind == "requires":
+            deps.append((pos, label, m["requires"]))
+        elif label in labels:
+            raise _error(text, pos, f"duplicate label {label!r}")
+        else:
+            size_group = "calc" if kind == "calc" else "send" if kind == "to" else "recv"
+            size = int(m[size_group])
+            labels[label] = len(ops)
+            if kind == "calc":
+                ops.append((KIND_CALC, -1, size))
+            else:
+                peer = int(m[kind])
+                if peer >= nranks:
+                    raise _error(text, m.start(kind),
+                                 f"peer {peer} out of range (num_ranks {nranks})")
+                if peer == rank:
+                    raise _error(text, m.start(kind), f"peer must differ from own rank {rank}")
+                ops.append((KIND_SEND if kind == "to" else KIND_RECV, peer, size))
+        pos = m.end()
+    requires: list[set[int]] = [set() for _ in ops]
+    for at, label, dep_text in deps:
+        if "#" in dep_text:
+            dep_text = " ".join(line.partition("#")[0] for line in dep_text.split("\n"))
+        targets = dep_text.replace(",", " ").split()
+        for name in (label, *targets):
+            if name not in labels:
+                raise _error(text, at, f"dangling dependency label {name!r}")
+        requires[labels[label]].update(labels[t] for t in targets)
+    return ops, [sorted(req) for req in requires], m.end()

@@ -501,6 +501,40 @@ class TestMalformedInputExit:
         _assert_clean_exit(proc, 3)
         assert proc.stderr == f"error: {res}: 'completion_ns' must be >= 0\n"
 
+    def test_cost_beyond_float_exit_3(self, tmp_path):
+        # Each integer fits a float, but nodes x runtime x price does not.
+        res, out = tmp_path / "res.json", tmp_path / "cost.json"
+        res.write_text(json.dumps({"schema": "nsim.results/1", "metadata": {"nranks": 10**300},
+                                   "results": [{"run": 0, "completion_ns": 10**300}]}))
+        proc = _run_cli("cost", "--results", str(res), "--provider", "aws", "--label",
+                        "on_demand", "--instance", "c5n.18xlarge", "-o", str(out))
+        _assert_clean_exit(proc, 3)
+        assert len(proc.stderr.splitlines()) == 1 and "beyond the float range" in proc.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bad", ["params", "noise_lat"])
+    def test_bad_input_file_ends_a_pipe_cleanly(self, params_file, tmp_path, bad):
+        # sim run reads params and noise files before the schedule, so it quits
+        # while gen is still writing; gen then meets a closed pipe.
+        garbled = tmp_path / "garbled.json"
+        garbled.write_text('{"L_ns": 5000,\n')
+        sim_args = (["--params", str(garbled)] if bad == "params"
+                    else ["--params", params_file, "--noise-lat", str(garbled)])
+        cli_cmd = [sys.executable, "-m", "nsim.cli"]
+        with subprocess.Popen([*cli_cmd, "gen", "dissem", "-p", "4096", "-s", "16"],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as gen:
+            with subprocess.Popen([*cli_cmd, "sim", "run", *sim_args], stdin=gen.stdout,
+                                  stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                  text=True) as sim:
+                gen.stdout.close()
+                sim_out, sim_err = sim.communicate(timeout=120)
+            gen_err = gen.communicate(timeout=120)[1]
+        assert sim.returncode == 4 and sim_out == ""
+        assert sim_err == "error: Expecting property name enclosed in double quotes: " \
+                          "line 2 column 1 (char 15)\n"
+        assert gen.returncode in (0, 4) and "Traceback" not in gen_err
+        assert gen_err in ("", "error: [Errno 32] Broken pipe\n")
+
     def test_detour_span_not_a_number_exit_4(self, params_file, tmp_path):
         trace = tmp_path / "detour.csv"
         trace.write_text("# span_ns=abc\ntimestamp_ns,value,unit\n0,10,ns\n")

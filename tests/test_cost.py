@@ -51,6 +51,12 @@ class TestRunCost:
         with pytest.raises(ValueError):
             run_cost(1, 0, price)
 
+    @pytest.mark.parametrize("runtime, nodes", [(10**300, 10**300), (10**400, 1), (1, 10**400)])
+    def test_cost_beyond_float_range(self, runtime, nodes):
+        price = PriceSpec(per_node_hour=1.0, label="on_demand", provider="x")
+        with pytest.raises(ValueError, match="beyond the float range"):
+            run_cost(runtime, nodes, price)
+
 
 class TestPriceSpec:
     def test_rejects_free_lunch(self):

@@ -818,3 +818,166 @@ def test_num_ranks_too_large_to_allocate():
         parse_goal("num_ranks 1000000000000000\n")
     with pytest.raises(GoalSyntaxError, match="num_ranks 10+ is too large"):
         parse_goal("num_ranks 100000000000000000000\n")
+
+
+# ---------------------------------------------------------------------------
+# The bulk block reader against the one-statement-at-a-time reader in
+# tests/oracles.py
+
+import nsim.goal as goal_module  # noqa: E402
+from oracles import parse_goal as oracle_parse_goal  # noqa: E402
+
+# Labels: plain and keyword-prefixed. Numbers: leading zeros, Unicode digits
+# (Python's \d) and the largest 64-bit size. Each rank has several spellings.
+_LABELS = ["a", "b", "o0", "o1", "o10", "sendx", "_q"]
+_SPELLINGS = [["0", "00", "٠"], ["1", "01", "١"], ["2", "002", "٢"]]
+_SIZES = ["1", "16", "007", "٣", "1٦", str(2**64 - 1)]
+_GAPS = [" ", "\t", "\n", "\r\n", "  \t"]
+_COMMENTS = [" # c\n", "\n# x: send 1b to 0 }\n"]
+# At most one fault per text, and what it puts in place of a good word.
+_TEXT_FAULTS = {
+    "label": ["send", "requires", "é", "aé"],
+    "size": [str(2**64), str(2**70)],
+    "zero_size": ["0"],
+    "peer": ["3", "03", "9", str(2**64)],
+    "rank": ["3", "5"],
+    "unknown_label": ["zz", "o2"],
+    "junk": ["$", "{"],
+}
+_TEXT_STRUCTURAL_FAULTS = ["own_peer", "duplicate_label", "duplicate_block", "preposition",
+                           "calc_peer", "no_peer", "no_gap"]
+
+
+@st.composite
+def goal_texts(draw):
+    """GOAL texts of up to four blocks of num_ranks 3, in any order, with and
+    without comments: forward references, repeated requires lines, tabs, CR
+    and newlines inside statements. Most hold one fault: a bad label, size,
+    peer or rank, an unknown or duplicate label, a wrong statement form, a
+    duplicate block, a missing gap or a stray character."""
+    pick = lambda items: draw(st.sampled_from(items))  # noqa: E731
+    fault = pick([None] + sorted(_TEXT_FAULTS) + _TEXT_STRUCTURAL_FAULTS)
+    blocks = []  # [rank, its spelling, gap pool, statements as lists of words]
+    for rank in draw(st.lists(st.integers(0, 2), max_size=4, unique=True)):
+        labels = draw(st.lists(st.sampled_from(_LABELS), max_size=5, unique=True))
+        stmts = []
+        for label in labels:
+            kind = pick([SEND, RECV, CALC, CALC])
+            if kind == CALC:
+                stmts.append([label, ":", kind, pick(_SIZES)])
+            else:
+                peer = pick([r for r in range(3) if r != rank])
+                stmts.append([label, ":", kind, pick(_SIZES) + "b",
+                              "to" if kind == SEND else "from", pick(_SPELLINGS[peer])])
+        for _ in range(draw(st.integers(0, len(labels)))):
+            deps = draw(st.lists(st.sampled_from(labels), min_size=1, max_size=3))
+            words = [pick(labels), "requires", deps[0]]
+            for dep in deps[1:]:
+                words += [",", dep]
+            stmts.insert(draw(st.integers(0, len(stmts))), words)
+        pool = _GAPS + _COMMENTS if draw(st.integers(0, 3)) == 0 else _GAPS
+        blocks.append([rank, pick(_SPELLINGS[rank]), pool, stmts])
+    # Each fault goes into a statement that can hold it, if there is one.
+    stmts = [(block, words) for block in blocks for words in block[3]]
+    msgs = [(block, words) for block, words in stmts if words[2:3] in ([SEND], [RECV])]
+    eligible = {"rank": [(block, None) for block in blocks], "junk": stmts,
+                "label": stmts, "no_gap": stmts,
+                "unknown_label": [(b, w) for b, w in stmts if w[1] == "requires"],
+                "size": [(b, w) for b, w in stmts if w[1] == ":"],
+                "calc_peer": [(b, w) for b, w in stmts if w[2:3] == [CALC]],
+                "duplicate_label": [(b, w) for b, w in stmts if w[1] == ":"]}
+    eligible["zero_size"] = eligible["size"]
+    no_gap = None
+    if fault == "duplicate_block" and blocks:
+        blocks.append(list(pick(blocks)))
+    elif fault and eligible.get(fault, msgs):
+        block, words = pick(eligible.get(fault, msgs))
+        bad = pick(_TEXT_FAULTS.get(fault, [""]))
+        if fault == "rank":
+            block[1] = bad
+        elif fault == "junk":
+            block[3].insert(block[3].index(words) + draw(st.integers(0, 1)), [bad])
+        elif fault == "label":
+            words[0] = bad
+        elif fault == "unknown_label":
+            words[-1] = bad
+        elif fault in ("size", "zero_size"):
+            words[3] = bad + ("" if words[2] == CALC else "b")
+        elif fault == "peer":
+            words[5] = bad
+        elif fault == "own_peer":
+            words[5] = pick(_SPELLINGS[block[0]])
+        elif fault == "preposition":
+            words[4] = "from" if words[4] == "to" else "to"
+        elif fault == "calc_peer":
+            words[3:] = [words[3] + "b", "to", "1"]
+        elif fault == "no_peer":
+            del words[4:]
+        elif fault == "no_gap":
+            no_gap = id(words), draw(st.integers(1, len(words) - 1))
+        elif fault == "duplicate_label":
+            others = [w for b, w in eligible[fault] if b is block and w is not words]
+            if others:
+                words[0] = pick(others)[0]
+
+    def gap(pool, least):
+        return "".join(draw(st.lists(st.sampled_from(pool), min_size=least, max_size=2)))
+
+    def join(words, pool):
+        text = words[0]
+        for i, (prev, word) in enumerate(zip(words, words[1:]), 1):
+            least = 0 if prev in ":," or word in ":," else 1
+            text += ("" if (id(words), i) == no_gap else gap(pool, least)) + word
+        return text
+
+    text = gap(_GAPS, 0) + "num_ranks" + gap(_GAPS, 1) + pick(["3", "03", "٣"])
+    for _, spelling, pool, stmts in blocks:
+        body = "".join(join(words, pool) + gap(pool, 1) for words in stmts)
+        text += (gap(_GAPS, 1) + "rank" + gap(pool, 1) + spelling + gap(pool, 0) + "{"
+                 + gap(pool, 0) + body + "}")
+    return text + gap(_GAPS, 0)
+
+
+def _parse_outcome(parse, text):
+    try:
+        return "ok", parse(text)
+    except ValueError as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "line", None), getattr(exc, "col", None)
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=goal_texts())
+def test_bulk_reader_matches_statement_oracle(text):
+    assert _parse_outcome(parse_goal, text) == _parse_outcome(oracle_parse_goal, text)
+
+
+def _count_scanned_blocks(monkeypatch) -> list:
+    calls = []
+    scan = goal_module._parse_block
+
+    def counting(*args):
+        calls.append(args[2])  # the rank
+        return scan(*args)
+
+    monkeypatch.setattr(goal_module, "_parse_block", counting)
+    return calls
+
+
+@pytest.mark.parametrize("make", [
+    lambda: gen_dissemination(33, 16),
+    lambda: gen_ring_allreduce(6, 600, reduce_cost_per_chunk=5),
+    lambda: gen_compute_collective(5, 1000, "dissemination", 8, 3),
+], ids=["dissem", "ring", "compapp"])
+def test_generated_text_takes_the_bulk_path(monkeypatch, make):
+    s = make()
+    calls = _count_scanned_blocks(monkeypatch)
+    assert parse_goal(emit_goal(s)) == s
+    assert calls == []
+
+
+def test_only_the_block_with_a_comment_is_scanned(monkeypatch):
+    s = gen_dissemination(8, 16)
+    text = emit_goal(s).replace("rank 5 {\n  o0:", "rank 5 {\n  o0: # the middle rank\n")
+    calls = _count_scanned_blocks(monkeypatch)
+    assert parse_goal(text) == s
+    assert calls == [5]
