@@ -20,7 +20,8 @@ from typing import TYPE_CHECKING
 import click
 
 from .errors import (ClockResolutionError, DeadlockError, DetourLimitError,
-                     GoalSyntaxError, ScheduleValidationError, TraceFormatError)
+                     GoalSyntaxError, ScheduleValidationError, TraceFormatError,
+                     named_decode_error)
 from .units import UNIT_GBPS, UNIT_NS
 
 if TYPE_CHECKING:
@@ -72,9 +73,24 @@ def _read_text(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
+def _load_json(path: str) -> object:
+    """The JSON document in ``path``; a decode error names the path."""
+    try:
+        return json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise named_decode_error(path, exc) from None
+
+
 def _write_text(path: str, content: str) -> None:
     if path == "-":
-        sys.stdout.write(content)
+        try:
+            sys.stdout.write(content)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # The reader has gone, so say nothing more; stdout goes to devnull
+            # so that the flush at exit does not fail again.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            sys.exit(EXIT_IO)
     else:
         Path(path).write_text(content, encoding="utf-8")
 
@@ -84,7 +100,10 @@ def _load_schedule(path: str) -> Schedule:
 
     text = _read_text(path)
     if text.lstrip().startswith("{"):
-        return goal_mod.schedule_from_json(text)
+        try:
+            return goal_mod.schedule_from_json(text)
+        except json.JSONDecodeError as exc:
+            raise named_decode_error(path, exc) from None
     return goal_mod.parse_goal(text)
 
 
@@ -92,7 +111,7 @@ def load_params_file(path: str) -> tuple[LogGPParams, dict]:
     """Read a params JSON file; returns (params, full document)."""
     from .model import LogGPParams
 
-    doc = json.loads(_read_text(path))
+    doc = _load_json(path)
     if not isinstance(doc, dict):
         raise ValueError(f"params file {path} must hold a JSON object")
 
@@ -164,6 +183,8 @@ def cli(ctx: click.Context, config: str | None, error_json: bool) -> None:
         try:
             default_map = json.loads(Path(config).read_text(encoding="utf-8"))
             _check_defaults(ctx.command, default_map, f"config file {config}")
+        except json.JSONDecodeError as exc:
+            _fail(EXIT_IO, named_decode_error(config, exc))
         except (OSError, ValueError) as exc:
             _fail(EXIT_IO, exc)
         ctx.default_map = default_map
@@ -383,7 +404,7 @@ def _check_float_range(path: str, key: str, values: list[int]) -> None:
 
 def _load_results(path: str, with_nranks: bool = False) -> tuple[list[int], int | None]:
     """Completion times of a `sim run` results file, plus metadata.nranks if asked."""
-    doc = json.loads(_read_text(path))
+    doc = _load_json(path)
     runs = doc.get("results") if isinstance(doc, dict) else None
     if not isinstance(runs, list) or not runs:
         raise ValueError(f"{path}: 'results' must be a non-empty list of runs")

@@ -13,6 +13,7 @@ __all__ = [
     "DeadlockError",
     "ClockResolutionError",
     "DetourLimitError",
+    "named_decode_error",
 ]
 
 
@@ -57,3 +58,9 @@ class ClockResolutionError(RuntimeError):
 
 class DetourLimitError(RuntimeError):
     """The detour recorder reached max_iterations before collecting enough events."""
+
+
+def named_decode_error(path: object, exc: ValueError) -> ValueError:
+    """``exc``, a json.JSONDecodeError, with ``path`` before its message; the
+    decoder's line, column and offset stay."""
+    return type(exc)(f"{path}: {exc.msg}", exc.doc, exc.pos)

@@ -106,18 +106,29 @@ def _op_id_error(op_id: int, rank: int) -> ValueError:
 _COLUMNS = ("rank_offsets", "kinds", "peers", "sizes", "req_offsets", "req_targets")
 
 
+def _csr(requires) -> tuple[list[int], list[int]]:
+    """Per-op requires lists as CSR columns: per-op offsets, from 0, into one
+    flat list of targets."""
+    return list(accumulate(map(len, requires), initial=0)), list(chain.from_iterable(requires))
+
+
+def _rank_columns(rows) -> tuple:
+    """``add_rank``'s arguments from a rank's ops as (kind code, peer, size,
+    sorted requires) rows."""
+    kinds, peers, sizes, requires = zip(*rows) if rows else ((),) * 4
+    return (kinds, peers, sizes, *_csr(requires))
+
+
 class _Columns:
     """The growing columns of a schedule under construction.
 
-    Every schedule source appends ops with ``add``, one at a time (requires
-    sorted and unique) and closing each rank with ``end_rank``, or a rank at
-    a time with ``add_rank``; they are the one place that checks op values.
-    ``add`` checks peer, size and duration, ``end_rank`` that the rank's
-    requires name its own ops: ``add`` notes a negative one (requires arrive
-    sorted), so ``end_rank`` needs only their maximum.
+    Every schedule source appends its ops a rank at a time with ``add_rank``,
+    the one place that checks op values: a send or recv needs a peer >= 0 and
+    a size >= 1 byte, a calc a duration >= 0 ns, every value must fit the
+    64-bit columns, and each op's requires must name ops of its own rank.
     """
 
-    __slots__ = _COLUMNS + ("_negative",)
+    __slots__ = _COLUMNS
 
     def __init__(self) -> None:
         self.rank_offsets = array("q", [0])
@@ -126,50 +137,22 @@ class _Columns:
         self.sizes = array("Q")
         self.req_offsets = array("q", [0])
         self.req_targets = array("q")
-        self._negative = False  # an op requires an op < 0, which end_rank names
 
-    def add(self, kind: int, peer: int, size: int, requires=()) -> None:
-        if (peer < 0 or size < 1) and kind != KIND_CALC:
-            raise ValueError(f"{KINDS[kind]} needs a peer rank >= 0" if peer < 0
-                             else f"{KINDS[kind]} size must be >= 1 byte")
-        try:
-            self.sizes.append(size)
-            self.peers.append(peer)
-        except OverflowError:
-            if size < 0:
-                raise ValueError("calc duration must be >= 0 ns") from None
-            field = ("size", size) if size >> 64 else ("peer", peer)
-            raise ValueError("op %s %d does not fit in 64 bits" % field) from None
-        self.kinds.append(kind)
-        if requires:
-            if requires[0] < 0:
-                self._negative = True
-            try:
-                self.req_targets.extend(requires)
-            except OverflowError:  # beyond 64 bits, so beyond any rank's ops
-                self._check_requires(len(self.kinds) - 1, requires, 1 << 63)
-        self.req_offsets.append(len(self.req_targets))
-
-    def end_rank(self) -> None:
-        lo, hi = self.rank_offsets[-1], len(self.kinds)
-        req, req_off = self.req_targets, self.req_offsets
-        first = req_off[lo]
-        if self._negative or (first < len(req) and max(req[first:]) >= hi - lo):
-            for g in range(lo, hi):
-                self._check_requires(g, req[req_off[g]:req_off[g + 1]], hi - lo)
-        self.rank_offsets.append(hi)
-
-    def add_rank(self, kinds, peers, sizes, req_offsets, req_targets) -> None:
-        """Append a rank's ops from its columns and close it, as ``add`` and
-        ``end_rank`` would: op i requires ``req_targets[req_offsets[i]:
-        req_offsets[i + 1]]``, sorted and unique, with ``req_offsets[0] == 0``.
+    def add_rank(self, kinds, peers, sizes, req_offsets=None, req_targets=()) -> None:
+        """Append a rank's ops from its columns: op i has kind code
+        ``kinds[i]``, peer ``peers[i]`` (-1 for a calc) and size ``sizes[i]``,
+        and requires ``req_targets[req_offsets[i]:req_offsets[i + 1]]``, sorted
+        and unique, with ``req_offsets[0] == 0``; without ``req_offsets`` no op
+        requires another.
 
         The values are checked a column at a time: the minimum peer and size of
         the sends and recvs, the requires' minimum and maximum, and the 64-bit
-        range as the arrays check it. A rank that fails is replayed through
-        ``add``, which names its first fault.
+        range as the arrays check it. ``_rank_fault`` names the first fault of
+        a rank that fails.
         """
         n = len(kinds)
+        if req_offsets is None:
+            req_offsets = [0] * (n + 1)
         if KIND_CALC in kinds:
             is_msg = list(map(KIND_CALC.__ne__, kinds))
             msg_peers, msg_sizes = compress(peers, is_msg), compress(sizes, is_msg)
@@ -182,11 +165,8 @@ class _Columns:
             columns = None
         if (columns is None or min(msg_peers, default=0) < 0 or min(msg_sizes, default=1) < 1
                 or (req_targets and not 0 <= min(req_targets) <= max(req_targets) < n)):
-            for i in range(n):
-                self.add(kinds[i], peers[i], sizes[i],
-                         req_targets[req_offsets[i]:req_offsets[i + 1]])
-            self.end_rank()
-            return
+            raise _rank_fault(len(self.rank_offsets) - 1, kinds, peers, sizes,
+                              req_offsets, req_targets)
         base = len(self.req_targets)
         self.kinds += columns[0]
         self.peers += columns[1]
@@ -194,12 +174,6 @@ class _Columns:
         self.req_targets += columns[3]
         self.req_offsets.extend(map(base.__add__, islice(req_offsets, 1, None)))
         self.rank_offsets.append(len(self.kinds))
-
-    def _check_requires(self, g: int, requires, n: int) -> None:
-        missing = [d for d in requires if not 0 <= d < n]  # op g of the open rank
-        if missing:
-            rank, lo = len(self.rank_offsets) - 1, self.rank_offsets[-1]
-            raise ValueError(f"rank {rank} op {g - lo}: unknown requires {missing}")
 
     def schedule(self, nranks: int, metadata: Mapping[str, object] | None) -> Schedule:
         """The finished Schedule; checks that it has one op list per rank."""
@@ -215,6 +189,32 @@ class _Columns:
         for memo in ("_verdict", "_order", "_compiled"):
             object.__setattr__(s, memo, None)
         return s
+
+
+def _rank_fault(rank: int, kinds, peers, sizes, req_offsets, req_targets) -> ValueError:
+    """The error naming the first fault of rank ``rank``, whose columns
+    ``add_rank`` refused: in op order, a bad peer, size or duration or
+    requires beyond 64 bits; else the first op whose requires name no op of
+    the rank."""
+    def unknown(i: int, bound: int) -> list[int]:
+        return [d for d in req_targets[req_offsets[i]:req_offsets[i + 1]] if not 0 <= d < bound]
+
+    for i, (kind, peer, size) in enumerate(zip(kinds, peers, sizes)):
+        if kind != KIND_CALC and (peer < 0 or size < 1):
+            return ValueError(f"{KINDS[kind]} needs a peer rank >= 0" if peer < 0
+                              else f"{KINDS[kind]} size must be >= 1 byte")
+        if size < 0:
+            return ValueError("calc duration must be >= 0 ns")
+        if size >> 64 or not -1 << 63 <= peer < 1 << 63:
+            field = ("size", size) if size >> 64 else ("peer", peer)
+            return ValueError("op %s %d does not fit in 64 bits" % field)
+        missing = unknown(i, 1 << 63)  # beyond 64 bits, so beyond any rank's ops
+        if missing and not -1 << 63 <= min(missing) <= max(missing) < 1 << 63:
+            return ValueError(f"rank {rank} op {i}: unknown requires {missing}")
+    for i in range(len(kinds)):
+        missing = unknown(i, len(kinds))
+        if missing:
+            return ValueError(f"rank {rank} op {i}: unknown requires {missing}")
 
 
 class Schedule:
@@ -242,14 +242,15 @@ class Schedule:
     def __new__(cls, nranks: int, ops, metadata: Mapping[str, object] | None = None):
         cols = _Columns()
         for rank, rank_ops in enumerate(ops):
+            rows = []
             for pos, op in enumerate(rank_ops):
                 if op.id != pos:
                     raise _op_id_error(op.id, rank)
                 if op.kind == CALC and op.peer is not None:
                     raise ValueError("calc ops take no peer")
-                cols.add(_KIND_CODE[op.kind], -1 if op.peer is None else op.peer, op.size,
-                         sorted(op.requires))
-            cols.end_rank()
+                rows.append((_KIND_CODE[op.kind], -1 if op.peer is None else op.peer, op.size,
+                             sorted(op.requires)))
+            cols.add_rank(*_rank_columns(rows))
         return cols.schedule(nranks, metadata)
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -387,19 +388,14 @@ def parse_goal(text: str) -> Schedule:
         block = (bulk.read(text, start, close, rank)
                  if close >= 0 and text.find("#", start, close) < 0 else None)
         if block is None:
-            ops, requires, pos = _parse_block(text, start, rank, nranks)
-            kinds, peers, sizes = zip(*ops) if ops else ((), (), ())
-            block = (kinds, peers, sizes, list(accumulate(map(len, requires), initial=0)),
-                     list(chain.from_iterable(requires)))
+            rows, pos = _parse_block(text, start, rank, nranks)
+            block = _rank_columns(rows)
         else:
             pos = _SEP_RE.match(text, close + 1).end()
         blocks[rank] = block
     cols = _Columns()
     for block in blocks:
-        if block is None:
-            cols.end_rank()
-        else:
-            cols.add_rank(*block)
+        cols.add_rank(*(block or ((), (), ())))
     return _validated(cols.schedule(nranks, None))
 
 
@@ -470,9 +466,9 @@ def _requires_columns(labels: tuple[str, ...], deps: tuple[str, ...]) -> tuple |
 
 
 def _parse_block(text: str, pos: int, rank: int,
-                 nranks: int) -> tuple[list[tuple[int, int, int]], list[list[int]], int]:
-    """The block body starting at ``pos``: its ops as (kind code, peer, size),
-    their sorted requires, and the offset after its '}'."""
+                 nranks: int) -> tuple[list[tuple[int, int, int, list[int]]], int]:
+    """The block body starting at ``pos``: its ops as (kind code, peer, size,
+    sorted requires) rows, and the offset after its '}'."""
     ops: list[tuple[int, int, int]] = []
     labels: dict[str, int] = {}
     deps: list[tuple[int, str, str]] = []  # (offset, label, dependency list text)
@@ -513,7 +509,7 @@ def _parse_block(text: str, pos: int, rank: int,
             if name not in labels:
                 raise _error(text, at, f"dangling dependency label {name!r}")
         requires[labels[label]].update(labels[t] for t in targets)
-    return ops, [sorted(req) for req in requires], m.end()
+    return [(*op, sorted(req)) for op, req in zip(ops, requires)], m.end()
 
 
 def emit_goal(schedule: Schedule) -> str:
@@ -737,13 +733,13 @@ def gen_dissemination(nranks: int, size: int) -> Schedule:
     rounds = (nranks - 1).bit_length()
     # Every rank has the same ops but for their peers.
     kinds, sizes = [KIND_SEND, KIND_RECV] * rounds, [size] * (2 * rounds)
-    req_offsets = list(accumulate([0, 0] + [2] * (2 * rounds - 2), initial=0))
-    req_targets = [t for k in range(1, rounds) for t in (2 * k - 2, 2 * k - 1) * 2]
+    requires = _csr([()] * 2 + [(2 * k - 2, 2 * k - 1) for k in range(1, rounds)
+                     for _ in (KIND_SEND, KIND_RECV)])
     cols = _Columns()
     for r in range(nranks):
         peers = [p for k in range(rounds) for p in ((r + (1 << k)) % nranks,
                                                      (r - (1 << k)) % nranks)]
-        cols.add_rank(kinds, peers, sizes, req_offsets, req_targets)
+        cols.add_rank(kinds, peers, sizes, *requires)
     return cols.schedule(
         nranks, {"generator": "dissemination", "nranks": nranks, "size_bytes": size})
 
@@ -765,25 +761,23 @@ def gen_ring_allreduce(nranks: int, size: int, reduce_cost_per_chunk: int = 0) -
     if reduce_cost_per_chunk < 0:
         raise ValueError("reduce cost must be >= 0 ns")
     chunk = -(-size // nranks)
-    steps = 2 * (nranks - 1)
-    reduce_steps = nranks - 1
+    # Every rank has the same ops but for their peers: the right neighbour of
+    # its sends and the left one of its recvs.
+    ops: list[tuple[int, int, tuple[int, ...]]] = []  # (kind code, size, requires)
+    req: tuple[int, ...] = ()  # the next send's requires
+    for step in range(2 * (nranks - 1)):
+        recv_id = len(ops) + 1
+        ops += ((KIND_SEND, chunk, req), (KIND_RECV, chunk, ()))
+        req = (recv_id,)
+        if step < nranks - 1 and reduce_cost_per_chunk > 0:
+            ops.append((KIND_CALC, reduce_cost_per_chunk, req))
+            req = (recv_id, recv_id + 1)
+    kinds, sizes, requires = zip(*ops)
+    req_columns = _csr(requires)
     cols = _Columns()
     for r in range(nranks):
-        left = (r - 1) % nranks
-        right = (r + 1) % nranks
-        n = 0  # ops of this rank so far
-        req: tuple[int, ...] = ()  # the next send's requires
-        for step in range(steps):
-            cols.add(KIND_SEND, right, chunk, req)
-            cols.add(KIND_RECV, left, chunk)
-            recv_id = n + 1
-            n += 2
-            req = (recv_id,)
-            if step < reduce_steps and reduce_cost_per_chunk > 0:
-                cols.add(KIND_CALC, -1, reduce_cost_per_chunk, req)
-                req = (recv_id, n)
-                n += 1
-        cols.end_rank()
+        peer_of_kind = ((r + 1) % nranks, (r - 1) % nranks, -1)
+        cols.add_rank(kinds, list(map(peer_of_kind.__getitem__, kinds)), sizes, *req_columns)
     return cols.schedule(
         nranks,
         {
@@ -825,20 +819,19 @@ def gen_compute_collective(
     cols = _Columns()
     for rank in range(nranks):
         lo, hi = bounds[rank], bounds[rank + 1]
-        rank_ops = [(inner.kinds[g], inner.peers[g], inner.sizes[g],
-                     req[req_off[g]:req_off[g + 1]].tolist()) for g in range(lo, hi)]
-        required = {d for *_, requires in rank_ops for d in requires}
+        inner_req = [req[req_off[g]:req_off[g + 1]].tolist() for g in range(lo, hi)]
+        required = set(chain.from_iterable(inner_req))
         sinks = [i for i in range(hi - lo) if i not in required]
-        prev_sinks: list[int] = []
+        requires: list[list[int]] = []
         for it in range(iterations):
             calc_id = it * (hi - lo + 1)
-            cols.add(KIND_CALC, -1, comp_ns, prev_sinks)
-            base = calc_id + 1
-            for kind, peer, size, requires in rank_ops:
-                # A root of the collective waits on the calc.
-                cols.add(kind, peer, size, [base + d for d in requires] or (calc_id,))
-            prev_sinks = [base + s for s in sinks]
-        cols.end_rank()
+            # The calc waits on the previous collective's sinks, and a root of
+            # the collective waits on the calc.
+            requires.append([calc_id - (hi - lo) + s for s in sinks] if it else [])
+            requires += ([calc_id + 1 + d for d in r] or [calc_id] for r in inner_req)
+        cols.add_rank(([KIND_CALC] + inner.kinds[lo:hi].tolist()) * iterations,
+                      ([-1] + inner.peers[lo:hi].tolist()) * iterations,
+                      ([comp_ns] + inner.sizes[lo:hi].tolist()) * iterations, *_csr(requires))
     return cols.schedule(
         nranks,
         {
@@ -914,16 +907,21 @@ def _op_int(entry: dict, key: str, r: int, i: int) -> int:
     return value
 
 
-def _op_entry(entry: object, r: int, i: int) -> tuple[int, int, int, list[int]]:
+def _op_entry(entry: object, r: int, i: int) -> tuple[int, int, int, tuple[int, ...]]:
     """Kind code, peer, size and sorted requires of op entry i of rank r.
 
-    Checks the entry's JSON types and its id, and raises ValueError naming
-    the first fault; ``_Columns`` checks the values.
+    Checks the entry's JSON types, that a calc has no peer and its id, and
+    raises ValueError naming the first fault; ``_Columns`` checks the values.
+    The requires are a tuple so that the row holds no list: the garbage
+    collector stops tracking such a row, and a long rank's rows, held until
+    ``add_rank``, do not set off full collections.
     """
     if not isinstance(entry, dict):
         raise ValueError(f"rank {r} op entry {i} must be an object, got {type(entry).__name__}")
     kind = entry.get("kind")
     if kind == CALC:
+        if entry.get("peer") is not None:
+            raise ValueError("calc ops take no peer")
         peer, size = -1, _op_int(entry, "duration_ns", r, i)
     elif kind == SEND or kind == RECV:
         peer, size = _op_int(entry, "peer", r, i), _op_int(entry, "size_bytes", r, i)
@@ -931,12 +929,12 @@ def _op_entry(entry: object, r: int, i: int) -> tuple[int, int, int, list[int]]:
         raise ValueError(f"rank {r} op entry {i}: 'kind' must be one of "
                          f"{', '.join(KINDS)}, got {reprlib.repr(kind)}")
     requires = entry.get("requires", [])
-    if not isinstance(requires, list) or any(type(d) is not int for d in requires):
+    if not isinstance(requires, list) or not {int}.issuperset(map(type, requires)):
         raise ValueError(f"rank {r} op entry {i}: 'requires' must be a list of integers")
-    op_id = _op_int(entry, "id", r, i)
-    if op_id != i:
-        raise _op_id_error(op_id, r)
-    return _KIND_CODE[kind], peer, size, sorted(set(requires))
+    op_id = entry.get("id")
+    if op_id != i or type(op_id) is not int:
+        raise _op_id_error(_op_int(entry, "id", r, i), r)
+    return _KIND_CODE[kind], peer, size, tuple(sorted(set(requires)))
 
 
 def schedule_from_json(text: str) -> Schedule:
@@ -956,11 +954,9 @@ def schedule_from_json(text: str) -> Schedule:
     if not isinstance(ranks_doc, list):
         raise ValueError(f"'ranks' must be a list, got {type(ranks_doc).__name__}")
     cols = _Columns()
-    add = cols.add
     for r, rank_ops in enumerate(ranks_doc):
         if not isinstance(rank_ops, list):
             raise ValueError(f"rank {r}'s ops must be a list, got {type(rank_ops).__name__}")
-        for i, entry in enumerate(rank_ops):
-            add(*_op_entry(entry, r, i))
-        cols.end_rank()
+        cols.add_rank(*_rank_columns([_op_entry(entry, r, i)
+                                      for i, entry in enumerate(rank_ops)]))
     return _validated(cols.schedule(nranks, metadata))

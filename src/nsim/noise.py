@@ -29,7 +29,7 @@ from itertools import islice, repeat
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple
 
-from .errors import TraceFormatError
+from .errors import TraceFormatError, named_decode_error
 from .model import (
     UNIT_GBPS,
     UNIT_NS,
@@ -425,7 +425,10 @@ def save_distribution(dist: EmpiricalDistribution, path: str | Path) -> None:
 
 def load_distribution(path: str | Path) -> EmpiricalDistribution:
     """Read a distribution JSON file; a malformed document raises ValueError."""
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise named_decode_error(path, exc) from None
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: distribution JSON must be an object, "
                          f"got {type(doc).__name__}")

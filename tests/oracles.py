@@ -7,14 +7,17 @@ extend-and-recheck fixed point, the KS distance is an exact sup over ECDF
 step functions, the schedule writers build the document op by op from
 ``ScheduleOp`` views (JSON through ``json.dumps(indent=2)``), the trace
 readers take the whole text one row at a time, the GOAL text reader takes
-every block one statement at a time, and the static analysis of a schedule
-makes three passes where the package makes one walk.
+every block one statement at a time, the schedule columns are built and
+checked one op at a time where the package appends and checks whole ranks,
+and the static analysis of a schedule makes three passes where the package
+makes one walk.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from array import array
 from bisect import bisect_left, bisect_right
 from collections import deque
 
@@ -318,8 +321,6 @@ def _trace_rows(text: str, expected_unit: str):
 def parse_trace(text: str, expected_unit: str):
     """The trace CSV reader, row by row over the whole text: a SampleTrace or
     the first fault as a TraceFormatError with its line."""
-    from array import array
-
     from nsim.noise import SampleTrace, TraceFormatError
 
     positive = expected_unit in ("ns", "gbps")
@@ -374,6 +375,76 @@ def load_detour_trace(path):
     return DetourTrace(tuple(events), span)
 
 
+# The schedule columns built one op at a time, as the package built them
+# before every source appended whole ranks.
+
+class OpColumns:
+    """The growing columns of a schedule, appended one op at a time.
+
+    ``add`` appends an op (requires sorted and unique) and checks its peer,
+    size and duration; ``end_rank`` closes the rank and checks that its
+    requires name its own ops: ``add`` notes a negative one (requires arrive
+    sorted), so ``end_rank`` needs only their maximum.
+    """
+
+    def __init__(self) -> None:
+        self.rank_offsets = array("q", [0])
+        self.kinds = array("b")
+        self.peers = array("q")
+        self.sizes = array("Q")
+        self.req_offsets = array("q", [0])
+        self.req_targets = array("q")
+        self._negative = False  # an op requires an op < 0, which end_rank names
+
+    def add(self, kind: int, peer: int, size: int, requires=()) -> None:
+        from nsim.goal import KIND_CALC, KINDS
+
+        if (peer < 0 or size < 1) and kind != KIND_CALC:
+            raise ValueError(f"{KINDS[kind]} needs a peer rank >= 0" if peer < 0
+                             else f"{KINDS[kind]} size must be >= 1 byte")
+        try:
+            self.sizes.append(size)
+            self.peers.append(peer)
+        except OverflowError:
+            if size < 0:
+                raise ValueError("calc duration must be >= 0 ns") from None
+            field = ("size", size) if size >> 64 else ("peer", peer)
+            raise ValueError("op %s %d does not fit in 64 bits" % field) from None
+        self.kinds.append(kind)
+        if requires:
+            if requires[0] < 0:
+                self._negative = True
+            try:
+                self.req_targets.extend(requires)
+            except OverflowError:  # beyond 64 bits, so beyond any rank's ops
+                self._check_requires(len(self.kinds) - 1, requires, 1 << 63)
+        self.req_offsets.append(len(self.req_targets))
+
+    def end_rank(self) -> None:
+        lo, hi = self.rank_offsets[-1], len(self.kinds)
+        req, req_off = self.req_targets, self.req_offsets
+        first = req_off[lo]
+        if self._negative or (first < len(req) and max(req[first:]) >= hi - lo):
+            for g in range(lo, hi):
+                self._check_requires(g, req[req_off[g]:req_off[g + 1]], hi - lo)
+        self.rank_offsets.append(hi)
+
+    def _check_requires(self, g: int, requires, n: int) -> None:
+        missing = [d for d in requires if not 0 <= d < n]  # op g of the open rank
+        if missing:
+            rank, lo = len(self.rank_offsets) - 1, self.rank_offsets[-1]
+            raise ValueError(f"rank {rank} op {g - lo}: unknown requires {missing}")
+
+    def schedule(self, nranks: int, metadata):
+        """The finished Schedule, through the package's own checks of it."""
+        from nsim.goal import _COLUMNS, _Columns
+
+        cols = _Columns()
+        for name in _COLUMNS:
+            setattr(cols, name, getattr(self, name))
+        return cols.schedule(nranks, metadata)
+
+
 # The GOAL text reader one statement per regex match in every block, as the
 # package read all text before its bulk block reader.
 
@@ -387,7 +458,7 @@ def parse_goal(text: str):
     id, peer, size or label), and ScheduleValidationError for well-formed text
     that is not a runnable schedule (unmatched messages, dependency cycles).
     """
-    from nsim.goal import _BLOCK_RE, _HEADER_RE, _Columns, _error, _expected, _validated
+    from nsim.goal import _BLOCK_RE, _HEADER_RE, _error, _expected, _validated
 
     m = _HEADER_RE.match(text)
     if m["nranks"] is None:
@@ -411,7 +482,7 @@ def parse_goal(text: str):
             raise _error(text, pos, f"duplicate block for rank {rank}")
         ops, requires, pos = _parse_block(text, m.end(), rank, nranks)
         blocks[rank] = (ops, requires)
-    cols = _Columns()
+    cols = OpColumns()
     for block in blocks:
         if block is not None:
             for op, requires in zip(*block):

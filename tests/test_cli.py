@@ -105,6 +105,12 @@ class TestGen:
         assert r.exit_code == 0
         assert "calc 1000" in r.output
 
+    def test_compapp_ring_records_the_payload(self, runner):
+        r = _invoke(runner, ["gen", "compapp", "-p", "8", "--comp", "100000", "--pattern",
+                             "ring", "-s", "65536", "--format", "json"])
+        assert r.exit_code == 0
+        assert schedule_from_json(r.output).metadata["size_bytes"] == 65536
+
     def test_invalid_nranks_exits_3(self, runner):
         r = runner.invoke(cli, ["gen", "dissem", "-p", "1", "-s", "16"])
         assert r.exit_code == 3
@@ -530,10 +536,34 @@ class TestMalformedInputExit:
                 sim_out, sim_err = sim.communicate(timeout=120)
             gen_err = gen.communicate(timeout=120)[1]
         assert sim.returncode == 4 and sim_out == ""
-        assert sim_err == "error: Expecting property name enclosed in double quotes: " \
-                          "line 2 column 1 (char 15)\n"
+        assert sim_err == f"error: {garbled}: Expecting property name enclosed in double " \
+                          "quotes: line 2 column 1 (char 15)\n"
         assert gen.returncode in (0, 4) and "Traceback" not in gen_err
-        assert gen_err in ("", "error: [Errno 32] Broken pipe\n")
+        assert gen_err == ""
+
+    @pytest.mark.parametrize("kind", ["params", "noise_lat", "noise_bw", "goal", "results",
+                                      "baseline", "report", "config"])
+    def test_json_that_does_not_parse_names_its_file(self, params_file, tmp_path, kind):
+        garbled = tmp_path / f"{kind}.json"
+        garbled.write_text('{"L_ns": 5000,\n')
+        results = tmp_path / "res.json"
+        results.write_text(_results_doc([10]))
+        cost = ["cost", "--provider", "aws", "--label", "on_demand", "--instance",
+                "c5n.18xlarge", "--results"]
+        args = {
+            "params": ["sim", "run", "--params", garbled],
+            "noise_lat": ["sim", "run", "--params", params_file, "--noise-lat", garbled],
+            "noise_bw": ["sim", "run", "--params", params_file, "--noise-bw", garbled],
+            "goal": ["sim", "run", "--params", params_file, "--goal", garbled],
+            "results": [*cost, garbled],
+            "baseline": [*cost, results, "--baseline", garbled],
+            "report": ["report", "box", garbled],
+            "config": ["--config", garbled, "gen", "dissem", "-p", "2", "-s", "1"],
+        }[kind]
+        proc = _run_cli(*map(str, args), input=_TWO_RANK_MESSAGE)
+        _assert_clean_exit(proc, 4)
+        assert proc.stderr == (f"error: {garbled}: Expecting property name enclosed in "
+                               "double quotes: line 2 column 1 (char 15)\n")
 
     def test_detour_span_not_a_number_exit_4(self, params_file, tmp_path):
         trace = tmp_path / "detour.csv"

@@ -382,6 +382,11 @@ class TestComputeCollective:
         assert ops[3].kind == CALC
         assert ops[3].requires == frozenset({1, 2})
 
+    @pytest.mark.parametrize("pattern", ["dissemination", "ring"])
+    def test_metadata_records_the_payload(self, pattern):
+        s = gen_compute_collective(8, 100, pattern, 65536, 2)
+        assert s.metadata["size_bytes"] == 65536
+
     def test_bad_pattern(self):
         with pytest.raises(ValueError):
             gen_compute_collective(2, 0, "alltoall", 16, 1)
@@ -561,6 +566,8 @@ _CONSTRUCTOR_FAULTS = [
     ("unknown_requires", [[{"id": 0, "kind": "calc", "duration_ns": 1, "requires": [3, -1]}]],
      "rank 0 op 0: unknown requires [-1, 3]"),
     ("rank_count", [[], []], "expected 1 rank op lists, got 2"),
+    ("calc_with_peer", [[{"id": 0, "kind": "calc", "peer": 1, "duration_ns": 1}]],
+     "calc ops take no peer"),
 ]
 
 
@@ -630,6 +637,72 @@ def test_loaders_name_a_corrupt_op_alike_at_any_position(base, data):
         with pytest.raises(ValueError) as parsed:
             parse_goal(text.replace(f" {_MARK}b ", " 0b "))
         assert str(parsed.value) == message
+
+
+# ---------------------------------------------------------------------------
+# The rank-at-a-time column builder against the op-at-a-time one in tests/oracles.py
+
+from nsim.goal import _COLUMNS, KIND_CALC, KIND_RECV, KIND_SEND, _Columns  # noqa: E402
+from oracles import OpColumns  # noqa: E402
+
+# How each fault changes op i's (kind, peer, size, requires) of an n-op rank.
+_RANK_FAULTS = {
+    "negative_peer": lambda op, n, k: (op[0], -k, *op[2:]),
+    "zero_size": lambda op, n, k: (*op[:2], 0, op[3]),
+    "negative_size": lambda op, n, k: (*op[:2], -k, op[3]),
+    "size_beyond_64_bits": lambda op, n, k: (*op[:2], 2**64 + k - 1, op[3]),
+    "peer_beyond_64_bits": lambda op, n, k: (op[0], 2**63 + k - 1, *op[2:]),
+    "negative_requires": lambda op, n, k: (*op[:3], op[3] | {-k}),
+    "requires_past_rank": lambda op, n, k: (*op[:3], op[3] | {n + k - 1}),
+    "requires_beyond_64_bits": lambda op, n, k: (*op[:3], op[3] | {2**64 + k - 1}),
+}
+
+
+@st.composite
+def rank_columns(draw):
+    """One rank's ``add_rank`` arguments: sends, recvs and calcs with edge
+    values, with 0-3 faults from _RANK_FAULTS injected."""
+    n = draw(st.integers(0, 6))
+    ops = []
+    for i in range(n):
+        kind = draw(st.sampled_from((KIND_SEND, KIND_RECV, KIND_CALC)))
+        peer = -1 if kind == KIND_CALC else draw(st.sampled_from((0, 1, 7, 2**63 - 1)))
+        size = draw(st.sampled_from((0, 1, 2**64 - 1) if kind == KIND_CALC
+                                    else (1, 16, 2**64 - 1)))
+        ops.append((kind, peer, size, draw(st.sets(st.integers(0, n - 1), max_size=3))))
+    if n:
+        for _ in range(draw(st.integers(0, 3))):
+            i = draw(st.integers(0, n - 1))
+            fault = draw(st.sampled_from(sorted(_RANK_FAULTS)))
+            ops[i] = _RANK_FAULTS[fault](ops[i], n, draw(st.integers(1, 3)))
+    requires = [sorted(op[3]) for op in ops]
+    return ([op[0] for op in ops], [op[1] for op in ops], [op[2] for op in ops],
+            [sum(map(len, requires[:i])) for i in range(n + 1)],
+            [d for req in requires for d in req])
+
+
+def _build(cols, append, ranks):
+    """The columns after appending ``ranks`` with ``append``, or the message
+    of the ValueError that stops it."""
+    try:
+        for rank in ranks:
+            append(cols, *rank)
+    except ValueError as exc:
+        return str(exc)
+    return [getattr(cols, name).tobytes() for name in _COLUMNS]
+
+
+def _append_op_by_op(cols, kinds, peers, sizes, req_offsets, req_targets):
+    for i in range(len(kinds)):
+        cols.add(kinds[i], peers[i], sizes[i], req_targets[req_offsets[i]:req_offsets[i + 1]])
+    cols.end_rank()
+
+
+@settings(max_examples=400, deadline=None)
+@given(ranks=st.lists(rank_columns(), min_size=1, max_size=3))
+def test_rank_append_matches_op_by_op_oracle(ranks):
+    assert (_build(_Columns(), _Columns.add_rank, ranks)
+            == _build(OpColumns(), _append_op_by_op, ranks))
 
 
 @pytest.mark.parametrize("load", [
