@@ -18,10 +18,11 @@ sends/recvs carry a byte size with a ``b`` suffix and a peer rank, calcs carry
 a duration in ns. ``LABEL requires LABEL, ...`` adds dependencies between ops
 of the same block (forward references are allowed). Keywords cannot be
 labels. Whitespace, newlines included, is free between any two words or
-symbols, even inside a statement, and a ``#`` comment may go wherever
-whitespace may. A syntax error names the line and column of the first
-statement that does not parse; a bad rank id, peer or label is named at its
-own position.
+symbols, even inside a statement. A ``#`` starts a comment that runs to the
+end of its line and reads as whitespace, so it may go wherever whitespace
+may. A syntax error names the line and column of the first statement that
+does not parse and quotes its line, comment included; a bad rank id, peer
+or label is named at its own position.
 
 Message matching is in-order per (src, dst, size) triple: the j-th send of a
 given triple pairs with the j-th matching recv. All generators here are
@@ -172,7 +173,7 @@ class _Columns:
         self.peers += columns[1]
         self.sizes += columns[2]
         self.req_targets += columns[3]
-        self.req_offsets.extend(map(base.__add__, islice(req_offsets, 1, None)))
+        self.req_offsets.fromlist([base + x for x in islice(req_offsets, 1, None)])
         self.rank_offsets.append(len(self.kinds))
 
     def schedule(self, nranks: int, metadata: Mapping[str, object] | None) -> Schedule:
@@ -295,36 +296,22 @@ class Schedule:
 # Parsing
 
 _KEYWORDS = ("num_ranks", "rank", "send", "recv", "calc", "to", "from", "requires")
-
-# Whitespace and comments. A comment must run to the end of its line, so that
-# backtracking can never stop inside one and read its words as syntax. Each
-# whitespace run belongs to exactly one \s*, so a failed match backtracks over
-# a separator in linear time, not once per way of splitting a run.
-_SEP = r"\s*(?:\#[^\n]*(?![^\n])\s*)*"
 _LABEL = rf"(?!(?:{'|'.join(_KEYWORDS)})\b)[A-Za-z_][A-Za-z0-9_]*\b"
 
-# Each pattern matches one statement and the separators after it, so the
-# cursor always rests on the first character of the next statement. The count
-# after num_ranks is optional so that a failed header still ends there too.
-_HEADER_RE = re.compile(rf"{_SEP}(?:num_ranks\b{_SEP}(?P<nranks>\d+)\b{_SEP})?")
-_BLOCK_RE = re.compile(rf"rank\b{_SEP}(?P<rank>\d+)\b{_SEP}\{{{_SEP}")
-# The last group to close names the statement: to, from, calc, requires, close.
-_STMT_RE = re.compile(
-    rf"""(?: (?P<label>{_LABEL}){_SEP}
-             (?: :{_SEP}(?: send\b{_SEP}(?P<send>\d+)b\b{_SEP}to\b{_SEP}(?P<to>\d+)
-                          | recv\b{_SEP}(?P<recv>\d+)b\b{_SEP}from\b{_SEP}(?P<from>\d+)
-                          | calc\b{_SEP}(?P<calc>\d+) )\b
-               | requires\b{_SEP}(?P<requires>{_LABEL}(?:{_SEP},{_SEP}{_LABEL})*) )
-         | (?P<close>\}}) ){_SEP}""",
-    re.VERBOSE,
-)
+# A comment runs from '#' to the end of its line. parse_goal blanks each one
+# with as many spaces, so lines and columns do not move and every separator
+# below is \s*. Each pattern ends with the whitespace after it, so the cursor
+# rests on the first character of the next word. The count after num_ranks is
+# optional so that a failed header still ends there too.
+_COMMENT_RE = re.compile(r"#[^\n]*")
+_HEADER_RE = re.compile(r"\s*(?:num_ranks\b\s*(?P<nranks>\d+)\b\s*)?")
+_BLOCK_RE = re.compile(r"rank\b\s*(?P<rank>\d+)\b\s*\{\s*")
+_SPACE_RE = re.compile(r"\s*")
 _STMT_FORMS = "'LABEL: send|recv|calc ...', 'LABEL requires ...' or '}'"
-_SEP_RE = re.compile(_SEP)
-# The statements of a block body that holds no comment, so that every
-# separator is \s*, read whole with findall. Each row is one statement and
-# the whitespace after it, or one character of anything else in the junk
-# group (the last), so the rows cover the body. An op statement fills label,
-# kind, size and, for a send or recv, preposition and peer; a requires
+# The statements of a block body, read whole with findall. Each row is one
+# statement and the whitespace after it, or one character of anything else in
+# the junk group (the last), so the rows cover the body. An op statement fills
+# label, kind, size and, for a send or recv, preposition and peer; a requires
 # statement fills label and requires list. The op forms are folded into one,
 # so a row whose kind and preposition do not pair as send-to, recv-from or
 # calc alone is not a statement.
@@ -353,17 +340,19 @@ def _expected(text: str, pos: int, what: str) -> GoalSyntaxError:
 def parse_goal(text: str) -> Schedule:
     """Parse schedule text into a validated Schedule.
 
-    After ``num_ranks N``, each ``rank N {`` block is read one of two ways.
-    A block whose body, up to the next ``}``, holds no ``#`` and parses whole
-    under ``_BULK_RE`` becomes columns in bulk (``_BulkReader``); any other
-    block goes to ``_parse_block``, which reads it one statement per regex
-    match and is the only source of syntax errors. Raises GoalSyntaxError for
-    malformed text, with the line and column of the first statement that does
-    not parse (or, for a bad value, of the offending rank id, peer, size or
-    label), and ScheduleValidationError for well-formed text that is not a
-    runnable schedule (unmatched messages, dependency cycles).
+    Each comment is first blanked with as many spaces, so that it reads as
+    whitespace and no line or column moves. After ``num_ranks N``, the body
+    of each ``rank N {`` block, up to the next ``}``, is read in bulk by
+    ``_BulkReader``; a body that it refuses is replayed by ``_block_fault``
+    only to name its fault. Errors quote the text as given, comments
+    included. Raises GoalSyntaxError for malformed text, with the line and
+    column of the first statement that does not parse (or, for a bad value,
+    of the offending rank id, peer or label), and ScheduleValidationError for
+    well-formed text that is not a runnable schedule (unmatched messages,
+    dependency cycles).
     """
-    m = _HEADER_RE.match(text)
+    code = _COMMENT_RE.sub(lambda c: " " * len(c[0]), text) if "#" in text else text
+    m = _HEADER_RE.match(code)
     if m["nranks"] is None:
         raise _expected(text, m.end(), "'num_ranks N'")
     nranks = int(m["nranks"])
@@ -375,8 +364,8 @@ def parse_goal(text: str) -> Schedule:
         raise _error(text, m.start("nranks"), f"num_ranks {nranks} is too large") from None
     bulk = _BulkReader(nranks)
     pos = m.end()
-    while pos < len(text):
-        m = _BLOCK_RE.match(text, pos)
+    while pos < len(code):
+        m = _BLOCK_RE.match(code, pos)
         if m is None:
             raise _expected(text, pos, "'rank N {'")
         rank = int(m["rank"])
@@ -384,15 +373,12 @@ def parse_goal(text: str) -> Schedule:
             raise _error(text, m.start("rank"), f"rank {rank} out of range (num_ranks {nranks})")
         if blocks[rank] is not None:
             raise _error(text, pos, f"duplicate block for rank {rank}")
-        start, close = m.end(), text.find("}", m.end())
-        block = (bulk.read(text, start, close, rank)
-                 if close >= 0 and text.find("#", start, close) < 0 else None)
+        start, close = m.end(), code.find("}", m.end())
+        block = bulk.read(code, start, close, rank) if close >= 0 else None
         if block is None:
-            rows, pos = _parse_block(text, start, rank, nranks)
-            block = _rank_columns(rows)
-        else:
-            pos = _SEP_RE.match(text, close + 1).end()
+            raise _block_fault(text, code, start, close, rank, nranks)
         blocks[rank] = block
+        pos = _SPACE_RE.match(code, close + 1).end()
     cols = _Columns()
     for block in blocks:
         cols.add_rank(*(block or ((), (), ())))
@@ -400,11 +386,13 @@ def parse_goal(text: str) -> Schedule:
 
 
 class _BulkReader:
-    """Reads comment-free block bodies of one text into ``add_rank``'s arguments.
+    """Reads the block bodies of one text, comments blanked, into
+    ``add_rank``'s arguments.
 
     ``read`` gives None for a body unless every statement in it parses and
     names a good peer and known labels. Each step runs over a whole column in
-    C; there is no Python work per statement. The ranks of a generated
+    C; there is no Python work per statement. A size beyond 64 bits is passed
+    on as an int, for ``add_rank`` to name. The ranks of a generated
     schedule mostly share their labels and requires statements, so the
     requires columns of the last body are reused for a body that has the
     same labels and requires lists.
@@ -417,9 +405,9 @@ class _BulkReader:
         self._structure: tuple | None = None  # the last body's labels and requires lists
         self._requires: tuple = ()  # and its requires columns
 
-    def read(self, text: str, start: int, end: int, rank: int) -> tuple | None:
-        """The columns of the body ``text[start:end]`` of rank ``rank``'s block."""
-        rows = _BULK_RE.findall(text, start, end)
+    def read(self, code: str, start: int, end: int, rank: int) -> tuple | None:
+        """The columns of the body ``code[start:end]`` of rank ``rank``'s block."""
+        rows = _BULK_RE.findall(code, start, end)
         if not rows:
             return (), (), (), (0,), ()
         labels, kind, size, prep, peer, deps, junk = zip(*rows)
@@ -432,12 +420,12 @@ class _BulkReader:
             self._structure, self._requires = (labels, deps), requires
         peer = list(compress(peer, kind))  # "" for a calc
         try:
-            sizes = array("Q", map(int, filter(None, size)))
             peers = array("q", map(int, map(_CALC_PEER.get, peer, peer)))
-        except OverflowError:
+        except OverflowError:  # a peer beyond 64 bits is out of range
             return None
         if peers and (max(peers) >= self.nranks or rank in peers):
             return None
+        sizes = list(map(int, filter(None, size)))
         kinds = array("b", map(_KIND_CODE.__getitem__, filter(None, kind)))
         return (kinds, peers, sizes, *self._requires)
 
@@ -465,51 +453,40 @@ def _requires_columns(labels: tuple[str, ...], deps: tuple[str, ...]) -> tuple |
     return offsets, array("q", map(mod, keys, repeat(n)))
 
 
-def _parse_block(text: str, pos: int, rank: int,
-                 nranks: int) -> tuple[list[tuple[int, int, int, list[int]]], int]:
-    """The block body starting at ``pos``: its ops as (kind code, peer, size,
-    sorted requires) rows, and the offset after its '}'."""
-    ops: list[tuple[int, int, int]] = []
-    labels: dict[str, int] = {}
-    deps: list[tuple[int, str, str]] = []  # (offset, label, dependency list text)
-    while True:
-        m = _STMT_RE.match(text, pos)
-        if m is None:
-            if pos == len(text):
-                raise _error(text, pos, "unterminated rank block")
-            raise _expected(text, pos, _STMT_FORMS)
-        kind, label = m.lastgroup, m["label"]
-        if kind == "close":
-            break
-        if kind == "requires":
-            deps.append((pos, label, m["requires"]))
+def _block_fault(text: str, code: str, start: int, close: int, rank: int,
+                 nranks: int) -> GoalSyntaxError:
+    """The first fault of the block body at ``start`` of rank ``rank`` that
+    ``_BulkReader.read`` refused, up to the ``}`` at ``close`` (-1 if there
+    is none), quoting ``text``; ``code`` is ``text`` with comments blanked.
+
+    The body's rows are replayed in statement order for a statement that
+    does not parse, a duplicate label or a bad peer; then the block may be
+    unterminated; then the first requires statement that names an unknown
+    label is named. A refused body has one of these faults.
+    """
+    labels: set[str] = set()
+    deps = []  # the requires rows
+    for row in _BULK_RE.finditer(code, start, close if close >= 0 else len(code)):
+        label, kind, _, prep, peer, dep_text, junk = row.groups("")
+        if junk or kind + prep not in _BULK_FORMS:
+            return _expected(text, row.start(), _STMT_FORMS)
+        if dep_text:
+            deps.append(row)
         elif label in labels:
-            raise _error(text, pos, f"duplicate label {label!r}")
+            return _error(text, row.start(), f"duplicate label {label!r}")
         else:
-            size_group = "calc" if kind == "calc" else "send" if kind == "to" else "recv"
-            size = int(m[size_group])
-            labels[label] = len(ops)
-            if kind == "calc":
-                ops.append((KIND_CALC, -1, size))
-            else:
-                peer = int(m[kind])
-                if peer >= nranks:
-                    raise _error(text, m.start(kind),
-                                 f"peer {peer} out of range (num_ranks {nranks})")
-                if peer == rank:
-                    raise _error(text, m.start(kind), f"peer must differ from own rank {rank}")
-                ops.append((KIND_SEND if kind == "to" else KIND_RECV, peer, size))
-        pos = m.end()
-    requires: list[set[int]] = [set() for _ in ops]
-    for at, label, dep_text in deps:
-        if "#" in dep_text:
-            dep_text = " ".join(line.partition("#")[0] for line in dep_text.split("\n"))
-        targets = dep_text.replace(",", " ").split()
-        for name in (label, *targets):
+            labels.add(label)
+            if peer and int(peer) >= nranks:
+                return _error(text, row.start(5),
+                              f"peer {int(peer)} out of range (num_ranks {nranks})")
+            if peer and int(peer) == rank:
+                return _error(text, row.start(5), f"peer must differ from own rank {rank}")
+    if close < 0:
+        return _error(text, len(text), "unterminated rank block")
+    for row in deps:
+        for name in (row[1], *row[6].replace(",", " ").split()):
             if name not in labels:
-                raise _error(text, at, f"dangling dependency label {name!r}")
-        requires[labels[label]].update(labels[t] for t in targets)
-    return [(*op, sorted(req)) for op, req in zip(ops, requires)], m.end()
+                return _error(text, row.start(), f"dangling dependency label {name!r}")
 
 
 def emit_goal(schedule: Schedule) -> str:

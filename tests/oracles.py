@@ -7,7 +7,9 @@ extend-and-recheck fixed point, the KS distance is an exact sup over ECDF
 step functions, the schedule writers build the document op by op from
 ``ScheduleOp`` views (JSON through ``json.dumps(indent=2)``), the trace
 readers take the whole text one row at a time, the GOAL text reader takes
-every block one statement at a time, the schedule columns are built and
+every block one statement at a time with its own patterns, a comment
+matched as a separator, where the package blanks comments and reads each
+block body in bulk, the schedule columns are built and
 checked one op at a time where the package appends and checks whole ranks,
 and the static analysis of a schedule makes three passes where the package
 makes one walk.
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from array import array
 from bisect import bisect_left, bisect_right
 from collections import deque
@@ -446,7 +449,34 @@ class OpColumns:
 
 
 # The GOAL text reader one statement per regex match in every block, as the
-# package read all text before its bulk block reader.
+# package read all text before its bulk block reader, with its own patterns:
+# comments are separators here, where the package blanks them first.
+
+_KEYWORDS = ("num_ranks", "rank", "send", "recv", "calc", "to", "from", "requires")
+
+# Whitespace and comments. A comment must run to the end of its line, so that
+# backtracking can never stop inside one and read its words as syntax. Each
+# whitespace run belongs to exactly one \s*, so a failed match backtracks over
+# a separator in linear time, not once per way of splitting a run.
+_SEP = r"\s*(?:\#[^\n]*(?![^\n])\s*)*"
+_LABEL = rf"(?!(?:{'|'.join(_KEYWORDS)})\b)[A-Za-z_][A-Za-z0-9_]*\b"
+
+# Each pattern matches one statement and the separators after it, so the
+# cursor always rests on the first character of the next statement. The count
+# after num_ranks is optional so that a failed header still ends there too.
+_HEADER_RE = re.compile(rf"{_SEP}(?:num_ranks\b{_SEP}(?P<nranks>\d+)\b{_SEP})?")
+_BLOCK_RE = re.compile(rf"rank\b{_SEP}(?P<rank>\d+)\b{_SEP}\{{{_SEP}")
+# The last group to close names the statement: to, from, calc, requires, close.
+_STMT_RE = re.compile(
+    rf"""(?: (?P<label>{_LABEL}){_SEP}
+             (?: :{_SEP}(?: send\b{_SEP}(?P<send>\d+)b\b{_SEP}to\b{_SEP}(?P<to>\d+)
+                          | recv\b{_SEP}(?P<recv>\d+)b\b{_SEP}from\b{_SEP}(?P<from>\d+)
+                          | calc\b{_SEP}(?P<calc>\d+) )\b
+               | requires\b{_SEP}(?P<requires>{_LABEL}(?:{_SEP},{_SEP}{_LABEL})*) )
+         | (?P<close>\}}) ){_SEP}""",
+    re.VERBOSE,
+)
+
 
 def parse_goal(text: str):
     """Parse schedule text into a validated Schedule.
@@ -458,7 +488,7 @@ def parse_goal(text: str):
     id, peer, size or label), and ScheduleValidationError for well-formed text
     that is not a runnable schedule (unmatched messages, dependency cycles).
     """
-    from nsim.goal import _BLOCK_RE, _HEADER_RE, _error, _expected, _validated
+    from nsim.goal import _error, _expected, _validated
 
     m = _HEADER_RE.match(text)
     if m["nranks"] is None:
@@ -495,8 +525,7 @@ def _parse_block(text: str, pos: int, rank: int,
                  nranks: int) -> tuple[list[tuple[int, int, int]], list[list[int]], int]:
     """The block body starting at ``pos``: its ops as (kind code, peer, size),
     their sorted requires, and the offset after its '}'."""
-    from nsim.goal import (KIND_CALC, KIND_RECV, KIND_SEND, _STMT_FORMS, _STMT_RE, _error,
-                           _expected)
+    from nsim.goal import KIND_CALC, KIND_RECV, KIND_SEND, _STMT_FORMS, _error, _expected
 
     ops: list[tuple[int, int, int]] = []
     labels: dict[str, int] = {}

@@ -203,6 +203,26 @@ class TestComments:
                        " # peer next\n 1 }\nrank 1 { a: recv 4b from 0 }")
         assert s.ops[0] == (ScheduleOp(0, SEND, 1, 4),)
 
+    def test_brace_in_comment_does_not_close_the_block(self):
+        s = parse_goal("num_ranks 1\nrank 0 { a: calc 1 # } not here\n b: calc 2\n}")
+        assert s.ops[0] == (ScheduleOp(0, CALC, None, 1), ScheduleOp(1, CALC, None, 2))
+
+    def test_comment_right_after_a_word(self):
+        s = parse_goal("num_ranks 2\nrank 0 { a:send#c\n4b#d\nto 1 }\n"
+                       "rank 1 { a: recv 4b from 0 }")
+        assert s.ops[0] == (ScheduleOp(0, SEND, 1, 4),)
+
+    def test_comment_after_header_and_block_words(self):
+        s = parse_goal("num_ranks # count next\n1 # ranks\nrank # id next\n0 # brace next\n"
+                       "{ # body\n a: calc 1 }")
+        assert s.ops[0] == (ScheduleOp(0, CALC, None, 1),)
+
+    def test_syntax_error_quotes_the_comment(self):
+        with pytest.raises(GoalSyntaxError) as err:
+            parse_goal("num_ranks 2\nrank 0 {\n  a: send 4b to # peer\n}\n" + _TWO_RANKS)
+        assert (err.value.line, err.value.col) == (3, 3)
+        assert "found 'a: send 4b to # peer'" in str(err.value)
+
 
 # Long separators: a failed match must backtrack over whitespace and comments
 # in linear time. Each text below would take hours if a whitespace run could
@@ -906,7 +926,7 @@ _LABELS = ["a", "b", "o0", "o1", "o10", "sendx", "_q"]
 _SPELLINGS = [["0", "00", "٠"], ["1", "01", "١"], ["2", "002", "٢"]]
 _SIZES = ["1", "16", "007", "٣", "1٦", str(2**64 - 1)]
 _GAPS = [" ", "\t", "\n", "\r\n", "  \t"]
-_COMMENTS = [" # c\n", "\n# x: send 1b to 0 }\n"]
+_COMMENTS = [" # c\n", "#c\n", "\n# x: send 1b to 0 }\n"]
 # At most one fault per text, and what it puts in place of a good word.
 _TEXT_FAULTS = {
     "label": ["send", "requires", "é", "aé"],
@@ -918,7 +938,7 @@ _TEXT_FAULTS = {
     "junk": ["$", "{"],
 }
 _TEXT_STRUCTURAL_FAULTS = ["own_peer", "duplicate_label", "duplicate_block", "preposition",
-                           "calc_peer", "no_peer", "no_gap"]
+                           "calc_peer", "no_peer", "no_gap", "unclosed"]
 
 
 @st.composite
@@ -927,7 +947,8 @@ def goal_texts(draw):
     without comments: forward references, repeated requires lines, tabs, CR
     and newlines inside statements. Most hold one fault: a bad label, size,
     peer or rank, an unknown or duplicate label, a wrong statement form, a
-    duplicate block, a missing gap or a stray character."""
+    duplicate block, a block without its '}', a missing gap or a stray
+    character."""
     pick = lambda items: draw(st.sampled_from(items))  # noqa: E731
     fault = pick([None] + sorted(_TEXT_FAULTS) + _TEXT_STRUCTURAL_FAULTS)
     blocks = []  # [rank, its spelling, gap pool, statements as lists of words]
@@ -960,9 +981,11 @@ def goal_texts(draw):
                 "calc_peer": [(b, w) for b, w in stmts if w[2:3] == [CALC]],
                 "duplicate_label": [(b, w) for b, w in stmts if w[1] == ":"]}
     eligible["zero_size"] = eligible["size"]
-    no_gap = None
+    no_gap = unclosed = None
     if fault == "duplicate_block" and blocks:
         blocks.append(list(pick(blocks)))
+    elif fault == "unclosed" and blocks:
+        unclosed = draw(st.integers(0, len(blocks) - 1))
     elif fault and eligible.get(fault, msgs):
         block, words = pick(eligible.get(fault, msgs))
         bad = pick(_TEXT_FAULTS.get(fault, [""]))
@@ -1004,10 +1027,10 @@ def goal_texts(draw):
         return text
 
     text = gap(_GAPS, 0) + "num_ranks" + gap(_GAPS, 1) + pick(["3", "03", "٣"])
-    for _, spelling, pool, stmts in blocks:
+    for i, (_, spelling, pool, stmts) in enumerate(blocks):
         body = "".join(join(words, pool) + gap(pool, 1) for words in stmts)
         text += (gap(_GAPS, 1) + "rank" + gap(pool, 1) + spelling + gap(pool, 0) + "{"
-                 + gap(pool, 0) + body + "}")
+                 + gap(pool, 0) + body + ("" if i == unclosed else "}"))
     return text + gap(_GAPS, 0)
 
 
@@ -1024,15 +1047,15 @@ def test_bulk_reader_matches_statement_oracle(text):
     assert _parse_outcome(parse_goal, text) == _parse_outcome(oracle_parse_goal, text)
 
 
-def _count_scanned_blocks(monkeypatch) -> list:
+def _count_replayed_blocks(monkeypatch) -> list:
     calls = []
-    scan = goal_module._parse_block
+    replay = goal_module._block_fault
 
     def counting(*args):
-        calls.append(args[2])  # the rank
-        return scan(*args)
+        calls.append(args[4])  # the rank
+        return replay(*args)
 
-    monkeypatch.setattr(goal_module, "_parse_block", counting)
+    monkeypatch.setattr(goal_module, "_block_fault", counting)
     return calls
 
 
@@ -1043,14 +1066,22 @@ def _count_scanned_blocks(monkeypatch) -> list:
 ], ids=["dissem", "ring", "compapp"])
 def test_generated_text_takes_the_bulk_path(monkeypatch, make):
     s = make()
-    calls = _count_scanned_blocks(monkeypatch)
+    calls = _count_replayed_blocks(monkeypatch)
     assert parse_goal(emit_goal(s)) == s
     assert calls == []
 
 
-def test_only_the_block_with_a_comment_is_scanned(monkeypatch):
+def test_a_block_with_a_comment_takes_the_bulk_path(monkeypatch):
     s = gen_dissemination(8, 16)
     text = emit_goal(s).replace("rank 5 {\n  o0:", "rank 5 {\n  o0: # the middle rank\n")
-    calls = _count_scanned_blocks(monkeypatch)
+    calls = _count_replayed_blocks(monkeypatch)
     assert parse_goal(text) == s
+    assert calls == []
+
+
+def test_only_the_block_with_a_fault_is_replayed(monkeypatch):
+    text = emit_goal(gen_dissemination(8, 16)).replace("rank 5 {\n  o0:", "rank 5 {\n  $ o0:")
+    calls = _count_replayed_blocks(monkeypatch)
+    with pytest.raises(GoalSyntaxError, match="found '\\$ o0: send"):
+        parse_goal(text)
     assert calls == [5]
