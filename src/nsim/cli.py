@@ -3,25 +3,26 @@
 Subcommands compose over pipes where formats allow (GOAL text and JSON travel
 on stdin/stdout with ``-``). Option values resolve as flags > NSIM_* env vars
 > --config file > built-in defaults. Exit codes: 0 ok, 2 usage, 3 validation,
-4 I/O, 5 simulation deadlock; ``--error-json`` switches error reporting to a
-machine-readable JSON object on stderr.
+4 I/O, 5 simulation deadlock, decided for every command by the root group
+``_Root``; ``--error-json`` switches error reporting to a machine-readable JSON
+object on stderr. A fault found while a command reads a file names the file
+(``_reading``); the library's messages do not.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 import click
 
 from .errors import (ClockResolutionError, DeadlockError, DetourLimitError,
-                     GoalSyntaxError, ScheduleValidationError, TraceFormatError,
-                     named_decode_error)
+                     GoalSyntaxError, ScheduleValidationError, TraceFormatError)
 from .units import UNIT_GBPS, UNIT_NS
 
 if TYPE_CHECKING:
@@ -37,13 +38,9 @@ _PARAMS_SCHEMA = "nsim.params/1"
 _RESULTS_SCHEMA = "nsim.results/1"
 
 
-def _fail(code: int, exc: BaseException) -> None:
-    ctx = click.get_current_context(silent=True)
-    as_json = False
-    if ctx is not None:
-        root = ctx.find_root()
-        as_json = bool(root.params.get("error_json"))
-    if as_json:
+def _fail(root: click.Context, code: int, exc: BaseException) -> None:
+    """Report ``exc`` on stderr, as JSON under the root's --error-json, and exit ``code``."""
+    if root.params.get("error_json"):
         click.echo(json.dumps({"error": type(exc).__name__, "message": str(exc),
                                "exit_code": code}), err=True)
     else:
@@ -51,34 +48,41 @@ def _fail(code: int, exc: BaseException) -> None:
     sys.exit(code)
 
 
-def _handle_errors(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
+class _Root(click.Group):
+    """The root group: every command runs inside its ``invoke``, so this is the
+    one place where an error becomes its exit code."""
+
+    def invoke(self, ctx: click.Context):
         try:
-            return fn(*args, **kwargs)
+            return super().invoke(ctx)
         except DeadlockError as exc:
-            _fail(EXIT_DEADLOCK, exc)
+            _fail(ctx, EXIT_DEADLOCK, exc)
         except (TraceFormatError, OSError, json.JSONDecodeError) as exc:
-            _fail(EXIT_IO, exc)
+            _fail(ctx, EXIT_IO, exc)
         except (GoalSyntaxError, ScheduleValidationError, ValueError,
                 ClockResolutionError, DetourLimitError) as exc:
-            _fail(EXIT_VALIDATION, exc)
+            _fail(ctx, EXIT_VALIDATION, exc)
 
-    return wrapper
+
+@contextmanager
+def _reading(path: str | Path | None):
+    """Put ``path: `` before the message of a ValueError raised while a command
+    reads ``path``; the error keeps its type and attributes. Stdin stays unnamed."""
+    try:
+        yield
+    except ValueError as exc:
+        if path == "-":
+            raise
+        if isinstance(exc, UnicodeError):  # its message comes from its fields, not args
+            raise ValueError(f"{path}: {exc}") from None
+        exc.args = (f"{path}: {exc}",)
+        raise
 
 
 def _read_text(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
     return Path(path).read_text(encoding="utf-8")
-
-
-def _load_json(path: str) -> object:
-    """The JSON document in ``path``; a decode error names the path."""
-    try:
-        return json.loads(_read_text(path))
-    except json.JSONDecodeError as exc:
-        raise named_decode_error(path, exc) from None
 
 
 def _write_text(path: str, content: str) -> None:
@@ -98,34 +102,33 @@ def _write_text(path: str, content: str) -> None:
 def _load_schedule(path: str) -> Schedule:
     from . import goal as goal_mod
 
-    text = _read_text(path)
-    if text.lstrip().startswith("{"):
-        try:
+    with _reading(path):
+        text = _read_text(path)
+        if text.lstrip().startswith("{"):
             return goal_mod.schedule_from_json(text)
-        except json.JSONDecodeError as exc:
-            raise named_decode_error(path, exc) from None
-    return goal_mod.parse_goal(text)
+        return goal_mod.parse_goal(text)
 
 
 def load_params_file(path: str) -> tuple[LogGPParams, dict]:
     """Read a params JSON file; returns (params, full document)."""
     from .model import LogGPParams
 
-    doc = _load_json(path)
-    if not isinstance(doc, dict):
-        raise ValueError(f"params file {path} must hold a JSON object")
-
     def pick(*names):
         for n in names:
             if n in doc:
                 return doc[n]
-        raise ValueError(f"params file {path} is missing {'/'.join(names)}")
-    params = LogGPParams(
-        L=pick("L_ns", "L"),
-        o=pick("o_ns", "o"),
-        g=pick("g_ns", "g"),
-        G=pick("G_ns_per_byte", "G"),
-    )
+        raise ValueError(f"params file is missing {'/'.join(names)}")
+
+    with _reading(path):
+        doc = json.loads(_read_text(path))
+        if not isinstance(doc, dict):
+            raise ValueError("params file must hold a JSON object")
+        params = LogGPParams(
+            L=pick("L_ns", "L"),
+            o=pick("o_ns", "o"),
+            g=pick("g_ns", "g"),
+            G=pick("G_ns_per_byte", "G"),
+        )
     return params, doc
 
 
@@ -171,8 +174,8 @@ def _check_defaults(command: click.Command, defaults, where: str,
                              f"'{path}' (known: {known})")
 
 
-@click.group(context_settings={"auto_envvar_prefix": "NSIM",
-                               "help_option_names": ["-h", "--help"]})
+@click.group(cls=_Root, context_settings={"auto_envvar_prefix": "NSIM",
+                                          "help_option_names": ["-h", "--help"]})
 @click.option("--config", type=click.Path(exists=True, dir_okay=False),
               help="JSON file of per-command option defaults.")
 @click.option("--error-json", is_flag=True, help="Report errors as JSON on stderr.")
@@ -181,12 +184,11 @@ def cli(ctx: click.Context, config: str | None, error_json: bool) -> None:
     """Network/OS noise benchmarking and LogGP schedule simulation."""
     if config:
         try:
-            default_map = json.loads(Path(config).read_text(encoding="utf-8"))
-            _check_defaults(ctx.command, default_map, f"config file {config}")
-        except json.JSONDecodeError as exc:
-            _fail(EXIT_IO, named_decode_error(config, exc))
-        except (OSError, ValueError) as exc:
-            _fail(EXIT_IO, exc)
+            with _reading(config):
+                default_map = json.loads(Path(config).read_text(encoding="utf-8"))
+                _check_defaults(ctx.command, default_map, "config file")
+        except (OSError, ValueError) as exc:  # exit 4, where the root would give 3
+            _fail(ctx, EXIT_IO, exc)
         ctx.default_map = default_map
 
 
@@ -217,7 +219,6 @@ _OUT = click.option("-o", "--out", default="-", show_default=True)
 @click.option("-s", "--size", type=int, required=True, help="Message size in bytes.")
 @_FMT
 @_OUT
-@_handle_errors
 def gen_dissem(nranks: int, size: int, fmt: str, out: str) -> None:
     """Butterfly dissemination (barrier/small-allreduce shape)."""
     from . import goal as goal_mod
@@ -232,7 +233,6 @@ def gen_dissem(nranks: int, size: int, fmt: str, out: str) -> None:
               help="Reduction cost per chunk in ns.")
 @_FMT
 @_OUT
-@_handle_errors
 def gen_ring(nranks: int, size: int, reduce_cost: int, fmt: str, out: str) -> None:
     """Ring allreduce (reduce-scatter then allgather)."""
     from . import goal as goal_mod
@@ -248,7 +248,6 @@ def gen_ring(nranks: int, size: int, reduce_cost: int, fmt: str, out: str) -> No
 @click.option("--iterations", type=int, default=1, show_default=True)
 @_FMT
 @_OUT
-@_handle_errors
 def gen_compapp(nranks: int, comp: int, pattern: str, size: int, iterations: int,
                 fmt: str, out: str) -> None:
     """Compute phase followed by a collective, repeated."""
@@ -281,7 +280,6 @@ def sim() -> None:
 @click.option("--workers", type=int, default=1, show_default=True)
 @click.option("--per-rank", is_flag=True, help="Include per-rank completions.")
 @_OUT
-@_handle_errors
 def sim_run(goal_path: str, params_path: str, noise_lat: str | None,
             noise_bw: str | None, noise_os: str | None, seed: int, reps: int,
             workers: int, per_rank: bool, out: str) -> None:
@@ -297,11 +295,13 @@ def sim_run(goal_path: str, params_path: str, noise_lat: str | None,
     from .model import NoiseModel
 
     params, params_doc = load_params_file(params_path)
-    noise_model = NoiseModel(
-        latency=noise_mod.load_distribution(noise_lat) if noise_lat else None,
-        bandwidth=noise_mod.load_distribution(noise_bw) if noise_bw else None,
-        os=noise_mod.load_detour_trace(noise_os) if noise_os else None,
-    )
+    with _reading(noise_lat):
+        latency = noise_mod.load_distribution(noise_lat) if noise_lat else None
+    with _reading(noise_bw):
+        bandwidth = noise_mod.load_distribution(noise_bw) if noise_bw else None
+    with _reading(noise_os):
+        detours = noise_mod.load_detour_trace(noise_os) if noise_os else None
+    noise_model = NoiseModel(latency=latency, bandwidth=bandwidth, os=detours)
     schedule = _load_schedule(goal_path)
     cfg = simengine.SimConfig(params=params, noise=noise_model, seed=seed)
     results = simengine.run_many(schedule, cfg, reps, workers=workers)
@@ -338,6 +338,13 @@ def trace() -> None:
     """Transform measurement traces."""
 
 
+def _load_trace(path: str, unit: str):
+    from . import noise as noise_mod
+
+    with _reading(path):
+        return noise_mod.parse_trace(_read_text(path), unit)
+
+
 _UNIT = click.option("--unit", type=click.Choice([UNIT_NS, UNIT_GBPS]),
                      default=UNIT_NS, show_default=True)
 
@@ -346,12 +353,11 @@ _UNIT = click.option("--unit", type=click.Choice([UNIT_NS, UNIT_GBPS]),
 @click.option("--in", "in_path", required=True, help="Trace CSV, - for stdin.")
 @_UNIT
 @_OUT
-@_handle_errors
 def trace_dist(in_path: str, unit: str, out: str) -> None:
     """Build a sorted empirical distribution from a trace."""
     from . import noise as noise_mod
 
-    t = noise_mod.parse_trace(_read_text(in_path), unit)
+    t = _load_trace(in_path, unit)
     _write_text(out, noise_mod.format_distribution(noise_mod.build_distribution(t)))
 
 
@@ -361,12 +367,11 @@ def trace_dist(in_path: str, unit: str, out: str) -> None:
 @click.option("--mode", type=click.Choice(["min", "max"]), required=True,
               help="Divide by the trace minimum or maximum.")
 @_OUT
-@_handle_errors
 def trace_normalize(in_path: str, unit: str, mode: str, out: str) -> None:
     """Normalize a trace to its minimum (latency) or maximum (bandwidth)."""
     from . import noise as noise_mod
 
-    t = noise_mod.parse_trace(_read_text(in_path), unit)
+    t = _load_trace(in_path, unit)
     result = noise_mod.normalize_min(t) if mode == "min" else noise_mod.normalize_max(t)
     _write_text(out, noise_mod.format_trace(result))
 
@@ -378,12 +383,11 @@ def trace_normalize(in_path: str, unit: str, mode: str, out: str) -> None:
 @click.option("--side", type=click.Choice(["largest", "smallest"]), default="largest",
               show_default=True)
 @_OUT
-@_handle_errors
 def trace_top(in_path: str, unit: str, frac: float, side: str, out: str) -> None:
     """Keep only the most extreme samples of a trace."""
     from . import noise as noise_mod
 
-    t = noise_mod.parse_trace(_read_text(in_path), unit)
+    t = _load_trace(in_path, unit)
     _write_text(out, noise_mod.format_trace(noise_mod.top_fraction(t, frac, side)))
 
 
@@ -394,34 +398,35 @@ def _is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _check_float_range(path: str, key: str, values: list[int]) -> None:
+def _check_float_range(key: str, values: list[int]) -> None:
     """ValueError unless a float can hold each of the integers ``values``."""
     try:
         float(max(map(abs, values)))
     except OverflowError:
-        raise ValueError(f"{path}: {key!r} is beyond the float range") from None
+        raise ValueError(f"{key!r} is beyond the float range") from None
 
 
 def _load_results(path: str, with_nranks: bool = False) -> tuple[list[int], int | None]:
     """Completion times of a `sim run` results file, plus metadata.nranks if asked."""
-    doc = _load_json(path)
-    runs = doc.get("results") if isinstance(doc, dict) else None
-    if not isinstance(runs, list) or not runs:
-        raise ValueError(f"{path}: 'results' must be a non-empty list of runs")
-    completions = [run.get("completion_ns") if isinstance(run, dict) else None
-                   for run in runs]
-    if not all(map(_is_int, completions)):
-        raise ValueError(f"{path}: every run needs an integer 'completion_ns'")
-    if min(completions) < 0:
-        raise ValueError(f"{path}: 'completion_ns' must be >= 0")
-    _check_float_range(path, "completion_ns", completions)
-    if not with_nranks:
-        return completions, None
-    metadata = doc.get("metadata")
-    nranks = metadata.get("nranks") if isinstance(metadata, dict) else None
-    if not _is_int(nranks):
-        raise ValueError(f"{path}: 'metadata.nranks' must be an integer")
-    _check_float_range(path, "metadata.nranks", [nranks])
+    with _reading(path):
+        doc = json.loads(_read_text(path))
+        runs = doc.get("results") if isinstance(doc, dict) else None
+        if not isinstance(runs, list) or not runs:
+            raise ValueError("'results' must be a non-empty list of runs")
+        completions = [run.get("completion_ns") if isinstance(run, dict) else None
+                       for run in runs]
+        if not all(map(_is_int, completions)):
+            raise ValueError("every run needs an integer 'completion_ns'")
+        if min(completions) < 0:
+            raise ValueError("'completion_ns' must be >= 0")
+        _check_float_range("completion_ns", completions)
+        if not with_nranks:
+            return completions, None
+        metadata = doc.get("metadata")
+        nranks = metadata.get("nranks") if isinstance(metadata, dict) else None
+        if not _is_int(nranks):
+            raise ValueError("'metadata.nranks' must be an integer")
+        _check_float_range("metadata.nranks", [nranks])
     return completions, nranks
 
 
@@ -445,7 +450,6 @@ def _mean(values: list[float]) -> float:
 @click.option("--baseline", "baseline_path",
               help="Noiseless results JSON for relative increase.")
 @_OUT
-@_handle_errors
 def cost_cmd(results_path: str, price_catalog: str | None, provider: str, label: str,
              instance: str | None, baseline_path: str | None, out: str) -> None:
     """Convert simulated runtimes into USD (and relative increase vs a baseline)."""
@@ -453,8 +457,9 @@ def cost_cmd(results_path: str, price_catalog: str | None, provider: str, label:
 
     completions, nodes = _load_results(results_path, with_nranks=True)
     catalog_path = price_catalog or cost_mod.builtin_catalog_path()
-    price = cost_mod.find_price(cost_mod.load_price_catalog(catalog_path),
-                                provider, label, instance)
+    with _reading(catalog_path):
+        catalog = cost_mod.load_price_catalog(catalog_path)
+    price = cost_mod.find_price(catalog, provider, label, instance)
     costs = [cost_mod.run_cost(c, nodes, price) for c in completions]
     output: dict[str, object] = {
         "schema": "nsim.cost/1",
@@ -499,7 +504,6 @@ def _result_groups(paths: tuple[str, ...], labels: tuple[str, ...]):
               show_default=True)
 @click.option("--include-samples", is_flag=True)
 @_OUT
-@_handle_errors
 def report_box(results: tuple[str, ...], labels: tuple[str, ...], fmt: str,
                include_samples: bool, out: str) -> None:
     """Boxplot statistics of one or more result files."""
@@ -515,7 +519,6 @@ def report_box(results: tuple[str, ...], labels: tuple[str, ...], fmt: str,
 @click.option("--log2", is_flag=True, help="Log-2 value axis.")
 @click.option("--title")
 @click.option("-o", "--out", required=True)
-@_handle_errors
 def report_svg(results: tuple[str, ...], labels: tuple[str, ...], log2: bool,
                title: str | None, out: str) -> None:
     """Self-contained SVG boxplot of one or more result files."""
@@ -583,7 +586,6 @@ def _session_plan(listen: str | None, peer: str | None, size: int, iterations: i
 @bench_group.command("pingpong")
 @_session_options
 @_OUT
-@_handle_errors
 def bench_pingpong(out: str, **session) -> None:
     """Ping-pong RTT/2 trace (multi-connection splits the payload)."""
     from . import bench as bench_mod
@@ -598,7 +600,6 @@ def bench_pingpong(out: str, **session) -> None:
 @_session_options
 @click.option("--out-forward", default="-", show_default=True)
 @click.option("--out-reverse", default="-", show_default=True)
-@_handle_errors
 def bench_bidir(out_forward: str, out_reverse: str, **session) -> None:
     """Two simultaneous ping-pongs, one initiated from each endpoint."""
     from . import bench as bench_mod
@@ -621,7 +622,6 @@ def bench_bidir(out_forward: str, out_reverse: str, **session) -> None:
 @click.option("--max-iterations", type=int, help="Abort after this many loop iterations.")
 @click.option("--cpu", type=int)
 @_OUT
-@_handle_errors
 def bench_detour(records: int, threshold: float, probe: int,
                  max_iterations: int | None, cpu: int | None, out: str) -> None:
     """Selfish-detour OS noise recorder."""

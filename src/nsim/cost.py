@@ -91,7 +91,7 @@ def load_price_catalog(path: str | Path) -> list[dict]:
             "usd_per_hour": float(usd),
         })
     if not entries:
-        raise ValueError(f"no price entries in {path}")
+        raise ValueError("no price entries")
     return entries
 
 

@@ -3,7 +3,9 @@
 Each class is re-exported by the module that raises it (``goal``, ``noise``,
 ``simengine``, ``bench``), so ``nsim.goal.GoalSyntaxError`` is
 ``nsim.errors.GoalSyntaxError``. This module imports nothing, so the CLI can
-catch every one of them without loading the modules that raise them.
+catch every one of them without loading the modules that raise them. The
+messages name no file: the CLI puts the path of the file it was reading in
+front of them.
 """
 
 __all__ = [
@@ -13,7 +15,6 @@ __all__ = [
     "DeadlockError",
     "ClockResolutionError",
     "DetourLimitError",
-    "named_decode_error",
 ]
 
 
@@ -59,8 +60,3 @@ class ClockResolutionError(RuntimeError):
 class DetourLimitError(RuntimeError):
     """The detour recorder reached max_iterations before collecting enough events."""
 
-
-def named_decode_error(path: object, exc: ValueError) -> ValueError:
-    """``exc``, a json.JSONDecodeError, with ``path`` before its message; the
-    decoder's line, column and offset stay."""
-    return type(exc)(f"{path}: {exc.msg}", exc.doc, exc.pos)

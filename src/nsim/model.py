@@ -243,7 +243,7 @@ def one_way_wire_ns(latency_ns: float, size: int, gap_per_byte: float) -> int:
     Shared by message_time and the simulator so a single rounding site decides
     every timeline; the host-overhead terms are integers and commute with it.
     """
-    return math.floor(latency_ns + (size - 1) * gap_per_byte + 0.5)
+    return round_half_up(latency_ns + (size - 1) * gap_per_byte)
 
 
 def message_time(params: LogGPParams, size: int) -> int:

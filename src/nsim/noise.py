@@ -14,7 +14,7 @@ durations, ``gbps`` for bandwidths, ``ratio`` for normalized traces. Numbers
 use ``.`` as the decimal separator regardless of locale.
 
 A detour trace reuses the same CSV with timestamp_ns = event start offset and
-value = event duration (unit ns), plus an optional ``# span_ns=N`` comment
+value = event duration (unit ns), plus at most one ``# span_ns=N`` comment
 giving the replay window length; without it the span defaults to the end of
 the last event.
 """
@@ -29,7 +29,7 @@ from itertools import islice, repeat
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple
 
-from .errors import TraceFormatError, named_decode_error
+from .errors import TraceFormatError
 from .model import (
     UNIT_GBPS,
     UNIT_NS,
@@ -375,23 +375,28 @@ _DETOUR_RULES = _Rules(UNIT_NS, False, lambda v: round_half_up(v) > 0,
 
 
 def load_detour_trace(path: str | Path) -> DetourTrace:
-    """Read a detour trace CSV (start offset, duration) with optional span comment."""
+    """Read a detour trace CSV (start offset, duration) with at most one span comment."""
     span: int | None = None
+    span_line = 0
 
     def read_span(line: str, lineno: int) -> None:
-        nonlocal span
+        nonlocal span, span_line
         if "span_ns=" in line:
+            if span_line:
+                raise TraceFormatError(
+                    f"a second '# span_ns=' comment (the first is on line {span_line})", lineno)
             value = line.split("span_ns=", 1)[1].strip()
             try:
                 span = int(value)
             except ValueError:
                 raise TraceFormatError(
                     f"'# span_ns=' needs an integer ns count, got {value!r}", lineno) from None
+            span_line = lineno
 
     starts, durations = _read_rows(Path(path).read_text(encoding="utf-8"), _DETOUR_RULES,
                                    read_span)
     if not starts:
-        raise TraceFormatError(f"no detour events in {path}")
+        raise TraceFormatError("no detour events")
     events = tuple(zip(starts, map(round_half_up, durations)))
     if span is None:
         span = max(s + d for s, d in events)
@@ -425,16 +430,12 @@ def save_distribution(dist: EmpiricalDistribution, path: str | Path) -> None:
 
 def load_distribution(path: str | Path) -> EmpiricalDistribution:
     """Read a distribution JSON file; a malformed document raises ValueError."""
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise named_decode_error(path, exc) from None
+    doc = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(doc, dict):
-        raise ValueError(f"{path}: distribution JSON must be an object, "
-                         f"got {type(doc).__name__}")
+        raise ValueError(f"distribution JSON must be an object, got {type(doc).__name__}")
     if doc.get("schema") != _DIST_SCHEMA:
         raise ValueError(f"unexpected distribution schema {doc.get('schema')!r}")
     samples = doc.get("samples")
     if not isinstance(samples, list) or not set(map(type, samples)) <= {int, float}:
-        raise ValueError(f"{path}: 'samples' must be a list of numbers")
+        raise ValueError("'samples' must be a list of numbers")
     return EmpiricalDistribution(samples, doc.get("unit"))

@@ -347,18 +347,22 @@ def parse_trace(text: str, expected_unit: str):
 
 
 def load_detour_trace(path):
-    """The detour trace reader: the span comment in one pass over the lines,
-    then the rows with durations rounded half up."""
+    """The detour trace reader: the span comment in one pass over the lines
+    (a second one is refused), then the rows with durations rounded half up."""
     from pathlib import Path
 
     from nsim.model import DetourTrace
     from nsim.noise import TraceFormatError
 
     text = Path(path).read_text(encoding="utf-8")
-    span = None
+    span = span_line = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if line.startswith("#") and "span_ns=" in line:
+            if span_line is not None:
+                raise TraceFormatError(
+                    f"a second '# span_ns=' comment (the first is on line {span_line})", lineno)
+            span_line = lineno
             value = line.split("span_ns=", 1)[1].strip()
             try:
                 span = int(value)
@@ -372,7 +376,7 @@ def load_detour_trace(path):
             raise TraceFormatError(f"detour duration must be > 0 ns, got {value}", lineno)
         events.append((ts, dur))
     if not events:
-        raise TraceFormatError(f"no detour events in {path}")
+        raise TraceFormatError("no detour events")
     if span is None:
         span = max(s + d for s, d in events)
     return DetourTrace(tuple(events), span)

@@ -3,6 +3,7 @@ import re
 import subprocess
 import sys
 
+import click
 import pytest
 from click.testing import CliRunner
 
@@ -203,6 +204,22 @@ class TestSimRun:
         out2 = _invoke(runner, args, input=gen.output).output
         strip = lambda s: re.sub(r'"created": "[^"]*"', '"created": "X"', s)
         assert strip(out1) == strip(out2)
+
+    def test_workers_do_not_change_output(self, params_file, tmp_path):
+        # README "Determinism": the results bytes do not depend on --workers.
+        goal, lat = tmp_path / "dissem.goal", tmp_path / "lat.json"
+        goal.write_text(_run_cli("gen", "dissem", "-p", "8", "-s", "16").stdout)
+        lat.write_text(json.dumps({"schema": "nsim.dist/1", "unit": "ns",
+                                   "samples": [7000.0] * 9 + [70000.0]}))
+        outs = []
+        for workers in ("1", "2"):
+            proc = _run_cli("sim", "run", "--goal", str(goal), "--params", params_file,
+                            "--noise-lat", str(lat), "--reps", "50", "--seed", "11",
+                            "--workers", workers)
+            assert proc.returncode == 0, proc.stderr
+            outs.append(re.sub(r'"created": "[^"]*"', '"created": null', proc.stdout))
+        assert outs[0] == outs[1]
+        assert len({run["completion_ns"] for run in json.loads(outs[0])["results"]}) > 1
 
 
 class TestTrace:
@@ -583,6 +600,94 @@ class TestMalformedInputExit:
         assert "idle" in proc.stderr
 
 
+class TestInputFaultNamesItsFile:
+    """A fault found while a command reads a file gains only ``path: `` before
+    the message it had before, with the same exit code."""
+
+    def test_negative_latency(self, tmp_path):
+        params = tmp_path / "p.json"
+        params.write_text('{"L_ns": -5, "o_ns": 1000, "g_ns": 1000, "G_ns_per_byte": 0.01}')
+        proc = _run_cli("sim", "run", "--params", str(params), input=_TWO_RANK_MESSAGE)
+        _assert_clean_exit(proc, 3)
+        assert proc.stderr == f"error: {params}: L must be >= 0, got -5\n"
+
+    def test_unsorted_distribution(self, params_file, tmp_path):
+        lat = tmp_path / "lat.json"
+        lat.write_text('{"schema": "nsim.dist/1", "unit": "ns", "samples": [7000.0, 6000.0]}')
+        proc = _run_cli("sim", "run", "--params", params_file, "--noise-lat", str(lat),
+                        input=_TWO_RANK_MESSAGE)
+        _assert_clean_exit(proc, 3)
+        assert proc.stderr == f"error: {lat}: samples must be sorted ascending\n"
+
+    def test_overlapping_detours(self, params_file, tmp_path):
+        trace = tmp_path / "detour.csv"
+        trace.write_text("# span_ns=1000\ntimestamp_ns,value,unit\n0,50,ns\n20,30,ns\n")
+        proc = _run_cli("sim", "run", "--params", params_file, "--noise-os", str(trace),
+                        input=_TWO_RANK_MESSAGE)
+        _assert_clean_exit(proc, 3)
+        assert proc.stderr == f"error: {trace}: event 1: overlaps or precedes previous event\n"
+
+    def test_second_span_comment_exit_4(self, params_file, tmp_path):
+        trace = tmp_path / "detour.csv"
+        trace.write_text("# span_ns=1000\ntimestamp_ns,value,unit\n10,5,ns\n# span_ns=50\n")
+        proc = _run_cli("sim", "run", "--params", params_file, "--noise-os", str(trace),
+                        input=_TWO_RANK_MESSAGE)
+        _assert_clean_exit(proc, 4)
+        assert proc.stderr == (f"error: {trace}: line 4: a second '# span_ns=' comment "
+                               "(the first is on line 1)\n")
+
+    def test_goal_syntax_error(self, params_file, tmp_path):
+        goal = tmp_path / "bad.goal"
+        goal.write_text("num_ranks 2\nrank 0 { a: sendd 4b to 1 }\n")
+        message = ("line 2, col 10: expected 'LABEL: send|recv|calc ...', 'LABEL requires "
+                   "...' or '}', found 'a: sendd 4b to 1 }'\n")
+        proc = _run_cli("sim", "run", "--params", params_file, "--goal", str(goal))
+        _assert_clean_exit(proc, 3)
+        assert proc.stderr == f"error: {goal}: {message}"
+        # the same text on stdin stays unnamed
+        proc = _run_cli("sim", "run", "--params", params_file, input=goal.read_text())
+        _assert_clean_exit(proc, 3)
+        assert proc.stderr == f"error: {message}"
+
+    def test_trace_bad_value(self, tmp_path):
+        trace = tmp_path / "t.csv"
+        trace.write_text("timestamp_ns,value,unit\n0,abc,ns\n")
+        proc = _run_cli("trace", "dist", "--in", str(trace))
+        _assert_clean_exit(proc, 4)
+        assert proc.stderr == f"error: {trace}: line 2: bad value 'abc'\n"
+
+    def test_price_catalog_short_row(self, tmp_path):
+        results, catalog = tmp_path / "res.json", tmp_path / "cat.csv"
+        results.write_text(_results_doc([10]))
+        catalog.write_text("provider,instance,label,usd_per_hour\naws,c5,on_demand\n")
+        proc = _run_cli("cost", "--results", str(results), "--price-catalog", str(catalog),
+                        "--provider", "aws", "--label", "on_demand")
+        _assert_clean_exit(proc, 3)
+        assert proc.stderr == f"error: {catalog}: line 2: expected 4 fields, got 3\n"
+
+    def test_text_that_is_not_utf8(self, tmp_path):
+        params = tmp_path / "p.json"
+        params.write_bytes(b"\xff{}")
+        proc = _run_cli("sim", "run", "--params", str(params), input=_TWO_RANK_MESSAGE)
+        _assert_clean_exit(proc, 3)
+        assert proc.stderr == (f"error: {params}: 'utf-8' codec can't decode byte 0xff in "
+                               "position 0: invalid start byte\n")
+
+    @pytest.mark.parametrize("command", ["cost", "report_box"])
+    def test_results_named_once(self, tmp_path, command):
+        # The results file is read and checked in one place, so it is named once.
+        results, out = tmp_path / "res.json", str(tmp_path / "out")
+        results.write_text(_results_doc([]))
+        args = {
+            "cost": ["cost", "--results", str(results), "--provider", "aws", "--label",
+                     "on_demand", "--instance", "c5n.18xlarge", "-o", out],
+            "report_box": ["report", "box", str(results), "-o", out],
+        }[command]
+        proc = _run_cli(*args)
+        _assert_clean_exit(proc, 3)
+        assert proc.stderr == f"error: {results}: 'results' must be a non-empty list of runs\n"
+
+
 class TestBench:
     def test_detour_iteration_limit_exit_3(self):
         proc = _run_cli("bench", "detour", "--max-iterations", "5", "--records", "100",
@@ -801,6 +906,68 @@ def test_error_classes_keep_their_exit_codes(runner, monkeypatch, exc, cls, code
     assert r.exit_code == code
     assert json.loads(r.output) == {"error": cls.__name__, "message": str(exc),
                                     "exit_code": code}
+
+
+def _mapped_errors():
+    """One error of each type the root group maps, with its exit code."""
+    from nsim import errors
+
+    return [
+        (errors.DeadlockError([(0, 0, "recv")]), 5),
+        (errors.TraceFormatError("bad value", 3), 4),
+        (FileNotFoundError(2, "No such file or directory"), 4),
+        (json.JSONDecodeError("Expecting value", "x", 0), 4),
+        (errors.GoalSyntaxError("bad token", 1, 2), 3),
+        (errors.ScheduleValidationError(["rank 0 op 0: bad peer"]), 3),
+        (ValueError("bad value"), 3),
+        (errors.ClockResolutionError("clock too coarse"), 3),
+        (errors.DetourLimitError("too few events"), 3),
+    ]
+
+
+def _assert_mapped(path):
+    """Every mapped error raised by the command at ``path`` exits with its code and
+    one line on stderr, or one JSON object under --error-json."""
+    runner = CliRunner()
+    command = cli
+    for name in path:
+        command = command.commands[name]
+    for exc, code in _mapped_errors():
+        def fail(**_):
+            raise exc
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(command, "callback", fail)
+            patch.setattr(command, "params", [])  # no required option stands in the way
+            r = runner.invoke(cli, list(path))
+            assert (r.exit_code, r.stdout, r.stderr) == (code, "", f"error: {exc}\n"), exc
+            r = runner.invoke(cli, ["--error-json", *path])
+            assert r.exit_code == code and r.stdout == ""
+            assert json.loads(r.stderr) == {"error": type(exc).__name__, "message": str(exc),
+                                            "exit_code": code}
+
+
+def _leaf_commands(group=cli, path=()):
+    for name, command in group.commands.items():
+        if isinstance(command, click.Group):
+            yield from _leaf_commands(command, (*path, name))
+        else:
+            yield (*path, name)
+
+
+@pytest.mark.parametrize("path", list(_leaf_commands()), ids=" ".join)
+def test_every_command_maps_errors_to_exit_codes(path):
+    _assert_mapped(path)
+
+
+@pytest.mark.parametrize("group", [(), ("gen",)], ids=["root", "gen"])
+def test_a_command_added_later_maps_errors_to_exit_codes(monkeypatch, group):
+    # The command carries no error handling of its own.
+    parent = cli
+    for name in group:
+        parent = parent.commands[name]
+    monkeypatch.setitem(parent.commands, "later", click.Command("later"))
+    _assert_mapped((*group, "later"))
 
 
 def test_config_unknown_key_exit_4(tmp_path):

@@ -276,6 +276,15 @@ class TestDetourTraceIO:
         with pytest.raises(TraceFormatError, match=r"line 2: '# span_ns=' .* got 'abc'"):
             load_detour_trace(p)
 
+    def test_second_span_comment_rejected(self, tmp_path):
+        # The second comment used to win silently, shortening the replay window.
+        p = tmp_path / "detour.csv"
+        p.write_text("# span_ns=1000\ntimestamp_ns,value,unit\n10,5,ns\n# span_ns=50\n")
+        with pytest.raises(TraceFormatError) as info:
+            load_detour_trace(p)
+        assert str(info.value) == "line 4: a second '# span_ns=' comment (the first is on line 1)"
+        assert info.value.line == 4
+
 
 class TestDistributionIO:
     def test_roundtrip(self, tmp_path):
@@ -298,7 +307,8 @@ _FAULTS = ("bad_int", "bad_float", "non_finite", "wrong_unit", "one_field", "fou
 @st.composite
 def trace_csv(draw, unit, detour=False):
     """Trace CSV text with comments, blank lines, padding, CRLF, 2- and 3-field
-    rows, a header anywhere or none, and at most one deliberate fault."""
+    rows, a header anywhere or none, and at most one deliberate fault; a detour
+    trace may hold up to two span comments."""
     n = draw(st.integers(0, 14))
     width = draw(st.sampled_from([2, 3, None]))  # None: each row picks
     ts = draw(st.integers(-5, 10**6))
@@ -341,7 +351,9 @@ def trace_csv(draw, unit, detour=False):
     for extra in draw(st.lists(st.sampled_from(["# note", "#a,b,c", "", "   ", "# x"]),
                                max_size=4)):
         lines.insert(draw(st.integers(0, len(lines))), extra)
-    if detour and draw(st.booleans()):
+    # a second span comment, like "abc", is a fault of its own: only in a trace without one
+    spans = draw(st.sampled_from([0, 1] if fault else [0, 1, 1, 2])) if detour else 0
+    for _ in range(spans):
         span = "abc" if draw(st.integers(0, 5)) == 0 and fault is None else str(ts + 10**6)
         lines.insert(draw(st.integers(0, len(lines))), f"# span_ns={span}")
     ends = draw(st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(lines),
