@@ -88,6 +88,8 @@ class BenchPlan:
     inter_message_interval_ns: int = 0
 
     def __post_init__(self) -> None:
+        if not 1 <= self.peer[1] <= 65535:
+            raise ValueError(f"peer port must be 1-65535, got {self.peer[1]}")
         if self.connections < 1:
             raise ValueError("connections must be >= 1")
         if self.iterations < 1:

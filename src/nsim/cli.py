@@ -144,17 +144,12 @@ def dump_params_file(params: LogGPParams, path: str, **extra) -> None:
     _write_text(path, json.dumps(doc, indent=2) + "\n")
 
 
-def _sha256(path: str) -> str:
-    import hashlib
-
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
 def _parse_endpoint(value: str, default_host: str = "127.0.0.1") -> tuple[str, int]:
-    if ":" in value:
-        host, port = value.rsplit(":", 1)
-        return (host or default_host, int(port))
-    return (default_host, int(value))
+    host, _, port = value.rpartition(":")
+    number = int(port)
+    if not 0 <= number <= 65535:  # getaddrinfo would take 70000 as 70000 mod 65536
+        raise ValueError(f"port must be 0-65535, got {number} in {value!r}")
+    return (host or default_host, number)
 
 
 def _check_defaults(command: click.Command, defaults, where: str,
@@ -288,6 +283,7 @@ def sim_run(goal_path: str, params_path: str, noise_lat: str | None,
     Params and noise files are read before the schedule, so that in a
     `gen | sim run` pipe they load while `gen` is still writing.
     """
+    import hashlib
     from datetime import datetime, timezone
 
     from . import noise as noise_mod
@@ -295,21 +291,19 @@ def sim_run(goal_path: str, params_path: str, noise_lat: str | None,
     from .model import NoiseModel
 
     params, params_doc = load_params_file(params_path)
-    with _reading(noise_lat):
-        latency = noise_mod.load_distribution(noise_lat) if noise_lat else None
-    with _reading(noise_bw):
-        bandwidth = noise_mod.load_distribution(noise_bw) if noise_bw else None
-    with _reading(noise_os):
-        detours = noise_mod.load_detour_trace(noise_os) if noise_os else None
-    noise_model = NoiseModel(latency=latency, bandwidth=bandwidth, os=detours)
+    noise, noise_meta = {}, {}
+    for field, path, parse in (("latency", noise_lat, noise_mod.parse_distribution),
+                               ("bandwidth", noise_bw, noise_mod.parse_distribution),
+                               ("os", noise_os, noise_mod.parse_detour_trace)):
+        noise_meta[field] = None
+        if path:  # one read: the recorded digest is of the bytes simulated
+            with _reading(path):
+                data = Path(path).read_bytes()
+                noise[field] = parse(data.decode("utf-8"))
+            noise_meta[field] = {"path": path, "sha256": hashlib.sha256(data).hexdigest()}
     schedule = _load_schedule(goal_path)
-    cfg = simengine.SimConfig(params=params, noise=noise_model, seed=seed)
+    cfg = simengine.SimConfig(params=params, noise=NoiseModel(**noise), seed=seed)
     results = simengine.run_many(schedule, cfg, reps, workers=workers)
-    noise_meta = {
-        "latency": {"path": noise_lat, "sha256": _sha256(noise_lat)} if noise_lat else None,
-        "bandwidth": {"path": noise_bw, "sha256": _sha256(noise_bw)} if noise_bw else None,
-        "os": {"path": noise_os, "sha256": _sha256(noise_os)} if noise_os else None,
-    }
     doc = {
         "schema": _RESULTS_SCHEMA,
         "metadata": {

@@ -52,10 +52,12 @@ __all__ = [
     "top_fraction",
     "bandwidth_from_rtt",
     "format_detour_trace",
+    "parse_detour_trace",
     "load_detour_trace",
     "save_detour_trace",
     "format_distribution",
     "save_distribution",
+    "parse_distribution",
     "load_distribution",
 ]
 
@@ -374,8 +376,8 @@ _DETOUR_RULES = _Rules(UNIT_NS, False, lambda v: round_half_up(v) > 0,
                        "detour duration must be > 0 ns, got {}")
 
 
-def load_detour_trace(path: str | Path) -> DetourTrace:
-    """Read a detour trace CSV (start offset, duration) with at most one span comment."""
+def parse_detour_trace(text: str) -> DetourTrace:
+    """Read detour trace CSV text (start offset, duration) with at most one span comment."""
     span: int | None = None
     span_line = 0
 
@@ -393,14 +395,18 @@ def load_detour_trace(path: str | Path) -> DetourTrace:
                     f"'# span_ns=' needs an integer ns count, got {value!r}", lineno) from None
             span_line = lineno
 
-    starts, durations = _read_rows(Path(path).read_text(encoding="utf-8"), _DETOUR_RULES,
-                                   read_span)
+    starts, durations = _read_rows(text, _DETOUR_RULES, read_span)
     if not starts:
         raise TraceFormatError("no detour events")
     events = tuple(zip(starts, map(round_half_up, durations)))
     if span is None:
         span = max(s + d for s, d in events)
     return DetourTrace(events, span)
+
+
+def load_detour_trace(path: str | Path) -> DetourTrace:
+    """Read a detour trace CSV file; see parse_detour_trace."""
+    return parse_detour_trace(Path(path).read_text(encoding="utf-8"))
 
 
 def format_detour_trace(trace: DetourTrace, comments: Iterable[str] = ()) -> str:
@@ -428,9 +434,9 @@ def save_distribution(dist: EmpiricalDistribution, path: str | Path) -> None:
     Path(path).write_text(format_distribution(dist), encoding="utf-8")
 
 
-def load_distribution(path: str | Path) -> EmpiricalDistribution:
-    """Read a distribution JSON file; a malformed document raises ValueError."""
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+def parse_distribution(text: str) -> EmpiricalDistribution:
+    """Read distribution JSON text; a malformed document raises ValueError."""
+    doc = json.loads(text)
     if not isinstance(doc, dict):
         raise ValueError(f"distribution JSON must be an object, got {type(doc).__name__}")
     if doc.get("schema") != _DIST_SCHEMA:
@@ -439,3 +445,8 @@ def load_distribution(path: str | Path) -> EmpiricalDistribution:
     if not isinstance(samples, list) or not set(map(type, samples)) <= {int, float}:
         raise ValueError("'samples' must be a list of numbers")
     return EmpiricalDistribution(samples, doc.get("unit"))
+
+
+def load_distribution(path: str | Path) -> EmpiricalDistribution:
+    """Read a distribution JSON file; see parse_distribution."""
+    return parse_distribution(Path(path).read_text(encoding="utf-8"))

@@ -44,7 +44,8 @@ whose times could leave int64 run per op. numpy is imported only when the
 batch engine runs. Both engines keep every time an exact integer, compute
 each wire delay with the same IEEE-754 operations on the same values and
 stretch occupancies by the same closed form on the same tables, so they give
-the same bits; tests check this on random schedules.
+the same bits; tests check this on random schedules. A run keeps only its
+per-rank completions, not the start and finish of each op.
 
 Noise
 -----
@@ -136,22 +137,19 @@ class SimConfig:
     params: LogGPParams
     noise: NoiseModel = _NOISELESS
     seed: int = 0
-    record_per_op: bool = False
 
 
 @dataclass(frozen=True)
 class SimResult:
     """Completion times of one run.
 
-    completion is max(per_rank_completion); per_op_times, present only when
-    recording was requested, maps [rank][op id] -> (start, finish) ns.
-    draws_used counts the latency/bandwidth distribution samples consumed.
+    completion is max(per_rank_completion); draws_used counts the
+    latency/bandwidth distribution samples consumed.
     """
 
     completion: int
     per_rank_completion: tuple[int, ...]
     draws_used: int
-    per_op_times: tuple[tuple[tuple[int, int], ...], ...] | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -286,12 +284,6 @@ def _detour_end(t: int, dur: int, phase: int, tables) -> int:
 # ---------------------------------------------------------------------------
 # One run
 
-def _per_op_times(c: _Compiled, start: list[int], finish: list[int]):
-    """``SimResult.per_op_times`` from per-op start and finish lists."""
-    bounds = c.offsets.tolist()
-    return tuple(tuple(zip(start[lo:hi], finish[lo:hi])) for lo, hi in zip(bounds, bounds[1:]))
-
-
 def _run(c: _Compiled, cfg: SimConfig, run_index: int) -> SimResult:
     params = cfg.params
     noise = cfg.noise
@@ -316,9 +308,6 @@ def _run(c: _Compiled, cfg: SimConfig, run_index: int) -> SimResult:
     size = c.size.tolist()
     rank = c.rank.tolist()
     msg = c.msg.tolist()
-    n = len(kind)
-    start = [0] * n
-    finish = [0] * n
     free = [0] * c.nranks  # when each rank's host is released
     msg_ok = [0] * c.nranks  # earliest start of each rank's next message op
     arrival = [0] * c.n_sends  # when message m reaches its recv
@@ -340,8 +329,6 @@ def _run(c: _Compiled, cfg: SimConfig, run_index: int) -> SimResult:
             f = _detour_end(t, dur, phases[r], tables)
         else:
             f = t + dur
-        start[gid] = t
-        finish[gid] = f
         free[r] = f
         if k == KIND_SEND:
             m = msg[gid]
@@ -355,13 +342,7 @@ def _run(c: _Compiled, cfg: SimConfig, run_index: int) -> SimResult:
             arrival[m] = f + one_way_wire_ns(lat_eff, size[gid], g_eff)
 
     draws = c.n_sends * ((lat is not None) + (bw is not None))
-    per_op = _per_op_times(c, start, finish) if cfg.record_per_op else None
-    return SimResult(
-        completion=max(free),
-        per_rank_completion=tuple(free),
-        draws_used=draws,
-        per_op_times=per_op,
-    )
+    return SimResult(completion=max(free), per_rank_completion=tuple(free), draws_used=draws)
 
 
 # ---------------------------------------------------------------------------
@@ -534,15 +515,14 @@ def _level_columns(c: _Compiled, o: int):
     """Per-op columns in ``c.by_level`` order, which ``_run_batch`` slices by level.
 
     Level v is slice ``c.level_bounds[v]:c.level_bounds[v + 1]`` of each.
-    Returns ``(gids, ranks, dur, ok_in, ok_out, arr_in, arr_out)``: each op's
-    id (a view of ``c.by_level``, not a copy), rank and duration (``o`` for a
-    message op) as a column, the msg_ok row it reads and writes, and the
-    arrival row it reads and writes. A message op reads and writes its rank's
-    msg_ok row, a recv reads its message's arrival row and a send writes it.
-    Every other op reads a read-dummy row, ``c.nranks`` of msg_ok or
-    ``c.n_sends`` of arrival, which stays 0 (every time is >= 0), and writes
-    a sink row, ``c.nranks + 1`` or ``c.n_sends + 1``, which nothing reads. A
-    level holds at most one op per rank and each message has one send, so no
+    Returns ``(ranks, dur, ok_in, ok_out, arr_in, arr_out)``: each op's rank
+    and duration (``o`` for a message op) as a column, the msg_ok row it
+    reads and writes, and the arrival row it reads and writes. A message op
+    reads and writes its rank's msg_ok row, a recv reads its message's
+    arrival row and a send writes it. Every other op reads a read-dummy row,
+    ``c.nranks`` of msg_ok or ``c.n_sends`` of arrival, which stays 0 (every
+    time is >= 0), and writes a sink row, ``c.nranks + 1`` or
+    ``c.n_sends + 1``, which nothing reads. A level holds at most one op per rank and each message has one send, so no
     two ops of a level write the same real row.
     """
     import numpy as np
@@ -559,7 +539,7 @@ def _level_columns(c: _Compiled, o: int):
     msg = np.frombuffer(c.msg, dtype=c.msg.typecode)[gids].astype(np.intp)
     arr_in = np.where(kind == KIND_RECV, msg, c.n_sends)
     arr_out = np.where(kind == KIND_SEND, msg, c.n_sends + 1)
-    return gids, ranks, dur[:, None], ok_in, ok_out, arr_in, arr_out
+    return ranks, dur[:, None], ok_in, ok_out, arr_in, arr_out
 
 
 def _run_batch(c: _Compiled, cfg: SimConfig, run_indices: Sequence[int]) -> list[SimResult]:
@@ -578,8 +558,8 @@ def _run_batch(c: _Compiled, cfg: SimConfig, run_indices: Sequence[int]) -> list
     o = params.o
     gap = max(o, params.g)
     osn = noise.os
-    nranks, n_sends, n_ops = c.nranks, c.n_sends, len(c.kind)
-    gids, ranks, dur, ok_in, ok_out, arr_in, arr_out = _level_columns(c, o)
+    nranks, n_sends = c.nranks, c.n_sends
+    ranks, dur, ok_in, ok_out, arr_in, arr_out = _level_columns(c, o)
     bounds = c.level_bounds.tolist()
     is_send = np.frombuffer(c.kind, dtype=np.int8) == KIND_SEND
     size_m1 = (np.frombuffer(c.size, dtype=np.uint64)[is_send] - 1).astype(np.float64)[:, None]
@@ -596,14 +576,12 @@ def _run_batch(c: _Compiled, cfg: SimConfig, run_indices: Sequence[int]) -> list
     # Drawing: at most five (nranks,) temporaries for the detour phases, then,
     # with the phases alive, at most six (n_sends,) ones in _wire_vec, and
     # after it only the wire delays and arrival. The level loop: free,
-    # msg_ok, phases, arrival, the recorded starts and finishes, and about
-    # eight temporaries of the widest level.
+    # msg_ok, phases, arrival and about eight temporaries of the widest level.
     widest = max(map(int.__sub__, bounds[1:], bounds), default=0)
     os_words = nranks if tables is not None else 0
     wire_words = n_sends if draws else 0
     draw_words = 5 * os_words + 6 * wire_words
-    loop_words = (2 * nranks + os_words + n_sends + 8 * widest
-                  + (2 * n_ops if cfg.record_per_op else 0) + 4)
+    loop_words = 2 * nranks + os_words + n_sends + 8 * widest + 4
     chunk = max(1, _CHUNK_BYTES // (8 * max(draw_words, loop_words)))
 
     def run_chunk(indices: Sequence[int]) -> list[SimResult]:
@@ -622,9 +600,6 @@ def _run_batch(c: _Compiled, cfg: SimConfig, run_indices: Sequence[int]) -> list
         del wire
         free = np.zeros((nranks, reps), dtype=np.int64)
         msg_ok = np.zeros((nranks + 2, reps), dtype=np.int64)
-        if cfg.record_per_op:
-            start = np.empty((n_ops, reps), dtype=np.int64)
-            finish = np.empty((n_ops, reps), dtype=np.int64)
         for lo, hi in zip(bounds, bounds[1:]):
             r = ranks[lo:hi]
             t = take(free, r, axis=0)
@@ -637,19 +612,8 @@ def _run_batch(c: _Compiled, cfg: SimConfig, run_indices: Sequence[int]) -> list
                 f = _detour_end_vec(t, dur[lo:hi], take(phases, r, axis=0), tables)
             free[r] = f
             arrival[arr_out[lo:hi]] += f
-            if cfg.record_per_op:
-                start[gids[lo:hi]] = t
-                finish[gids[lo:hi]] = f
-
-        per_rank = free.T.tolist()
-        if cfg.record_per_op:
-            starts, finishes = start.T.tolist(), finish.T.tolist()
-        results = []
-        for j, row in enumerate(per_rank):
-            per_op = _per_op_times(c, starts[j], finishes[j]) if cfg.record_per_op else None
-            results.append(SimResult(completion=max(row), per_rank_completion=tuple(row),
-                                     draws_used=draws, per_op_times=per_op))
-        return results
+        return [SimResult(completion=max(row), per_rank_completion=tuple(row), draws_used=draws)
+                for row in free.T.tolist()]
 
     results: list[SimResult] = []
     for first in range(0, len(run_indices), chunk):
@@ -699,16 +663,19 @@ def run_many(
 ) -> list[SimResult]:
     """n independent runs; run i is seeded with derive_run_seed(cfg.seed, i).
 
-    Results come back in run order and are bit-identical for identical
-    (schedule, cfg, n) regardless of ``workers``. Parallel execution uses
-    forked processes (one compile, inherited read-only) and falls back to
-    sequential where fork is unavailable.
+    n and ``workers`` (None for 1) must be >= 1. Results come back in run
+    order and are bit-identical for identical (schedule, cfg, n) regardless
+    of ``workers``. Parallel execution uses forked processes (one compile,
+    inherited read-only) and falls back to sequential where fork is
+    unavailable.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    c = _compiled(schedule, cfg)
     if workers is None:
         workers = 1
+    elif workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    c = _compiled(schedule, cfg)
     workers = min(workers, n)
     if workers <= 1:
         return _run_reps(c, cfg, range(n))

@@ -11,8 +11,9 @@ every block one statement at a time with its own patterns, a comment
 matched as a separator, where the package blanks comments and reads each
 block body in bulk, the schedule columns are built and
 checked one op at a time where the package appends and checks whole ranks,
-and the static analysis of a schedule makes three passes where the package
-makes one walk.
+the static analysis of a schedule makes three passes where the package
+makes one walk, and the per-op engine (``run_recorded``) records every op's
+(start, finish), which the package's engines do not keep.
 """
 
 from __future__ import annotations
@@ -572,3 +573,86 @@ def _parse_block(text: str, pos: int, rank: int,
                 raise _error(text, at, f"dangling dependency label {name!r}")
         requires[labels[label]].update(labels[t] for t in targets)
     return ops, [sorted(req) for req in requires], m.end()
+
+
+# The per-op engine as the package ran it while it could record each op's
+# (start, finish); the pinned digests hash its runs.
+
+def _per_op_times(c, start: list[int], finish: list[int]):
+    """``[rank][op id] -> (start, finish)`` from per-op start and finish lists."""
+    bounds = c.offsets.tolist()
+    return tuple(tuple(zip(start[lo:hi], finish[lo:hi])) for lo, hi in zip(bounds, bounds[1:]))
+
+
+def run_recorded(c, cfg, run_index: int):
+    """Run ``run_index`` of the compiled schedule ``c`` under ``cfg``, one op at
+    a time in ``c.by_level`` order. Returns ``(result, per_op_times)``: the
+    ``SimResult`` and every op's ``(start, finish)`` ns by [rank][op id]."""
+    from nsim.goal import KIND_CALC, KIND_RECV, KIND_SEND
+    from nsim.model import one_way_wire_ns
+    from nsim.simengine import (_BW_STREAM, _LAT_STREAM, _OS_STREAM, SimResult, _detour_end,
+                                _detour_tables, _pick, derive_run_seed)
+
+    params = cfg.params
+    noise = cfg.noise
+    run_seed = derive_run_seed(cfg.seed, run_index)
+
+    o = params.o
+    gap = max(o, params.g)
+    two_o = 2 * o
+    lat = noise.latency
+    bw = noise.bandwidth
+    lat_seed = run_seed ^ _LAT_STREAM
+    bw_seed = run_seed ^ _BW_STREAM
+
+    osn = noise.os
+    if osn is not None:
+        tables = _detour_tables(osn)
+        os_seed = run_seed ^ _OS_STREAM
+        phases = [_pick(os_seed, r, osn.span) for r in range(c.nranks)]
+
+    kind = c.kind.tolist()
+    size = c.size.tolist()
+    rank = c.rank.tolist()
+    msg = c.msg.tolist()
+    n = len(kind)
+    start = [0] * n
+    finish = [0] * n
+    free = [0] * c.nranks  # when each rank's host is released
+    msg_ok = [0] * c.nranks  # earliest start of each rank's next message op
+    arrival = [0] * c.n_sends  # when message m reaches its recv
+
+    for gid in c.by_level.tolist():
+        r = rank[gid]
+        t = free[r]
+        k = kind[gid]
+        if k == KIND_CALC:
+            dur = size[gid]
+        else:
+            if k == KIND_RECV and arrival[msg[gid]] > t:
+                t = arrival[msg[gid]]
+            if msg_ok[r] > t:
+                t = msg_ok[r]
+            msg_ok[r] = t + gap
+            dur = o
+        if osn is not None:
+            f = _detour_end(t, dur, phases[r], tables)
+        else:
+            f = t + dur
+        start[gid] = t
+        finish[gid] = f
+        free[r] = f
+        if k == KIND_SEND:
+            m = msg[gid]
+            if lat is not None:
+                lat_eff = lat._samples[_pick(lat_seed, m, lat.count)] - two_o
+                if lat_eff < 0.0:
+                    lat_eff = 0.0
+            else:
+                lat_eff = params.L
+            g_eff = params.G if bw is None else 8.0 / bw._samples[_pick(bw_seed, m, bw.count)]
+            arrival[m] = f + one_way_wire_ns(lat_eff, size[gid], g_eff)
+
+    draws = c.n_sends * ((lat is not None) + (bw is not None))
+    result = SimResult(completion=max(free), per_rank_completion=tuple(free), draws_used=draws)
+    return result, _per_op_times(c, start, finish)

@@ -75,6 +75,11 @@ class TestPlanValidation:
         with pytest.raises(ValueError, match="must be < 2"):
             BenchPlan(peer=("127.0.0.1", 1), **fields)
 
+    @pytest.mark.parametrize("port", [0, -1, 65536, 70000])
+    def test_peer_port_out_of_range(self, port):
+        with pytest.raises(ValueError, match="peer port must be 1-65535"):
+            BenchPlan(peer=("127.0.0.1", port))
+
     def test_largest_plan_packs(self):
         plan = BenchPlan(peer=("127.0.0.1", 1), size=2**64 - 1, connections=2**16 - 1,
                          iterations=2**32 - 11, warmup_iterations=10,

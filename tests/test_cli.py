@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import subprocess
@@ -143,6 +144,41 @@ class TestSimRun:
         doc = json.loads(r.output)
         assert doc["metadata"]["noise"]["latency"]["sha256"]
         assert len(doc["results"][0]["per_rank_completion_ns"]) == 4
+
+    def test_noise_files_read_once_with_digests_of_their_bytes(self, runner, params_file,
+                                                              tmp_path, monkeypatch):
+        # A file replaced between a load and a second read for the digest would
+        # be recorded with the digest of bytes never simulated.
+        from pathlib import Path
+
+        lat, bw, os_ = tmp_path / "lat.json", tmp_path / "bw.json", tmp_path / "os.csv"
+        lat.write_text(json.dumps({"schema": "nsim.dist/1", "unit": "ns",
+                                   "samples": [7000.0, 9000.0]}))
+        bw.write_text(json.dumps({"schema": "nsim.dist/1", "unit": "gbps",
+                                  "samples": [50.0, 100.0]}))
+        os_.write_bytes(b"# span_ns=1000\r\n100,50,ns\r\n400,200,ns\r\n")
+        reads = []
+        for name in ("read_bytes", "read_text"):
+            real = getattr(Path, name)
+            monkeypatch.setattr(Path, name, lambda self, *a, _real=real, **k:
+                                reads.append(str(self)) or _real(self, *a, **k))
+        r = _invoke(runner, ["sim", "run", "--params", params_file, "--noise-lat", str(lat),
+                             "--noise-bw", str(bw), "--noise-os", str(os_)],
+                    input="num_ranks 2\nrank 0 { a: send 4b to 1 }\n"
+                          "rank 1 { a: recv 4b from 0 }\n")
+        assert r.exit_code == 0, r.output
+        noise = json.loads(r.stdout)["metadata"]["noise"]
+        for key, path in (("latency", lat), ("bandwidth", bw), ("os", os_)):
+            assert reads.count(str(path)) == 1
+            assert noise[key] == {"path": str(path),
+                                  "sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_exit_3(self, runner, params_file, workers):
+        r = runner.invoke(cli, ["sim", "run", "--params", params_file, "--workers", workers],
+                          input="num_ranks 2\nrank 0 { a: calc 5 }\nrank 1 { a: calc 5 }\n")
+        assert r.exit_code == 3
+        assert r.stderr == f"error: workers must be >= 1, got {workers}\n"
 
     def test_deadlock_exit_5(self, runner, params_file):
         goal_text = (
@@ -727,6 +763,18 @@ class TestBench:
                             "--iterations", str(2**32))
         _assert_clean_exit(proc, 3)
         assert len(proc.stderr.splitlines()) == 1
+
+    @pytest.mark.parametrize("args", [
+        ["--listen", "70000"], ["--listen", "127.0.0.1:-1"],
+        ["--peer", "127.0.0.1:70000"], ["--peer", "127.0.0.1:0"],
+    ], ids=["listen_above", "listen_negative", "peer_above", "peer_zero"])
+    @pytest.mark.parametrize("command", ["pingpong", "bidir"])
+    def test_port_out_of_range_exit_3(self, runner, command, args):
+        # 70000 would bind nothing, or connect to 70000 mod 65536 = 4464
+        r = runner.invoke(cli, ["bench", command, *args])
+        assert r.exit_code == 3
+        assert r.stderr.startswith("error: ") and len(r.stderr.splitlines()) == 1
+        assert "port must be" in r.stderr
 
     def test_listen_serves_pingpong_and_bidir(self):
         with subprocess.Popen([sys.executable, "-m", "nsim.cli", "bench", "pingpong",

@@ -24,6 +24,7 @@ from nsim.noise import (
     format_trace,
     normalize_max,
     normalize_min,
+    parse_detour_trace,
     parse_trace,
     save_detour_trace,
     save_distribution,
@@ -388,8 +389,12 @@ def test_load_detour_trace_matches_row_by_row_reader(tmp_path_factory, data, chu
     path = tmp_path_factory.mktemp("detour") / "detour.csv"
     path.write_text(data.draw(trace_csv("ns", detour=True)), encoding="utf-8")
     expected = _outcome(lambda: oracles.load_detour_trace(path))
+    # read_text turns "\r\n" into "\n"; `sim run` parses the decoded bytes,
+    # which keep it
+    decoded = path.read_bytes().decode("utf-8")
     with mock.patch.object(noise, "_CHUNK_CHARS", chunk):
         assert _outcome(lambda: load_detour_trace(path)) == expected
+        assert _outcome(lambda: parse_detour_trace(decoded)) == expected
 
 
 def _synthetic_trace(rows: int) -> str:

@@ -48,7 +48,7 @@ from nsim.simengine import (
     _use_batch,
 )
 
-from oracles import dag_completion, detour_end_fixed_point
+from oracles import dag_completion, detour_end_fixed_point, run_recorded
 
 P1 = LogGPParams(L=5000, o=1000, g=1000, G=0.01)
 
@@ -60,9 +60,10 @@ def two_rank_single_send(size=1):
     ))
 
 
-# Digests of noisy runs: any change to timing, draw assignment or rounding
-# that alters a completion, a per-rank completion or an op's (start, finish)
-# shows here. g < o leaves the message gap slack; g > o makes it bind.
+# Digests of the oracle's noisy runs (``run_recorded``): any change to timing,
+# draw assignment or rounding that alters a completion, a per-rank completion
+# or an op's (start, finish) shows here, and each engine must give the
+# oracle's runs. g < o leaves the message gap slack; g > o makes it bind.
 _PIN_SCHEDULES = {
     "dissem": lambda: gen_dissemination(12, 64),
     "ring": lambda: gen_ring_allreduce(5, 40_000, reduce_cost_per_chunk=404),
@@ -110,28 +111,30 @@ _PINNED = {
 }
 
 
+def _pinned_runs(key):
+    """The pinned schedule, its config and the oracle's 4 runs, once the
+    digest of those runs is checked."""
+    schedule, noise, params = key
+    s = _PIN_SCHEDULES[schedule]()
+    cfg = SimConfig(params=_PIN_PARAMS[params], noise=_PIN_NOISE[noise], seed=2024)
+    c = _Compiled(s)
+    recorded = [run_recorded(c, cfg, i) for i in range(4)]
+    blob = repr([(r.completion, r.per_rank_completion, times) for r, times in recorded])
+    assert hashlib.sha256(blob.encode()).hexdigest() == _PINNED[key]
+    return s, cfg, [r for r, _ in recorded]
+
+
 @pytest.mark.parametrize("key", list(_PINNED), ids="-".join)
 def test_pinned_noisy_results(key):
-    schedule, noise, params = key
-    cfg = SimConfig(params=_PIN_PARAMS[params], noise=_PIN_NOISE[noise], seed=2024,
-                    record_per_op=True)
-    runs = run_many(_PIN_SCHEDULES[schedule](), cfg, 4)
-    assert hashlib.sha256(_pinned_blob(runs).encode()).hexdigest() == _PINNED[key]
-
-
-def _pinned_blob(runs):
-    return repr([(r.completion, r.per_rank_completion, r.per_op_times) for r in runs])
+    # The pinned shapes are narrow, so run_many sends them to _run.
+    s, cfg, want = _pinned_runs(key)
+    assert run_many(s, cfg, 4) == want
 
 
 @pytest.mark.parametrize("key", list(_PINNED), ids="-".join)
 def test_pinned_noisy_results_batch_engine(key):
-    # The pinned shapes are narrow, so run_many sends them to _run; the batch
-    # engine must give the same bits.
-    schedule, noise, params = key
-    cfg = SimConfig(params=_PIN_PARAMS[params], noise=_PIN_NOISE[noise], seed=2024,
-                    record_per_op=True)
-    runs = _run_batch(_Compiled(_PIN_SCHEDULES[schedule]()), cfg, range(4))
-    assert hashlib.sha256(_pinned_blob(runs).encode()).hexdigest() == _PINNED[key]
+    s, cfg, want = _pinned_runs(key)
+    assert _run_batch(_Compiled(s), cfg, range(4)) == want
 
 
 class TestSingleMessage:
@@ -383,13 +386,11 @@ class TestRecording:
     def test_per_op_times(self):
         params = LogGPParams(L=5000, o=1000, g=0, G=0.0)
         s = two_rank_single_send()
-        r = simulate(s, SimConfig(params=params, record_per_op=True))
-        assert r.per_op_times[0][0] == (0, 1000)
-        assert r.per_op_times[1][0] == (6000, 7000)
-
-    def test_not_recorded_by_default(self):
-        r = simulate(two_rank_single_send(), SimConfig(params=P1))
-        assert r.per_op_times is None
+        cfg = SimConfig(params=params)
+        _, times = run_recorded(_Compiled(s), cfg, 0)
+        assert times[0][0] == (0, 1000)
+        assert times[1][0] == (6000, 7000)
+        assert simulate(s, cfg).per_rank_completion == (1000, 7000)
 
     def test_completion_is_max_of_per_rank(self):
         s = gen_ring_allreduce(5, 100, 9)
@@ -452,40 +453,38 @@ _NOISE_MIXES = {
 }
 
 
-def _assert_python_ints(runs):
+def _assert_python_ints(runs, per_op_times=()):
     for r in runs:
         assert type(r.completion) is int and type(r.draws_used) is int
         assert all(type(v) is int for v in r.per_rank_completion)
-        if r.per_op_times is not None:
-            assert all(type(v) is int for rank in r.per_op_times
-                       for pair in rank for v in pair)
+    assert all(type(v) is int for times in per_op_times for rank in times
+               for pair in rank for v in pair)
 
 
 @settings(max_examples=300, deadline=None)
 @given(schedule=valid_schedules(), noise=st.sampled_from(sorted(_NOISE_MIXES)),
        params=st.sampled_from(sorted(_PIN_PARAMS)), seed=st.integers(0, 2**64 - 1),
-       reps=st.integers(1, 9), chunk_bytes=st.integers(1, 4000),
-       record=st.booleans())
+       reps=st.integers(1, 9), chunk_bytes=st.integers(1, 4000))
 def test_batch_engine_matches_per_op_engine(schedule, noise, params, seed, reps,
-                                            chunk_bytes, record):
+                                            chunk_bytes):
     # chunk_bytes from 1 (a chunk per rep) up to chunks larger than ``reps``
     # puts chunk boundaries at every position within the reps.
     c = _Compiled(schedule)
-    cfg = SimConfig(params=_PIN_PARAMS[params], noise=_NOISE_MIXES[noise], seed=seed,
-                    record_per_op=record)
-    want = [_run(c, cfg, i) for i in range(reps)]
+    cfg = SimConfig(params=_PIN_PARAMS[params], noise=_NOISE_MIXES[noise], seed=seed)
+    recorded = [run_recorded(c, cfg, i) for i in range(reps)]
+    want = [r for r, _ in recorded]
+    assert [_run(c, cfg, i) for i in range(reps)] == want
     with mock.patch.object(simengine, "_CHUNK_BYTES", chunk_bytes):
         got = _run_batch(c, cfg, range(reps))
     assert got == want
-    _assert_python_ints(got)
+    _assert_python_ints(got, [times for _, times in recorded])
     assert max(r.completion for r in want) <= c.time_bound(cfg)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_batch_engine_through_run_many(workers):
     s = gen_compute_collective(4, 3333, "ring", 64, 3)
-    cfg = SimConfig(params=_PIN_PARAMS["g_gt_o"], noise=_PIN_NOISE["all"], seed=99,
-                    record_per_op=True)
+    cfg = SimConfig(params=_PIN_PARAMS["g_gt_o"], noise=_PIN_NOISE["all"], seed=99)
     c = _Compiled(s)
     want = [_run(c, cfg, i) for i in range(7)]
     # No op-run minimum makes every schedule batched; 3 KB chunks split the 7
