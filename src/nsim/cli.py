@@ -146,7 +146,10 @@ def dump_params_file(params: LogGPParams, path: str, **extra) -> None:
 
 def _parse_endpoint(value: str, default_host: str = "127.0.0.1") -> tuple[str, int]:
     host, _, port = value.rpartition(":")
-    number = int(port)
+    try:
+        number = int(port)
+    except ValueError:
+        raise ValueError(f"port must be an integer 0-65535, got {port!r} in {value!r}") from None
     if not 0 <= number <= 65535:  # getaddrinfo would take 70000 as 70000 mod 65536
         raise ValueError(f"port must be 0-65535, got {number} in {value!r}")
     return (host or default_host, number)
@@ -290,6 +293,9 @@ def sim_run(goal_path: str, params_path: str, noise_lat: str | None,
     from . import simengine
     from .model import NoiseModel
 
+    for option, value in (("--reps", reps), ("--workers", workers)):
+        if value < 1:  # refused before any file is read
+            raise ValueError(f"{option} must be >= 1, got {value}")
     params, params_doc = load_params_file(params_path)
     noise, noise_meta = {}, {}
     for field, path, parse in (("latency", noise_lat, noise_mod.parse_distribution),

@@ -889,9 +889,7 @@ def _op_entry(entry: object, r: int, i: int) -> tuple[int, int, int, tuple[int, 
 
     Checks the entry's JSON types, that a calc has no peer and its id, and
     raises ValueError naming the first fault; ``_Columns`` checks the values.
-    The requires are a tuple so that the row holds no list: the garbage
-    collector stops tracking such a row, and a long rank's rows, held until
-    ``add_rank``, do not set off full collections.
+    Runs only on a rank that ``_entry_columns`` refused, to name its fault.
     """
     if not isinstance(entry, dict):
         raise ValueError(f"rank {r} op entry {i} must be an object, got {type(entry).__name__}")
@@ -914,8 +912,44 @@ def _op_entry(entry: object, r: int, i: int) -> tuple[int, int, int, tuple[int, 
     return _KIND_CODE[kind], peer, size, tuple(sorted(set(requires)))
 
 
+# What an op entry's kind code reads for its size, and the (kind code, peer
+# type) pairs _op_entry accepts: an integer peer, or none for a calc.
+_SIZE_KEY = ("size_bytes", "size_bytes", "duration_ns")
+_PEER_TYPES = {(KIND_SEND, int), (KIND_RECV, int), (KIND_CALC, type(None))}
+
+
+def _entry_columns(entries: list) -> tuple | None:
+    """``add_rank``'s arguments from a rank's op entries, their JSON types
+    checked a column at a time; None when some entry is not one that
+    ``_op_entry`` reads."""
+    try:
+        # dict.get refuses an entry that is not an object, and the kind map
+        # an unhashable kind, with a TypeError.
+        ids = list(map(dict.get, entries, repeat("id")))
+        codes = list(map(_KIND_CODE.get, map(dict.get, entries, repeat("kind"))))
+    except TypeError:
+        return None
+    if None in codes or ids != list(range(len(ids))) or not {int}.issuperset(map(type, ids)):
+        return None
+    peers = list(map(dict.get, entries, repeat("peer")))
+    sizes = list(map(dict.get, entries, map(_SIZE_KEY.__getitem__, codes)))
+    requires = list(map(dict.get, entries, repeat("requires"), repeat([])))
+    if not (_PEER_TYPES.issuperset(zip(codes, map(type, peers)))
+            and {int}.issuperset(map(type, sizes)) and {list}.issuperset(map(type, requires))
+            and {int}.issuperset(map(type, chain.from_iterable(requires)))):
+        return None
+    if KIND_CALC in codes:
+        peers = [-1 if p is None else p for p in peers]
+    return (codes, peers, sizes,
+            *_csr([q if len(q) < 2 else sorted(set(q)) for q in requires]))
+
+
 def schedule_from_json(text: str) -> Schedule:
-    """Read a schedule JSON document; a malformed document raises ValueError."""
+    """Read a schedule JSON document; a malformed document raises ValueError.
+
+    Each rank's op entries are checked a column at a time; a rank that fails
+    is read again entry by entry (``_op_entry``) to name its first fault.
+    """
     doc = json.loads(text)
     if not isinstance(doc, dict):
         raise ValueError(f"schedule JSON must be an object, got {type(doc).__name__}")
@@ -934,6 +968,8 @@ def schedule_from_json(text: str) -> Schedule:
     for r, rank_ops in enumerate(ranks_doc):
         if not isinstance(rank_ops, list):
             raise ValueError(f"rank {r}'s ops must be a list, got {type(rank_ops).__name__}")
-        cols.add_rank(*_rank_columns([_op_entry(entry, r, i)
-                                      for i, entry in enumerate(rank_ops)]))
+        columns = _entry_columns(rank_ops)
+        if columns is None:
+            columns = _rank_columns([_op_entry(entry, r, i) for i, entry in enumerate(rank_ops)])
+        cols.add_rank(*columns)
     return _validated(cols.schedule(nranks, metadata))

@@ -97,7 +97,7 @@ class EmpiricalDistribution:
     """Sorted measured samples for inverse-ECDF draws.
 
     The simulator draws ``samples[(u * count) >> 64]`` for a 64-bit uniform
-    u (``simengine._pick``): the step-function empirical quantile with no
+    u (``simengine._draws``): the step-function empirical quantile with no
     interpolation, so every value a simulation can draw was actually
     observed. This is what lets rare heavy-tail outliers in measured traces
     reappear at full size instead of being smoothed away.

@@ -28,14 +28,15 @@ through program order.
 
 Two engines
 -----------
-Both engines visit the ops in that one level-sorted order. The per-op engine
-(``_run``) computes one run as one forward pass over it in Python integers.
-The batch engine (``_run_batch``) computes a chunk of runs at once as int64
-numpy arrays. It draws every message's wire delay up front as the seed of
-that message's arrival row, then visits the DAG levels in order, each level
-a slice of one set of per-op columns sorted by level (``_level_columns``):
-all ops of one level (which are independent) for all runs of the chunk
-together, each send adding its finish to its arrival row. ``simulate`` and
+Both engines visit the ops in that one level-sorted order, and both draw
+every message's wire delay up front as the seed of that message's arrival
+time, to which its send adds its finish. The per-op engine (``_run``)
+computes each run as one forward pass over per-op lists in level order,
+built once for all its runs, in Python integers. The batch engine
+(``_run_batch``) computes a chunk of runs at once as int64 numpy arrays. It
+visits the DAG levels in order, each level a slice of one set of per-op
+columns sorted by level (``_level_columns``): all ops of one level (which
+are independent) for all runs of the chunk together. ``simulate`` and
 ``run_many`` pick the batch engine when the schedule is wide, ops x reps >=
 ``_BATCH_K`` x levels, the op-runs are enough to pay for importing numpy,
 ops x reps >= ``_BATCH_MIN_OP_RUNS``, and every time value is provably below
@@ -59,9 +60,13 @@ random cyclic phase into the trace per run, and any host occupancy is extended
 by the detour time it overlaps, re-checked until a fixed point. Both engines
 compute that fixed point in closed form: the occupancy ends once the host has
 accumulated its base duration of detour-free time, found by two lookups in
-per-span idle-time tables. The per-op engine bisects them (``_detour_end``);
-the batch engine finds both segments through bucket indexes over the sorted
-columns (``_bucket_index``, ``_detour_end_vec``).
+per-span idle-time tables. The batch engine finds both segments through
+bucket indexes over the sorted columns (``_bucket_index``,
+``_detour_end_vec``). The per-op engine keeps, per rank, the time window of
+the idle segment in which its last occupancy ended. Measured detours are
+short and the gaps between them long, so most occupancies fit in that window
+and end unstretched with no lookup; only one that leaves it bisects the
+tables (``_detour_window``), which also gives the rank its next window.
 
 Determinism
 -----------
@@ -71,10 +76,11 @@ The PRNG is splitmix64, used in counter mode: run i of a batch derives
 message with static index m (sends enumerated in (rank, op id) order) draws
 ``mix64((run_seed ^ LAT_STREAM) + (m+1)*GAMMA)`` for latency and the
 BW_STREAM analogue for bandwidth, each mapped to a distribution index by
-``(u64 * count) >> 64``. Because every value a run computes is a pure function
-of these inputs, results are bit-identical regardless of worker count, of
-which engine runs them, of how runs are chunked, or of which valid order the
-ops are visited in.
+``(u64 * count) >> 64`` (``_draws``, and ``_pick_steps`` in the batch
+engine). Because every value a run computes is a pure function of these
+inputs, results are bit-identical regardless of worker count, of which
+engine runs them, of how runs are chunked, or of which valid order the ops
+are visited in.
 """
 
 from __future__ import annotations
@@ -83,12 +89,12 @@ import math
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, compress
+from itertools import accumulate, compress, repeat
 from typing import Sequence
 
 from .errors import DeadlockError
 from .goal import KIND_CALC, KIND_RECV, KIND_SEND, Schedule, execution_order
-from .model import DetourTrace, LogGPParams, NoiseModel, one_way_wire_ns
+from .model import DetourTrace, LogGPParams, NoiseModel
 
 __all__ = [
     "PRNG_NAME",
@@ -123,11 +129,6 @@ def mix64(z: int) -> int:
 def derive_run_seed(seed: int, run_index: int) -> int:
     """Seed of run ``run_index`` in a batch: mix64(seed + (i+1)*GAMMA)."""
     return mix64(seed + (run_index + 1) * _GAMMA)
-
-
-def _pick(seed: int, i: int, count: int) -> int:
-    """Draw i of the counter-mode stream ``seed``, mapped to an index in [0, count)."""
-    return (mix64(seed + (i + 1) * _GAMMA) * count) >> 64
 
 
 @dataclass(frozen=True)
@@ -234,115 +235,163 @@ class _Compiled:
 # OS detour replay
 
 def _detour_tables(osn: DetourTrace):
-    """Idle-time tables of one detour trace for ``_detour_end`` and ``_detour_end_vec``.
+    """Idle-time tables of one detour trace for ``_detour_window`` and ``_detour_end_vec``.
 
     Idle segment k runs from ``seg_start[k]`` (0, or the end of event k-1) to
-    the start of event k (or the span); ``idle_at[k]`` and ``idle_to[k]`` are
-    the idle ns accumulated in a span at its start and end, and
-    ``detour_before[k]`` the detour ns before it. Built on first use and kept
-    on the trace.
+    ``seg_end[k]`` (the start of event k, or the span); ``idle_at[k]`` and
+    ``idle_to[k]`` are the idle ns accumulated in a span at its start and
+    end, and ``detour_before[k]`` the detour ns before it. Built on first use
+    and kept on the trace.
     """
     tables = osn.__dict__.get("_tables")
     if tables is None:
-        starts = [s for s, _ in osn.events]
+        seg_end = [s for s, _ in osn.events] + [osn.span]
         detour_before = list(accumulate((d for _, d in osn.events), initial=0))
         seg_start = [0] + [s + d for s, d in osn.events]
         idle_at = [s - b for s, b in zip(seg_start, detour_before)]
-        idle_to = [s - b for s, b in zip(starts + [osn.span], detour_before)]
-        tables = (starts, detour_before, seg_start, idle_at, idle_to, osn.span,
+        idle_to = [s - b for s, b in zip(seg_end, detour_before)]
+        tables = (seg_end, detour_before, seg_start, idle_at, idle_to, osn.span,
                   osn.span - osn.total_detour)
         object.__setattr__(osn, "_tables", tables)
     return tables
 
 
-def _detour_end(t: int, dur: int, phase: int, tables) -> int:
-    """Earliest end of a host occupancy of ``dur`` beginning at ``t``.
+def _detour_window(t: int, dur: int, phase: int, tables) -> tuple[int, int, int]:
+    """``(end, lo, hi)``: the earliest end of a host occupancy of ``dur``
+    beginning at ``t``, and the time range ``[lo, hi)`` of the idle segment
+    that holds its last ns, so that any occupancy inside it ends unstretched.
 
     With I(y) the idle ns of the cyclic pattern before pattern position y, an
     occupancy of ``dur`` > 0 that starts at pattern position x = t + phase
     ends at the least y with I(y) = I(x) + dur: the least fixed point of
     "extend the interval by the detour time it overlaps, re-check". Both
-    steps are a bisection of the tables of one span.
+    steps are a bisection of the tables of one span. A zero-length occupancy
+    ends at ``t`` and gives the empty window ``[t, t)``.
     """
     if dur <= 0:
-        return t
-    starts, detour_before, seg_start, idle_at, idle_to, span, idle = tables
+        return t, t, t
+    seg_end, detour_before, seg_start, idle_at, idle_to, span, idle = tables
     cycles, pos = divmod(t + phase, span)
-    j = bisect_right(starts, pos)  # events that began by pos
-    wait = seg_start[j] - pos  # > 0 when pos lies inside event j-1
+    k = bisect_right(seg_end, pos)  # events that began by pos
+    wait = seg_start[k] - pos  # > 0 when pos lies inside event k-1
     if wait < 0:
         wait = 0
-    a = pos - detour_before[j] + wait + dur  # I(y) less the idle ns of whole cycles
-    if a <= idle_to[j]:  # ends in the idle segment it starts in
-        return t + wait + dur
+    a = pos - detour_before[k] + wait + dur  # I(y) less the idle ns of whole cycles
+    if a <= idle_to[k]:  # ends in the idle segment it starts in
+        base = t - pos
+        return t + wait + dur, base + seg_start[k], base + seg_end[k]
     extra = (a - 1) // idle  # the last idle ns lies in cycle cycles + extra
     a -= extra * idle  # in [1, idle]
     k = bisect_left(idle_to, a)
-    return (cycles + extra) * span + seg_start[k] + (a - idle_at[k]) - phase
+    base = (cycles + extra) * span - phase
+    return base + seg_start[k] + (a - idle_at[k]), base + seg_start[k], base + seg_end[k]
 
 
 # ---------------------------------------------------------------------------
-# One run
+# Per-op runs
 
-def _run(c: _Compiled, cfg: SimConfig, run_index: int) -> SimResult:
-    params = cfg.params
-    noise = cfg.noise
-    run_seed = derive_run_seed(cfg.seed, run_index)
+def _draws(seed: int, n: int, count: int) -> list[int]:
+    """Draws 0..n-1 of the counter-mode stream ``seed``, each mapped to an
+    index in [0, count): mix64(seed + (i+1)*GAMMA) * count >> 64, inlined."""
+    out = []
+    append = out.append
+    step = seed
+    for _ in range(n):
+        step = (step + _GAMMA) & _M64
+        z = ((step ^ (step >> 30)) * 0xBF58476D1CE4E5B9) & _M64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
+        append(((z ^ (z >> 31)) * count) >> 64)
+    return out
 
+
+def _wires(run_seed: int, size_m1: list[int], params: LogGPParams, lat, bw) -> list[int]:
+    """``one_way_wire_ns`` of every send of the run ``run_seed``, in message order.
+
+    size_m1 holds the send sizes less one; lat and bw are the latency and
+    bandwidth distributions, None when that noise is off.
+    """
+    n = len(size_m1)
+    if lat is None:
+        lat_eff = repeat(params.L)
+    else:
+        samples, two_o = lat._samples, 2 * params.o
+        lat_eff = [x if (x := samples[j] - two_o) >= 0.0 else 0.0
+                   for j in _draws(run_seed ^ _LAT_STREAM, n, lat.count)]
+    if bw is None:
+        g_eff = repeat(params.G)
+    else:
+        samples = bw._samples
+        g_eff = [8.0 / samples[j] for j in _draws(run_seed ^ _BW_STREAM, n, bw.count)]
+    # lat_eff + (size - 1) * g_eff, rounded half up, as one_way_wire_ns does.
+    return [math.floor(L + s * g + 0.5) for L, s, g in zip(lat_eff, size_m1, g_eff)]
+
+
+def _run(c: _Compiled, cfg: SimConfig, run_indices: Sequence[int]) -> list[SimResult]:
+    """The runs ``run_indices``, each one forward pass over the ops in
+    ``c.by_level`` order in Python integers.
+
+    The per-op columns in that order are built once for all the runs. A run
+    draws its wire delays and detour phases up front; each send adds its
+    finish to its message's wire delay. Each rank keeps the window
+    ``[lo, hi)`` of the idle segment where its last occupancy ended: an
+    occupancy inside it ends unstretched, and only one that leaves it runs
+    ``_detour_window``.
+    """
+    params, noise = cfg.params, cfg.noise
     o = params.o
     gap = max(o, params.g)
-    two_o = 2 * o
-    lat = noise.latency
-    bw = noise.bandwidth
-    lat_seed = run_seed ^ _LAT_STREAM
-    bw_seed = run_seed ^ _BW_STREAM
-
-    osn = noise.os
-    if osn is not None:
+    lat, bw, osn = noise.latency, noise.bandwidth, noise.os
+    nranks = c.nranks
+    # Lists index faster than arrays in this loop, and locals read faster
+    # than globals.
+    calc, recv, send = KIND_CALC, KIND_RECV, KIND_SEND
+    gids = c.by_level.tolist()
+    kind, size, rank, msg = c.kind.tolist(), c.size.tolist(), c.rank.tolist(), c.msg.tolist()
+    kinds = [kind[g] for g in gids]
+    ranks = [rank[g] for g in gids]
+    msgs = [msg[g] for g in gids]
+    durs = [size[g] if kind[g] == calc else o for g in gids]
+    size_m1 = [s - 1 for s in compress(size, c.kind.tobytes().translate(_IS_SEND))]
+    # Without latency and bandwidth noise every run has the same wire delays.
+    wire = _wires(0, size_m1, params, None, None) if lat is None and bw is None else None
+    if osn is None:
+        lo = [0] * nranks
+        hi = [c.time_bound(cfg)] * nranks  # past every time a run computes
+    else:
         tables = _detour_tables(osn)
-        os_seed = run_seed ^ _OS_STREAM
-        phases = [_pick(os_seed, r, osn.span) for r in range(c.nranks)]
-
-    # Lists index faster than arrays in this loop.
-    kind = c.kind.tolist()
-    size = c.size.tolist()
-    rank = c.rank.tolist()
-    msg = c.msg.tolist()
-    free = [0] * c.nranks  # when each rank's host is released
-    msg_ok = [0] * c.nranks  # earliest start of each rank's next message op
-    arrival = [0] * c.n_sends  # when message m reaches its recv
-
-    for gid in c.by_level.tolist():
-        r = rank[gid]
-        t = free[r]
-        k = kind[gid]
-        if k == KIND_CALC:
-            dur = size[gid]
-        else:
-            if k == KIND_RECV and arrival[msg[gid]] > t:
-                t = arrival[msg[gid]]
-            if msg_ok[r] > t:
-                t = msg_ok[r]
-            msg_ok[r] = t + gap
-            dur = o
-        if osn is not None:
-            f = _detour_end(t, dur, phases[r], tables)
-        else:
-            f = t + dur
-        free[r] = f
-        if k == KIND_SEND:
-            m = msg[gid]
-            if lat is not None:
-                lat_eff = lat._samples[_pick(lat_seed, m, lat.count)] - two_o
-                if lat_eff < 0.0:
-                    lat_eff = 0.0
-            else:
-                lat_eff = params.L
-            g_eff = params.G if bw is None else 8.0 / bw._samples[_pick(bw_seed, m, bw.count)]
-            arrival[m] = f + one_way_wire_ns(lat_eff, size[gid], g_eff)
-
     draws = c.n_sends * ((lat is not None) + (bw is not None))
-    return SimResult(completion=max(free), per_rank_completion=tuple(free), draws_used=draws)
+
+    results = []
+    for i in run_indices:
+        run_seed = derive_run_seed(cfg.seed, i)
+        # When each message reaches its recv, once its send has added its finish.
+        arrival = wire[:] if wire is not None else _wires(run_seed, size_m1, params, lat, bw)
+        if osn is not None:
+            phases = _draws(run_seed ^ _OS_STREAM, nranks, osn.span)
+            lo = [0] * nranks
+            hi = [0] * nranks
+        free = [0] * nranks  # when each rank's host is released
+        msg_ok = [0] * nranks  # earliest start of each rank's next message op
+        for r, k, d, m in zip(ranks, kinds, durs, msgs):
+            t = free[r]
+            if k != calc:
+                if k == recv:
+                    a = arrival[m]
+                    if a > t:
+                        t = a
+                a = msg_ok[r]
+                if a > t:
+                    t = a
+                msg_ok[r] = t + gap
+            f = t + d
+            if f > hi[r] or t < lo[r]:
+                f, lo[r], hi[r] = _detour_window(t, d, phases[r], tables)
+            free[r] = f
+            if k == send:
+                arrival[m] += f
+        results.append(SimResult(completion=max(free), per_rank_completion=tuple(free),
+                                 draws_used=draws))
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -350,8 +399,11 @@ def _run(c: _Compiled, cfg: SimConfig, run_index: int) -> SimResult:
 
 # The batch path runs when ops * reps >= _BATCH_K * levels, i.e. when a level
 # holds enough op-runs to pay for the fixed cost of its numpy calls, and when
-# there are at least _BATCH_MIN_OP_RUNS op-runs to pay for importing numpy
-# (0.16 s, about as long as 2**16 op-runs take per op).
+# there are at least _BATCH_MIN_OP_RUNS op-runs to pay for importing numpy.
+# Inside `sim run` that import takes 0.09-0.10 s on a 2-core x86 VM, where
+# the per-op engine takes 0.24-0.60 us per op-run (noiseless to bandwidth and
+# OS noise), 16-39 ms for 2**16: the import costs as much as 2**17 to 2**18
+# per-op op-runs, so this minimum is lower than the import alone justifies.
 _BATCH_K = 64
 _BATCH_MIN_OP_RUNS = 1 << 16
 _CHUNK_BYTES = 2 << 20  # numpy arrays held by one chunk of reps
@@ -409,8 +461,8 @@ def _steps(counters):
 
 
 def _pick_steps(seeds, steps, count: int):
-    """``_pick(seeds[j], i, count)`` as a uint64 array of shape (i, j), for the
-    ``_steps`` of the counters i."""
+    """Draw i of stream ``seeds[j]`` as ``_draws`` maps it, as a uint64 array
+    of shape (i, j), for the ``_steps`` of the counters i."""
     return _mulhi_vec(_mix64_vec(seeds[None, :] + steps[:, None]), count)
 
 
@@ -482,17 +534,18 @@ def _bucket_find(index, x):
 
 def _detour_tables_vec(osn: DetourTrace):
     """``_detour_tables(osn)`` for ``_detour_end_vec``: the columns as int64
-    arrays, with ``starts`` and ``idle_to`` as ``_bucket_index`` lookups."""
+    arrays, with ``seg_end`` and ``idle_to`` as ``_bucket_index`` lookups."""
     import numpy as np
 
-    starts, detour_before, seg_start, idle_at, idle_to, span, idle = _detour_tables(osn)
-    return (_bucket_index(starts, span), *(np.asarray(col, dtype=np.int64)
+    seg_end, detour_before, seg_start, idle_at, idle_to, span, idle = _detour_tables(osn)
+    return (_bucket_index(seg_end, span), *(np.asarray(col, dtype=np.int64)
                                            for col in (detour_before, seg_start, idle_at)),
             _bucket_index(idle_to, idle), span, idle)
 
 
 def _detour_end_vec(t, dur, phase, tables):
-    """``_detour_end`` over int64 arrays: the same closed form on ``_detour_tables_vec``.
+    """The end ``_detour_window`` gives, over int64 arrays: the same closed form
+    on ``_detour_tables_vec``.
 
     Both segment lookups go through bucket indexes. On integers,
     ``searchsorted(idle_to, a, side="left")`` is the right-side lookup of
@@ -500,9 +553,9 @@ def _detour_end_vec(t, dur, phase, tables):
     """
     import numpy as np
 
-    starts, detour_before, seg_start, idle_at, idle_to, span, idle = tables
+    seg_end, detour_before, seg_start, idle_at, idle_to, span, idle = tables
     cycles, pos = np.divmod(t + phase, span)
-    j = _bucket_find(starts, pos)  # events that began by pos
+    j = _bucket_find(seg_end, pos)  # events that began by pos
     target = (cycles * idle + pos - detour_before[j]
               + np.maximum(seg_start[j] - pos, 0) + dur)
     cycles, a = np.divmod(target - 1, idle)  # the last idle ns is idle ns a + 1 of this cycle
@@ -625,7 +678,7 @@ def _run_reps(c: _Compiled, cfg: SimConfig, run_indices: Sequence[int]) -> list[
     """The runs ``run_indices``, batched when ``_use_batch`` allows it."""
     if _use_batch(c, cfg, len(run_indices)):
         return _run_batch(c, cfg, run_indices)
-    return [_run(c, cfg, i) for i in run_indices]
+    return _run(c, cfg, run_indices)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,10 @@ block body in bulk, the schedule columns are built and
 checked one op at a time where the package appends and checks whole ranks,
 the static analysis of a schedule makes three passes where the package
 makes one walk, and the per-op engine (``run_recorded``) records every op's
-(start, finish), which the package's engines do not keep.
+(start, finish), which the package's engines do not keep. It draws each
+message's noise (``pick``) and bisects the detour tables (``detour_end``) op
+by op, where the package draws a run's values up front and looks detours up
+only for an occupancy that leaves its rank's idle window.
 """
 
 from __future__ import annotations
@@ -576,7 +579,40 @@ def _parse_block(text: str, pos: int, rank: int,
 
 
 # The per-op engine as the package ran it while it could record each op's
-# (start, finish); the pinned digests hash its runs.
+# (start, finish), one draw and one detour bisection per op; the pinned
+# digests hash its runs.
+
+def pick(seed: int, i: int, count: int) -> int:
+    """Draw i of the counter-mode stream ``seed``, mapped to an index in [0, count)."""
+    from nsim.simengine import _GAMMA, mix64
+
+    return (mix64(seed + (i + 1) * _GAMMA) * count) >> 64
+
+
+def detour_end(t: int, dur: int, phase: int, tables) -> int:
+    """Earliest end of a host occupancy of ``dur`` beginning at ``t``, by two
+    bisections of the idle-time ``tables`` of one span (``_detour_tables``).
+
+    With I(y) the idle ns of the cyclic pattern before pattern position y, an
+    occupancy of ``dur`` > 0 that starts at pattern position x = t + phase
+    ends at the least y with I(y) = I(x) + dur.
+    """
+    if dur <= 0:
+        return t
+    seg_end, detour_before, seg_start, idle_at, idle_to, span, idle = tables
+    cycles, pos = divmod(t + phase, span)
+    j = bisect_right(seg_end, pos)  # events that began by pos
+    wait = seg_start[j] - pos  # > 0 when pos lies inside event j-1
+    if wait < 0:
+        wait = 0
+    a = pos - detour_before[j] + wait + dur  # I(y) less the idle ns of whole cycles
+    if a <= idle_to[j]:  # ends in the idle segment it starts in
+        return t + wait + dur
+    extra = (a - 1) // idle  # the last idle ns lies in cycle cycles + extra
+    a -= extra * idle  # in [1, idle]
+    k = bisect_left(idle_to, a)
+    return (cycles + extra) * span + seg_start[k] + (a - idle_at[k]) - phase
+
 
 def _per_op_times(c, start: list[int], finish: list[int]):
     """``[rank][op id] -> (start, finish)`` from per-op start and finish lists."""
@@ -590,8 +626,8 @@ def run_recorded(c, cfg, run_index: int):
     ``SimResult`` and every op's ``(start, finish)`` ns by [rank][op id]."""
     from nsim.goal import KIND_CALC, KIND_RECV, KIND_SEND
     from nsim.model import one_way_wire_ns
-    from nsim.simengine import (_BW_STREAM, _LAT_STREAM, _OS_STREAM, SimResult, _detour_end,
-                                _detour_tables, _pick, derive_run_seed)
+    from nsim.simengine import (_BW_STREAM, _LAT_STREAM, _OS_STREAM, SimResult,
+                                _detour_tables, derive_run_seed)
 
     params = cfg.params
     noise = cfg.noise
@@ -609,7 +645,7 @@ def run_recorded(c, cfg, run_index: int):
     if osn is not None:
         tables = _detour_tables(osn)
         os_seed = run_seed ^ _OS_STREAM
-        phases = [_pick(os_seed, r, osn.span) for r in range(c.nranks)]
+        phases = [pick(os_seed, r, osn.span) for r in range(c.nranks)]
 
     kind = c.kind.tolist()
     size = c.size.tolist()
@@ -636,7 +672,7 @@ def run_recorded(c, cfg, run_index: int):
             msg_ok[r] = t + gap
             dur = o
         if osn is not None:
-            f = _detour_end(t, dur, phases[r], tables)
+            f = detour_end(t, dur, phases[r], tables)
         else:
             f = t + dur
         start[gid] = t
@@ -645,12 +681,12 @@ def run_recorded(c, cfg, run_index: int):
         if k == KIND_SEND:
             m = msg[gid]
             if lat is not None:
-                lat_eff = lat._samples[_pick(lat_seed, m, lat.count)] - two_o
+                lat_eff = lat._samples[pick(lat_seed, m, lat.count)] - two_o
                 if lat_eff < 0.0:
                     lat_eff = 0.0
             else:
                 lat_eff = params.L
-            g_eff = params.G if bw is None else 8.0 / bw._samples[_pick(bw_seed, m, bw.count)]
+            g_eff = params.G if bw is None else 8.0 / bw._samples[pick(bw_seed, m, bw.count)]
             arrival[m] = f + one_way_wire_ns(lat_eff, size[gid], g_eff)
 
     draws = c.n_sends * ((lat is not None) + (bw is not None))

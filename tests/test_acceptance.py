@@ -25,7 +25,7 @@ from nsim.model import (
     message_time,
 )
 from nsim.report import box_stats
-from nsim.simengine import SimConfig, SimResult, _pick, mix64, run_many, simulate
+from nsim.simengine import SimConfig, SimResult, _draws, mix64, run_many, simulate
 from nsim.goal import Schedule, ScheduleOp
 
 from localhost_dissem import measure_schedule
@@ -86,7 +86,7 @@ def test_c02_oracle_equivalence():
 def test_c03_sampling_fidelity():
     """KS distance of 1e5 inverse-ECDF draws vs the source, three fixtures.
 
-    The draws are the engines' own: ``_pick`` maps draw j of a splitmix64
+    The draws are the engines' own: ``_draws`` maps draw j of a splitmix64
     stream to a sample index.
     """
     m = (1 << 64) - 1
@@ -106,7 +106,7 @@ def test_c03_sampling_fidelity():
     }
     n = 100_000
     for name, dist in fixtures.items():
-        draws = [dist.samples[_pick(0xD, j, dist.count)] for j in range(n)]
+        draws = [dist.samples[j] for j in _draws(0xD, n, dist.count)]
         d = ks_distance(draws, dist.samples)
         assert d <= 0.01, (name, d)
     _ok(3, "sampling fidelity (KS <= 0.01 on three fixtures)")

@@ -178,7 +178,18 @@ class TestSimRun:
         r = runner.invoke(cli, ["sim", "run", "--params", params_file, "--workers", workers],
                           input="num_ranks 2\nrank 0 { a: calc 5 }\nrank 1 { a: calc 5 }\n")
         assert r.exit_code == 3
-        assert r.stderr == f"error: workers must be >= 1, got {workers}\n"
+        assert r.stderr == f"error: --workers must be >= 1, got {workers}\n"
+
+    @pytest.mark.parametrize("option", ["--reps", "--workers"])
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_reps_or_workers_below_one_refused_before_reading(self, runner, tmp_path,
+                                                              option, value):
+        # The params file does not exist and the schedule on stdin is garbage:
+        # reading either would fail with another line and exit code.
+        r = runner.invoke(cli, ["sim", "run", "--params", str(tmp_path / "missing.json"),
+                                option, value], input="not a schedule\n")
+        assert r.exit_code == 3
+        assert r.stderr == f"error: {option} must be >= 1, got {value}\n"
 
     def test_deadlock_exit_5(self, runner, params_file):
         goal_text = (
@@ -775,6 +786,14 @@ class TestBench:
         assert r.exit_code == 3
         assert r.stderr.startswith("error: ") and len(r.stderr.splitlines()) == 1
         assert "port must be" in r.stderr
+
+    @pytest.mark.parametrize("option", ["--listen", "--peer"])
+    @pytest.mark.parametrize("port", ["abc", "", "1.5"])
+    def test_port_not_a_number_exit_3(self, runner, option, port):
+        r = runner.invoke(cli, ["bench", "pingpong", option, f"127.0.0.1:{port}"])
+        assert r.exit_code == 3
+        assert r.stderr == (f"error: port must be an integer 0-65535, got {port!r} "
+                            f"in '127.0.0.1:{port}'\n")
 
     def test_listen_serves_pingpong_and_bidir(self):
         with subprocess.Popen([sys.executable, "-m", "nsim.cli", "bench", "pingpong",

@@ -457,6 +457,39 @@ class TestJson:
         ({"num_ranks": 1, "ranks": [[{"id": 0, "kind": "calc", "duration_ns": 1,
                                       "requires": [None]}]]},
          "'requires' must be a list of integers"),
+        # Faults in the second entry of a rank, after one the column checks
+        # accept: the entry-by-entry replay names each.
+        ({"num_ranks": 1, "ranks": [[{"id": 0, "kind": "calc", "duration_ns": 1},
+                                     {"id": True, "kind": "calc", "duration_ns": 1}]]},
+         re.escape("rank 0 op entry 1: 'id' must be an integer, got True")),
+        ({"num_ranks": 1, "ranks": [[{"id": 0, "kind": "calc", "duration_ns": 1},
+                                     {"id": 1, "kind": ["calc"], "duration_ns": 1}]]},
+         re.escape("rank 0 op entry 1: 'kind' must be one of send, recv, calc, "
+                   "got ['calc']")),
+        ({"num_ranks": 1, "ranks": [[{"id": 0, "kind": "calc", "duration_ns": 1},
+                                     {"id": 1, "kind": {}, "duration_ns": 1}]]},
+         re.escape("rank 0 op entry 1: 'kind' must be one of send, recv, calc, got {}")),
+        ({"num_ranks": 1, "ranks": [[{"id": 0, "kind": "calc", "duration_ns": 1},
+                                     {"id": 1, "kind": "calc", "duration_ns": 1},
+                                     {"id": 2, "kind": "calc", "duration_ns": 1,
+                                      "requires": [1, True]}]]},
+         "rank 0 op entry 2: 'requires' must be a list of integers"),
+        ({"num_ranks": 1, "ranks": [[{"id": 0, "kind": "calc", "duration_ns": 1},
+                                     {"id": 1, "kind": "calc", "duration_ns": 1,
+                                      "requires": [0, 0.0]}]]},
+         "rank 0 op entry 1: 'requires' must be a list of integers"),
+        ({"num_ranks": 1, "ranks": [[{"id": 0, "kind": "calc", "duration_ns": 1},
+                                     {"id": 1, "kind": "calc", "duration_ns": 1,
+                                      "requires": [0, "0"]}]]},
+         "rank 0 op entry 1: 'requires' must be a list of integers"),
+        ({"num_ranks": 2, "ranks": [[], [{"id": 0, "kind": "calc", "duration_ns": 1},
+                                         {"id": 1, "kind": "calc", "peer": 0,
+                                          "duration_ns": 1}]]}, "calc ops take no peer"),
+        ({"num_ranks": 1, "ranks": [[{"id": 0, "kind": "calc", "duration_ns": 1}, 7]]},
+         "rank 0 op entry 1 must be an object, got int"),
+        ({"num_ranks": 2, "ranks": [[{"id": 0, "kind": "send", "peer": 1, "size_bytes": 4},
+                                     {"id": 1, "kind": "send", "peer": 1}], []]},
+         re.escape("rank 0 op entry 1: 'size_bytes' must be an integer, got None")),
     ])
     def test_malformed_document_rejected(self, doc, message):
         if isinstance(doc, dict):
@@ -607,6 +640,70 @@ def test_json_loader_and_constructor_agree_on_faults(ranks, message):
         schedule_from_json(json.dumps({"schema": "nsim.schedule/1", "num_ranks": nranks,
                                        "ranks": ranks}))
     assert str(built.value) == str(loaded.value) == message
+
+
+from nsim.goal import _entry_columns, _op_entry, _rank_columns  # noqa: E402
+
+# JSON values no op entry field takes, unhashable ones and ones equal to 0 or
+# 1 included.
+_JUNK = st.sampled_from([None, True, False, 0.0, 1.0, "1", 1.5, [], {}, [1], ["calc"],
+                         {"a": 1}])
+
+
+@st.composite
+def op_entries(draw):
+    """A rank's op entries as JSON documents hold them: valid ones, then up to
+    three faults: a field dropped or set to junk, junk inside requires, or
+    an entry that is no object."""
+    n = draw(st.integers(0, 6))
+    entries = []
+    for i in range(n):
+        kind = draw(st.sampled_from((SEND, RECV, CALC)))
+        entry = {"id": i, "kind": kind}
+        if kind == CALC:
+            entry["duration_ns"] = draw(st.integers(0, 9))
+            if draw(st.booleans()):
+                entry["peer"] = None
+        else:
+            entry["peer"] = draw(st.integers(0, 3))
+            entry["size_bytes"] = draw(st.integers(1, 9))
+        if draw(st.booleans()):
+            entry["requires"] = draw(st.lists(st.integers(-1, n), max_size=4))
+        entries.append(entry)
+    for _ in range(draw(st.integers(0, 3)) if entries else 0):
+        i = draw(st.integers(0, n - 1))
+        fault = draw(st.sampled_from(("drop", "junk", "requires", "entry")))
+        if fault == "entry" or not isinstance(entries[i], dict):
+            entries[i] = draw(_JUNK | st.integers())
+            continue
+        key = draw(st.sampled_from(("id", "kind", "peer", "size_bytes", "duration_ns",
+                                    "requires")))
+        if fault == "drop":
+            entries[i].pop(key, None)
+        elif fault == "junk":
+            entries[i][key] = draw(_JUNK)
+        else:  # junk, or a float or bool equal to a target, which a set would merge
+            targets = entries[i].get("requires")
+            targets = targets if isinstance(targets, list) else []
+            twins = [t for x in targets if type(x) is int for t in (float(x), x == 1)
+                     if t == x]
+            entries[i]["requires"] = [*targets, draw(st.sampled_from(twins) | _JUNK
+                                                     if twins else _JUNK)]
+    return entries
+
+
+@settings(max_examples=500, deadline=None)
+@given(entries=op_entries())
+def test_entry_columns_agree_with_op_entry(entries):
+    # The column checks accept exactly the ranks that _op_entry reads entry
+    # by entry, and give the same columns.
+    try:
+        want = _rank_columns([_op_entry(e, 0, i) for i, e in enumerate(entries)])
+    except ValueError:
+        want = None
+    got = _entry_columns(entries)
+    assert (got if got is None else [list(col) for col in got]) == (
+        want if want is None else [list(col) for col in want])
 
 
 # The op entry field that holds each fault, and the message naming it.

@@ -15,9 +15,9 @@ from nsim.model import (
     calibrate,
     message_time,
 )
-from nsim.simengine import _GAMMA, _M64, _pick, mix64
+from nsim.simengine import _GAMMA, _M64, _draws, mix64
 
-from oracles import ks_distance
+from oracles import ks_distance, pick
 
 
 class TestLogGPParams:
@@ -148,7 +148,7 @@ def _seed_drawing(u: int) -> int:
 
 def _draw(d: EmpiricalDistribution, u: int) -> float:
     """The sample the engines draw for the 64-bit uniform ``u``."""
-    return d.samples[_pick(_seed_drawing(u), 0, d.count)]
+    return d.samples[_draws(_seed_drawing(u), 1, d.count)[0]]
 
 
 class TestSample:
@@ -170,8 +170,8 @@ class TestSample:
         # The integer rule needs no clamp: u = 0 gives the first index and
         # u = 2**64 - 1 the last.
         assert [mix64(_seed_drawing(u) + _GAMMA) for u in (0, _M64)] == [0, _M64]
-        assert _pick(_seed_drawing(0), 0, count) == 0
-        assert _pick(_seed_drawing(_M64), 0, count) == count - 1
+        assert _draws(_seed_drawing(0), 1, count) == [0]
+        assert _draws(_seed_drawing(_M64), 1, count) == [count - 1]
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -181,7 +181,7 @@ class TestSample:
     )
     def test_closure_under_sampling(self, values, seed, i):
         d = EmpiricalDistribution.from_values(values, "ns")
-        assert 0 <= _pick(seed, i, d.count) < d.count
+        assert 0 <= pick(seed, i, d.count) < d.count
 
     def test_ks_fidelity_small(self):
         # deterministic u grid; the ECDF of draws tracks the source ECDF

@@ -36,11 +36,11 @@ from nsim.simengine import (
     _Compiled,
     _bucket_find,
     _bucket_index,
-    _detour_end,
     _detour_end_vec,
     _detour_tables,
     _detour_tables_vec,
-    _pick,
+    _detour_window,
+    _draws,
     _pick_steps,
     _run,
     _run_batch,
@@ -48,7 +48,7 @@ from nsim.simengine import (
     _use_batch,
 )
 
-from oracles import dag_completion, detour_end_fixed_point, run_recorded
+from oracles import dag_completion, detour_end, detour_end_fixed_point, pick, run_recorded
 
 P1 = LogGPParams(L=5000, o=1000, g=1000, G=0.01)
 
@@ -308,13 +308,13 @@ class TestOsNoise:
         for phase in (0, 17, 333, 999):
             for start in (0, 50, 120, 950, 12345):
                 for dur in (0, 1, 10, 260, 1000, 5000):
-                    got = _detour_end(start, dur, phase, tables)
+                    got = _detour_window(start, dur, phase, tables)[0]
                     want = detour_end_fixed_point(start, dur, phase, trace)
                     assert got == want, (start, dur, phase)
 
     def test_zero_duration_never_extended(self):
         trace = DetourTrace(((0, 999),), span=1000)
-        assert _detour_end(500, 0, 0, _detour_tables(trace)) == 500
+        assert _detour_window(500, 0, 0, _detour_tables(trace))[0] == 500
 
     def test_calc_extended_by_detour(self):
         # detour of 100 at offset 50; calc [0, 80) overlaps 30 of it, extension
@@ -323,7 +323,7 @@ class TestOsNoise:
         params = LogGPParams(L=0, o=0, g=0, G=0.0)
         s = Schedule(nranks=1, ops=((ScheduleOp(0, CALC, None, 80),),))
         # phase 0 means pattern position == absolute time
-        got = _detour_end(0, 80, 0, _detour_tables(trace))
+        got = _detour_window(0, 80, 0, _detour_tables(trace))[0]
         assert got == 180  # 80 of work, last 30 pushed past the 100-long detour
         r = simulate(s, SimConfig(params=params, noise=NoiseModel(
             os=trace), seed=0))
@@ -450,6 +450,9 @@ _NOISE_MIXES = {
         ((300, 700), (1000, 1200), (2200, 50), (9000, 3000), (12000, 100)), span=20_000)),
     "os_clustered": NoiseModel(latency=_PIN_LAT, os=DetourTrace(
         tuple((5120 + 16 * i, 10) for i in range(24)), span=20_000)),
+    # A detour every 300 ns: most occupancies leave their rank's idle window.
+    "os_dense": NoiseModel(bandwidth=_PIN_BW, os=DetourTrace(
+        tuple((300 * i + 50, 100) for i in range(64)), span=19_200)),
 }
 
 
@@ -473,7 +476,7 @@ def test_batch_engine_matches_per_op_engine(schedule, noise, params, seed, reps,
     cfg = SimConfig(params=_PIN_PARAMS[params], noise=_NOISE_MIXES[noise], seed=seed)
     recorded = [run_recorded(c, cfg, i) for i in range(reps)]
     want = [r for r, _ in recorded]
-    assert [_run(c, cfg, i) for i in range(reps)] == want
+    assert _run(c, cfg, range(reps)) == want
     with mock.patch.object(simengine, "_CHUNK_BYTES", chunk_bytes):
         got = _run_batch(c, cfg, range(reps))
     assert got == want
@@ -486,7 +489,7 @@ def test_batch_engine_through_run_many(workers):
     s = gen_compute_collective(4, 3333, "ring", 64, 3)
     cfg = SimConfig(params=_PIN_PARAMS["g_gt_o"], noise=_PIN_NOISE["all"], seed=99)
     c = _Compiled(s)
-    want = [_run(c, cfg, i) for i in range(7)]
+    want = _run(c, cfg, range(7))
     # No op-run minimum makes every schedule batched; 3 KB chunks split the 7
     # reps unevenly.
     with mock.patch.object(simengine, "_BATCH_K", 0), \
@@ -561,7 +564,7 @@ def test_pick_vec_matches_pick(count):
     seeds = [0, 1, 2**63, 2**64 - 1, 0x243F6A8885A308D3]
     counters = [0, 1, 7, 2**20, 2**40]
     got = _pick_steps(np.array(seeds, dtype=np.uint64), _steps(counters), count).tolist()
-    assert got == [[_pick(s, i, count) for s in seeds] for i in counters]
+    assert got == [[pick(s, i, count) for s in seeds] for i in counters]
 
 
 @st.composite
@@ -646,8 +649,41 @@ def test_detour_end_vec_matches_fixed_point(trace):
     tables = _detour_tables(trace)
     got = _detour_end_vec(t, dur, phase, _detour_tables_vec(trace)).tolist()
     for (ti, di, pi), g in zip(cases, got):
-        assert _detour_end(ti, di, pi, tables) == g, (ti, di, pi)
+        assert detour_end(ti, di, pi, tables) == g, (ti, di, pi)
         assert g == detour_end_fixed_point(ti, di, pi, trace), (ti, di, pi)
+
+
+@settings(max_examples=400, deadline=None)
+@given(trace=st.sampled_from(_VEC_TRACES), data=st.data())
+def test_detour_window_matches_oracle(trace, data):
+    # The per-op engine ends an occupancy that lies inside its rank's window
+    # at t + dur, with no lookup: every such occupancy must be detour-free.
+    span, idle = trace.span, trace.span - trace.total_detour
+    tables = _detour_tables(trace)
+    phase = data.draw(st.one_of(st.sampled_from((0, 1, span - 1)), st.integers(0, span - 1)))
+    edges = [s - phase + span * c + e for s, d in trace.events for e in (-1, 0, d, d + 1)
+             for c in (0, 1)]
+    t = data.draw(st.one_of(st.sampled_from([x for x in edges if x >= 0] or [0]),
+                            st.integers(0, 3 * span)))
+    dur = data.draw(st.one_of(st.sampled_from((0, 1, idle, idle + 1)),
+                              st.integers(0, 3 * min(span, 4 * idle))))
+    end, lo, hi = _detour_window(t, dur, phase, tables)
+    assert end == detour_end(t, dur, phase, tables)
+    if dur == 0:
+        assert (end, lo, hi) == (t, t, t)
+        return
+    assert lo < end <= hi  # the last ns of the occupancy lies in the window
+    t2 = data.draw(st.one_of(st.sampled_from((lo, hi)), st.integers(lo, hi)))
+    d2 = data.draw(st.one_of(st.sampled_from((0, hi - t2)), st.integers(0, hi - t2)))
+    assert detour_end_fixed_point(t2, d2, phase, trace) == t2 + d2
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), n=st.integers(0, 40),
+       count=st.one_of(st.sampled_from((1, 2**32 - 1, 2**32, 2**32 + 1, 2**64 - 1)),
+                       st.integers(1, 2**64 - 1)))
+def test_draws_match_pick(seed, n, count):
+    assert _draws(seed, n, count) == [pick(seed, i, count) for i in range(n)]
 
 
 def test_schedule_compiles_once_across_calls(monkeypatch):
@@ -691,7 +727,7 @@ def test_messages_are_paired_once_per_schedule(monkeypatch, load):
     c = _Compiled(s)
     assert len(walks) == 1
     assert c.by_level is s._compiled.by_level and c.msg is s._compiled.msg
-    assert [_run(c, cfg, i) for i in range(5)] == runs
+    assert _run(c, cfg, range(5)) == runs
     assert clean.completion == dag_completion(s, P1)
 
 
