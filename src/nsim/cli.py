@@ -35,6 +35,8 @@ EXIT_IO = 4
 EXIT_DEADLOCK = 5
 
 _PARAMS_SCHEMA = "nsim.params/1"
+# LogGPParams field -> its key in params files and in results metadata
+_PARAMS_KEYS = {"L": "L_ns", "o": "o_ns", "g": "g_ns", "G": "G_ns_per_byte"}
 _RESULTS_SCHEMA = "nsim.results/1"
 
 
@@ -110,37 +112,32 @@ def _load_schedule(path: str) -> Schedule:
 
 
 def load_params_file(path: str) -> tuple[LogGPParams, dict]:
-    """Read a params JSON file; returns (params, full document)."""
-    from .model import LogGPParams
+    """Read a params JSON file; returns (params, full document).
 
-    def pick(*names):
-        for n in names:
-            if n in doc:
-                return doc[n]
-        raise ValueError(f"params file is missing {'/'.join(names)}")
+    Each parameter is read from its key in ``_PARAMS_KEYS``, else from its
+    bare field name."""
+    from .model import LogGPParams
 
     with _reading(path):
         doc = json.loads(_read_text(path))
         if not isinstance(doc, dict):
             raise ValueError("params file must hold a JSON object")
-        params = LogGPParams(
-            L=pick("L_ns", "L"),
-            o=pick("o_ns", "o"),
-            g=pick("g_ns", "g"),
-            G=pick("G_ns_per_byte", "G"),
-        )
+        values = {}
+        for field, key in _PARAMS_KEYS.items():
+            if key not in doc and field not in doc:
+                raise ValueError(f"params file is missing {key}/{field}")
+            values[field] = doc[key] if key in doc else doc[field]
+        params = LogGPParams(**values)
     return params, doc
 
 
+def _params_by_key(params: LogGPParams) -> dict:
+    """``params`` under the keys of a params file."""
+    return {key: getattr(params, field) for field, key in _PARAMS_KEYS.items()}
+
+
 def dump_params_file(params: LogGPParams, path: str, **extra) -> None:
-    doc = {
-        "schema": _PARAMS_SCHEMA,
-        "L_ns": params.L,
-        "o_ns": params.o,
-        "g_ns": params.g,
-        "G_ns_per_byte": params.G,
-        **extra,
-    }
+    doc = {"schema": _PARAMS_SCHEMA, **_params_by_key(params), **extra}
     _write_text(path, json.dumps(doc, indent=2) + "\n")
 
 
@@ -313,8 +310,7 @@ def sim_run(goal_path: str, params_path: str, noise_lat: str | None,
     doc = {
         "schema": _RESULTS_SCHEMA,
         "metadata": {
-            "params": {"L_ns": params.L, "o_ns": params.o, "g_ns": params.g,
-                       "G_ns_per_byte": params.G},
+            "params": _params_by_key(params),
             "params_file": params_doc,
             "noise": noise_meta,
             "seed": seed,

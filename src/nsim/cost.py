@@ -29,8 +29,8 @@ class PriceSpec:
     provider: str
 
     def __post_init__(self) -> None:
-        if not self.per_node_hour > 0:
-            raise ValueError(f"per_node_hour must be > 0, got {self.per_node_hour}")
+        if not 0 < self.per_node_hour < math.inf:
+            raise ValueError(f"per_node_hour must be a finite number > 0, got {self.per_node_hour}")
         if self.label not in _LABELS:
             raise ValueError(f"label must be one of {_LABELS}, got {self.label!r}")
 
@@ -69,51 +69,52 @@ def relative_increase(noisy: Sequence, noiseless) -> list[float]:
     return completion_increase([r.completion for r in noisy], noiseless.completion)
 
 
-def load_price_catalog(path: str | Path) -> list[dict]:
-    """Read a price catalog CSV: provider,instance,label,usd_per_hour."""
-    entries = []
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = [f.strip() for f in line.split(",")]
-        if fields[0] == "provider":
-            continue
+def load_price_catalog(path: str | Path) -> dict[tuple[str, str, str], PriceSpec]:
+    """Read a price catalog CSV: provider,instance,label,usd_per_hour.
+
+    Returns each row's PriceSpec under its (provider, instance, label). Only
+    the first non-comment line may be the header. A fault in any row, priced
+    later or not, raises ValueError as ``line N: ...``.
+    """
+    text = Path(path).read_text(encoding="utf-8")
+    rows = [(lineno, [f.strip() for f in line.split(",")])
+            for lineno, line in enumerate(map(str.strip, text.splitlines()), 1)
+            if line and not line.startswith("#")]
+    if rows and rows[0][1][0] == "provider":
+        del rows[0]
+    catalog: dict[tuple[str, str, str], PriceSpec] = {}
+    for lineno, fields in rows:
         if len(fields) != 4:
             raise ValueError(f"line {lineno}: expected 4 fields, got {len(fields)}")
         provider, instance, label, usd = fields
-        if label not in _LABELS:
-            raise ValueError(f"line {lineno}: unknown label {label!r}")
-        entries.append({
-            "provider": provider,
-            "instance": instance,
-            "label": label,
-            "usd_per_hour": float(usd),
-        })
-    if not entries:
+        key = (provider, instance, label)
+        if key in catalog:
+            first = next(n for n, f in rows if tuple(f[:3]) == key)
+            raise ValueError(f"line {lineno}: {key} is already priced on line {first}")
+        try:
+            catalog[key] = PriceSpec(per_node_hour=float(usd), label=label, provider=provider)
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
+    if not catalog:
         raise ValueError("no price entries")
-    return entries
+    return catalog
 
 
-def find_price(
-    catalog: list[dict], provider: str, label: str, instance: str | None = None
-) -> PriceSpec:
+def find_price(catalog: dict[tuple[str, str, str], PriceSpec], provider: str, label: str,
+               instance: str | None = None) -> PriceSpec:
     """Look up a price, optionally pinned to an instance type.
 
     Without ``instance`` the provider must have exactly one entry for the
     label, otherwise the choice would be ambiguous.
     """
-    hits = [e for e in catalog if e["provider"] == provider and e["label"] == label]
-    if instance is not None:
-        hits = [e for e in hits if e["instance"] == instance]
+    hits = {name: price for (owner, name, tier), price in catalog.items()
+            if owner == provider and tier == label and instance in (None, name)}
     if not hits:
         raise ValueError(f"no price for provider={provider!r} label={label!r}"
                          + (f" instance={instance!r}" if instance else ""))
     if len(hits) > 1:
-        names = sorted(e["instance"] for e in hits)
-        raise ValueError(f"ambiguous price for {provider!r}: pick an instance from {names}")
-    hit = hits[0]
-    return PriceSpec(per_node_hour=hit["usd_per_hour"], label=label, provider=provider)
+        raise ValueError(f"ambiguous price for {provider!r}: pick an instance from {sorted(hits)}")
+    return next(iter(hits.values()))
 
 
 def builtin_catalog_path() -> Path:

@@ -141,6 +141,8 @@ def _render_csv(pairs, include_samples: bool) -> str:
     lines = [",".join(header)]
     for label, samples in pairs:
         stats = box_stats(samples)
+        if any(c in label for c in ',"\r\n'):  # quoted as RFC 4180 asks
+            label = '"' + label.replace('"', '""') + '"'
         row = [label]
         row.extend(repr(getattr(stats, f)) for f in _CSV_FIELDS)
         row.append('"' + " ".join(repr(v) for v in stats.outliers) + '"')

@@ -684,20 +684,9 @@ def _run_reps(c: _Compiled, cfg: SimConfig, run_indices: Sequence[int]) -> list[
 # ---------------------------------------------------------------------------
 # Public API
 
-def _compiled(schedule: Schedule, cfg: SimConfig) -> _Compiled:
-    """The compiled form of ``schedule``, built on first use and kept on it,
-    once ``cfg`` is known to give every message a finite wire delay."""
-    c = schedule._compiled
-    if c is None:
-        c = _Compiled(schedule)
-        object.__setattr__(schedule, "_compiled", c)
-    c.wire_max(cfg)
-    return c
-
-
 def simulate(schedule: Schedule, cfg: SimConfig) -> SimResult:
-    """Run one simulation; identical to run_many(schedule, cfg, 1)[0]."""
-    return _run_reps(_compiled(schedule, cfg), cfg, [0])[0]
+    """Run one simulation: run_many(schedule, cfg, 1)[0]."""
+    return run_many(schedule, cfg, 1)[0]
 
 
 _FORK_STATE: tuple[_Compiled, SimConfig] | None = None
@@ -716,11 +705,13 @@ def run_many(
 ) -> list[SimResult]:
     """n independent runs; run i is seeded with derive_run_seed(cfg.seed, i).
 
-    n and ``workers`` (None for 1) must be >= 1. Results come back in run
-    order and are bit-identical for identical (schedule, cfg, n) regardless
-    of ``workers``. Parallel execution uses forked processes (one compile,
-    inherited read-only) and falls back to sequential where fork is
-    unavailable.
+    n and ``workers`` (None for 1) must be >= 1, and ``cfg`` must give every
+    message a finite wire delay. Results come back in run order and are
+    bit-identical for identical (schedule, cfg, n) regardless of ``workers``.
+    The schedule is compiled on first use and the compiled form kept on it.
+    Parallel execution uses forked processes, each running a contiguous block
+    of runs on the inherited compiled form, and falls back to sequential
+    where fork is unavailable.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -728,7 +719,11 @@ def run_many(
         workers = 1
     elif workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    c = _compiled(schedule, cfg)
+    c = schedule._compiled
+    if c is None:
+        c = _Compiled(schedule)
+        object.__setattr__(schedule, "_compiled", c)
+    c.wire_max(cfg)  # refuses a cfg under which a wire delay is not finite
     workers = min(workers, n)
     if workers <= 1:
         return _run_reps(c, cfg, range(n))
@@ -742,16 +737,11 @@ def run_many(
     global _FORK_STATE
     _FORK_STATE = (c, cfg)
     try:
-        chunks = [list(range(w, n, workers)) for w in range(workers)]
+        blocks = [range(n * w // workers, n * (w + 1) // workers) for w in range(workers)]
         with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
-            per_worker = list(pool.map(_pool_run, chunks))
+            return [r for block in pool.map(_pool_run, blocks) for r in block]
     finally:
         _FORK_STATE = None
-    results: list[SimResult | None] = [None] * n
-    for chunk, chunk_results in zip(chunks, per_worker):
-        for i, res in zip(chunk, chunk_results):
-            results[i] = res
-    return results  # type: ignore[return-value]
 
 
 def result_to_dict(result: SimResult, run_index: int, per_rank: bool = False) -> dict:

@@ -3,6 +3,7 @@ import json
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import click
 import pytest
@@ -443,9 +444,22 @@ class TestParamsFile:
         p = LogGPParams(L=10, o=2, g=3, G=0.5)
         path = tmp_path / "p.json"
         dump_params_file(p, str(path), source="unit-test")
+        assert path.read_text() == (
+            '{\n  "schema": "nsim.params/1",\n  "L_ns": 10,\n  "o_ns": 2,\n  "g_ns": 3,\n'
+            '  "G_ns_per_byte": 0.5,\n  "source": "unit-test"\n}\n')
         back, doc = load_params_file(str(path))
         assert back == p
         assert doc["source"] == "unit-test"
+
+    @pytest.mark.parametrize("key, field", [("L_ns", "L"), ("o_ns", "o"), ("g_ns", "g"),
+                                            ("G_ns_per_byte", "G")])
+    def test_missing_key_named(self, tmp_path, key, field):
+        doc = {"L_ns": 1, "o_ns": 2, "g_ns": 3, "G_ns_per_byte": 0.5}
+        del doc[key]
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f": params file is missing {key}/{field}$"):
+            load_params_file(str(path))
 
     def test_fractional_latency_exit_3(self, tmp_path):
         path = tmp_path / "p.json"
@@ -703,14 +717,31 @@ class TestInputFaultNamesItsFile:
         _assert_clean_exit(proc, 4)
         assert proc.stderr == f"error: {trace}: line 2: bad value 'abc'\n"
 
-    def test_price_catalog_short_row(self, tmp_path):
+    @pytest.mark.parametrize("rows, line, message", [
+        ("aws,c5,on_demand", 2, "expected 4 fields, got 3"),
+        ("aws,c5,spot,1.0", 2, "label must be one of ('committed', 'on_demand'), got 'spot'"),
+        ("aws,c5,on_demand,abc", 2, "could not convert string to float: 'abc'"),
+        ("aws,c5,on_demand,-3", 2, "per_node_hour must be a finite number > 0, got -3.0"),
+        ("aws,c5,on_demand,nan", 2, "per_node_hour must be a finite number > 0, got nan"),
+        ("aws,c5,on_demand,inf", 2, "per_node_hour must be a finite number > 0, got inf"),
+        ("aws,c5,on_demand,1\ngcp,c2,on_demand,-3", 3,
+         "per_node_hour must be a finite number > 0, got -3.0"),
+        ("aws,c5,on_demand,1\naws,c5,on_demand,2", 3,
+         "('aws', 'c5', 'on_demand') is already priced on line 2"),
+        ("aws,c5,on_demand,1\nprovider,instance,label,usd_per_hour", 3,
+         "could not convert string to float: 'usd_per_hour'"),
+    ], ids=["short_row", "spot", "abc", "negative", "nan", "inf", "row_not_priced",
+            "repeated_key", "second_header"])
+    def test_price_catalog_fault(self, tmp_path, rows, line, message):
+        # Every row is checked at load, so a fault names its line even in a
+        # row that is not the one priced.
         results, catalog = tmp_path / "res.json", tmp_path / "cat.csv"
         results.write_text(_results_doc([10]))
-        catalog.write_text("provider,instance,label,usd_per_hour\naws,c5,on_demand\n")
+        catalog.write_text(f"provider,instance,label,usd_per_hour\n{rows}\n")
         proc = _run_cli("cost", "--results", str(results), "--price-catalog", str(catalog),
-                        "--provider", "aws", "--label", "on_demand")
+                        "--provider", "aws", "--label", "on_demand", "--instance", "c5")
         _assert_clean_exit(proc, 3)
-        assert proc.stderr == f"error: {catalog}: line 2: expected 4 fields, got 3\n"
+        assert proc.stderr == f"error: {catalog}: line {line}: {message}\n"
 
     def test_text_that_is_not_utf8(self, tmp_path):
         params = tmp_path / "p.json"
@@ -1025,6 +1056,23 @@ def _leaf_commands(group=cli, path=()):
 @pytest.mark.parametrize("path", list(_leaf_commands()), ids=" ".join)
 def test_every_command_maps_errors_to_exit_codes(path):
     _assert_mapped(path)
+
+
+def _readme_commands():
+    """The command paths named in README's "Command surface" table; a row such
+    as `trace dist / normalize / top` names three."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("## Command surface\n\n", 1)[1].split("\n\n", 1)[0]
+    paths = []
+    for row in table.splitlines()[2:]:
+        first, *others = row.split("|")[1].strip().strip("`").split(" / ")
+        path = tuple(first.split())
+        paths += [path, *((*path[:-1], other) for other in others)]
+    return paths
+
+
+def test_readme_command_table_names_every_command():
+    assert sorted(_readme_commands()) == sorted(_leaf_commands())
 
 
 @pytest.mark.parametrize("group", [(), ("gen",)], ids=["root", "gen"])

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -63,6 +64,11 @@ class TestPriceSpec:
         with pytest.raises(ValueError):
             PriceSpec(per_node_hour=0.0, label="on_demand", provider="x")
 
+    @pytest.mark.parametrize("price", [-3.0, math.nan, math.inf])
+    def test_rejects_price_not_finite_and_positive(self, price):
+        with pytest.raises(ValueError, match=f"must be a finite number > 0, got {price}"):
+            PriceSpec(per_node_hour=price, label="on_demand", provider="x")
+
     def test_rejects_unknown_label(self):
         with pytest.raises(ValueError):
             PriceSpec(per_node_hour=1.0, label="spot", provider="x")
@@ -106,6 +112,18 @@ class TestCatalog:
         assert aws.per_node_hour == 3.88
         daint = find_price(catalog, "daint", "on_demand")
         assert daint.per_node_hour == 1.73
+
+    def test_find_price_returns_the_stored_spec(self):
+        catalog = load_price_catalog(builtin_catalog_path())
+        spec = catalog["aws", "c5n.18xlarge", "on_demand"]
+        assert find_price(catalog, "aws", "on_demand", "c5n.18xlarge") is spec
+        assert spec == PriceSpec(per_node_hour=3.88, label="on_demand", provider="aws")
+
+    def test_header_only_on_the_first_line(self, tmp_path):
+        p = tmp_path / "catalog.csv"
+        p.write_text("# prices\n\nprovider,instance,label,usd_per_hour\nprovider,x,on_demand,1\n")
+        assert load_price_catalog(p) == {
+            ("provider", "x", "on_demand"): PriceSpec(1.0, "on_demand", "provider")}
 
     def test_ambiguous_without_instance(self):
         catalog = load_price_catalog(builtin_catalog_path())

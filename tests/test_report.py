@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import sys
@@ -97,6 +99,15 @@ class TestRender:
                       "outliers"):
             assert field in header
         assert len(out.splitlines()) == 3
+
+    @given(st.text(st.sampled_from('ab ,"\n\r'), max_size=12))
+    def test_csv_label_reads_back_as_one_field(self, label):
+        out = render([(label, [1.0, 2.0, 30.0])], "csv")
+        header, row = csv.reader(io.StringIO(out, newline=""))
+        assert len(header) == len(row) == 12
+        assert row[0] == label
+        if not set(label) & set(',"\r\n'):  # a plain label is written as it is
+            assert out.split("\n")[1].startswith(label + ",")
 
     def test_svg_two_groups_two_boxes(self):
         out = render(self.GROUPS, "svg")
