@@ -15,9 +15,10 @@ and the initiator's epoch u64; the responder replies with its own epoch u64,
 runs a mirror-image pingpong of ``iterations`` rounds back to reverse_port,
 and finally streams its trace rows (count u32, then per row: timestamp u64,
 RTT/2 f64) over the control socket. The initiator asks for its own warmup plus
-measured iterations and drops the responder's warmup rows. Both directions
-stamp timestamps against the epochs exchanged at setup, so the two traces
-share a time origin.
+measured iterations and drops the responder's warmup rows. Neither side
+reads the other's epoch: each stamps its rows against its own clock's epoch,
+so the responder's time origin lies after the initiator's by the time the
+setup message takes to arrive and be read.
 
 Iteration timing reproduces max-across-connections semantics: all workers
 leave a barrier together (the clock is read in the barrier action immediately
@@ -330,8 +331,8 @@ def pingpong_bidirectional(plan: BenchPlan) -> tuple[SampleTrace, SampleTrace]:
     The caller is the active side: it runs a forward pingpong toward
     plan.peer, while the peer (an EchoServer or ``bench bidir --listen``)
     initiates the mirror-image session back to an ephemeral local echo server.
-    Returns (forward_trace, reverse_trace) with timestamps aligned to the
-    epochs exchanged at setup.
+    Returns (forward_trace, reverse_trace), each stamped against the epoch
+    its own side took from its own clock at setup.
 
     Both sessions run the same warmup and measured iterations: the peer is
     asked for warmup + iterations rows, and the first warmup rows it returns

@@ -23,7 +23,7 @@ import click
 
 from .errors import (ClockResolutionError, DeadlockError, DetourLimitError,
                      GoalSyntaxError, ScheduleValidationError, TraceFormatError)
-from .units import UNIT_GBPS, UNIT_NS
+from .units import PRICE_LABELS, UNIT_GBPS, UNIT_NS
 
 if TYPE_CHECKING:
     from .bench import BenchPlan
@@ -84,7 +84,7 @@ def _reading(path: str | Path | None):
 def _read_text(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
-    return Path(path).read_text(encoding="utf-8")
+    return Path(path).read_text(encoding="utf-8-sig")
 
 
 def _write_text(path: str, content: str) -> None:
@@ -180,7 +180,7 @@ def cli(ctx: click.Context, config: str | None, error_json: bool) -> None:
     if config:
         try:
             with _reading(config):
-                default_map = json.loads(Path(config).read_text(encoding="utf-8"))
+                default_map = json.loads(Path(config).read_text(encoding="utf-8-sig"))
                 _check_defaults(ctx.command, default_map, "config file")
         except (OSError, ValueError) as exc:  # exit 4, where the root would give 3
             _fail(ctx, EXIT_IO, exc)
@@ -302,7 +302,7 @@ def sim_run(goal_path: str, params_path: str, noise_lat: str | None,
         if path:  # one read: the recorded digest is of the bytes simulated
             with _reading(path):
                 data = Path(path).read_bytes()
-                noise[field] = parse(data.decode("utf-8"))
+                noise[field] = parse(data.decode("utf-8-sig"))
             noise_meta[field] = {"path": path, "sha256": hashlib.sha256(data).hexdigest()}
     schedule = _load_schedule(goal_path)
     cfg = simengine.SimConfig(params=params, noise=NoiseModel(**noise), seed=seed)
@@ -441,7 +441,7 @@ def _mean(values: list[float]) -> float:
 @click.option("--price-catalog", type=click.Path(exists=True, dir_okay=False),
               help="CSV catalog; defaults to the built-in one.")
 @click.option("--provider", required=True)
-@click.option("--label", type=click.Choice(["committed", "on_demand"]), required=True)
+@click.option("--label", type=click.Choice(PRICE_LABELS), required=True)
 @click.option("--instance", help="Instance type when the provider has several.")
 @click.option("--baseline", "baseline_path",
               help="Noiseless results JSON for relative increase.")

@@ -8,6 +8,8 @@ from importlib import resources
 from pathlib import Path
 from typing import Sequence
 
+from .units import PRICE_LABELS
+
 __all__ = [
     "PriceSpec",
     "run_cost",
@@ -19,7 +21,6 @@ __all__ = [
 ]
 
 _NS_PER_HOUR = 3_600_000_000_000
-_LABELS = ("committed", "on_demand")
 
 
 @dataclass(frozen=True)
@@ -31,8 +32,8 @@ class PriceSpec:
     def __post_init__(self) -> None:
         if not 0 < self.per_node_hour < math.inf:
             raise ValueError(f"per_node_hour must be a finite number > 0, got {self.per_node_hour}")
-        if self.label not in _LABELS:
-            raise ValueError(f"label must be one of {_LABELS}, got {self.label!r}")
+        if self.label not in PRICE_LABELS:
+            raise ValueError(f"label must be one of {PRICE_LABELS}, got {self.label!r}")
 
 
 def run_cost(runtime_ns: int, nodes: int, price: PriceSpec) -> float:
@@ -76,7 +77,7 @@ def load_price_catalog(path: str | Path) -> dict[tuple[str, str, str], PriceSpec
     the first non-comment line may be the header. A fault in any row, priced
     later or not, raises ValueError as ``line N: ...``.
     """
-    text = Path(path).read_text(encoding="utf-8")
+    text = Path(path).read_text(encoding="utf-8-sig")
     rows = [(lineno, [f.strip() for f in line.split(",")])
             for lineno, line in enumerate(map(str.strip, text.splitlines()), 1)
             if line and not line.startswith("#")]

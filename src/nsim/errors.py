@@ -27,11 +27,18 @@ class GoalSyntaxError(ValueError):
         self.col = col
 
 
+def _first_16(entries: list, sep: str, show=str) -> str:
+    """The first 16 ``entries`` through ``show``, joined by ``sep``, then ``and N more``."""
+    shown = sep.join(map(show, entries[:16]))
+    return shown if len(entries) <= 16 else f"{shown} and {len(entries) - 16} more"
+
+
 class ScheduleValidationError(ValueError):
-    """Structurally well-formed schedule that violates schedule semantics."""
+    """Well-formed schedule that violates schedule semantics; the message
+    shows the first 16 ``violations``."""
 
     def __init__(self, violations: list[str]):
-        super().__init__("; ".join(violations))
+        super().__init__(_first_16(violations, "; "))
         self.violations = list(violations)
 
 
@@ -44,13 +51,13 @@ class TraceFormatError(ValueError):
 
 
 class DeadlockError(RuntimeError):
-    """Schedule with ops that can never run; lists the blocked ops."""
+    """Schedule with recvs that wait forever; the message shows the first 16
+    ``blocked`` ops."""
 
     def __init__(self, blocked: list[tuple[int, int, str]]):
         self.blocked = blocked
-        shown = ", ".join(f"rank {r} op {i} ({k})" for r, i, k in blocked[:16])
-        more = "" if len(blocked) <= 16 else f" and {len(blocked) - 16} more"
-        super().__init__(f"deadlock: {len(blocked)} op(s) blocked: {shown}{more}")
+        shown = _first_16(blocked, ", ", lambda b: "rank %d op %d (%s)" % b)
+        super().__init__(f"deadlock: {len(blocked)} op(s) blocked: {shown}")
 
 
 class ClockResolutionError(RuntimeError):

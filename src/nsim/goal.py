@@ -15,8 +15,9 @@ rank-local dependencies. The text form is a sequence of statements:
 ``num_ranks N`` comes first, then one ``rank N { ... }`` block per rank (a
 rank without a block has no ops). Inside a block, one statement per label:
 sends/recvs carry a byte size with a ``b`` suffix and a peer rank, calcs carry
-a duration in ns. ``LABEL requires LABEL, ...`` adds dependencies between ops
-of the same block (forward references are allowed). Keywords cannot be
+a duration in ns. ``LABEL requires LABEL, ...`` adds dependencies on earlier
+ops of the same block (a label may be named before it is defined; a requires
+on the op itself or a later op is a validation error). Keywords cannot be
 labels. Whitespace, newlines included, is free between any two words or
 symbols, even inside a statement. A ``#`` starts a comment that runs to the
 end of its line and reads as whitespace, so it may go wherever whitespace
@@ -348,8 +349,8 @@ def parse_goal(text: str) -> Schedule:
     included. Raises GoalSyntaxError for malformed text, with the line and
     column of the first statement that does not parse (or, for a bad value,
     of the offending rank id, peer or label), and ScheduleValidationError for
-    well-formed text that is not a runnable schedule (unmatched messages,
-    dependency cycles).
+    well-formed text that is not a runnable schedule (bad peers, unmatched
+    messages, requires on the op itself or a later op).
     """
     code = _COMMENT_RE.sub(lambda c: " " * len(c[0]), text) if "#" in text else text
     m = _HEADER_RE.match(code)
@@ -529,10 +530,11 @@ def emit_goal(schedule: Schedule) -> str:
 def validate(schedule: Schedule) -> list[str]:
     """Collect schedule-semantics violations; empty list means runnable.
 
-    Checks that peers are other ranks in range, that send and recv multisets
-    match per (src, dst, size) and that no rank's requires form a cycle. One
-    ``_walk`` accepts a runnable schedule; only a failed walk is diagnosed,
-    all violations at once. Both results are memoized on the schedule.
+    Checks that peers are other ranks in range, that each op requires only
+    earlier ops of its rank and that send and recv multisets match per
+    (src, dst, size). One ``_walk`` accepts a runnable schedule; only a
+    failed walk is diagnosed, all violations at once. Both results are
+    memoized on the schedule.
     """
     if schedule._verdict is None:
         walked = _walk(schedule)
@@ -549,7 +551,7 @@ def execution_order(schedule: Schedule) -> tuple[array, array, array]:
     with recv g, and -1 for a calc. An op's level is one above its rank
     predecessor's and, for a recv, its send's; level v holds the ops
     ``by_level[level_bounds[v]:level_bounds[v + 1]]``, in op order. Raises
-    ScheduleValidationError, or DeadlockError when some ops can never run.
+    ScheduleValidationError, or DeadlockError when some recvs wait forever.
     """
     order = _validated(schedule)._order
     if type(order) is list:
@@ -645,13 +647,14 @@ def _walk(schedule: Schedule) -> tuple[array, array, array] | list | None:
 
 
 def _violations(schedule: Schedule) -> list[str]:
-    """The diagnostics of a schedule that ``_walk`` rejects: bad peers, the
-    (src, dst, size) triples whose send and recv counts differ, and the ranks
-    whose requires form a cycle."""
+    """The diagnostics of a schedule that ``_walk`` rejects, in op order: bad
+    peers and requires on the op itself or a later op, then the (src, dst,
+    size) triples whose send and recv counts differ."""
     violations: list[str] = []
     nranks = schedule.nranks
     kinds, peers, sizes, bounds = (schedule.kinds, schedule.peers, schedule.sizes,
                                    schedule.rank_offsets)
+    req, req_off = schedule.req_targets, schedule.req_offsets
     counts: dict[tuple[int, int, int], list[int]] = {}  # sends and recvs per triple
     for rank in range(nranks):
         lo = bounds[rank]
@@ -665,32 +668,15 @@ def _violations(schedule: Schedule) -> list[str]:
                 counts.setdefault((rank, peer, sizes[g]), [0, 0])[0] += 1
             elif kinds[g] == KIND_RECV:
                 counts.setdefault((peer, rank, sizes[g]), [0, 0])[1] += 1
+            later = [t for t in req[req_off[g]:req_off[g + 1]] if t >= g - lo]
+            if later:
+                violations.append(f"rank {rank} op {g - lo}: requires op(s) {later} at or "
+                                  "after it, a dependency cycle through program order")
     for (src, dst, size), (ns, nr) in sorted(counts.items()):
         if ns != nr:
             violations.append(
                 f"unmatched messages {src}->{dst} size {size}: {ns} send(s), {nr} recv(s)")
-    return violations + [f"rank {rank}: dependency cycle" for rank in range(nranks)
-                         if _has_cycle(schedule, bounds[rank], bounds[rank + 1])]
-
-
-def _has_cycle(schedule: Schedule, lo: int, hi: int) -> bool:
-    """Whether the requires of ops lo..hi-1 (one rank) form a cycle."""
-    req, req_off = schedule.req_targets, schedule.req_offsets
-    indeg = [req_off[g + 1] - req_off[g] for g in range(lo, hi)]
-    dependents: list[list[int]] = [[] for _ in indeg]
-    for i in range(hi - lo):
-        for dep in req[req_off[lo + i]:req_off[lo + i + 1]]:
-            dependents[dep].append(i)
-    stack = [i for i, d in enumerate(indeg) if d == 0]
-    seen = 0
-    while stack:
-        i = stack.pop()
-        seen += 1
-        for j in dependents[i]:
-            indeg[j] -= 1
-            if indeg[j] == 0:
-                stack.append(j)
-    return seen != len(indeg)
+    return violations
 
 
 # ---------------------------------------------------------------------------

@@ -240,8 +240,9 @@ class NoiseModel:
 def one_way_wire_ns(latency_ns: float, size: int, gap_per_byte: float) -> int:
     """Integer wire delay of one message: latency + (size-1) byte gaps, rounded half-up.
 
-    Shared by message_time and the simulator so a single rounding site decides
-    every timeline; the host-overhead terms are integers and commute with it.
+    Used by message_time, whose 2o term is an integer and commutes with the
+    rounding. The simulator does not call it: ``_wires`` and ``_wire_vec``
+    inline the same rounding, and ``tests/oracles.wire_ns`` is the reference.
     """
     return round_half_up(latency_ns + (size - 1) * gap_per_byte)
 

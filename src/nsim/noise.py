@@ -281,7 +281,7 @@ def parse_trace(text: str, expected_unit: str) -> SampleTrace:
 
 def load_trace(path: str | Path, expected_unit: str) -> SampleTrace:
     """Read a trace CSV file; see parse_trace."""
-    return parse_trace(Path(path).read_text(encoding="utf-8"), expected_unit)
+    return parse_trace(Path(path).read_text(encoding="utf-8-sig"), expected_unit)
 
 
 def format_trace(trace: SampleTrace, comments: Iterable[str] = ()) -> str:
@@ -406,7 +406,7 @@ def parse_detour_trace(text: str) -> DetourTrace:
 
 def load_detour_trace(path: str | Path) -> DetourTrace:
     """Read a detour trace CSV file; see parse_detour_trace."""
-    return parse_detour_trace(Path(path).read_text(encoding="utf-8"))
+    return parse_detour_trace(Path(path).read_text(encoding="utf-8-sig"))
 
 
 def format_detour_trace(trace: DetourTrace, comments: Iterable[str] = ()) -> str:
@@ -449,4 +449,4 @@ def parse_distribution(text: str) -> EmpiricalDistribution:
 
 def load_distribution(path: str | Path) -> EmpiricalDistribution:
     """Read a distribution JSON file; see parse_distribution."""
-    return parse_distribution(Path(path).read_text(encoding="utf-8"))
+    return parse_distribution(Path(path).read_text(encoding="utf-8-sig"))

@@ -20,11 +20,12 @@ Every edge above is fixed before a run starts; only edge weights depend on
 the noise draws. The order in which ops can execute is therefore static: the
 walk that validates a schedule sorts its ops by DAG level once
 (``goal.execution_order``), and a schedule in which some op can never run
-raises DeadlockError there, before any run and before run_many starts
-workers. Durations are >= 0, so finishes never decrease along a rank's
-program order: a ``requires`` on an earlier op of the same rank is met once
-the previous op has released the host, and one on a later op is a cycle
-through program order.
+is refused there, before any run and before run_many starts workers.
+Durations are >= 0, so finishes never decrease along a rank's program order:
+a ``requires`` on an earlier op of the same rank is met once the previous op
+has released the host. One on the op itself or a later op could never be
+met, and validation refuses it as a ScheduleValidationError naming the op;
+DeadlockError is left to recvs whose send can never come.
 
 Two engines
 -----------

@@ -12,7 +12,8 @@ matched as a separator, where the package blanks comments and reads each
 block body in bulk, the schedule columns are built and
 checked one op at a time where the package appends and checks whole ranks,
 the static analysis of a schedule makes three passes where the package
-makes one walk, and the per-op engine (``run_recorded``) records every op's
+makes one walk and diagnoses from the ``ScheduleOp`` views where the package
+reads the columns, and the per-op engine (``run_recorded``) records every op's
 (start, finish), which the package's engines do not keep. It draws each
 message's noise (``pick``) and bisects the detour tables (``detour_end``) op
 by op, where the package draws a run's values up front and looks detours up
@@ -134,24 +135,42 @@ def dag_completion(
 def static_analysis(schedule):
     """The verdict, message numbers and levels of a schedule, in three passes.
 
-    First the diagnostics (``goal._violations``, which counts each
-    (src, dst, size) triple's sends and recvs and runs ``_has_cycle`` per
-    rank), then the message numbers from pairing sends with recvs in order
-    per triple, then Kahn's algorithm over program order, requires and
-    pairing for the levels.
+    First the diagnostics, from the ``ScheduleOp`` views: in op order, each
+    message op whose peer is its own rank or out of range and each op whose
+    requires name itself or a later op, then each (src, dst, size) triple
+    whose send and recv counts differ, in triple order. Then the message
+    numbers from pairing sends with recvs in order per triple, then Kahn's
+    algorithm over program order and pairing for the levels (with no
+    requires at or after an op, program order meets every requires).
     Returns ``(violations, msg, level, blocked)``: msg and level are per-op
     lists of a runnable schedule, blocked the DeadlockError list of one that
     validates but cannot run, and the fields that do not apply are None.
     """
-    from nsim.goal import KIND_RECV, KIND_SEND, KINDS, _violations
+    from nsim.goal import CALC, KIND_RECV, KIND_SEND, KINDS, SEND
 
-    violations = _violations(schedule)
+    nranks = schedule.nranks
+    violations = []
+    counts = {}  # (src, dst, size) -> [sends, recvs]
+    for r, rank_ops in enumerate(schedule.ops):
+        for op in rank_ops:
+            if op.kind != CALC and op.peer == r:
+                violations.append(f"rank {r} op {op.id}: peer equals own rank")
+            elif op.kind != CALC and op.peer >= nranks:
+                violations.append(f"rank {r} op {op.id}: peer {op.peer} out of range")
+            elif op.kind == SEND:
+                counts.setdefault((r, op.peer, op.size), [0, 0])[0] += 1
+            elif op.kind != CALC:
+                counts.setdefault((op.peer, r, op.size), [0, 0])[1] += 1
+            later = sorted(d for d in op.requires if d >= op.id)
+            if later:
+                violations.append(f"rank {r} op {op.id}: requires op(s) {later} at or after "
+                                  "it, a dependency cycle through program order")
+    violations += [f"unmatched messages {src}->{dst} size {size}: {ns} send(s), {nr} recv(s)"
+                   for (src, dst, size), (ns, nr) in sorted(counts.items()) if ns != nr]
     if violations:
         return violations, None, None, None
-    nranks = schedule.nranks
     offsets, kind, peer, size = (schedule.rank_offsets, schedule.kinds, schedule.peers,
                                  schedule.sizes)
-    req, req_off = schedule.req_targets, schedule.req_offsets
     n = len(kind)
     msg = [-1] * n
     queued: dict[tuple[int, int, int], deque] = {}  # each triple's send numbers
@@ -177,8 +196,7 @@ def static_analysis(schedule):
         i = placed[r]
         while i < count:
             g = base + i
-            if any(d >= i for d in req[req_off[g]:req_off[g + 1]]) or (
-                    kind[g] == KIND_RECV and not sent[msg[g]]):
+            if kind[g] == KIND_RECV and not sent[msg[g]]:
                 break
             lv = level[g - 1] + 1 if i else 0
             if kind[g] == KIND_SEND:
@@ -494,7 +512,8 @@ def parse_goal(text: str):
     GoalSyntaxError for malformed text, with the line and column of the first
     statement that does not parse (or, for a bad value, of the offending rank
     id, peer, size or label), and ScheduleValidationError for well-formed text
-    that is not a runnable schedule (unmatched messages, dependency cycles).
+    that is not a runnable schedule (unmatched messages, requires on the op
+    itself or a later op).
     """
     from nsim.goal import _error, _expected, _validated
 

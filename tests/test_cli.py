@@ -1,3 +1,4 @@
+import codecs
 import hashlib
 import json
 import re
@@ -764,6 +765,106 @@ class TestInputFaultNamesItsFile:
         proc = _run_cli(*args)
         _assert_clean_exit(proc, 3)
         assert proc.stderr == f"error: {results}: 'results' must be a non-empty list of runs\n"
+
+
+def _requires_later_op(runner, fmt, nranks, later, ranks):
+    """``gen dissem -p NRANKS -s 16`` in ``fmt`` ("goal" or "json"), with op 0
+    of each of ``ranks`` also requiring op ``later`` of its rank."""
+    text = _invoke(runner, ["gen", "dissem", "-p", str(nranks), "-s", "16",
+                            "--format", fmt]).output
+    if fmt == "json":
+        doc = json.loads(text)
+        for r in ranks:
+            doc["ranks"][r][0]["requires"] = [later]
+        return json.dumps(doc)
+    bodies = text.split("\n}")  # body r ends where rank r's block closes
+    for r in ranks:
+        bodies[r] += f"\n  o0 requires o{later}"
+    return "\n}".join(bodies)
+
+
+def _later_op_entry(rank, later):
+    return (f"rank {rank} op 0: requires op(s) [{later}] at or after it, a dependency "
+            "cycle through program order")
+
+
+class TestRequiresOnALaterOp:
+    """Ops run in program order, so an op that requires itself or a later op
+    can never start. That is a violation found before any run, naming the op,
+    whichever op it names and whatever the schedule's source."""
+
+    @pytest.mark.parametrize("fmt", ["goal", "json"])
+    @pytest.mark.parametrize("later", [1, 5])
+    def test_exit_3_naming_the_op(self, runner, params_file, tmp_path, fmt, later):
+        path = tmp_path / f"schedule.{fmt}"
+        path.write_text(_requires_later_op(runner, fmt, 1024, later, [0]))
+        proc = _run_cli("sim", "run", "--params", params_file, "--goal", str(path))
+        _assert_clean_exit(proc, 3)
+        assert proc.stderr == f"error: {path}: {_later_op_entry(0, later)}\n"
+
+    @pytest.mark.parametrize("error_json", [False, True], ids=["plain", "error_json"])
+    def test_message_shows_16_violations(self, runner, params_file, error_json):
+        # One violation per rank; the message lists 16 and counts the rest.
+        text = _requires_later_op(runner, "goal", 20, 1, range(20))
+        message = "; ".join(_later_op_entry(r, 1) for r in range(16)) + " and 4 more"
+        flags = ["--error-json"] if error_json else []
+        r = runner.invoke(cli, [*flags, "sim", "run", "--params", params_file], input=text)
+        assert r.exit_code == 3 and r.stdout == ""
+        if error_json:
+            assert json.loads(r.stderr) == {"error": "ScheduleValidationError",
+                                            "message": message, "exit_code": 3}
+        else:
+            assert r.stderr == f"error: {message}\n"
+
+
+_BOM_KINDS = ["catalog", "trace", "detour_trace", "goal", "schedule_json", "params", "config"]
+
+
+@pytest.mark.parametrize("kind", _BOM_KINDS)
+def test_byte_order_mark_reads_as_the_plain_file(runner, params_file, tmp_path, kind):
+    # Spreadsheet tools start UTF-8 files with a byte-order mark; every file
+    # reader drops it. sim run records the file's path and digest, so only
+    # its results are compared.
+    results, goal = tmp_path / "res.json", tmp_path / "s.goal"
+    results.write_text(_results_doc([10, 20]))
+    goal.write_text(_TWO_RANK_MESSAGE)
+    content = {
+        "catalog": "provider,instance,label,usd_per_hour\naws,c5,on_demand,2.5\n",
+        "trace": "timestamp_ns,value,unit\n0,7000,ns\n5,7100,ns\n",
+        "detour_trace": "# span_ns=100000\ntimestamp_ns,value,unit\n10,500,ns\n",
+        "goal": _TWO_RANK_MESSAGE,
+        "schedule_json": _invoke(runner, ["gen", "dissem", "-p", "4", "-s", "16",
+                                          "--format", "json"]).output,
+        "params": Path(params_file).read_text(),
+        "config": json.dumps({"gen": {"dissem": {"size": 64}}}),
+    }[kind]
+    sim_run = ["sim", "run", "--reps", "3", "--params"]
+    outputs = []
+    for bom in (b"", codecs.BOM_UTF8):
+        path = tmp_path / ("bom" if bom else "plain")
+        path.write_bytes(bom + content.encode())
+        args = {
+            "catalog": ["cost", "--results", str(results), "--price-catalog", str(path),
+                        "--provider", "aws", "--label", "on_demand"],
+            "trace": ["trace", "dist", "--in", str(path), "--unit", "ns"],
+            "detour_trace": [*sim_run, params_file, "--goal", str(goal), "--noise-os",
+                             str(path)],
+            "goal": [*sim_run, params_file, "--goal", str(path)],
+            "schedule_json": [*sim_run, params_file, "--goal", str(path)],
+            "params": [*sim_run, str(path), "--goal", str(goal)],
+            "config": ["--config", str(path), "gen", "dissem", "-p", "4"],
+        }[kind]
+        r = _invoke(runner, args)
+        assert r.exit_code == 0, r.output
+        outputs.append(json.loads(r.stdout)["results"] if args[0] == "sim" else r.stdout)
+    assert outputs[0] == outputs[1]
+
+
+def test_price_label_choice_is_the_cost_labels():
+    from nsim import cost
+
+    label = next(p for p in cli.commands["cost"].params if p.name == "label")
+    assert tuple(label.type.choices) == cost.PRICE_LABELS
 
 
 class TestBench:

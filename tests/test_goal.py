@@ -301,6 +301,25 @@ class TestValidate:
         ),))
         assert len(validate(s)) == 1
 
+    def test_requires_at_or_after_the_op_names_it(self):
+        # Ops run in program order: op 1 requires itself and op 2 the later
+        # op 3, so neither can start; op 3's requires on op 0 is met.
+        s = Schedule(nranks=1, ops=((
+            ScheduleOp(0, CALC, None, 1),
+            ScheduleOp(1, CALC, None, 1, frozenset({1})),
+            ScheduleOp(2, CALC, None, 1, frozenset({0, 3})),
+            ScheduleOp(3, CALC, None, 1, frozenset({0})),
+        ),))
+        assert validate(s) == [
+            f"rank 0 op {i}: requires op(s) [{t}] at or after it, a dependency cycle "
+            "through program order" for i, t in ((1, 1), (2, 3))]
+
+    def test_error_message_shows_16_violations(self):
+        violations = [f"v{i}" for i in range(20)]
+        err = ScheduleValidationError(violations)
+        assert str(err) == "; ".join(violations[:16]) + " and 4 more"
+        assert err.violations == violations
+
     def test_size_mismatch_detected(self):
         s = Schedule(nranks=2, ops=(
             (ScheduleOp(0, SEND, 1, 4),),
@@ -924,15 +943,16 @@ def test_validate_runs_once_per_schedule(monkeypatch):
 
 from oracles import static_analysis  # noqa: E402
 
-_FAULTS = ("none", "extra_send", "extra_recv", "cycle", "forward_requires", "head_of_line",
-           "self_peer", "peer_out_of_range")
+_FAULTS = ("none", "extra_send", "extra_recv", "cycle", "forward_requires", "self_requires",
+           "head_of_line", "self_peer", "peer_out_of_range")
 
 
 @st.composite
 def faulty_schedules(draw):
     """A ``runnable_schedules`` example with at most one deliberate fault: an
     unmatched triple (an extra send or an extra recv), a requires cycle, a
-    forward requires without a cycle, a recv-first head-of-line deadlock
+    forward requires without a cycle, an op that requires itself, a
+    recv-first head-of-line deadlock
     between two ranks, or a message op whose peer is its own rank or out of
     range."""
     base = draw(runnable_schedules())
@@ -962,6 +982,10 @@ def faulty_schedules(draw):
                       else {d for d in op_j.requires if d < i})
         ops[r][j] = ScheduleOp(j, op_j.kind, op_j.peer, op_j.size, j_requires)
         ops[r][i] = ScheduleOp(i, op_i.kind, op_i.peer, op_i.size, op_i.requires | {j})
+    elif fault == "self_requires" and ops[r]:
+        i = draw(st.integers(0, len(ops[r]) - 1))
+        op = ops[r][i]
+        ops[r][i] = ScheduleOp(i, op.kind, op.peer, op.size, op.requires | {i})
     elif fault == "head_of_line" and nranks > 1:
         b = other(r)
         for x, y in ((r, b), (b, r)):

@@ -367,15 +367,19 @@ class TestErrors:
         assert len(err.value.blocked) == 4
 
     def test_forward_requires_deadlock_message(self):
-        # a requires b, but b follows a on the rank: the host order is a cycle
+        # a requires b, but b follows a on the rank: a cycle through program
+        # order. It is a violation naming a, found before any run, and no
+        # deadlock: DeadlockError is left to recvs that wait forever.
         s = Schedule(nranks=1, ops=((
             ScheduleOp(0, CALC, None, 5, frozenset({1})),
             ScheduleOp(1, CALC, None, 5),
         ),))
-        with pytest.raises(DeadlockError) as err:
+        entry = ("rank 0 op 0: requires op(s) [1] at or after it, a dependency cycle "
+                 "through program order")
+        with pytest.raises(ScheduleValidationError) as err:
             simulate(s, SimConfig(params=P1))
-        assert str(err.value) == (
-            "deadlock: 2 op(s) blocked: rank 0 op 0 (calc), rank 0 op 1 (calc)")
+        assert err.value.violations == goal.validate(s) == [entry]
+        assert str(err.value) == entry
 
     def test_zero_reps_rejected(self):
         with pytest.raises(ValueError):
