@@ -11,6 +11,7 @@ object on stderr. A fault found while a command reads a file names the file
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import os
@@ -23,7 +24,7 @@ import click
 
 from .errors import (ClockResolutionError, DeadlockError, DetourLimitError,
                      GoalSyntaxError, ScheduleValidationError, TraceFormatError)
-from .units import PRICE_LABELS, UNIT_GBPS, UNIT_NS
+from .units import COMPAPP_PATTERNS, PRICE_LABELS, UNIT_GBPS, UNIT_NS
 
 if TYPE_CHECKING:
     from .bench import BenchPlan
@@ -81,10 +82,19 @@ def _reading(path: str | Path | None):
         raise
 
 
+def _read_bytes(path: str) -> bytes:
+    """The bytes of the file at ``path``, or of stdin for ``-``."""
+    return sys.stdin.buffer.read() if path == "-" else Path(path).read_bytes()
+
+
+def _decode(data: bytes) -> str:
+    """``data`` as text mode reads a file, whatever the locale: UTF-8 after an
+    optional byte-order mark, with each line end read as ``\\n``."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig").read()
+
+
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    return Path(path).read_text(encoding="utf-8-sig")
+    return _decode(_read_bytes(path))
 
 
 def _write_text(path: str, content: str) -> None:
@@ -180,7 +190,7 @@ def cli(ctx: click.Context, config: str | None, error_json: bool) -> None:
     if config:
         try:
             with _reading(config):
-                default_map = json.loads(Path(config).read_text(encoding="utf-8-sig"))
+                default_map = json.loads(_read_text(config))
                 _check_defaults(ctx.command, default_map, "config file")
         except (OSError, ValueError) as exc:  # exit 4, where the root would give 3
             _fail(ctx, EXIT_IO, exc)
@@ -238,7 +248,7 @@ def gen_ring(nranks: int, size: int, reduce_cost: int, fmt: str, out: str) -> No
 @gen.command("compapp")
 @click.option("-p", "--nranks", type=int, required=True)
 @click.option("--comp", type=int, required=True, help="Compute phase duration in ns.")
-@click.option("--pattern", type=click.Choice(["dissemination", "ring"]), required=True)
+@click.option("--pattern", type=click.Choice(COMPAPP_PATTERNS), required=True)
 @click.option("-s", "--size", type=int, required=True)
 @click.option("--iterations", type=int, default=1, show_default=True)
 @_FMT
@@ -301,8 +311,8 @@ def sim_run(goal_path: str, params_path: str, noise_lat: str | None,
         noise_meta[field] = None
         if path:  # one read: the recorded digest is of the bytes simulated
             with _reading(path):
-                data = Path(path).read_bytes()
-                noise[field] = parse(data.decode("utf-8-sig"))
+                data = _read_bytes(path)
+                noise[field] = parse(_decode(data))
             noise_meta[field] = {"path": path, "sha256": hashlib.sha256(data).hexdigest()}
     schedule = _load_schedule(goal_path)
     cfg = simengine.SimConfig(params=params, noise=NoiseModel(**noise), seed=seed)

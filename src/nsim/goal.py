@@ -44,6 +44,7 @@ from operator import add, mod, not_
 from typing import Mapping
 
 from .errors import DeadlockError, GoalSyntaxError, ScheduleValidationError
+from .units import COMPAPP_PATTERNS
 
 __all__ = [
     "SEND",
@@ -753,6 +754,10 @@ def gen_ring_allreduce(nranks: int, size: int, reduce_cost_per_chunk: int = 0) -
     )
 
 
+# gen_compute_collective's collectives, named in the order of COMPAPP_PATTERNS
+_COMPAPP = dict(zip(COMPAPP_PATTERNS, (gen_dissemination, gen_ring_allreduce), strict=True))
+
+
 def gen_compute_collective(
     nranks: int,
     comp_ns: int,
@@ -763,7 +768,7 @@ def gen_compute_collective(
     """Compute phase followed by a collective, repeated ``iterations`` times.
 
     Per iteration and rank: one calc of ``comp_ns``, then the collective
-    (``pattern`` is "dissemination" or "ring"); the collective's root ops wait
+    (``pattern`` is one of ``COMPAPP_PATTERNS``); the collective's root ops wait
     on the calc, and the next iteration's calc waits on all loose ends of the
     previous collective on that rank.
     """
@@ -771,12 +776,9 @@ def gen_compute_collective(
         raise ValueError(f"iterations must be >= 1, got {iterations}")
     if comp_ns < 0:
         raise ValueError("comp_ns must be >= 0")
-    if pattern == "dissemination":
-        inner = gen_dissemination(nranks, size)
-    elif pattern == "ring":
-        inner = gen_ring_allreduce(nranks, size, 0)
-    else:
-        raise ValueError(f"unknown pattern {pattern!r} (want dissemination or ring)")
+    if pattern not in _COMPAPP:
+        raise ValueError(f"unknown pattern {pattern!r} (want {' or '.join(_COMPAPP)})")
+    inner = _COMPAPP[pattern](nranks, size)
 
     req, req_off, bounds = inner.req_targets, inner.req_offsets, inner.rank_offsets
     cols = _Columns()

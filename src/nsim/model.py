@@ -93,6 +93,7 @@ class LogGPParams:
             raise ValueError(f"G must be finite and >= 0, got {G}")
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class EmpiricalDistribution:
     """Sorted measured samples for inverse-ECDF draws.
 
@@ -103,10 +104,13 @@ class EmpiricalDistribution:
     reappear at full size instead of being smoothed away.
 
     The samples are stored as one float column, which both engines read;
-    ``samples`` is a tuple view built on access. Immutable.
+    ``samples`` is a tuple view built on access. A frozen, slotted dataclass:
+    assigning a field raises ``FrozenInstanceError``, and ``==`` compares the
+    column and the unit.
     """
 
-    __slots__ = ("_samples", "unit")
+    _samples: array
+    unit: str
 
     def __init__(self, samples: Iterable[float], unit: str) -> None:
         if unit not in _DIST_UNITS:
@@ -146,12 +150,6 @@ class EmpiricalDistribution:
         object.__setattr__(self, "_samples", samples)
         object.__setattr__(self, "unit", unit)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"EmpiricalDistribution is immutable; cannot set {name!r}")
-
-    def __reduce__(self):
-        return (self._from_sorted, (self._samples, self.unit))
-
     @property
     def samples(self) -> tuple[float, ...]:
         return tuple(self._samples)
@@ -159,11 +157,6 @@ class EmpiricalDistribution:
     @property
     def count(self) -> int:
         return len(self._samples)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.unit == other.unit and self._samples == other._samples
 
     def __hash__(self) -> int:
         return hash((self.samples, self.unit))

@@ -25,6 +25,7 @@ import json
 import math
 import operator
 from array import array
+from dataclasses import dataclass
 from itertools import islice, repeat
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple
@@ -66,16 +67,20 @@ _TRACE_UNITS = (UNIT_NS, UNIT_GBPS, UNIT_RATIO)
 _HEADER = "timestamp_ns,value,unit"
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class SampleTrace:
     """Per-sample measurements: (timestamp ns since start, value) rows.
 
     Stored as two columns, signed 64-bit timestamps and float values; ``rows``,
-    ``timestamps`` and ``values`` are tuple views built on access. Immutable.
-    In ``ns`` and ``gbps`` traces every value is finite and > 0, which
-    ``build_distribution`` relies on.
+    ``timestamps`` and ``values`` are tuple views built on access. A frozen,
+    slotted dataclass: assigning a field raises ``FrozenInstanceError``,
+    and ``==`` compares the columns and the unit. In ``ns`` and ``gbps`` traces
+    every value is finite and > 0, which ``build_distribution`` relies on.
     """
 
-    __slots__ = ("_timestamps", "_values", "unit")
+    _timestamps: array
+    _values: array
+    unit: str
 
     def __init__(self, rows: Iterable[tuple[int, float]], unit: str):
         if unit not in _TRACE_UNITS:
@@ -111,12 +116,6 @@ class SampleTrace:
         object.__setattr__(self, "_values", values)
         object.__setattr__(self, "unit", unit)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"SampleTrace is immutable; cannot set {name!r}")
-
-    def __reduce__(self):
-        return (self._from_columns, (self._timestamps, self._values, self.unit))
-
     @property
     def rows(self) -> tuple[tuple[int, float], ...]:
         return tuple(zip(self._timestamps, self._values))
@@ -131,12 +130,6 @@ class SampleTrace:
 
     def __len__(self) -> int:
         return len(self._values)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.unit == other.unit and self._timestamps == other._timestamps
-                and self._values == other._values)
 
     def __hash__(self) -> int:
         return hash((self.rows, self.unit))

@@ -241,20 +241,16 @@ def _detour_tables(osn: DetourTrace):
     Idle segment k runs from ``seg_start[k]`` (0, or the end of event k-1) to
     ``seg_end[k]`` (the start of event k, or the span); ``idle_at[k]`` and
     ``idle_to[k]`` are the idle ns accumulated in a span at its start and
-    end, and ``detour_before[k]`` the detour ns before it. Built on first use
-    and kept on the trace.
+    end, and ``detour_before[k]`` the detour ns before it. Built afresh on
+    every call: a run builds them once.
     """
-    tables = osn.__dict__.get("_tables")
-    if tables is None:
-        seg_end = [s for s, _ in osn.events] + [osn.span]
-        detour_before = list(accumulate((d for _, d in osn.events), initial=0))
-        seg_start = [0] + [s + d for s, d in osn.events]
-        idle_at = [s - b for s, b in zip(seg_start, detour_before)]
-        idle_to = [s - b for s, b in zip(seg_end, detour_before)]
-        tables = (seg_end, detour_before, seg_start, idle_at, idle_to, osn.span,
-                  osn.span - osn.total_detour)
-        object.__setattr__(osn, "_tables", tables)
-    return tables
+    seg_end = [s for s, _ in osn.events] + [osn.span]
+    detour_before = list(accumulate((d for _, d in osn.events), initial=0))
+    seg_start = [0] + [s + d for s, d in osn.events]
+    idle_at = [s - b for s, b in zip(seg_start, detour_before)]
+    idle_to = [s - b for s, b in zip(seg_end, detour_before)]
+    return (seg_end, detour_before, seg_start, idle_at, idle_to, osn.span,
+            osn.span - osn.total_detour)
 
 
 def _detour_window(t: int, dur: int, phase: int, tables) -> tuple[int, int, int]:

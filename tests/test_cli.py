@@ -752,6 +752,14 @@ class TestInputFaultNamesItsFile:
         assert proc.stderr == (f"error: {params}: 'utf-8' codec can't decode byte 0xff in "
                                "position 0: invalid start byte\n")
 
+    def test_stdin_that_is_not_utf8(self, params_file):
+        # Stdin is decoded as a file is, not with the interpreter's error handler.
+        proc = subprocess.run([sys.executable, "-m", "nsim.cli", "sim", "run", "--params",
+                               params_file], input=b"\xff{}", capture_output=True, timeout=120)
+        assert proc.returncode == 3
+        assert proc.stderr == (b"error: 'utf-8' codec can't decode byte 0xff in position 0: "
+                               b"invalid start byte\n")
+
     @pytest.mark.parametrize("command", ["cost", "report_box"])
     def test_results_named_once(self, tmp_path, command):
         # The results file is read and checked in one place, so it is named once.
@@ -860,11 +868,35 @@ def test_byte_order_mark_reads_as_the_plain_file(runner, params_file, tmp_path, 
     assert outputs[0] == outputs[1]
 
 
+@pytest.mark.parametrize("kind", ["trace", "goal"])
+def test_byte_order_mark_on_stdin_reads_as_the_plain_text(runner, params_file, kind):
+    # Stdin is read as bytes and decoded as a file is, whatever the locale.
+    content, args = {
+        "trace": ("timestamp_ns,value,unit\n0,7000,ns\n",
+                  ["trace", "dist", "--in", "-", "--unit", "ns"]),
+        "goal": (_TWO_RANK_MESSAGE, ["sim", "run", "--reps", "3", "--params", params_file]),
+    }[kind]
+    outputs = []
+    for bom in (b"", codecs.BOM_UTF8):
+        r = _invoke(runner, args, input=bom + content.encode())
+        assert r.exit_code == 0, r.output
+        outputs.append(json.loads(r.stdout)["results"] if kind == "goal" else r.stdout)
+    assert outputs[0] == outputs[1]
+
+
 def test_price_label_choice_is_the_cost_labels():
     from nsim import cost
 
     label = next(p for p in cli.commands["cost"].params if p.name == "label")
     assert tuple(label.type.choices) == cost.PRICE_LABELS
+
+
+def test_compapp_pattern_choice_is_the_generator_table():
+    from nsim import goal
+
+    pattern = next(p for p in cli.commands["gen"].commands["compapp"].params
+                   if p.name == "pattern")
+    assert tuple(pattern.type.choices) == tuple(goal._COMPAPP)
 
 
 class TestBench:

@@ -427,7 +427,8 @@ class TestComputeCollective:
         assert s.metadata["size_bytes"] == 65536
 
     def test_bad_pattern(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^unknown pattern 'alltoall' "
+                                             r"\(want dissemination or ring\)$"):
             gen_compute_collective(2, 0, "alltoall", 16, 1)
 
     def test_zero_iterations_rejected(self):

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+import pickle
 import subprocess
 import sys
 import tracemalloc
@@ -479,3 +481,29 @@ class TestDistributionChecks:
                                  "samples": list(samples)}))
         with pytest.raises(ValueError, match=match):
             load_distribution(p)
+
+
+@pytest.mark.parametrize("make", [
+    lambda unit="ns": EmpiricalDistribution((1.0, 2.5, 2.5, 7.0), unit),
+    lambda unit="ns": SampleTrace(((0, 1.5), (3, 2.0), (3, 9.0)), unit),
+    lambda unit="ratio": SampleTrace((), unit),
+], ids=["distribution", "trace", "empty_trace"])
+class TestNoiseValues:
+    """Both noise inputs are frozen, slotted dataclasses with checking constructors."""
+
+    def test_pickle_round_trip(self, make):
+        value = make()
+        copy = pickle.loads(pickle.dumps(value))
+        assert copy is not value and type(copy) is type(value)
+        assert copy == value and hash(copy) == hash(value) and repr(copy) == repr(value)
+
+    def test_equal_and_hash_follow_columns_and_unit(self, make):
+        assert make() == make() and hash(make()) == hash(make())
+        assert make() != make("gbps")
+
+    def test_assignment_refused(self, make):
+        value = make()
+        with pytest.raises(dataclasses.FrozenInstanceError,
+                           match="^cannot assign to field 'unit'$"):
+            value.unit = "gbps"
+        assert value == make() and not hasattr(value, "__dict__")

@@ -348,6 +348,16 @@ class TestOsNoise:
         mean = statistics.fmean(r.completion for r in runs)
         assert abs(mean - clean) / clean < 0.02
 
+    @pytest.mark.parametrize("batched", [False, True], ids=["per_op", "batch"])
+    def test_run_leaves_the_trace_as_built(self, batched):
+        # The idle-time tables are built afresh for each run, never kept on the trace.
+        trace = DetourTrace(((100, 50), (400, 200)), span=1000)
+        with mock.patch.object(simengine, "_use_batch", return_value=batched):
+            run_many(gen_dissemination(4, 16), SimConfig(params=P1, noise=NoiseModel(
+                os=trace)), 3)
+        assert vars(trace) == {"events": ((100, 50), (400, 200)), "span": 1000}
+        assert _detour_tables(trace) == _detour_tables(trace)
+
 
 class TestErrors:
     def test_unmatched_messages_rejected(self):
