@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING
 import click
 
 from .errors import (ClockResolutionError, DeadlockError, DetourLimitError,
-                     GoalSyntaxError, ScheduleValidationError, TraceFormatError)
+                     GoalSyntaxError, ScheduleValidationError, TraceFormatError, decode_json)
 from .units import COMPAPP_PATTERNS, PRICE_LABELS, UNIT_GBPS, UNIT_NS
 
 if TYPE_CHECKING:
@@ -129,7 +129,7 @@ def load_params_file(path: str) -> tuple[LogGPParams, dict]:
     from .model import LogGPParams
 
     with _reading(path):
-        doc = json.loads(_read_text(path))
+        doc = decode_json(_read_text(path))
         if not isinstance(doc, dict):
             raise ValueError("params file must hold a JSON object")
         values = {}
@@ -190,7 +190,7 @@ def cli(ctx: click.Context, config: str | None, error_json: bool) -> None:
     if config:
         try:
             with _reading(config):
-                default_map = json.loads(_read_text(config))
+                default_map = decode_json(_read_text(config))
                 _check_defaults(ctx.command, default_map, "config file")
         except (OSError, ValueError) as exc:  # exit 4, where the root would give 3
             _fail(ctx, EXIT_IO, exc)
@@ -415,7 +415,7 @@ def _check_float_range(key: str, values: list[int]) -> None:
 def _load_results(path: str, with_nranks: bool = False) -> tuple[list[int], int | None]:
     """Completion times of a `sim run` results file, plus metadata.nranks if asked."""
     with _reading(path):
-        doc = json.loads(_read_text(path))
+        doc = decode_json(_read_text(path))
         runs = doc.get("results") if isinstance(doc, dict) else None
         if not isinstance(runs, list) or not runs:
             raise ValueError("'results' must be a non-empty list of runs")

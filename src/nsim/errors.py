@@ -2,11 +2,13 @@
 
 Each class is re-exported by the module that raises it (``goal``, ``noise``,
 ``simengine``, ``bench``), so ``nsim.goal.GoalSyntaxError`` is
-``nsim.errors.GoalSyntaxError``. This module imports nothing, so the CLI can
-catch every one of them without loading the modules that raise them. The
-messages name no file: the CLI puts the path of the file it was reading in
-front of them.
+``nsim.errors.GoalSyntaxError``. This module imports only ``json``, so the
+CLI can catch every one of them without loading the modules that raise them.
+The messages name no file: the CLI puts the path of the file it was reading
+in front of them. ``decode_json`` is the JSON decoder of every reader.
 """
+
+import json
 
 __all__ = [
     "GoalSyntaxError",
@@ -15,7 +17,17 @@ __all__ = [
     "DeadlockError",
     "ClockResolutionError",
     "DetourLimitError",
+    "decode_json",
 ]
+
+
+def decode_json(text: str):
+    """``json.loads(text)``, where a document nested too deep to decode raises
+    json.JSONDecodeError, a ValueError, like other text that is not JSON."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise json.JSONDecodeError("nested too deeply to decode", text, 0) from None
 
 
 class GoalSyntaxError(ValueError):

@@ -36,14 +36,14 @@ import json
 import re
 import reprlib
 from array import array
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
 from itertools import accumulate, chain, compress, islice, repeat
-from operator import add, mod, not_
+from operator import add, ge, gt, mod, not_, sub
 from typing import Mapping
 
-from .errors import DeadlockError, GoalSyntaxError, ScheduleValidationError
+from .errors import DeadlockError, GoalSyntaxError, ScheduleValidationError, decode_json
 from .units import COMPAPP_PATTERNS
 
 __all__ = [
@@ -100,12 +100,6 @@ class ScheduleOp:
         object.__setattr__(self, "requires", frozenset(self.requires))
 
 
-def _op_id_error(op_id: int, rank: int) -> ValueError:
-    """The error for an op of rank ``rank`` whose id is not its position."""
-    return ValueError("op id must be >= 0" if op_id < 0
-                      else f"rank {rank}: op ids must be 0..n-1 in order")
-
-
 _COLUMNS = ("rank_offsets", "kinds", "peers", "sizes", "req_offsets", "req_targets")
 
 
@@ -113,13 +107,6 @@ def _csr(requires) -> tuple[list[int], list[int]]:
     """Per-op requires lists as CSR columns: per-op offsets, from 0, into one
     flat list of targets."""
     return list(accumulate(map(len, requires), initial=0)), list(chain.from_iterable(requires))
-
-
-def _rank_columns(rows) -> tuple:
-    """``add_rank``'s arguments from a rank's ops as (kind code, peer, size,
-    sorted requires) rows."""
-    kinds, peers, sizes, requires = zip(*rows) if rows else ((),) * 4
-    return (kinds, peers, sizes, *_csr(requires))
 
 
 class _Columns:
@@ -248,12 +235,14 @@ class Schedule:
             rows = []
             for pos, op in enumerate(rank_ops):
                 if op.id != pos:
-                    raise _op_id_error(op.id, rank)
+                    raise ValueError("op id must be >= 0" if op.id < 0
+                                     else f"rank {rank}: op ids must be 0..n-1 in order")
                 if op.kind == CALC and op.peer is not None:
                     raise ValueError("calc ops take no peer")
                 rows.append((_KIND_CODE[op.kind], -1 if op.peer is None else op.peer, op.size,
                              sorted(op.requires)))
-            cols.add_rank(*_rank_columns(rows))
+            kinds, peers, sizes, requires = zip(*rows) if rows else ((),) * 4
+            cols.add_rank(kinds, peers, sizes, *_csr(requires))
         return cols.schedule(nranks, metadata)
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -811,136 +800,33 @@ def gen_compute_collective(
 
 
 # ---------------------------------------------------------------------------
-# JSON export (mirrors the IR one-to-one)
+# JSON export: the IR's columns
 
-_SCHEDULE_SCHEMA = "nsim.schedule/1"
-
-
-# Per-op templates of the op entries json.dumps(doc, indent=2) writes, and the
-# lines of a requires list; schedule_to_json gives the same bytes.
-_JSON_OP = ('      {\n        "id": %d,\n        "kind": "send",\n        "peer": %d,\n'
-            '        "size_bytes": %d,\n        "requires": %s\n      }',
-            '      {\n        "id": %d,\n        "kind": "recv",\n        "peer": %d,\n'
-            '        "size_bytes": %d,\n        "requires": %s\n      }')
-_JSON_CALC = ('      {\n        "id": %d,\n        "kind": "calc",\n        "duration_ns": %d,\n'
-              '        "requires": %s\n      }')
-_JSON_REQ_SEP = ",\n          "
+_SCHEDULE_SCHEMA = "nsim.schedule/2"
 
 
 def schedule_to_json(schedule: Schedule) -> str:
-    """The schedule JSON document, as ``json.dumps(doc, indent=2)`` writes it.
-
-    Only the header and the metadata go through json; the op entries are
-    formatted from the columns.
-    """
-    head = json.dumps({
-        "schema": _SCHEDULE_SCHEMA,
-        "num_ranks": schedule.nranks,
-        "metadata": dict(schedule.metadata),
-        "ranks": [],
-    }, indent=2)
-    parts = [head[:-len("[]\n}")], "[\n"]
-    kinds, peers, sizes = schedule.kinds, schedule.peers, schedule.sizes
-    req, req_off, bounds = schedule.req_targets, schedule.req_offsets, schedule.rank_offsets
-    for rank in range(schedule.nranks):
-        lo, hi = bounds[rank], bounds[rank + 1]
-        if rank:
-            parts.append(",\n")
-        if lo == hi:
-            parts.append("    []")
-            continue
-        ops = []
-        for g in range(lo, hi):
-            a, b = req_off[g], req_off[g + 1]
-            reqs = ("[\n          " + _JSON_REQ_SEP.join(map(str, req[a:b])) + "\n        ]"
-                    if a != b else "[]")
-            k = kinds[g]
-            if k == KIND_CALC:
-                ops.append(_JSON_CALC % (g - lo, sizes[g], reqs))
-            else:
-                ops.append(_JSON_OP[k] % (g - lo, peers[g], sizes[g], reqs))
-        parts += ("    [\n", ",\n".join(ops), "\n    ]")
-    parts.append("\n  ]\n}\n")
-    return "".join(parts)
-
-
-def _op_int(entry: dict, key: str, r: int, i: int) -> int:
-    value = entry.get(key)
-    if type(value) is not int:
-        raise ValueError(f"rank {r} op entry {i}: {key!r} must be an integer, "
-                         f"got {reprlib.repr(value)}")
-    return value
-
-
-def _op_entry(entry: object, r: int, i: int) -> tuple[int, int, int, tuple[int, ...]]:
-    """Kind code, peer, size and sorted requires of op entry i of rank r.
-
-    Checks the entry's JSON types, that a calc has no peer and its id, and
-    raises ValueError naming the first fault; ``_Columns`` checks the values.
-    Runs only on a rank that ``_entry_columns`` refused, to name its fault.
-    """
-    if not isinstance(entry, dict):
-        raise ValueError(f"rank {r} op entry {i} must be an object, got {type(entry).__name__}")
-    kind = entry.get("kind")
-    if kind == CALC:
-        if entry.get("peer") is not None:
-            raise ValueError("calc ops take no peer")
-        peer, size = -1, _op_int(entry, "duration_ns", r, i)
-    elif kind == SEND or kind == RECV:
-        peer, size = _op_int(entry, "peer", r, i), _op_int(entry, "size_bytes", r, i)
-    else:
-        raise ValueError(f"rank {r} op entry {i}: 'kind' must be one of "
-                         f"{', '.join(KINDS)}, got {reprlib.repr(kind)}")
-    requires = entry.get("requires", [])
-    if not isinstance(requires, list) or not {int}.issuperset(map(type, requires)):
-        raise ValueError(f"rank {r} op entry {i}: 'requires' must be a list of integers")
-    op_id = entry.get("id")
-    if op_id != i or type(op_id) is not int:
-        raise _op_id_error(_op_int(entry, "id", r, i), r)
-    return _KIND_CODE[kind], peer, size, tuple(sorted(set(requires)))
-
-
-# What an op entry's kind code reads for its size, and the (kind code, peer
-# type) pairs _op_entry accepts: an integer peer, or none for a calc.
-_SIZE_KEY = ("size_bytes", "size_bytes", "duration_ns")
-_PEER_TYPES = {(KIND_SEND, int), (KIND_RECV, int), (KIND_CALC, type(None))}
-
-
-def _entry_columns(entries: list) -> tuple | None:
-    """``add_rank``'s arguments from a rank's op entries, their JSON types
-    checked a column at a time; None when some entry is not one that
-    ``_op_entry`` reads."""
-    try:
-        # dict.get refuses an entry that is not an object, and the kind map
-        # an unhashable kind, with a TypeError.
-        ids = list(map(dict.get, entries, repeat("id")))
-        codes = list(map(_KIND_CODE.get, map(dict.get, entries, repeat("kind"))))
-    except TypeError:
-        return None
-    if None in codes or ids != list(range(len(ids))) or not {int}.issuperset(map(type, ids)):
-        return None
-    peers = list(map(dict.get, entries, repeat("peer")))
-    sizes = list(map(dict.get, entries, map(_SIZE_KEY.__getitem__, codes)))
-    requires = list(map(dict.get, entries, repeat("requires"), repeat([])))
-    if not (_PEER_TYPES.issuperset(zip(codes, map(type, peers)))
-            and {int}.issuperset(map(type, sizes)) and {list}.issuperset(map(type, requires))
-            and {int}.issuperset(map(type, chain.from_iterable(requires)))):
-        return None
-    if KIND_CALC in codes:
-        peers = [-1 if p is None else p for p in peers]
-    return (codes, peers, sizes,
-            *_csr([q if len(q) < 2 else sorted(set(q)) for q in requires]))
+    """The schedule JSON document on one line: the header and the six IR
+    columns (see Schedule) as integer lists."""
+    doc = {"schema": _SCHEDULE_SCHEMA, "num_ranks": schedule.nranks,
+           "metadata": dict(schedule.metadata)}
+    doc.update((name, getattr(schedule, name).tolist()) for name in _COLUMNS)
+    return json.dumps(doc, separators=(",", ":")) + "\n"
 
 
 def schedule_from_json(text: str) -> Schedule:
     """Read a schedule JSON document; a malformed document raises ValueError.
 
-    Each rank's op entries are checked a column at a time; a rank that fails
-    is read again entry by entry (``_op_entry``) to name its first fault.
+    The columns' types, lengths and offsets, the kind codes, the calcs' peers
+    and the order of each op's requires are checked here; each rank's slice
+    then goes to ``_Columns.add_rank``, which checks and names its values.
     """
-    doc = json.loads(text)
+    doc = decode_json(text)
     if not isinstance(doc, dict):
         raise ValueError(f"schedule JSON must be an object, got {type(doc).__name__}")
+    if doc.get("schema") == "nsim.schedule/1":
+        raise ValueError("nsim.schedule/1 is no longer read; "
+                         "regenerate it with 'nsim gen ... --format json'")
     if doc.get("schema") != _SCHEDULE_SCHEMA:
         raise ValueError(f"unexpected schedule schema {reprlib.repr(doc.get('schema'))}")
     nranks = doc.get("num_ranks")
@@ -949,15 +835,29 @@ def schedule_from_json(text: str) -> Schedule:
     metadata = doc.get("metadata", {})
     if not isinstance(metadata, dict):
         raise ValueError(f"'metadata' must be an object, got {type(metadata).__name__}")
-    ranks_doc = doc.get("ranks")
-    if not isinstance(ranks_doc, list):
-        raise ValueError(f"'ranks' must be a list, got {type(ranks_doc).__name__}")
+    for name in _COLUMNS:
+        if type(doc.get(name)) is not list or not {int}.issuperset(map(type, doc[name])):
+            raise ValueError(f"{name!r} must be a list of integers")
+    bounds, kinds, peers, sizes, req_off, req = map(doc.get, _COLUMNS)
+    n = len(kinds)
+    if not len(peers) == len(sizes) == len(req_off) - 1 == n:
+        raise ValueError("'kinds', 'peers' and 'sizes' must have one entry per op, "
+                         "and 'req_offsets' one more")
+    for name, offsets, end in (("rank_offsets", bounds, n), ("req_offsets", req_off, len(req))):
+        if offsets[:1] != [0] or offsets[-1] != end or any(map(gt, offsets, offsets[1:])):
+            raise ValueError(f"{name!r} must run from 0 to {end} and never decrease")
+    if not {KIND_SEND, KIND_RECV, KIND_CALC}.issuperset(kinds):
+        raise ValueError("'kinds' must hold the codes 0 (send), 1 (recv) and 2 (calc)")
+    if not {-1}.issuperset(compress(peers, map(KIND_CALC.__eq__, kinds))):
+        raise ValueError("calc ops take no peer")
+    unsorted = set(compress(range(1, len(req)), map(ge, req, islice(req, 1, None))))
+    if not unsorted.issubset(req_off):
+        g = bisect_right(req_off, min(unsorted - set(req_off))) - 1
+        r = bisect_right(bounds, g) - 1
+        raise ValueError(f"rank {r} op {g - bounds[r]}: requires must be sorted and unique")
     cols = _Columns()
-    for r, rank_ops in enumerate(ranks_doc):
-        if not isinstance(rank_ops, list):
-            raise ValueError(f"rank {r}'s ops must be a list, got {type(rank_ops).__name__}")
-        columns = _entry_columns(rank_ops)
-        if columns is None:
-            columns = _rank_columns([_op_entry(entry, r, i) for i, entry in enumerate(rank_ops)])
-        cols.add_rank(*columns)
+    for lo, hi in zip(bounds, islice(bounds, 1, None)):
+        base = req_off[lo]
+        cols.add_rank(kinds[lo:hi], peers[lo:hi], sizes[lo:hi],
+                      list(map(sub, req_off[lo:hi + 1], repeat(base))), req[base:req_off[hi]])
     return _validated(cols.schedule(nranks, metadata))

@@ -30,7 +30,7 @@ from itertools import islice, repeat
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple
 
-from .errors import TraceFormatError
+from .errors import TraceFormatError, decode_json
 from .model import (
     UNIT_GBPS,
     UNIT_NS,
@@ -429,7 +429,7 @@ def save_distribution(dist: EmpiricalDistribution, path: str | Path) -> None:
 
 def parse_distribution(text: str) -> EmpiricalDistribution:
     """Read distribution JSON text; a malformed document raises ValueError."""
-    doc = json.loads(text)
+    doc = decode_json(text)
     if not isinstance(doc, dict):
         raise ValueError(f"distribution JSON must be an object, got {type(doc).__name__}")
     if doc.get("schema") != _DIST_SCHEMA:

@@ -261,28 +261,27 @@ def ks_distance(sample_a, sample_b) -> float:
     return d
 
 
-def schedule_to_json(schedule) -> str:
-    """The schedule JSON document, built as a dict and dumped with indent 2."""
-    ranks = []
-    for rank_ops in schedule.ops:
-        ops = []
+def schedule_doc(nranks, ops, metadata=None) -> dict:
+    """The schedule JSON document of per-rank ScheduleOp sequences, its columns
+    appended op by op. The values are not checked, so a test can write faults."""
+    doc = {"schema": "nsim.schedule/2", "num_ranks": nranks, "metadata": dict(metadata or {}),
+           "rank_offsets": [0], "kinds": [], "peers": [], "sizes": [], "req_offsets": [0],
+           "req_targets": []}
+    for rank_ops in ops:
         for op in rank_ops:
-            entry: dict[str, object] = {"id": op.id, "kind": op.kind}
-            if op.kind == "calc":
-                entry["duration_ns"] = op.size
-            else:
-                entry["peer"] = op.peer
-                entry["size_bytes"] = op.size
-            entry["requires"] = sorted(op.requires)
-            ops.append(entry)
-        ranks.append(ops)
-    doc = {
-        "schema": "nsim.schedule/1",
-        "num_ranks": schedule.nranks,
-        "metadata": dict(schedule.metadata),
-        "ranks": ranks,
-    }
-    return json.dumps(doc, indent=2, sort_keys=False) + "\n"
+            doc["kinds"].append(("send", "recv", "calc").index(op.kind))
+            doc["peers"].append(-1 if op.peer is None else op.peer)
+            doc["sizes"].append(op.size)
+            doc["req_targets"] += sorted(op.requires)
+            doc["req_offsets"].append(len(doc["req_targets"]))
+        doc["rank_offsets"].append(len(doc["kinds"]))
+    return doc
+
+
+def schedule_to_json(schedule) -> str:
+    """The schedule JSON document of ``schedule``'s ScheduleOp views."""
+    return json.dumps(schedule_doc(schedule.nranks, schedule.ops, schedule.metadata),
+                      separators=(",", ":")) + "\n"
 
 
 def emit_goal(schedule) -> str:

@@ -12,7 +12,7 @@ from click.testing import CliRunner
 
 from nsim.bench import BenchPlan, EchoServer, pingpong, pingpong_bidirectional
 from nsim.cli import cli, dump_params_file, load_params_file
-from nsim.goal import parse_goal, schedule_from_json
+from nsim.goal import parse_goal, schedule_from_json, schedule_to_json
 from nsim.model import DetourTrace, LogGPParams
 from nsim.noise import format_detour_trace
 
@@ -68,8 +68,13 @@ def test_cli_import_leaves_numpy_unloaded():
     assert proc.stdout.strip() == "[False, False]"
 
 
+_CALC_SEND_RECV = ("num_ranks 2\nrank 0 { a: calc 5000\nb: send 4b to 1\nb requires a }\n"
+                   "rank 1 { a: recv 4b from 0 }\n")
+
+
 def test_per_op_run_with_os_noise_leaves_numpy_unloaded(params_file, tmp_path):
-    # A small run stays on the per-op engine, whose detour tables are lists.
+    # A small run stays on the per-op engine, whose detour tables are lists,
+    # and neither schedule reader, text or JSON, imports numpy.
     detour = tmp_path / "detour.csv"
     detour.write_text(format_detour_trace(DetourTrace(((100, 50), (400, 200)), span=1000)),
                       encoding="utf-8")
@@ -79,14 +84,13 @@ def test_per_op_run_with_os_noise_leaves_numpy_unloaded(params_file, tmp_path):
             f"cli(['sim', 'run', '--params', {params_file!r}, '--noise-os', {str(detour)!r},"
             f" '--reps', '3', '--out', {str(out)!r}], standalone_mode=False)\n"
             "print('numpy' in sys.modules)\n")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          input="num_ranks 2\nrank 0 { a: calc 5000\nb: send 4b to 1\n"
-                                "b requires a }\nrank 1 { a: recv 4b from 0 }\n",
-                          timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
-    runs = json.loads(out.read_text())["results"]
-    assert len(runs) == 3 and all(r["completion_ns"] > 8000 for r in runs)
+    for schedule in (_CALC_SEND_RECV, schedule_to_json(parse_goal(_CALC_SEND_RECV))):
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              input=schedule, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+        runs = json.loads(out.read_text())["results"]
+        assert len(runs) == 3 and all(r["completion_ns"] > 8000 for r in runs)
 
 
 class TestGen:
@@ -500,13 +504,41 @@ _TWO_RANK_MESSAGE = "num_ranks 2\nrank 0 { a: send 4b to 1 }\nrank 1 { a: recv 4
 class TestMalformedInputExit:
     """Malformed input documents are refused at load with one line, no traceback."""
 
-    @pytest.mark.parametrize("doc", [
-        {"schema": "nsim.schedule/1", "num_ranks": 1, "ranks": [[{"id": 0}]]},
-        {"schema": "nsim.schedule/1", "num_ranks": 1, "ranks": ["abc"]},
-    ], ids=["op_without_kind", "rank_is_string"])
-    def test_schedule_json_exit_3(self, params_file, doc):
+    @pytest.mark.parametrize("change", [
+        {"kinds": [0]},
+        {"rank_offsets": [0, "abc", 2]},
+        {"kinds": [0, True]},
+        {"rank_offsets": [0, 2, 1, 2]},
+        {"schema": "nsim.schedule/1", "ranks": [[], []]},
+    ], ids=["op_without_kind", "rank_is_string", "bool_kind", "rank_offsets_decrease",
+            "schema_1"])
+    def test_schedule_json_exit_3(self, params_file, change):
+        doc = {**json.loads(schedule_to_json(parse_goal(_TWO_RANK_MESSAGE))), **change}
         proc = _run_cli("sim", "run", "--params", params_file, input=json.dumps(doc))
         _assert_clean_exit(proc, 3)
+        assert len(proc.stderr.splitlines()) == 1
+        if "ranks" in change:
+            assert proc.stderr == ("error: nsim.schedule/1 is no longer read; "
+                                   "regenerate it with 'nsim gen ... --format json'\n")
+
+    @pytest.mark.parametrize("reader", ["goal", "params", "noise_lat", "report_box"])
+    def test_deeply_nested_json_exit_4(self, params_file, tmp_path, reader):
+        # Too deep for the JSON decoder, like any other text that is not JSON.
+        deep = tmp_path / "deep.json"
+        deep.write_text('{"schema": ' + "[" * 200_000 + "]" * 200_000 + "}")
+        goal = tmp_path / "s.goal"
+        goal.write_text(_TWO_RANK_MESSAGE)
+        args = {
+            "goal": ["sim", "run", "--params", params_file, "--goal", str(deep)],
+            "params": ["sim", "run", "--params", str(deep), "--goal", str(goal)],
+            "noise_lat": ["sim", "run", "--params", params_file, "--goal", str(goal),
+                          "--noise-lat", str(deep)],
+            "report_box": ["report", "box", str(deep)],
+        }[reader]
+        proc = _run_cli(*args)
+        _assert_clean_exit(proc, 4)
+        assert proc.stderr == (f"error: {deep}: nested too deeply to decode: "
+                               "line 1 column 1 (char 0)\n")
 
     @pytest.mark.parametrize("doc", [
         {"schema": "nsim.dist/1", "unit": "ns", "samples": [None]},
@@ -780,10 +812,12 @@ def _requires_later_op(runner, fmt, nranks, later, ranks):
     of each of ``ranks`` also requiring op ``later`` of its rank."""
     text = _invoke(runner, ["gen", "dissem", "-p", str(nranks), "-s", "16",
                             "--format", fmt]).output
-    if fmt == "json":
+    if fmt == "json":  # op 0 of rank r is op rank_offsets[r] of the columns
         doc = json.loads(text)
         for r in ranks:
-            doc["ranks"][r][0]["requires"] = [later]
+            g = doc["rank_offsets"][r]
+            doc["req_targets"].insert(doc["req_offsets"][g], later)
+            doc["req_offsets"][g + 1:] = [x + 1 for x in doc["req_offsets"][g + 1:]]
         return json.dumps(doc)
     bodies = text.split("\n}")  # body r ends where rank r's block closes
     for r in ranks:

@@ -27,6 +27,7 @@ from nsim.goal import (
     schedule_to_json,
     validate,
 )
+from oracles import schedule_doc
 
 
 class TestParse:
@@ -436,15 +437,25 @@ class TestComputeCollective:
             gen_compute_collective(2, 0, "ring", 16, 0)
 
 
+def _calc_doc(**fields) -> dict:
+    """A schedule JSON document of one rank's three calcs, op 1 requiring op 0
+    and op 2 ops 0 and 1, with ``fields`` replacing its fields."""
+    return {"schema": "nsim.schedule/2", "num_ranks": 1, "rank_offsets": [0, 3],
+            "kinds": [2, 2, 2], "peers": [-1, -1, -1], "sizes": [1, 1, 1],
+            "req_offsets": [0, 0, 1, 3], "req_targets": [0, 0, 1], **fields}
+
+
 class TestJson:
     @pytest.mark.parametrize("make", [
         lambda: gen_dissemination(5, 16),
         lambda: gen_ring_allreduce(4, 512, 7),
         lambda: gen_compute_collective(3, 11, "ring", 30, 2),
+        lambda: gen_compute_collective(5, 11, "dissemination", 30, 3),
     ])
     def test_roundtrip(self, make):
         s = make()
-        assert schedule_from_json(schedule_to_json(s)) == s
+        back = schedule_from_json(schedule_to_json(s))
+        assert back == s and back.metadata == s.metadata
 
     def test_metadata_retained(self):
         s = gen_dissemination(4, 16)
@@ -457,65 +468,54 @@ class TestJson:
 
     @pytest.mark.parametrize("doc, message", [
         ([], "must be an object"),
-        ({"num_ranks": "1", "ranks": [[]]}, "'num_ranks' must be an integer"),
-        ({"num_ranks": 1, "ranks": [[]], "metadata": []}, "'metadata' must be an object"),
-        ({"num_ranks": 1, "ranks": {}}, "'ranks' must be a list"),
-        ({"num_ranks": 1, "ranks": ["abc"]}, "rank 0's ops must be a list"),
-        ({"num_ranks": 1, "ranks": [[7]]}, "op entry 0 must be an object"),
-        ({"num_ranks": 1, "ranks": [[{"id": 0}]]}, "'kind' must be one of"),
-        ({"num_ranks": 1, "ranks": [[{"id": "0", "kind": "calc", "duration_ns": 1}]]},
-         "'id' must be an integer"),
-        ({"num_ranks": 1, "ranks": [[{"id": 0, "kind": "calc"}]]},
-         "'duration_ns' must be an integer"),
-        ({"num_ranks": 2, "ranks": [[{"id": 0, "kind": "send", "peer": "1",
-                                      "size_bytes": 4}], []]}, "'peer' must be an integer"),
-        ({"num_ranks": 2, "ranks": [[{"id": 0, "kind": "send", "peer": 1,
-                                      "size_bytes": True}], []]},
-         "'size_bytes' must be an integer"),
-        ({"num_ranks": 1, "ranks": [[{"id": 0, "kind": "calc", "duration_ns": 1,
-                                      "requires": 0}]]}, "'requires' must be a list of integers"),
-        ({"num_ranks": 1, "ranks": [[{"id": 0, "kind": "calc", "duration_ns": 1,
-                                      "requires": [None]}]]},
-         "'requires' must be a list of integers"),
-        # Faults in the second entry of a rank, after one the column checks
-        # accept: the entry-by-entry replay names each.
-        ({"num_ranks": 1, "ranks": [[{"id": 0, "kind": "calc", "duration_ns": 1},
-                                     {"id": True, "kind": "calc", "duration_ns": 1}]]},
-         re.escape("rank 0 op entry 1: 'id' must be an integer, got True")),
-        ({"num_ranks": 1, "ranks": [[{"id": 0, "kind": "calc", "duration_ns": 1},
-                                     {"id": 1, "kind": ["calc"], "duration_ns": 1}]]},
-         re.escape("rank 0 op entry 1: 'kind' must be one of send, recv, calc, "
-                   "got ['calc']")),
-        ({"num_ranks": 1, "ranks": [[{"id": 0, "kind": "calc", "duration_ns": 1},
-                                     {"id": 1, "kind": {}, "duration_ns": 1}]]},
-         re.escape("rank 0 op entry 1: 'kind' must be one of send, recv, calc, got {}")),
-        ({"num_ranks": 1, "ranks": [[{"id": 0, "kind": "calc", "duration_ns": 1},
-                                     {"id": 1, "kind": "calc", "duration_ns": 1},
-                                     {"id": 2, "kind": "calc", "duration_ns": 1,
-                                      "requires": [1, True]}]]},
-         "rank 0 op entry 2: 'requires' must be a list of integers"),
-        ({"num_ranks": 1, "ranks": [[{"id": 0, "kind": "calc", "duration_ns": 1},
-                                     {"id": 1, "kind": "calc", "duration_ns": 1,
-                                      "requires": [0, 0.0]}]]},
-         "rank 0 op entry 1: 'requires' must be a list of integers"),
-        ({"num_ranks": 1, "ranks": [[{"id": 0, "kind": "calc", "duration_ns": 1},
-                                     {"id": 1, "kind": "calc", "duration_ns": 1,
-                                      "requires": [0, "0"]}]]},
-         "rank 0 op entry 1: 'requires' must be a list of integers"),
-        ({"num_ranks": 2, "ranks": [[], [{"id": 0, "kind": "calc", "duration_ns": 1},
-                                         {"id": 1, "kind": "calc", "peer": 0,
-                                          "duration_ns": 1}]]}, "calc ops take no peer"),
-        ({"num_ranks": 1, "ranks": [[{"id": 0, "kind": "calc", "duration_ns": 1}, 7]]},
-         "rank 0 op entry 1 must be an object, got int"),
-        ({"num_ranks": 2, "ranks": [[{"id": 0, "kind": "send", "peer": 1, "size_bytes": 4},
-                                     {"id": 1, "kind": "send", "peer": 1}], []]},
-         re.escape("rank 0 op entry 1: 'size_bytes' must be an integer, got None")),
+        (_calc_doc(num_ranks="1"), "'num_ranks' must be an integer"),
+        (_calc_doc(metadata=[]), "'metadata' must be an object"),
+        (_calc_doc(schema="nope"), "unexpected schedule schema 'nope'"),
+        ({"schema": "nsim.schedule/1", "num_ranks": 1, "ranks": [[]]},
+         re.escape("nsim.schedule/1 is no longer read; "
+                   "regenerate it with 'nsim gen ... --format json'")),
+        pytest.param("[" * 100_000 + "]" * 100_000, "nested too deeply to decode",
+                     id="nested_too_deeply"),
+        # A column that is not a list of ints: bools and floats equal to an int included
+        (_calc_doc(kinds={}), "'kinds' must be a list of integers"),
+        (_calc_doc(rank_offsets="abc"), "'rank_offsets' must be a list of integers"),
+        (_calc_doc(sizes=None), "'sizes' must be a list of integers"),
+        (_calc_doc(kinds=[2, 2, None]), "'kinds' must be a list of integers"),
+        (_calc_doc(kinds=[2, ["calc"], 2]), "'kinds' must be a list of integers"),
+        (_calc_doc(kinds=[2, {}, 2]), "'kinds' must be a list of integers"),
+        (_calc_doc(kinds=[2, True, 2]), "'kinds' must be a list of integers"),
+        (_calc_doc(peers=[-1, "1", -1]), "'peers' must be a list of integers"),
+        (_calc_doc(sizes=[1, 1, True]), "'sizes' must be a list of integers"),
+        (_calc_doc(sizes=[1, 1.0, 1]), "'sizes' must be a list of integers"),
+        (_calc_doc(req_offsets=[0, 0, 1, 3.0]), "'req_offsets' must be a list of integers"),
+        (_calc_doc(req_targets=0), "'req_targets' must be a list of integers"),
+        (_calc_doc(req_targets=[0, 0, None]), "'req_targets' must be a list of integers"),
+        (_calc_doc(peers=[-1, 0, -1]), "calc ops take no peer"),
+        (_calc_doc(req_targets=[0, 0, True]), "'req_targets' must be a list of integers"),
+        (_calc_doc(req_targets=[0, 0, 0.0]), "'req_targets' must be a list of integers"),
+        (_calc_doc(req_targets=[0, 0, "0"]), "'req_targets' must be a list of integers"),
+        # Lengths and offsets
+        (_calc_doc(sizes=[1, 1]), "one entry per op"),
+        (_calc_doc(peers=[-1, -1, -1, -1]), "one entry per op"),
+        (_calc_doc(req_offsets=[0, 0, 1]), "one entry per op"),
+        (_calc_doc(rank_offsets=[]), "'rank_offsets' must run from 0 to 3"),
+        (_calc_doc(rank_offsets=[1, 3]), "'rank_offsets' must run from 0 to 3"),
+        (_calc_doc(rank_offsets=[0, 2]), "'rank_offsets' must run from 0 to 3"),
+        (_calc_doc(num_ranks=3, rank_offsets=[0, 2, 1, 3]), "'rank_offsets' must run from 0"),
+        (_calc_doc(req_offsets=[1, 1, 1, 3]), "'req_offsets' must run from 0 to 3"),
+        (_calc_doc(req_offsets=[0, 0, 1, 2]), "'req_offsets' must run from 0 to 3"),
+        (_calc_doc(req_offsets=[0, 2, 1, 3]), "'req_offsets' must run from 0 to 3"),
+        # Kind codes and requires order
+        (_calc_doc(kinds=[2, 2, 3]), re.escape("'kinds' must hold the codes 0 (send), 1")),
+        (_calc_doc(kinds=[2, -1, 2]), re.escape("'kinds' must hold the codes 0 (send), 1")),
+        (_calc_doc(req_targets=[0, 1, 0]), "rank 0 op 2: requires must be sorted and unique"),
+        (_calc_doc(req_targets=[0, 1, 1]), "rank 0 op 2: requires must be sorted and unique"),
+        (_calc_doc(num_ranks=3, rank_offsets=[0, 0, 3, 3], req_targets=[0, 1, 0]),
+         "rank 1 op 2: requires must be sorted and unique"),
     ])
     def test_malformed_document_rejected(self, doc, message):
-        if isinstance(doc, dict):
-            doc = {"schema": "nsim.schedule/1", **doc}
         with pytest.raises(ValueError, match=message):
-            schedule_from_json(json.dumps(doc))
+            schedule_from_json(doc if isinstance(doc, str) else json.dumps(doc))
 
 
 @settings(max_examples=60, deadline=None)
@@ -618,115 +618,78 @@ def test_round_trips_are_byte_identical(schedule):
     assert emit_goal(parse_goal(text)) == text
 
 
+@st.composite
+def broken_documents(draw):
+    """The JSON document of a ``runnable_schedules`` example with one column
+    changed: an element made junk, an int appended, an element dropped, two
+    requires of one op swapped or a kind code made 3."""
+    doc = json.loads(schedule_to_json(draw(runnable_schedules())))
+    req, req_off = doc["req_targets"], doc["req_offsets"]
+    pairs = [j for j in range(1, len(req)) if j not in req_off]  # req[j - 1] is of the same op
+    change = draw(st.sampled_from(["junk", "append", "drop"] + ["swap"] * bool(pairs)
+                                  + ["kind"] * bool(doc["kinds"])))
+    if change == "swap":
+        j = draw(st.sampled_from(pairs))
+        req[j - 1], req[j] = req[j], req[j - 1]
+    elif change == "kind":
+        doc["kinds"][draw(st.integers(0, len(doc["kinds"]) - 1))] = 3
+    else:
+        column = doc[draw(st.sampled_from([c for c in _COLUMNS if doc[c] or change == "append"]))]
+        if change == "append":
+            column.append(draw(st.integers(-1, 2**64)))
+        elif change == "drop":
+            del column[draw(st.integers(0, len(column) - 1))]
+        else:
+            column[draw(st.integers(0, len(column) - 1))] = draw(
+                st.sampled_from([None, True, 1.0, "1", []]))
+    return json.dumps(doc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=broken_documents())
+def test_a_changed_column_is_a_value_error(text):
+    # Never a TypeError, IndexError or OverflowError from a junk or misplaced value.
+    with pytest.raises(ValueError):
+        schedule_from_json(text)
+
+
 def test_ops_view_round_trips_through_constructor():
     s = gen_compute_collective(3, 50, "ring", 30, 2)
     assert Schedule(s.nranks, s.ops, s.metadata) == s
     assert s.op_count() == sum(len(r) for r in s.ops)
 
 
-# Op entries that the JSON loader rejects with the same message as the
-# ScheduleOp/Schedule constructor on the same op list.
+# Op lists that the ScheduleOp/Schedule constructor and the JSON loader reject
+# with the same message; JSON has no op ids, so the id faults are the
+# constructor's alone.
 _CONSTRUCTOR_FAULTS = [
-    ("negative_id", [[{"id": -1, "kind": "calc", "duration_ns": 1}]], "op id must be >= 0"),
-    ("negative_duration", [[{"id": 0, "kind": "calc", "duration_ns": -1}]],
-     "calc duration must be >= 0 ns"),
-    ("negative_peer", [[{"id": 0, "kind": "send", "peer": -2, "size_bytes": 1}], []],
-     "send needs a peer rank >= 0"),
-    ("zero_size", [[], [{"id": 0, "kind": "recv", "peer": 0, "size_bytes": 0}]],
-     "recv size must be >= 1 byte"),
-    ("ids_out_of_order", [[{"id": 1, "kind": "calc", "duration_ns": 1}]],
-     "rank 0: op ids must be 0..n-1 in order"),
-    ("unknown_requires", [[{"id": 0, "kind": "calc", "duration_ns": 1, "requires": [3, -1]}]],
-     "rank 0 op 0: unknown requires [-1, 3]"),
+    ("negative_id", [[(-1, CALC, None, 1)]], "op id must be >= 0"),
+    ("negative_duration", [[(0, CALC, None, -1)]], "calc duration must be >= 0 ns"),
+    ("negative_peer", [[(0, SEND, -2, 1)], []], "send needs a peer rank >= 0"),
+    ("zero_size", [[], [(0, RECV, 0, 0)]], "recv size must be >= 1 byte"),
+    ("ids_out_of_order", [[(1, CALC, None, 1)]], "rank 0: op ids must be 0..n-1 in order"),
+    ("unknown_requires", [[(0, CALC, None, 1, {3, -1})]], "rank 0 op 0: unknown requires [-1, 3]"),
     ("rank_count", [[], []], "expected 1 rank op lists, got 2"),
-    ("calc_with_peer", [[{"id": 0, "kind": "calc", "peer": 1, "duration_ns": 1}]],
-     "calc ops take no peer"),
+    ("calc_with_peer", [[(0, CALC, 1, 1)]], "calc ops take no peer"),
 ]
+_ID_FAULTS = {"negative_id", "ids_out_of_order"}
 
 
-@pytest.mark.parametrize("ranks, message", [row[1:] for row in _CONSTRUCTOR_FAULTS],
+@pytest.mark.parametrize("fault, ranks, message", _CONSTRUCTOR_FAULTS,
                          ids=[row[0] for row in _CONSTRUCTOR_FAULTS])
-def test_json_loader_and_constructor_agree_on_faults(ranks, message):
-    def op(entry):
-        kind = entry["kind"]
-        size = entry["duration_ns"] if kind == CALC else entry["size_bytes"]
-        return ScheduleOp(entry["id"], kind, entry.get("peer"), size,
-                          frozenset(entry.get("requires", ())))
-
-    nranks = 1 if message.startswith("expected") else len(ranks)
+def test_json_loader_and_constructor_agree_on_faults(fault, ranks, message):
+    nranks = 1 if fault == "rank_count" else len(ranks)
+    ops = [[ScheduleOp(*op) for op in rank] for rank in ranks]
     with pytest.raises(ValueError) as built:
-        Schedule(nranks, [[op(e) for e in rank] for rank in ranks])
-    with pytest.raises(ValueError) as loaded:
-        schedule_from_json(json.dumps({"schema": "nsim.schedule/1", "num_ranks": nranks,
-                                       "ranks": ranks}))
-    assert str(built.value) == str(loaded.value) == message
+        Schedule(nranks, ops)
+    assert str(built.value) == message
+    if fault not in _ID_FAULTS:
+        with pytest.raises(ValueError) as loaded:
+            schedule_from_json(json.dumps(schedule_doc(nranks, ops)))
+        assert str(loaded.value) == message
 
 
-from nsim.goal import _entry_columns, _op_entry, _rank_columns  # noqa: E402
-
-# JSON values no op entry field takes, unhashable ones and ones equal to 0 or
-# 1 included.
-_JUNK = st.sampled_from([None, True, False, 0.0, 1.0, "1", 1.5, [], {}, [1], ["calc"],
-                         {"a": 1}])
-
-
-@st.composite
-def op_entries(draw):
-    """A rank's op entries as JSON documents hold them: valid ones, then up to
-    three faults: a field dropped or set to junk, junk inside requires, or
-    an entry that is no object."""
-    n = draw(st.integers(0, 6))
-    entries = []
-    for i in range(n):
-        kind = draw(st.sampled_from((SEND, RECV, CALC)))
-        entry = {"id": i, "kind": kind}
-        if kind == CALC:
-            entry["duration_ns"] = draw(st.integers(0, 9))
-            if draw(st.booleans()):
-                entry["peer"] = None
-        else:
-            entry["peer"] = draw(st.integers(0, 3))
-            entry["size_bytes"] = draw(st.integers(1, 9))
-        if draw(st.booleans()):
-            entry["requires"] = draw(st.lists(st.integers(-1, n), max_size=4))
-        entries.append(entry)
-    for _ in range(draw(st.integers(0, 3)) if entries else 0):
-        i = draw(st.integers(0, n - 1))
-        fault = draw(st.sampled_from(("drop", "junk", "requires", "entry")))
-        if fault == "entry" or not isinstance(entries[i], dict):
-            entries[i] = draw(_JUNK | st.integers())
-            continue
-        key = draw(st.sampled_from(("id", "kind", "peer", "size_bytes", "duration_ns",
-                                    "requires")))
-        if fault == "drop":
-            entries[i].pop(key, None)
-        elif fault == "junk":
-            entries[i][key] = draw(_JUNK)
-        else:  # junk, or a float or bool equal to a target, which a set would merge
-            targets = entries[i].get("requires")
-            targets = targets if isinstance(targets, list) else []
-            twins = [t for x in targets if type(x) is int for t in (float(x), x == 1)
-                     if t == x]
-            entries[i]["requires"] = [*targets, draw(st.sampled_from(twins) | _JUNK
-                                                     if twins else _JUNK)]
-    return entries
-
-
-@settings(max_examples=500, deadline=None)
-@given(entries=op_entries())
-def test_entry_columns_agree_with_op_entry(entries):
-    # The column checks accept exactly the ranks that _op_entry reads entry
-    # by entry, and give the same columns.
-    try:
-        want = _rank_columns([_op_entry(e, 0, i) for i, e in enumerate(entries)])
-    except ValueError:
-        want = None
-    got = _entry_columns(entries)
-    assert (got if got is None else [list(col) for col in got]) == (
-        want if want is None else [list(col) for col in want])
-
-
-# The op entry field that holds each fault, and the message naming it.
+# The field of the corrupt op that holds each fault, and the message naming it.
 _OP_FAULTS = {
     "peer": "{kind} needs a peer rank >= 0",
     "size_bytes": "{kind} size must be >= 1 byte",
@@ -763,7 +726,13 @@ def test_loaders_name_a_corrupt_op_alike_at_any_position(base, data):
     else:
         value = 0 if field == "size_bytes" else -data.draw(st.integers(1, 3))
         ops[r][i] = ScheduleOp(i, kind, peer, value, requires)
-    doc["ranks"][r][i][field] = value
+    g = doc["rank_offsets"][r] + i  # op i of rank r is element g of the op columns
+    if field == "requires":  # one target more
+        lo, hi = doc["req_offsets"][g:g + 2]
+        doc["req_targets"][lo:hi] = value
+        doc["req_offsets"][g + 1:] = [x + 1 for x in doc["req_offsets"][g + 1:]]
+    else:
+        doc["peers" if field == "peer" else "sizes"][g] = value
     message = _OP_FAULTS[field].format(kind=kind, r=r, i=i, bad=bad)
     with pytest.raises(ValueError) as built:
         Schedule(nranks, ops)
@@ -843,9 +812,8 @@ def test_rank_append_matches_op_by_op_oracle(ranks):
 
 
 @pytest.mark.parametrize("load", [
-    lambda size: schedule_from_json(json.dumps({
-        "schema": "nsim.schedule/1", "num_ranks": 1,
-        "ranks": [[{"id": 0, "kind": "calc", "duration_ns": size}]]})),
+    lambda size: schedule_from_json(json.dumps(
+        schedule_doc(1, [[ScheduleOp(0, CALC, None, size)]]))),
     lambda size: parse_goal(f"num_ranks 1\nrank 0 {{ a: calc {size} }}"),
     lambda size: Schedule(1, [[ScheduleOp(0, CALC, None, size)]]),
     lambda size: gen_dissemination(2, size),
