@@ -102,10 +102,7 @@ def _write_text(path: str, content: str) -> None:
         try:
             sys.stdout.write(content)
             sys.stdout.flush()
-        except BrokenPipeError:
-            # The reader has gone, so say nothing more; stdout goes to devnull
-            # so that the flush at exit does not fail again.
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        except BrokenPipeError:  # the reader has gone: say nothing; main() exits 4
             sys.exit(EXIT_IO)
     else:
         Path(path).write_text(content, encoding="utf-8")
@@ -641,7 +638,20 @@ def bench_detour(records: int, threshold: float, probe: int,
 
 
 def main() -> None:
-    cli(auto_envvar_prefix="NSIM")
+    # nsim calls no BLAS routine: spare each process OpenBLAS's thread-per-core start.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    try:
+        cli(auto_envvar_prefix="NSIM")
+    except SystemExit as exc:  # click's standalone mode always ends in one, with an int
+        code = exc.code or 0
+    # Commands close their files, shut their worker pool down and join their
+    # threads or make them daemons: teardown would only free memory, so skip it.
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except BrokenPipeError:  # the reader has gone: exit 4 and say nothing
+        code = EXIT_IO
+    os._exit(code)
 
 
 if __name__ == "__main__":

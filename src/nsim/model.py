@@ -93,6 +93,25 @@ class LogGPParams:
             raise ValueError(f"G must be finite and >= 0, got {G}")
 
 
+def _check_samples(column: array, unit: str) -> None:
+    """ValueError unless ``column`` holds finite samples, at least one, ascending and
+    > 0 in ns or gbps. One ``<=`` pass over adjacent pairs (a NaN fails it) and the
+    two ends decide; only a failed column is checked again, to name the fault."""
+    if unit not in _DIST_UNITS:
+        raise ValueError(f"unknown distribution unit {unit!r}")
+    if not column:
+        raise ValueError("distribution needs at least one sample")
+    if (all(map(operator.le, column, islice(column, 1, None)))
+            and math.isfinite(column[0]) and math.isfinite(column[-1])
+            and (column[0] > 0.0 or unit not in _POSITIVE_UNITS)):
+        return
+    if not all(map(math.isfinite, column)):
+        raise ValueError("samples must be finite numbers")
+    if any(map(operator.lt, islice(column, 1, None), column)):
+        raise ValueError("samples must be sorted ascending")
+    raise ValueError(f"{unit} samples must be > 0, got min {column[0]}")
+
+
 @dataclass(frozen=True, slots=True, init=False, repr=False)
 class EmpiricalDistribution:
     """Sorted measured samples for inverse-ECDF draws.
@@ -113,30 +132,17 @@ class EmpiricalDistribution:
     unit: str
 
     def __init__(self, samples: Iterable[float], unit: str) -> None:
-        if unit not in _DIST_UNITS:
-            raise ValueError(f"unknown distribution unit {unit!r}")
         try:
             column = array("d", map(float, samples))
         except OverflowError:  # an int beyond the float range
             column = array("d", [math.inf])
-        if not column:
-            raise ValueError("distribution needs at least one sample")
-        if not all(map(math.isfinite, column)):
-            raise ValueError("samples must be finite numbers")
-        if any(map(operator.lt, islice(column, 1, None), column)):
-            raise ValueError("samples must be sorted ascending")
-        if unit in _POSITIVE_UNITS and column[0] <= 0.0:
-            raise ValueError(f"{unit} samples must be > 0, got min {column[0]}")
+        _check_samples(column, unit)
         self._set(column, unit)
 
     @classmethod
     def from_values(cls, values: Iterable[float], unit: str) -> "EmpiricalDistribution":
         """Build from unsorted values (a multiset copy, sorted ascending)."""
-        try:
-            values = sorted(map(float, values))
-        except OverflowError:  # an int beyond the float range, refused as inf
-            values = [math.inf]
-        return cls(values, unit)
+        return cls(sorted(values), unit)
 
     @classmethod
     def _from_sorted(cls, samples: array, unit: str) -> "EmpiricalDistribution":

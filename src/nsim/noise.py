@@ -21,9 +21,11 @@ the last event.
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 import operator
+import sys
 from array import array
 from dataclasses import dataclass
 from itertools import islice, repeat
@@ -36,6 +38,7 @@ from .model import (
     UNIT_NS,
     DetourTrace,
     EmpiricalDistribution,
+    _check_samples,
     round_half_up,
 )
 
@@ -415,12 +418,16 @@ def save_detour_trace(trace: DetourTrace, path: str | Path,
     Path(path).write_text(format_detour_trace(trace, comments), encoding="utf-8")
 
 
-_DIST_SCHEMA = "nsim.dist/1"
+_DIST_SCHEMA = "nsim.dist/2"
 
 
 def format_distribution(dist: EmpiricalDistribution) -> str:
-    doc = {"schema": _DIST_SCHEMA, "unit": dist.unit, "samples": dist._samples.tolist()}
-    return json.dumps(doc) + "\n"
+    """One line of JSON; the samples are the base64 of their little-endian binary64 bytes."""
+    column = array("d", dist._samples)
+    if sys.byteorder == "big":
+        column.byteswap()
+    return json.dumps({"schema": _DIST_SCHEMA, "unit": dist.unit, "count": len(column),
+                       "samples_f64le": base64.b64encode(column).decode("ascii")}) + "\n"
 
 
 def save_distribution(dist: EmpiricalDistribution, path: str | Path) -> None:
@@ -432,12 +439,24 @@ def parse_distribution(text: str) -> EmpiricalDistribution:
     doc = decode_json(text)
     if not isinstance(doc, dict):
         raise ValueError(f"distribution JSON must be an object, got {type(doc).__name__}")
+    if doc.get("schema") == "nsim.dist/1":
+        raise ValueError("nsim.dist/1 is no longer read; rebuild it with 'nsim trace dist'")
     if doc.get("schema") != _DIST_SCHEMA:
         raise ValueError(f"unexpected distribution schema {doc.get('schema')!r}")
-    samples = doc.get("samples")
-    if not isinstance(samples, list) or not set(map(type, samples)) <= {int, float}:
-        raise ValueError("'samples' must be a list of numbers")
-    return EmpiricalDistribution(samples, doc.get("unit"))
+    count = doc.get("count")
+    if type(count) is not int or count < 1:
+        raise ValueError(f"'count' must be an integer >= 1, got {count!r}")
+    try:
+        data = base64.b64decode(doc.get("samples_f64le"), validate=True)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"'samples_f64le' must be a base64 string: {exc}") from None
+    if len(data) != 8 * count:
+        raise ValueError(f"'samples_f64le' holds {len(data)} bytes, not 8 x count = {8 * count}")
+    column = array("d", data)
+    if sys.byteorder == "big":
+        column.byteswap()
+    _check_samples(column, doc.get("unit"))
+    return EmpiricalDistribution._from_sorted(column, doc["unit"])
 
 
 def load_distribution(path: str | Path) -> EmpiricalDistribution:

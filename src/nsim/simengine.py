@@ -396,11 +396,11 @@ def _run(c: _Compiled, cfg: SimConfig, run_indices: Sequence[int]) -> list[SimRe
 
 # The batch path runs when ops * reps >= _BATCH_K * levels, i.e. when a level
 # holds enough op-runs to pay for the fixed cost of its numpy calls, and when
-# there are at least _BATCH_MIN_OP_RUNS op-runs to pay for importing numpy.
-# Inside `sim run` that import takes 0.09-0.10 s on a 2-core x86 VM, where
-# the per-op engine takes 0.24-0.60 us per op-run (noiseless to bandwidth and
-# OS noise), 16-39 ms for 2**16: the import costs as much as 2**17 to 2**18
-# per-op op-runs, so this minimum is lower than the import alone justifies.
+# there are at least _BATCH_MIN_OP_RUNS op-runs to pay for importing numpy:
+# 0.05-0.06 s in `sim run` on a 2-core x86 VM, with OpenBLAS at one thread
+# (cli.main). At 0.24-0.60 us per per-op op-run that is 2**16 to 2**18 op-runs;
+# on dissem_text's 102,400 latency-noise op-runs the batch run took 55 ms and
+# the per-op one 61 ms (medians of 12 fresh `sim run`s, import included).
 _BATCH_K = 64
 _BATCH_MIN_OP_RUNS = 1 << 16
 _CHUNK_BYTES = 2 << 20  # numpy arrays held by one chunk of reps

@@ -24,6 +24,7 @@ from nsim.model import (
     calibrate,
     message_time,
 )
+from nsim.noise import save_distribution
 from nsim.report import box_stats
 from nsim.simengine import SimConfig, SimResult, _draws, mix64, run_many, simulate
 from nsim.goal import Schedule, ScheduleOp
@@ -225,9 +226,7 @@ def test_c08_cli_determinism(tmp_path):
         {"schema": "nsim.params/1", "L_ns": 5000, "o_ns": 1000, "g_ns": 1000,
          "G_ns_per_byte": 0.01}))
     lat_file = tmp_path / "lat.json"
-    lat_file.write_text(json.dumps(
-        {"schema": "nsim.dist/1", "unit": "ns",
-         "samples": [7000.0] * 99 + [70000.0]}))
+    save_distribution(EmpiricalDistribution([7000.0] * 99 + [70000.0], "ns"), lat_file)
     cmd = [sys.executable, "-m", "nsim.cli", "sim", "run",
            "--goal", str(goal_file), "--params", str(params_file),
            "--noise-lat", str(lat_file), "--seed", "42", "--reps", "1000"]

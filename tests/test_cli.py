@@ -1,9 +1,12 @@
 import codecs
 import hashlib
 import json
+import math
+import os
 import re
 import subprocess
 import sys
+from array import array
 from pathlib import Path
 
 import click
@@ -13,8 +16,9 @@ from click.testing import CliRunner
 from nsim.bench import BenchPlan, EchoServer, pingpong, pingpong_bidirectional
 from nsim.cli import cli, dump_params_file, load_params_file
 from nsim.goal import parse_goal, schedule_from_json, schedule_to_json
-from nsim.model import DetourTrace, LogGPParams
-from nsim.noise import format_detour_trace
+from nsim.model import DetourTrace, EmpiricalDistribution, LogGPParams
+from nsim.noise import (format_detour_trace, format_distribution, parse_distribution,
+                        save_distribution)
 
 
 @pytest.fixture()
@@ -47,6 +51,18 @@ def _results_doc(completions):
                                    for i, c in enumerate(completions)]})
 
 
+def _write_dist(path, samples, unit="ns"):
+    """Write ``samples`` as a distribution file, unchecked, so a test can write faults."""
+    save_distribution(EmpiricalDistribution._from_sorted(array("d", samples), unit), path)
+    return path
+
+
+def _dist_doc(samples, unit="ns", **change):
+    """The distribution document of ``samples``, unchecked, with ``change`` applied."""
+    dist = EmpiricalDistribution._from_sorted(array("d", samples), unit)
+    return {**json.loads(format_distribution(dist)), **change}
+
+
 def _refuse_constant(name):
     raise ValueError(f"{name} is not JSON")
 
@@ -66,6 +82,46 @@ def test_cli_import_leaves_numpy_unloaded():
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[False, False]"
+
+
+@pytest.mark.parametrize("preset", [None, "3"])
+def test_main_defaults_openblas_to_one_thread(preset):
+    # numpy is not imported before main() runs, so the default reaches OpenBLAS;
+    # a value the user set is kept, and `import nsim` alone sets nothing.
+    code = ("import os, sys\n"
+            "before = dict(os.environ)\n"
+            "import nsim, nsim.cli\n"
+            "assert dict(os.environ) == before and 'numpy' not in sys.modules\n"
+            "def report(code, _exit=os._exit):\n"
+            "    print(os.environ.get('OPENBLAS_NUM_THREADS'), flush=True)\n"
+            "    _exit(code)\n"
+            "os._exit = report\n"
+            "sys.argv = ['nsim', '--help']\n"
+            "nsim.cli.main()\n")
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == (preset or "1")
+
+
+def test_sim_run_into_closed_pipe_exits_4(params_file, tmp_path):
+    # main() flushes stdout itself and leaves without the interpreter's
+    # teardown, whose second flush would print "Exception ignored".
+    goal = tmp_path / "s.goal"
+    goal.write_text(_CALC_SEND_RECV)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "nsim.cli", "sim", "run", "--goal",
+                               str(goal), "--params", params_file, "--out", "-"],
+                              stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 4
+    assert proc.stderr == ""
 
 
 _CALC_SEND_RECV = ("num_ranks 2\nrank 0 { a: calc 5000\nb: send 4b to 1\nb requires a }\n"
@@ -139,10 +195,7 @@ class TestSimRun:
         assert len({r["completion_ns"] for r in doc["results"]}) == 1
 
     def test_noise_files_and_digests(self, runner, params_file, tmp_path):
-        lat = tmp_path / "lat.json"
-        lat.write_text(json.dumps(
-            {"schema": "nsim.dist/1", "unit": "ns",
-             "samples": [7000.0] * 9 + [70000.0]}))
+        lat = _write_dist(tmp_path / "lat.json", [7000.0] * 9 + [70000.0])
         gen = _invoke(runner, ["gen", "dissem", "-p", "4", "-s", "16"])
         r = _invoke(runner, ["sim", "run", "--params", params_file,
                              "--noise-lat", str(lat), "--reps", "5", "--seed", "3",
@@ -158,10 +211,8 @@ class TestSimRun:
         from pathlib import Path
 
         lat, bw, os_ = tmp_path / "lat.json", tmp_path / "bw.json", tmp_path / "os.csv"
-        lat.write_text(json.dumps({"schema": "nsim.dist/1", "unit": "ns",
-                                   "samples": [7000.0, 9000.0]}))
-        bw.write_text(json.dumps({"schema": "nsim.dist/1", "unit": "gbps",
-                                  "samples": [50.0, 100.0]}))
+        _write_dist(lat, [7000.0, 9000.0])
+        _write_dist(bw, [50.0, 100.0], "gbps")
         os_.write_bytes(b"# span_ns=1000\r\n100,50,ns\r\n400,200,ns\r\n")
         reads = []
         for name in ("read_bytes", "read_text"):
@@ -247,10 +298,7 @@ class TestSimRun:
 
     def test_deterministic_output(self, runner, params_file, tmp_path):
         gen = _invoke(runner, ["gen", "dissem", "-p", "4", "-s", "16"])
-        lat = tmp_path / "lat.json"
-        lat.write_text(json.dumps(
-            {"schema": "nsim.dist/1", "unit": "ns",
-             "samples": [7000.0] * 4 + [9000.0]}))
+        lat = _write_dist(tmp_path / "lat.json", [7000.0] * 4 + [9000.0])
         args = ["sim", "run", "--params", params_file, "--noise-lat", str(lat),
                 "--reps", "20", "--seed", "42"]
         out1 = _invoke(runner, args, input=gen.output).output
@@ -262,8 +310,7 @@ class TestSimRun:
         # README "Determinism": the results bytes do not depend on --workers.
         goal, lat = tmp_path / "dissem.goal", tmp_path / "lat.json"
         goal.write_text(_run_cli("gen", "dissem", "-p", "8", "-s", "16").stdout)
-        lat.write_text(json.dumps({"schema": "nsim.dist/1", "unit": "ns",
-                                   "samples": [7000.0] * 9 + [70000.0]}))
+        _write_dist(lat, [7000.0] * 9 + [70000.0])
         outs = []
         for workers in ("1", "2"):
             proc = _run_cli("sim", "run", "--goal", str(goal), "--params", params_file,
@@ -280,8 +327,7 @@ class TestTrace:
         trace = tmp_path / "t.csv"
         trace.write_text("timestamp_ns,value,unit\n0,100,ns\n5,400,ns\n9,200,ns\n")
         r = _invoke(runner, ["trace", "dist", "--in", str(trace), "--unit", "ns"])
-        doc = json.loads(r.output)
-        assert doc["samples"] == [100.0, 200.0, 400.0]
+        assert parse_distribution(r.output) == EmpiricalDistribution((100.0, 200.0, 400.0), "ns")
 
         r = _invoke(runner, ["trace", "normalize", "--in", str(trace),
                              "--unit", "ns", "--mode", "min"])
@@ -295,7 +341,7 @@ class TestTrace:
     def test_trace_from_stdin(self, runner):
         r = _invoke(runner, ["trace", "dist", "--in", "-", "--unit", "ns"],
                     input="timestamp_ns,value,unit\n0,300,ns\n4,100,ns\n")
-        assert json.loads(r.output)["samples"] == [100.0, 300.0]
+        assert parse_distribution(r.output) == EmpiricalDistribution((100.0, 300.0), "ns")
 
     def test_malformed_trace_exit_4(self, runner, tmp_path):
         trace = tmp_path / "bad.csv"
@@ -483,8 +529,7 @@ class TestParamsFile:
         assert "JSON object" in proc.stderr
 
     def test_nan_distribution_exit_3(self, params_file, tmp_path):
-        lat = tmp_path / "lat.json"
-        lat.write_text('{"schema": "nsim.dist/1", "unit": "ns", "samples": [7000.0, NaN]}')
+        lat = _write_dist(tmp_path / "lat.json", [7000.0, float("nan")])
         proc = _run_cli("sim", "run", "--params", params_file, "--noise-lat", str(lat),
                         input="num_ranks 2\nrank 0 { a: send 4b to 1 }\n"
                               "rank 1 { a: recv 4b from 0 }\n")
@@ -541,17 +586,38 @@ class TestMalformedInputExit:
                                "line 1 column 1 (char 0)\n")
 
     @pytest.mark.parametrize("doc", [
-        {"schema": "nsim.dist/1", "unit": "ns", "samples": [None]},
-        {"schema": "nsim.dist/1", "unit": "ns"},
+        _dist_doc([7000.0], samples_f64le=None),
+        {"schema": "nsim.dist/2", "unit": "ns", "count": 1},
         [7000.0],
-        {"schema": "nsim.dist/1", "unit": "ns", "samples": [7000.0, 10**400]},
-    ], ids=["null_sample", "missing_samples", "top_level_list", "sample_beyond_float"])
+        _dist_doc([7000.0, math.inf]),  # +inf last: a value beyond the float range
+        _dist_doc([7000.0], samples_f64le="AAAAAABYu0A*"),
+        _dist_doc([7000.0, 9000.0], count=3),
+        _dist_doc([7000.0], count=True),
+        _dist_doc([7000.0], count=0),
+        _dist_doc([7000.0], count="1"),
+        _dist_doc([7000.0, math.nan, 9000.0]),
+        _dist_doc([-math.inf, 7000.0]),
+        _dist_doc([9000.0, 7000.0]),
+        _dist_doc([0.0, 7000.0]),
+        _dist_doc([7000.0], "ms"),
+        {"schema": "nsim.dist/1", "unit": "ns", "samples": [7000.0]},
+    ], ids=["null_sample", "missing_samples", "top_level_list", "sample_beyond_float",
+            "bad_base64_char", "length_not_8_count", "count_true", "count_zero",
+            "count_string", "nan_in_middle", "minus_inf_first", "unsorted_pair", "zero_min_ns",
+            "unknown_unit", "v1"])
     def test_distribution_json_exit_3(self, params_file, tmp_path, doc):
+        text = json.dumps(doc)
+        with pytest.raises(ValueError):
+            parse_distribution(text)
         lat = tmp_path / "lat.json"
-        lat.write_text(json.dumps(doc))
+        lat.write_text(text)
         proc = _run_cli("sim", "run", "--params", params_file, "--noise-lat", str(lat),
                         input=_TWO_RANK_MESSAGE)
         _assert_clean_exit(proc, 3)
+        assert len(proc.stderr.splitlines()) == 1
+        if "samples" in doc:
+            assert proc.stderr == (f"error: {lat}: nsim.dist/1 is no longer read; "
+                                   "rebuild it with 'nsim trace dist'\n")
 
     @pytest.mark.parametrize("key", ["G_ns_per_byte", "L_ns"])
     def test_params_beyond_range_exit_3(self, tmp_path, key):
@@ -567,9 +633,7 @@ class TestMalformedInputExit:
     def test_infinite_wire_delay_exit_3(self, params_file, tmp_path, case):
         # Valid inputs whose largest wire delay, L + (size - 1) * G, is inf.
         if case == "bandwidth_sample":
-            bw = tmp_path / "bw.json"
-            bw.write_text(json.dumps({"schema": "nsim.dist/1", "unit": "gbps",
-                                      "samples": [1e-320]}))
+            bw = _write_dist(tmp_path / "bw.json", [1e-320], "gbps")
             proc = _run_cli("sim", "run", "--params", params_file, "--noise-bw", str(bw),
                             input=_TWO_RANK_MESSAGE)
         else:
@@ -706,8 +770,7 @@ class TestInputFaultNamesItsFile:
         assert proc.stderr == f"error: {params}: L must be >= 0, got -5\n"
 
     def test_unsorted_distribution(self, params_file, tmp_path):
-        lat = tmp_path / "lat.json"
-        lat.write_text('{"schema": "nsim.dist/1", "unit": "ns", "samples": [7000.0, 6000.0]}')
+        lat = _write_dist(tmp_path / "lat.json", [7000.0, 6000.0])
         proc = _run_cli("sim", "run", "--params", params_file, "--noise-lat", str(lat),
                         input=_TWO_RANK_MESSAGE)
         _assert_clean_exit(proc, 3)
@@ -1051,13 +1114,16 @@ _RESULTS_DOC = {"schema": "nsim.results/1", "metadata": {"nranks": 4},
 
 
 def _modules_at_exit(tmp_path, *args):
-    """The names in sys.modules when `python -m nsim.cli <args>` exits, run afresh."""
+    """The names in sys.modules when `python -m nsim.cli <args>` exits, run afresh.
+
+    main() ends in os._exit, which runs no atexit hook, so the probe wraps it."""
     listing = tmp_path / "modules.txt"
-    code = ("import atexit, runpy, sys\n"
-            "def dump():\n"
+    code = ("import os, runpy, sys\n"
+            "def dump(code, _exit=os._exit):\n"
             f"    with open({str(listing)!r}, 'w') as f:\n"
             "        f.write('\\n'.join(sys.modules))\n"
-            "atexit.register(dump)\n"
+            "    _exit(code)\n"
+            "os._exit = dump\n"
             "runpy.run_module('nsim.cli', run_name='__main__')\n")
     proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
                           text=True, timeout=120)
@@ -1269,17 +1335,22 @@ def test_config_unknown_command_exit_4(tmp_path):
     assert "'dissemination'" in proc.stderr and "'nsim gen'" in proc.stderr
 
 
-# sha256 of `trace dist` on the benchmark's seed-1 traces, as written when
-# build_distribution still went through the checking EmpiricalDistribution.from_values.
+# sha256 of `trace dist` (nsim.dist/2) on the benchmark's seed-1 traces.
 _TRACE_DIST_SHA256 = {
-    ("lat.csv", "ns"): "3502c2026b386b348812b198c17fac95bda53fe95eda4744f6c9bfb6383493ea",
-    ("bw.csv", "gbps"): "d4407ab09902ff7572d5a46c97bec776f3cdbba028a923d7f32b7016177010e1",
+    ("lat.csv", "ns"): "4e47e282b1aadd042750b1961849a2c718c2e3075327b8bbb041cb7a18b1466e",
+    ("bw.csv", "gbps"): "8d4683feba7542f723c613639aa71122c8199cc890726df11c715b0477391665",
+}
+# sha256 of the same distributions' samples as little-endian binary64, whatever
+# the file format: taken from the nsim.dist/1 files, as written when
+# build_distribution still went through the checking EmpiricalDistribution.from_values.
+_TRACE_DIST_COLUMN_SHA256 = {
+    "lat.csv": "afed174d49d37f3ec1ff26e15c3805ba506bd6a3a203295e8cc9a589c4a23e87",
+    "bw.csv": "7ce81d185dc4ecd04d60c26bd1e4feb5865fc02b7b5e1f2d24349c2c68b4aa67",
 }
 
 
 def test_trace_dist_bytes_on_benchmark_traces(runner, tmp_path, monkeypatch):
-    import hashlib
-    from pathlib import Path
+    from nsim.noise import load_distribution
 
     root = Path(__file__).resolve().parents[1]
     monkeypatch.syspath_prepend(str(root))
@@ -1293,4 +1364,8 @@ def test_trace_dist_bytes_on_benchmark_traces(runner, tmp_path, monkeypatch):
         r = _invoke(runner, ["trace", "dist", "--in", str(tmp_path / name), "--unit", unit,
                              "-o", str(out)])
         assert r.exit_code == 0
+        column = array("d", load_distribution(out)._samples)
+        if sys.byteorder == "big":
+            column.byteswap()
+        assert hashlib.sha256(column.tobytes()).hexdigest() == _TRACE_DIST_COLUMN_SHA256[name]
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

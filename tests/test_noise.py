@@ -1,10 +1,13 @@
+import base64
 import dataclasses
 import json
 import math
 import pickle
+import struct
 import subprocess
 import sys
 import tracemalloc
+from array import array
 from collections import Counter
 from unittest import mock
 
@@ -289,6 +292,10 @@ class TestDetourTraceIO:
         assert info.value.line == 4
 
 
+_POSITIVE_FLOATS = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False,
+                             allow_subnormal=True)
+
+
 class TestDistributionIO:
     def test_roundtrip(self, tmp_path):
         t = SampleTrace(((0, 5.0), (1, 3.0)), "gbps")
@@ -296,6 +303,26 @@ class TestDistributionIO:
         p = tmp_path / "d.json"
         save_distribution(dist, p)
         assert load_distribution(p) == dist
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(_POSITIVE_FLOATS, min_size=1, max_size=40),
+           repeats=st.integers(0, 3), unit=st.sampled_from(["ns", "gbps", "ns_per_byte"]))
+    def test_roundtrip_is_bit_exact(self, tmp_path_factory, values, repeats, unit):
+        dist = EmpiricalDistribution(sorted(values + values[:1] * repeats), unit)
+        p = tmp_path_factory.getbasetemp() / "roundtrip.json"
+        save_distribution(dist, p)
+        back = load_distribution(p)
+        assert back == dist and back._samples.tobytes() == dist._samples.tobytes()
+
+    def test_document_is_one_line_of_little_endian_binary64(self):
+        samples = (5e-324, 1.0, 1.0, 7000.5)
+        text = noise.format_distribution(EmpiricalDistribution(samples, "ns"))
+        assert text.count("\n") == 1 and text.endswith("\n")
+        doc = json.loads(text)
+        assert doc.keys() == {"schema", "unit", "count", "samples_f64le"}
+        assert (doc["schema"], doc["unit"], doc["count"]) == ("nsim.dist/2", "ns", 4)
+        raw = base64.b64decode(doc["samples_f64le"], validate=True)
+        assert struct.unpack("<4d", raw) == samples
 
 
 # ---------------------------------------------------------------------------
@@ -477,8 +504,7 @@ class TestDistributionChecks:
             with pytest.raises(ValueError, match=match):
                 EmpiricalDistribution.from_values(reversed(samples), unit)
         p = tmp_path / "d.json"
-        p.write_text(json.dumps({"schema": "nsim.dist/1", "unit": unit,
-                                 "samples": list(samples)}))
+        save_distribution(EmpiricalDistribution._from_sorted(array("d", samples), unit), p)
         with pytest.raises(ValueError, match=match):
             load_distribution(p)
 
