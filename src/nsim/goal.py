@@ -557,14 +557,14 @@ def _validated(schedule: Schedule) -> Schedule:
     return schedule
 
 
-def _walk(schedule: Schedule) -> tuple[array, array, array] | list | None:
+def _walk(schedule: Schedule) -> tuple[array, array, array] | list:
     """Kahn's algorithm over program order, ``requires`` and message pairing.
 
-    A rank advances while its next op requires no later op and, for a recv,
-    a send of its (src, dst, size) triple is queued. A placed send is queued
-    and wakes its peer; a placed recv takes the oldest, pairing messages in
-    order per triple. Returns ``execution_order``'s columns, or the
-    ops left unplaced as DeadlockError lists them (None for a bad peer).
+    A rank advances while its next op requires no later op and, for a send,
+    names another rank in range or, for a recv, finds a send of its triple
+    (src, dst, size) queued. A placed send is queued and wakes its peer; a placed
+    recv takes the oldest, pairing messages in order per triple. Returns
+    ``execution_order``'s columns, or the unplaced ops as DeadlockError lists them.
     """
     nranks = schedule.nranks
     kinds, peers, sizes, offsets = (schedule.kinds, schedule.peers, schedule.sizes,
@@ -593,7 +593,7 @@ def _walk(schedule: Schedule) -> tuple[array, array, array] | list | None:
             if k == KIND_SEND:
                 p = peers[g]
                 if p == r or p >= nranks:
-                    return None
+                    break
                 key = (r, p, sizes[g])
                 q = queued.get(key)
                 if q is None:

@@ -21,7 +21,7 @@ import math
 import operator
 import warnings
 from array import array
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from itertools import islice
 from typing import Iterable, Sequence
 
@@ -112,7 +112,24 @@ def _check_samples(column: array, unit: str) -> None:
     raise ValueError(f"{unit} samples must be > 0, got min {column[0]}")
 
 
-@dataclass(frozen=True, slots=True, init=False, repr=False)
+def _frozen_slotted(cls: type) -> type:
+    """``dataclass(frozen=True, slots=True, init=False, repr=False)`` that refuses
+    every assignment and deletion with FrozenInstanceError. The methods dataclass
+    writes for that compare ``type(self)`` with the class ``slots=True`` replaces, so
+    a name that is not a field raised TypeError from ``super()`` (seen on 3.11.7)."""
+    cls = dataclass(frozen=True, slots=True, init=False, repr=False)(cls)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    cls.__setattr__, cls.__delattr__ = __setattr__, __delattr__
+    return cls
+
+
+@_frozen_slotted
 class EmpiricalDistribution:
     """Sorted measured samples for inverse-ECDF draws.
 
@@ -124,7 +141,7 @@ class EmpiricalDistribution:
 
     The samples are stored as one float column, which both engines read;
     ``samples`` is a tuple view built on access. A frozen, slotted dataclass:
-    assigning a field raises ``FrozenInstanceError``, and ``==`` compares the
+    assigning any name raises ``FrozenInstanceError``, and ``==`` compares the
     column and the unit.
     """
 

@@ -27,7 +27,6 @@ import math
 import operator
 import sys
 from array import array
-from dataclasses import dataclass
 from itertools import islice, repeat
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple
@@ -39,6 +38,7 @@ from .model import (
     DetourTrace,
     EmpiricalDistribution,
     _check_samples,
+    _frozen_slotted,
     round_half_up,
 )
 
@@ -66,17 +66,16 @@ __all__ = [
 ]
 
 UNIT_RATIO = "ratio"
-_TRACE_UNITS = (UNIT_NS, UNIT_GBPS, UNIT_RATIO)
 _HEADER = "timestamp_ns,value,unit"
 
 
-@dataclass(frozen=True, slots=True, init=False, repr=False)
+@_frozen_slotted
 class SampleTrace:
     """Per-sample measurements: (timestamp ns since start, value) rows.
 
     Stored as two columns, signed 64-bit timestamps and float values; ``rows``,
     ``timestamps`` and ``values`` are tuple views built on access. A frozen,
-    slotted dataclass: assigning a field raises ``FrozenInstanceError``,
+    slotted dataclass: assigning any name raises ``FrozenInstanceError``,
     and ``==`` compares the columns and the unit. In ``ns`` and ``gbps`` traces
     every value is finite and > 0, which ``build_distribution`` relies on.
     """
@@ -86,24 +85,14 @@ class SampleTrace:
     unit: str
 
     def __init__(self, rows: Iterable[tuple[int, float]], unit: str):
-        if unit not in _TRACE_UNITS:
-            raise ValueError(f"unknown trace unit {unit!r}")
-        positive = unit in (UNIT_NS, UNIT_GBPS)
-        timestamps = array("q")
-        values = array("d")
+        rules = _trace_rules(unit)
+        timestamps, values = array("q"), array("d")
         for i, (t, v) in enumerate(rows):
             t, v = int(t), float(v)
-            if timestamps and t < timestamps[-1]:
-                raise ValueError(f"row {i}: timestamps must be nondecreasing")
-            if not math.isfinite(v):
-                raise ValueError(f"row {i}: values must be finite, got {v}")
-            if positive and v <= 0:
-                raise ValueError(f"row {i}: {unit} values must be > 0, got {v}")
-            try:
-                timestamps.append(t)
-            except OverflowError:
-                raise ValueError(f"row {i}: timestamp {t} is outside the signed "
-                                 "64-bit range") from None
+            fault = _row_fault(t, v, v, None, timestamps, rules)
+            if fault is not None:
+                raise ValueError(f"row {i}: {fault}")
+            timestamps.append(t)
             values.append(v)
         self._set(timestamps, values, unit)
 
@@ -150,6 +139,32 @@ class _Rules(NamedTuple):
     # column passes if its minimum does; None accepts any value
     value_ok: Callable[[float], bool] | None
     value_error: str  # message for a value that fails value_ok; {} is the value
+
+
+def _trace_rules(unit: str) -> _Rules:
+    """A trace's rules: nondecreasing timestamps, and values > 0 in ns and gbps."""
+    if unit not in (UNIT_NS, UNIT_GBPS, UNIT_RATIO):
+        raise ValueError(f"unknown trace unit {unit!r}")
+    positive = (0.0).__lt__ if unit in (UNIT_NS, UNIT_GBPS) else None  # 0 < v
+    return _Rules(unit, True, positive, f"{unit} value must be > 0, got {{}}")
+
+
+def _row_fault(ts: int, value: float, shown: object, unit: str | None, timestamps: array,
+               rules: _Rules) -> str | None:
+    """The first fault of a row that would follow ``timestamps``, or None: a value not
+    finite (``shown`` as written), a unit (None if the row has none) other than the
+    rules', a decreasing timestamp, a value the rules refuse, a timestamp beyond int64."""
+    if not math.isfinite(value):
+        return f"non-finite value {shown!r}"
+    if unit is not None and unit != rules.unit:
+        return f"unit {unit!r} does not match expected {rules.unit!r}"
+    if rules.ordered and timestamps and ts < timestamps[-1]:
+        return f"timestamp {ts} decreases (previous {timestamps[-1]})"
+    if rules.value_ok is not None and not rules.value_ok(value):
+        return rules.value_error.format(value)
+    if not -1 << 63 <= ts < 1 << 63:
+        return f"timestamp {ts} is outside the signed 64-bit range"
+    return None
 
 
 # Characters per chunk, cut after the next newline: about 3k rows of a
@@ -223,7 +238,6 @@ def _scan_rows(lines: list[str], offset: int, rules: _Rules, saw_header: bool,
     header has been seen, a row whose first field is ``timestamp_ns`` is the
     header; the return value says whether it has been seen, for the next chunk.
     """
-    unit, ordered, value_ok, value_error = rules
     for lineno, raw in enumerate(lines, offset + 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -244,32 +258,18 @@ def _scan_rows(lines: list[str], offset: int, rules: _Rules, saw_header: bool,
             value = float(fields[1])
         except ValueError:
             raise TraceFormatError(f"bad value {fields[1]!r}", lineno) from None
-        if not math.isfinite(value):
-            raise TraceFormatError(f"non-finite value {fields[1]!r}", lineno)
-        if len(fields) == 3 and fields[2] != unit:
-            raise TraceFormatError(f"unit {fields[2]!r} does not match expected "
-                                   f"{unit!r}", lineno)
-        if ordered and timestamps and ts < timestamps[-1]:
-            raise TraceFormatError(f"timestamp {ts} decreases (previous {timestamps[-1]})",
-                                   lineno)
-        if value_ok is not None and not value_ok(value):
-            raise TraceFormatError(value_error.format(value), lineno)
-        try:
-            timestamps.append(ts)
-        except OverflowError:
-            raise TraceFormatError(f"timestamp {ts} is outside the signed 64-bit range",
-                                   lineno) from None
+        fault = _row_fault(ts, value, fields[1], fields[2] if len(fields) == 3 else None,
+                           timestamps, rules)
+        if fault is not None:
+            raise TraceFormatError(fault, lineno)
+        timestamps.append(ts)
         values.append(value)
     return saw_header
 
 
 def parse_trace(text: str, expected_unit: str) -> SampleTrace:
     """Read trace CSV text, enforcing the unit and timestamp monotonicity."""
-    if expected_unit not in _TRACE_UNITS:
-        raise ValueError(f"unknown trace unit {expected_unit!r}")
-    positive = (0.0).__lt__ if expected_unit in (UNIT_NS, UNIT_GBPS) else None  # 0 < v
-    rules = _Rules(expected_unit, True, positive, f"{expected_unit} value must be > 0, got {{}}")
-    timestamps, values = _read_rows(text, rules)
+    timestamps, values = _read_rows(text, _trace_rules(expected_unit))
     if not values:
         raise TraceFormatError("no samples in trace")
     return SampleTrace._from_columns(timestamps, values, expected_unit)
@@ -305,26 +305,22 @@ def build_distribution(trace: SampleTrace) -> EmpiricalDistribution:
 
 def normalize_min(trace: SampleTrace) -> SampleTrace:
     """Divide every value by the trace minimum; the result's minimum is 1."""
-    if len(trace) == 0:
-        raise ValueError("empty trace")
-    lo = min(trace._values)
-    if lo <= 0:
-        raise ValueError(f"minimum must be > 0 to normalize, got {lo}")
-    return _scaled(trace, lo)
+    return _scaled(trace, min, "minimum")
 
 
 def normalize_max(trace: SampleTrace) -> SampleTrace:
     """Divide every value by the trace maximum; the result's maximum is 1."""
+    return _scaled(trace, max, "maximum")
+
+
+def _scaled(trace: SampleTrace, pick: Callable[[array], float], name: str) -> SampleTrace:
+    """The ratio trace of the values over their ``pick`` (``name`` in errors), timestamps
+    shared."""
     if len(trace) == 0:
         raise ValueError("empty trace")
-    hi = max(trace._values)
-    if hi <= 0:
-        raise ValueError(f"maximum must be > 0 to normalize, got {hi}")
-    return _scaled(trace, hi)
-
-
-def _scaled(trace: SampleTrace, divisor: float) -> SampleTrace:
-    """The ratio trace of ``trace``'s values over ``divisor``, timestamps shared."""
+    divisor = pick(trace._values)
+    if divisor <= 0:
+        raise ValueError(f"{name} must be > 0 to normalize, got {divisor}")
     return SampleTrace._from_columns(
         trace._timestamps, array("d", map(divisor.__rtruediv__, trace._values)), UNIT_RATIO)
 
@@ -334,7 +330,7 @@ def top_fraction(trace: SampleTrace, frac: float, side: str = "largest") -> Samp
 
     side selects which tail: "largest" (e.g. worst latencies) or "smallest"
     (e.g. deepest bandwidth drops). Ties at the cut are broken toward earlier
-    timestamps so output is deterministic.
+    rows, that is earlier timestamps, so output is deterministic.
     """
     if not 0.0 < frac <= 1.0:
         raise ValueError(f"frac must lie in (0, 1], got {frac}")
@@ -343,17 +339,12 @@ def top_fraction(trace: SampleTrace, frac: float, side: str = "largest") -> Samp
     n = len(trace)
     if n == 0:
         raise ValueError("empty trace")
-    keep = math.ceil(frac * n)
-    rows = trace.rows  # a view built on each access: build it once
-    indexed = list(enumerate(rows))
-    if side == "largest":
-        indexed.sort(key=lambda e: (-e[1][1], e[1][0], e[0]))
-    else:
-        indexed.sort(key=lambda e: (e[1][1], e[1][0], e[0]))
-    chosen = sorted(i for i, _ in indexed[:keep])
+    values = trace._values
+    # sorted() is stable, with reverse=True too, so equal values keep row order.
+    by_value = sorted(range(n), key=values.__getitem__, reverse=side == "largest")
+    chosen = sorted(by_value[:math.ceil(frac * n)])
     return SampleTrace._from_columns(array("q", map(trace._timestamps.__getitem__, chosen)),
-                                     array("d", map(trace._values.__getitem__, chosen)),
-                                     trace.unit)
+                                     array("d", map(values.__getitem__, chosen)), trace.unit)
 
 
 def bandwidth_from_rtt(size: int, half_rtt_ns: float) -> float:

@@ -165,20 +165,20 @@ _IS_SEND = bytes(k == KIND_SEND for k in range(256))
 class _Compiled:
     """Per-op columns and the static execution order of one schedule.
 
-    Ops are numbered globally in (rank, op id) order. ``offsets``, ``kind``
-    and ``size`` are the schedule's columns, and ``msg`` (a send's index,
-    the counter of its noise draws), ``by_level`` and ``level_bounds`` are
+    Ops are numbered globally in (rank, op id) order. ``kind`` and ``size`` are
+    the schedule's columns, and ``msg`` (a send's index, the counter of its
+    noise draws), ``by_level`` and ``level_bounds`` are
     ``goal.execution_order``'s, shared, not copied. Every per-op column is a
     stdlib array.
     """
 
-    __slots__ = ("nranks", "offsets", "kind", "size", "rank", "msg", "n_sends", "by_level",
+    __slots__ = ("nranks", "kind", "size", "rank", "msg", "n_sends", "by_level",
                  "level_bounds", "n_levels", "calc_total", "n_calc", "send_bytes", "max_send")
 
     def __init__(self, schedule: Schedule):
         self.msg, self.by_level, self.level_bounds = execution_order(schedule)
         self.nranks = nranks = schedule.nranks
-        self.offsets = offsets = schedule.rank_offsets
+        offsets = schedule.rank_offsets
         self.kind = kind = schedule.kinds
         self.size = size = schedule.sizes
         self.rank = rank = array("i")

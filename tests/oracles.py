@@ -367,6 +367,18 @@ def parse_trace(text: str, expected_unit: str):
     return SampleTrace._from_columns(timestamps, values, expected_unit)
 
 
+def top_fraction(trace, frac: float, side: str):
+    """The ceil(frac * n) rows first by (-value or value, timestamp, row index),
+    in row order: the tie rule ``top_fraction`` documents, as an explicit key."""
+    from nsim.noise import SampleTrace
+
+    rows = trace.rows
+    sign = -1.0 if side == "largest" else 1.0
+    ranked = sorted(range(len(rows)), key=lambda i: (sign * rows[i][1], rows[i][0], i))
+    chosen = sorted(ranked[:math.ceil(frac * len(rows))])
+    return SampleTrace([rows[i] for i in chosen], trace.unit)
+
+
 def load_detour_trace(path):
     """The detour trace reader: the span comment in one pass over the lines
     (a second one is refused), then the rows with durations rounded half up."""
@@ -634,7 +646,7 @@ def detour_end(t: int, dur: int, phase: int, tables) -> int:
 
 def _per_op_times(c, start: list[int], finish: list[int]):
     """``[rank][op id] -> (start, finish)`` from per-op start and finish lists."""
-    bounds = c.offsets.tolist()
+    bounds = [bisect_left(c.rank, r) for r in range(c.nranks + 1)]
     return tuple(tuple(zip(start[lo:hi], finish[lo:hi])) for lo, hi in zip(bounds, bounds[1:]))
 
 

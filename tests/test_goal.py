@@ -5,7 +5,7 @@ import re
 import signal
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nsim.errors import DeadlockError
@@ -966,8 +966,21 @@ def faulty_schedules(draw):
     return Schedule(nranks, tuple(map(tuple, ops)))
 
 
+def _ring_with_late_forward_requires(nranks: int, size: int, rank: int) -> Schedule:
+    """``gen_ring_allreduce(nranks, size)`` whose second-to-last op of ``rank``
+    also requires the next op of that rank."""
+    ops = [list(rank_ops) for rank_ops in gen_ring_allreduce(nranks, size).ops]
+    i = len(ops[rank]) - 2
+    op = ops[rank][i]
+    ops[rank][i] = ScheduleOp(i, op.kind, op.peer, op.size, op.requires | {i + 1})
+    return Schedule(nranks, tuple(map(tuple, ops)))
+
+
 @settings(max_examples=400, deadline=None)
 @given(schedule=faulty_schedules())
+# Each rank of the ring resumes about 126 times, once per message it waits for.
+@example(schedule=gen_ring_allreduce(64, 4096))
+@example(schedule=_ring_with_late_forward_requires(64, 4096, 5))
 def test_walk_matches_three_pass_oracle(schedule):
     from nsim.simengine import _Compiled
 
