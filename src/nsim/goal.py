@@ -40,7 +40,7 @@ from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
 from itertools import accumulate, chain, compress, islice, repeat
-from operator import add, ge, gt, mod, not_, sub
+from operator import add, ge, gt, itemgetter, mod, not_, sub
 from typing import Mapping
 
 from .errors import DeadlockError, GoalSyntaxError, ScheduleValidationError, decode_json
@@ -115,7 +115,9 @@ class _Columns:
     Every schedule source appends its ops a rank at a time with ``add_rank``,
     the one place that checks op values: a send or recv needs a peer >= 0 and
     a size >= 1 byte, a calc a duration >= 0 ns, every value must fit the
-    64-bit columns, and each op's requires must name ops of its own rank.
+    64-bit columns, and each op's requires must name ops of its own rank. A
+    rank whose ops differ from the last rank's only in their peers is
+    appended with ``add_like_last``, which checks only the peers.
     """
 
     __slots__ = _COLUMNS
@@ -164,6 +166,38 @@ class _Columns:
         self.req_targets += columns[3]
         self.req_offsets.fromlist([base + x for x in islice(req_offsets, 1, None)])
         self.rank_offsets.append(len(self.kinds))
+
+    def add_like_last(self, peers) -> None:
+        """Append a rank with the last rank's kinds, sizes and requires and
+        with op i's peer ``peers[i]``, from a sequence. Only the peers are
+        checked, as ``add_rank`` checks them: a send's or recv's must be >= 0
+        and fit 64 bits, and a calc's must be -1."""
+        bounds, req_off = self.rank_offsets, self.req_offsets
+        lo, hi = bounds[-2], bounds[-1]
+        a, b = req_off[lo], req_off[hi]
+        kinds = self.kinds[lo:hi]
+        is_calc = list(map(KIND_CALC.__eq__, kinds)) if KIND_CALC in kinds else None
+        try:
+            column = array("q", peers)
+        except OverflowError:
+            column = None
+        if column is None:
+            ok = False
+        elif is_calc is None:
+            ok = min(column, default=0) >= 0
+        else:  # negative exactly at the calcs, and no lower than -1
+            ok = list(map((0).__gt__, column)) == is_calc and min(column) >= -1
+        if not ok:
+            if is_calc and not {-1}.issuperset(compress(peers, is_calc)):
+                raise ValueError("calc ops take no peer")
+            raise _rank_fault(len(bounds) - 1, kinds, peers, self.sizes[lo:hi],
+                              [x - a for x in req_off[lo:hi + 1]], self.req_targets[a:b])
+        self.kinds += kinds
+        self.peers += column
+        self.sizes += self.sizes[lo:hi]
+        self.req_targets += self.req_targets[a:b]
+        self.req_offsets.extend(map(add, req_off[lo + 1:hi + 1], repeat(b - a)))
+        bounds.append(len(self.kinds))
 
     def schedule(self, nranks: int, metadata: Mapping[str, object] | None) -> Schedule:
         """The finished Schedule; checks that it has one op list per rank."""
@@ -350,7 +384,7 @@ def parse_goal(text: str) -> Schedule:
     if nranks < 1:
         raise _error(text, m.start("nranks"), "num_ranks must be >= 1")
     try:
-        blocks: list[tuple | None] = [None] * nranks  # add_rank's arguments
+        blocks: list[tuple | None] = [None] * nranks  # each block's structure and peers
     except (MemoryError, OverflowError):
         raise _error(text, m.start("nranks"), f"num_ranks {nranks} is too large") from None
     bulk = _BulkReader(nranks)
@@ -371,54 +405,102 @@ def parse_goal(text: str) -> Schedule:
         blocks[rank] = block
         pos = _SPACE_RE.match(code, close + 1).end()
     cols = _Columns()
+    last = None  # the structure of the rank appended last
     for block in blocks:
-        cols.add_rank(*(block or ((), (), ())))
+        structure, peers = block or (_NO_OPS, ())
+        if structure is last:
+            cols.add_like_last(peers)
+        else:
+            kinds, sizes, req_offsets, req_targets = last = structure
+            cols.add_rank(kinds, peers, sizes, req_offsets, req_targets)
     return _validated(cols.schedule(nranks, None))
 
 
+_NO_OPS = (array("b"), [], array("q", [0]), array("q"))  # the structure of an empty body
+_PREPOSITIONS = ("to", "from")
+
+
 class _BulkReader:
-    """Reads the block bodies of one text, comments blanked, into
-    ``add_rank``'s arguments.
+    """Reads the block bodies of one text, comments blanked, into their
+    structure (kinds, sizes, requires offsets and targets, as ``add_rank``
+    takes them) and peer column (-1 for a calc).
 
     ``read`` gives None for a body unless every statement in it parses and
     names a good peer and known labels. Each step runs over a whole column in
     C; there is no Python work per statement. A size beyond 64 bits is passed
-    on as an int, for ``add_rank`` to name. The ranks of a generated
-    schedule mostly share their labels and requires statements, so the
-    requires columns of the last body are reused for a body that has the
-    same labels and requires lists.
+    on as an int, for ``add_rank`` to name.
+
+    The ranks of a generated schedule differ only in their peers. So the
+    reader keeps a template of the last body that ``findall`` accepted with a
+    new structure: its whitespace-split words, which of them are peers (the
+    word after each ``to`` or ``from``) and its structure. A body with as many
+    words, equal at every other position, and peers of ASCII digits has that
+    structure, and its structure object is returned, without ``findall``.
+    The regex reads any run of whitespace alike, and the peer words are digits
+    in both, so ``findall`` would accept the body with the same columns.
     """
 
-    __slots__ = ("nranks", "_structure", "_requires")
+    __slots__ = ("nranks", "_count", "_others", "_other_words", "_peer_mask", "_peer_index",
+                 "_structure")
 
     def __init__(self, nranks: int) -> None:
         self.nranks = nranks
-        self._structure: tuple | None = None  # the last body's labels and requires lists
-        self._requires: tuple = ()  # and its requires columns
+        self._count = -1  # no template yet
+        self._structure: tuple | None = None
 
     def read(self, code: str, start: int, end: int, rank: int) -> tuple | None:
-        """The columns of the body ``code[start:end]`` of rank ``rank``'s block."""
+        """``(structure, peers)`` of the body ``code[start:end]`` of rank ``rank``'s block."""
+        words = code[start:end].split()
+        if len(words) == self._count and self._others(words) == self._other_words:
+            digits = "".join(compress(words, self._peer_mask))
+            if digits.isascii() and (digits.isdigit() or not digits):
+                words.append("-1")  # the peer of a calc
+                peers = self._peers(map(words.__getitem__, self._peer_index), rank)
+                return None if peers is None else (self._structure, peers)
         rows = _BULK_RE.findall(code, start, end)
         if not rows:
-            return (), (), (), (0,), ()
+            return _NO_OPS, ()
         labels, kind, size, prep, peer, deps, junk = zip(*rows)
         if any(junk) or not _BULK_FORMS.issuperset(map(add, kind, prep)):
             return None
-        if (labels, deps) != self._structure:
-            requires = _requires_columns(labels, deps)
-            if requires is None:
-                return None
-            self._structure, self._requires = (labels, deps), requires
+        requires = _requires_columns(labels, deps)
+        if requires is None:
+            return None
         peer = list(compress(peer, kind))  # "" for a calc
+        peers = self._peers(map(_CALC_PEER.get, peer, peer), rank)
+        if peers is None:
+            return None
+        structure = (array("b", map(_KIND_CODE.__getitem__, filter(None, kind))),
+                     list(map(int, filter(None, size))), *requires)
+        if structure != self._structure:
+            self._keep(words, structure)
+        return self._structure, peers
+
+    def _peers(self, digits, rank: int) -> array | None:
+        """The peer column from each op's peer digits ("-1" for a calc), or
+        None for a peer out of range or equal to ``rank``."""
         try:
-            peers = array("q", map(int, map(_CALC_PEER.get, peer, peer)))
+            peers = array("q", map(int, digits))
         except OverflowError:  # a peer beyond 64 bits is out of range
             return None
         if peers and (max(peers) >= self.nranks or rank in peers):
             return None
-        sizes = list(map(int, filter(None, size)))
-        kinds = array("b", map(_KIND_CODE.__getitem__, filter(None, kind)))
-        return (kinds, peers, sizes, *self._requires)
+        return peers
+
+    def _keep(self, words: list[str], structure: tuple) -> None:
+        """Make the accepted body of ``words`` and ``structure`` the template."""
+        n = len(words)
+        peer_at = [i + 1 for i, word in enumerate(words) if word in _PREPOSITIONS]
+        mask = [False] * n
+        for i in peer_at:
+            mask[i] = True
+        peer_at = iter(peer_at)
+        self._peer_index = [n if kind == KIND_CALC else next(peer_at) for kind in structure[0]]
+        self._peer_mask = mask
+        self._others = itemgetter(*compress(range(n), map(not_, mask)))
+        self._other_words = self._others(words)
+        self._count = n
+        self._structure = structure
 
 
 def _requires_columns(labels: tuple[str, ...], deps: tuple[str, ...]) -> tuple | None:
@@ -483,35 +565,45 @@ def _block_fault(text: str, code: str, start: int, close: int, rank: int,
 def emit_goal(schedule: Schedule) -> str:
     """Canonical text form; parse_goal(emit_goal(s)) equals s structurally.
 
-    Metadata is emitted as leading ``#`` comments (ignored on parse). Labels
-    are ``o<id>``; requires lines directly follow their op, deps sorted.
+    Metadata is emitted as leading ``#`` comments (ignored on parse), keys
+    and values flattened to one line. Labels are ``o<id>``; requires lines
+    directly follow their op, deps sorted. A rank with the previous rank's
+    kinds, sizes and requires reuses its block's format string.
     """
-    lines: list[str] = []
-    for key in sorted(schedule.metadata):
-        value = " ".join(str(schedule.metadata[key]).split())  # keep comments one line
-        lines.append(f"# {key}: {value}")
+    metadata = schedule.metadata
+    lines = [f"# {' '.join(str(key).split())}: {' '.join(str(metadata[key]).split())}"
+             for key in sorted(metadata)]
     lines.append(f"num_ranks {schedule.nranks}")
     kinds, peers, sizes = schedule.kinds, schedule.peers, schedule.sizes
     req, req_off, bounds = schedule.req_targets, schedule.req_offsets, schedule.rank_offsets
-    op_line = ("  o%d: send %db to %d", "  o%d: recv %db from %d")
+    structure = block = is_msg = None
     for rank in range(schedule.nranks):
         lo, hi = bounds[rank], bounds[rank + 1]
-        if lo == hi:
-            lines.append(f"rank {rank} {{ }}")
-            continue
-        lines.append(f"rank {rank} {{")
-        for g in range(lo, hi):
-            i = g - lo
-            k = kinds[g]
-            if k == KIND_CALC:
-                lines.append(f"  o{i}: calc {sizes[g]}")
-            else:
-                lines.append(op_line[k] % (i, sizes[g], peers[g]))
-            a, b = req_off[g], req_off[g + 1]
-            if a != b:
-                lines.append(f"  o{i} requires " + ", ".join([f"o{t}" for t in req[a:b]]))
-        lines.append("}")
+        a = req_off[lo]
+        rank_structure = (kinds[lo:hi], sizes[lo:hi], req[a:req_off[hi]],
+                          array("q", map(sub, req_off[lo:hi + 1], repeat(a))))
+        if rank_structure != structure:
+            structure = rank_structure
+            block = _block_format(*structure)
+            is_msg = list(map(KIND_CALC.__ne__, structure[0]))
+        lines.append(block % (rank, *compress(peers[lo:hi], is_msg)))
     return "\n".join(lines) + "\n"
+
+
+def _block_format(kinds, sizes, req_targets, req_offsets) -> str:
+    """The text of a rank's block with ``%d`` for its rank id and for the peer
+    of each send and recv, in op order."""
+    if not kinds:
+        return "rank %d { }"
+    lines = ["rank %d {"]
+    for i, (kind, size) in enumerate(zip(kinds, sizes)):
+        lines.append(f"  o{i}: calc {size}" if kind == KIND_CALC
+                     else f"  o{i}: {KINDS[kind]} {size}b {('to', 'from')[kind]} %d")
+        deps = req_targets[req_offsets[i]:req_offsets[i + 1]]
+        if deps:
+            lines.append(f"  o{i} requires " + ", ".join([f"o{t}" for t in deps]))
+    lines.append("}")
+    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -684,15 +776,19 @@ def gen_dissemination(nranks: int, size: int) -> Schedule:
     if size < 1:
         raise ValueError(f"size must be >= 1 byte, got {size}")
     rounds = (nranks - 1).bit_length()
-    # Every rank has the same ops but for their peers.
+    # Every rank has the same ops but for their peers, so all but the first
+    # are appended like the last.
     kinds, sizes = [KIND_SEND, KIND_RECV] * rounds, [size] * (2 * rounds)
     requires = _csr([()] * 2 + [(2 * k - 2, 2 * k - 1) for k in range(1, rounds)
                      for _ in (KIND_SEND, KIND_RECV)])
+    steps = [d for k in range(rounds) for d in (1 << k, -(1 << k))]
     cols = _Columns()
     for r in range(nranks):
-        peers = [p for k in range(rounds) for p in ((r + (1 << k)) % nranks,
-                                                     (r - (1 << k)) % nranks)]
-        cols.add_rank(kinds, peers, sizes, *requires)
+        peers = list(map(mod, map(add, steps, repeat(r)), repeat(nranks)))
+        if r:
+            cols.add_like_last(peers)
+        else:
+            cols.add_rank(kinds, peers, sizes, *requires)
     return cols.schedule(
         nranks, {"generator": "dissemination", "nranks": nranks, "size_bytes": size})
 
@@ -714,8 +810,9 @@ def gen_ring_allreduce(nranks: int, size: int, reduce_cost_per_chunk: int = 0) -
     if reduce_cost_per_chunk < 0:
         raise ValueError("reduce cost must be >= 0 ns")
     chunk = -(-size // nranks)
-    # Every rank has the same ops but for their peers: the right neighbour of
-    # its sends and the left one of its recvs.
+    # Every rank has the same ops but for their peers (the right neighbour of
+    # its sends and the left one of its recvs), so all but the first are
+    # appended like the last.
     ops: list[tuple[int, int, tuple[int, ...]]] = []  # (kind code, size, requires)
     req: tuple[int, ...] = ()  # the next send's requires
     for step in range(2 * (nranks - 1)):
@@ -730,7 +827,11 @@ def gen_ring_allreduce(nranks: int, size: int, reduce_cost_per_chunk: int = 0) -
     cols = _Columns()
     for r in range(nranks):
         peer_of_kind = ((r + 1) % nranks, (r - 1) % nranks, -1)
-        cols.add_rank(kinds, list(map(peer_of_kind.__getitem__, kinds)), sizes, *req_columns)
+        peers = list(map(peer_of_kind.__getitem__, kinds))
+        if r:
+            cols.add_like_last(peers)
+        else:
+            cols.add_rank(kinds, peers, sizes, *req_columns)
     return cols.schedule(
         nranks,
         {

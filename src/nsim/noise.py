@@ -88,7 +88,7 @@ class SampleTrace:
         rules = _trace_rules(unit)
         timestamps, values = array("q"), array("d")
         for i, (t, v) in enumerate(rows):
-            t, v = int(t), float(v)
+            v = float(v)
             fault = _row_fault(t, v, v, None, timestamps, rules)
             if fault is not None:
                 raise ValueError(f"row {i}: {fault}")
@@ -151,9 +151,12 @@ def _trace_rules(unit: str) -> _Rules:
 
 def _row_fault(ts: int, value: float, shown: object, unit: str | None, timestamps: array,
                rules: _Rules) -> str | None:
-    """The first fault of a row that would follow ``timestamps``, or None: a value not
-    finite (``shown`` as written), a unit (None if the row has none) other than the
-    rules', a decreasing timestamp, a value the rules refuse, a timestamp beyond int64."""
+    """The first fault of a row that would follow ``timestamps``, or None: a timestamp
+    that is not an int, a value not finite (``shown`` as written), a unit (None if the
+    row has none) other than the rules', a decreasing timestamp, a value the rules
+    refuse, a timestamp beyond int64."""
+    if type(ts) is not int:
+        return f"timestamp {ts!r} is not an integer"
     if not math.isfinite(value):
         return f"non-finite value {shown!r}"
     if unit is not None and unit != rules.unit:

@@ -288,8 +288,9 @@ def emit_goal(schedule) -> str:
     """GOAL text: metadata comments, then one block per rank, labels o<id>."""
     lines: list[str] = []
     for key in sorted(schedule.metadata):
+        flat_key = " ".join(str(key).split())
         value = " ".join(str(schedule.metadata[key]).split())
-        lines.append(f"# {key}: {value}")
+        lines.append(f"# {flat_key}: {value}")
     lines.append(f"num_ranks {schedule.nranks}")
     for rank, rank_ops in enumerate(schedule.ops):
         if not rank_ops:

@@ -1369,3 +1369,22 @@ def test_trace_dist_bytes_on_benchmark_traces(runner, tmp_path, monkeypatch):
             column.byteswap()
         assert hashlib.sha256(column.tobytes()).hexdigest() == _TRACE_DIST_COLUMN_SHA256[name]
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# sha256 of `nsim gen` GOAL text, taken while the writer still formatted one op at a time.
+_GEN_GOAL_SHA256 = {
+    "dissem -p 1024 -s 16": "5a153ab5fe59c9b756cd3a8a718470f4b3db36bf68ce7b61cc6dd2ed3d1d1ba9",
+    "ring -p 64 -s 65536 --reduce-cost 250":
+        "3faad79b00b27beee2378070210209b66392f215a7f99c8c4acf71d26e562863",
+    "compapp -p 16 --comp 100000 --pattern dissemination -s 64 --iterations 3":
+        "893f7e2de6a8d5ab8ec42e5f02f1e9320d389d514239a1e32875af9a3f3fc911",
+    "compapp -p 8 --comp 100000 --pattern ring -s 4096 --iterations 2":
+        "c9a33b20a43684a525a3a1ee466563ed8663457bfc7934b035ff52acd222b8a4",
+}
+
+
+@pytest.mark.parametrize("args", sorted(_GEN_GOAL_SHA256))
+def test_gen_goal_bytes_are_pinned(runner, args):
+    r = runner.invoke(cli, ["gen", *args.split()])
+    assert r.exit_code == 0, r.output
+    assert hashlib.sha256(r.stdout_bytes).hexdigest() == _GEN_GOAL_SHA256[args]

@@ -605,6 +605,31 @@ def test_writers_match_object_oracles(schedule):
     assert emit_goal(schedule) == oracle_emit_goal(schedule)
 
 
+_GENERATED = {
+    "dissem": lambda p: gen_dissemination(p, 16),
+    "ring": lambda p: gen_ring_allreduce(p, 64 * p),
+    "ring_reduce": lambda p: gen_ring_allreduce(p, 64 * p, reduce_cost_per_chunk=7),
+    "compapp_dissem": lambda p: gen_compute_collective(p, 100, "dissemination", 8, 2),
+    "compapp_ring": lambda p: gen_compute_collective(p, 100, "ring", 8 * p, 2),
+}
+
+
+@pytest.mark.parametrize("nranks", [2, 3, 5, 8, 13])
+@pytest.mark.parametrize("make", sorted(_GENERATED))
+def test_writer_matches_object_oracle_on_generated_schedules(make, nranks):
+    # Generated ranks repeat their structure, which runnable_schedules rarely does.
+    s = _GENERATED[make](nranks)
+    assert emit_goal(s) == oracle_emit_goal(s)
+
+
+@settings(max_examples=100, deadline=None)
+@given(schedule=runnable_schedules())
+@example(schedule=Schedule(4, gen_dissemination(4, 16).ops, {"a\nrank 9 {": 1}))
+def test_text_round_trip_with_metadata(schedule):
+    # Keys and values are flattened to one comment line each.
+    assert parse_goal(emit_goal(schedule)) == schedule
+
+
 @settings(max_examples=100, deadline=None)
 @given(schedule=runnable_schedules())
 def test_round_trips_are_byte_identical(schedule):
@@ -809,6 +834,32 @@ def _append_op_by_op(cols, kinds, peers, sizes, req_offsets, req_targets):
 def test_rank_append_matches_op_by_op_oracle(ranks):
     assert (_build(_Columns(), _Columns.add_rank, ranks)
             == _build(OpColumns(), _append_op_by_op, ranks))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rank=rank_columns(), data=st.data())
+def test_a_rank_like_the_last_matches_add_rank(rank, data):
+    kinds, _, *rest = rank
+    peers = [-1 if kind == KIND_CALC
+             else data.draw(st.sampled_from((0, 5, 2**63 - 1, -1, -(2**63), 2**63, 2**64)))
+             for kind in kinds]
+
+    def like_last(cols, kinds, peers, *rest):
+        if len(cols.rank_offsets) == 1:
+            cols.add_rank(kinds, peers, *rest)
+        else:
+            cols.add_like_last(peers)
+
+    ranks = [rank, (kinds, peers, *rest)]
+    assert _build(_Columns(), like_last, ranks) == _build(_Columns(), _Columns.add_rank, ranks)
+
+
+@pytest.mark.parametrize("peer", [0, 1, -2])
+def test_a_rank_like_the_last_refuses_a_calc_peer(peer):
+    cols = _Columns()
+    cols.add_rank([KIND_CALC, KIND_SEND], [-1, 1], [5, 16])
+    with pytest.raises(ValueError, match="calc ops take no peer"):
+        cols.add_like_last([peer, 1])
 
 
 @pytest.mark.parametrize("load", [
@@ -1150,6 +1201,26 @@ def test_bulk_reader_matches_statement_oracle(text):
     assert _parse_outcome(parse_goal, text) == _parse_outcome(oracle_parse_goal, text)
 
 
+class _CountingPattern:
+    """Stands in for ``_BULK_RE`` and counts its ``findall`` calls."""
+
+    def __init__(self, pattern):
+        self.pattern, self.calls = pattern, 0
+
+    def findall(self, *args):
+        self.calls += 1
+        return self.pattern.findall(*args)
+
+    def finditer(self, *args):
+        return self.pattern.finditer(*args)
+
+
+def _count_findall(monkeypatch) -> _CountingPattern:
+    bulk = _CountingPattern(goal_module._BULK_RE)
+    monkeypatch.setattr(goal_module, "_BULK_RE", bulk)
+    return bulk
+
+
 def _count_replayed_blocks(monkeypatch) -> list:
     calls = []
     replay = goal_module._block_fault
@@ -1168,18 +1239,28 @@ def _count_replayed_blocks(monkeypatch) -> list:
     lambda: gen_compute_collective(5, 1000, "dissemination", 8, 3),
 ], ids=["dissem", "ring", "compapp"])
 def test_generated_text_takes_the_bulk_path(monkeypatch, make):
+    # Every block after the first has the first one's words but for its peers.
     s = make()
-    calls = _count_replayed_blocks(monkeypatch)
+    calls, bulk = _count_replayed_blocks(monkeypatch), _count_findall(monkeypatch)
     assert parse_goal(emit_goal(s)) == s
-    assert calls == []
+    assert calls == [] and bulk.calls == 1
 
 
 def test_a_block_with_a_comment_takes_the_bulk_path(monkeypatch):
     s = gen_dissemination(8, 16)
     text = emit_goal(s).replace("rank 5 {\n  o0:", "rank 5 {\n  o0: # the middle rank\n")
-    calls = _count_replayed_blocks(monkeypatch)
+    calls, bulk = _count_replayed_blocks(monkeypatch), _count_findall(monkeypatch)
     assert parse_goal(text) == s
-    assert calls == []
+    assert calls == [] and bulk.calls == 1
+
+
+def test_a_reflowed_block_runs_findall_once_more(monkeypatch):
+    # The reflowed block splits into other words; the next block matches the first.
+    s = gen_dissemination(8, 16)
+    text = emit_goal(s).replace("rank 5 {\n  o0: send", "rank 5 {\n  o0\n:send")
+    bulk = _count_findall(monkeypatch)
+    assert parse_goal(text) == s
+    assert bulk.calls == 2
 
 
 def test_only_the_block_with_a_fault_is_replayed(monkeypatch):
@@ -1188,3 +1269,54 @@ def test_only_the_block_with_a_fault_is_replayed(monkeypatch):
     with pytest.raises(GoalSyntaxError, match="found '\\$ o0: send"):
         parse_goal(text)
     assert calls == [5]
+
+
+# One change to one block after the first of an emitted text: what it puts in
+# place of a peer, of the whitespace after a word, of a size, or what it adds.
+_TEMPLATE_PEERS = {
+    "own": lambda rank, nranks, peer: str(rank),
+    "out_of_range": lambda rank, nranks, peer: str(nranks),
+    "beyond_64_bits": lambda rank, nranks, peer: str(2**64),
+    "zero_padded": lambda rank, nranks, peer: "00" + peer,
+    "unicode": lambda rank, nranks, peer: "".join(chr(0x660 + int(d)) for d in peer),
+    "other_rank": lambda rank, nranks, peer: str((int(peer) + 1) % nranks),
+}
+_TEMPLATE_GAPS = ["  ", "\n", "\t\n ", " # c\n", ""]
+_TEMPLATE_SIZES = ["0", "17", "016", str(2**64)]
+_TEMPLATE_STRAYS = ["$", "{", "x", "٣", ","]
+
+
+@st.composite
+def templated_texts(draw):
+    """The emitted text of a small generated schedule, one of whose later
+    blocks is changed: a peer made its own rank, out of range, beyond 64 bits,
+    zero-padded, Unicode digits or another rank; whitespace, a newline or a
+    comment added or dropped after a word; a size changed; the '}' dropped; or
+    a stray character added."""
+    nranks = draw(st.integers(3, 6))
+    text = emit_goal(_GENERATED[draw(st.sampled_from(sorted(_GENERATED)))](nranks))
+    rank = draw(st.integers(1, nranks - 1))
+    start = text.index(f"rank {rank} {{")
+    close = text.index("}", start)
+    body = text[start:close]
+    edit = draw(st.sampled_from(["peer", "gap", "size", "unclosed", "stray"]))
+    if edit == "peer":
+        m = draw(st.sampled_from(list(re.finditer(r"(?:to|from) (\d+)", body))))
+        how = _TEMPLATE_PEERS[draw(st.sampled_from(sorted(_TEMPLATE_PEERS)))]
+        body = body[:m.start(1)] + how(rank, nranks, m[1]) + body[m.end(1):]
+    elif edit == "gap":
+        at = draw(st.sampled_from([m.start() for m in re.finditer(r" (?=\S)", body)]))
+        body = body[:at] + draw(st.sampled_from(_TEMPLATE_GAPS)) + body[at + 1:]
+    elif edit == "size":
+        m = draw(st.sampled_from(list(re.finditer(r"(?:calc |: \w+ )(\d+)", body))))
+        body = body[:m.start(1)] + draw(st.sampled_from(_TEMPLATE_SIZES)) + body[m.end(1):]
+    elif edit == "stray":
+        at = draw(st.integers(len(f"rank {rank} {{"), len(body)))
+        body = body[:at] + draw(st.sampled_from(_TEMPLATE_STRAYS)) + body[at:]
+    return text[:start] + body + text[close + (edit == "unclosed"):]
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=templated_texts())
+def test_templated_reader_matches_statement_oracle(text):
+    assert _parse_outcome(parse_goal, text) == _parse_outcome(oracle_parse_goal, text)

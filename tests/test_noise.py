@@ -509,6 +509,11 @@ class TestDistributionChecks:
         with pytest.raises(ValueError, match="finite"):
             SampleTrace(((0, 1.0), (1, bad)), "ratio")
 
+    @pytest.mark.parametrize("ts", [1.7, 2.0, "12", True, math.inf, math.nan])
+    def test_trace_refuses_a_timestamp_that_is_not_an_int(self, ts):
+        with pytest.raises(ValueError, match=r"^row 1: timestamp .+ is not an integer$"):
+            SampleTrace(((0, 1.0), (ts, 5.0)), "ns")
+
     @pytest.mark.parametrize("samples, unit, match", [
         ((1.0, math.nan), "ns", "finite"),
         ((2.0, 1.0), "ns", "sorted"),
