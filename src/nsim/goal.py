@@ -179,14 +179,11 @@ class _Columns:
         is_calc = list(map(KIND_CALC.__eq__, kinds)) if KIND_CALC in kinds else None
         try:
             column = array("q", peers)
-        except OverflowError:
-            column = None
-        if column is None:
+        except OverflowError:  # a peer beyond 64 bits
             ok = False
-        elif is_calc is None:
-            ok = min(column, default=0) >= 0
         else:  # negative exactly at the calcs, and no lower than -1
-            ok = list(map((0).__gt__, column)) == is_calc and min(column) >= -1
+            ok = (min(column, default=0) >= 0 if is_calc is None
+                  else list(map((0).__gt__, column)) == is_calc and min(column) >= -1)
         if not ok:
             if is_calc and not {-1}.issuperset(compress(peers, is_calc)):
                 raise ValueError("calc ops take no peer")
@@ -440,7 +437,7 @@ class _BulkReader:
     in both, so ``findall`` would accept the body with the same columns.
     """
 
-    __slots__ = ("nranks", "_count", "_others", "_other_words", "_peer_mask", "_peer_index",
+    __slots__ = ("nranks", "_count", "_others", "_other_words", "_peer_at", "_peer_index",
                  "_structure")
 
     def __init__(self, nranks: int) -> None:
@@ -452,7 +449,7 @@ class _BulkReader:
         """``(structure, peers)`` of the body ``code[start:end]`` of rank ``rank``'s block."""
         words = code[start:end].split()
         if len(words) == self._count and self._others(words) == self._other_words:
-            digits = "".join(compress(words, self._peer_mask))
+            digits = "".join(map(words.__getitem__, self._peer_at))
             if digits.isascii() and (digits.isdigit() or not digits):
                 words.append("-1")  # the peer of a calc
                 peers = self._peers(map(words.__getitem__, self._peer_index), rank)
@@ -490,14 +487,10 @@ class _BulkReader:
     def _keep(self, words: list[str], structure: tuple) -> None:
         """Make the accepted body of ``words`` and ``structure`` the template."""
         n = len(words)
-        peer_at = [i + 1 for i, word in enumerate(words) if word in _PREPOSITIONS]
-        mask = [False] * n
-        for i in peer_at:
-            mask[i] = True
-        peer_at = iter(peer_at)
+        self._peer_at = [i + 1 for i, word in enumerate(words) if word in _PREPOSITIONS]
+        peer_at = iter(self._peer_at)
         self._peer_index = [n if kind == KIND_CALC else next(peer_at) for kind in structure[0]]
-        self._peer_mask = mask
-        self._others = itemgetter(*compress(range(n), map(not_, mask)))
+        self._others = itemgetter(*sorted(set(range(n)).difference(self._peer_at)))
         self._other_words = self._others(words)
         self._count = n
         self._structure = structure
