@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import io
 import json
-import math
 import os
 import sys
 from contextlib import contextmanager
@@ -35,17 +34,12 @@ EXIT_VALIDATION = 3
 EXIT_IO = 4
 EXIT_DEADLOCK = 5
 
-_PARAMS_SCHEMA = "nsim.params/1"
-# LogGPParams field -> its key in params files and in results metadata
-_PARAMS_KEYS = {"L": "L_ns", "o": "o_ns", "g": "g_ns", "G": "G_ns_per_byte"}
-_RESULTS_SCHEMA = "nsim.results/1"
-
 
 def _fail(root: click.Context, code: int, exc: BaseException) -> None:
     """Report ``exc`` on stderr, as JSON under the root's --error-json, and exit ``code``."""
     if root.params.get("error_json"):
         click.echo(json.dumps({"error": type(exc).__name__, "message": str(exc),
-                               "exit_code": code}), err=True)
+                               "exit_code": code}, allow_nan=False), err=True)
     else:
         click.echo(f"error: {exc}", err=True)
     sys.exit(code)
@@ -119,33 +113,19 @@ def _load_schedule(path: str) -> Schedule:
 
 
 def load_params_file(path: str) -> tuple[LogGPParams, dict]:
-    """Read a params JSON file; returns (params, full document).
-
-    Each parameter is read from its key in ``_PARAMS_KEYS``, else from its
-    bare field name."""
-    from .model import LogGPParams
+    """Read a params JSON file; returns (params, full document)."""
+    from .runfiles import params_from_json
 
     with _reading(path):
-        doc = decode_json(_read_text(path))
-        if not isinstance(doc, dict):
-            raise ValueError("params file must hold a JSON object")
-        values = {}
-        for field, key in _PARAMS_KEYS.items():
-            if key not in doc and field not in doc:
-                raise ValueError(f"params file is missing {key}/{field}")
-            values[field] = doc[key] if key in doc else doc[field]
-        params = LogGPParams(**values)
-    return params, doc
+        return params_from_json(_read_text(path))
 
 
-def _params_by_key(params: LogGPParams) -> dict:
-    """``params`` under the keys of a params file."""
-    return {key: getattr(params, field) for field, key in _PARAMS_KEYS.items()}
+def _load_results(path: str, with_nranks: bool = False) -> tuple[list[int], int | None]:
+    """Completion times of a `sim run` results file, plus metadata.nranks if asked."""
+    from .runfiles import results_from_json
 
-
-def dump_params_file(params: LogGPParams, path: str, **extra) -> None:
-    doc = {"schema": _PARAMS_SCHEMA, **_params_by_key(params), **extra}
-    _write_text(path, json.dumps(doc, indent=2) + "\n")
+    with _reading(path):
+        return results_from_json(_read_text(path), with_nranks)
 
 
 def _parse_endpoint(value: str, default_host: str = "127.0.0.1") -> tuple[str, int]:
@@ -294,7 +274,7 @@ def sim_run(goal_path: str, params_path: str, noise_lat: str | None,
     from datetime import datetime, timezone
 
     from . import noise as noise_mod
-    from . import simengine
+    from . import runfiles, simengine
     from .model import NoiseModel
 
     for option, value in (("--reps", reps), ("--workers", workers)):
@@ -314,23 +294,18 @@ def sim_run(goal_path: str, params_path: str, noise_lat: str | None,
     schedule = _load_schedule(goal_path)
     cfg = simengine.SimConfig(params=params, noise=NoiseModel(**noise), seed=seed)
     results = simengine.run_many(schedule, cfg, reps, workers=workers)
-    doc = {
-        "schema": _RESULTS_SCHEMA,
-        "metadata": {
-            "params": _params_by_key(params),
-            "params_file": params_doc,
-            "noise": noise_meta,
-            "seed": seed,
-            "reps": reps,
-            "prng": simengine.PRNG_NAME,
-            "nranks": schedule.nranks,
-            "schedule_metadata": dict(schedule.metadata),
-            "created": datetime.now(timezone.utc).isoformat(),
-        },
-        "results": [simengine.result_to_dict(r, i, per_rank)
-                    for i, r in enumerate(results)],
+    metadata = {
+        "params": runfiles.params_by_key(params),
+        "params_file": params_doc,
+        "noise": noise_meta,
+        "seed": seed,
+        "reps": reps,
+        "prng": simengine.PRNG_NAME,
+        "nranks": schedule.nranks,
+        "schedule_metadata": dict(schedule.metadata),
+        "created": datetime.now(timezone.utc).isoformat(),
     }
-    _write_text(out, json.dumps(doc, indent=2) + "\n")
+    _write_text(out, runfiles.results_to_json(metadata, results, per_rank))
 
 
 # ---------------------------------------------------------------------------
@@ -397,51 +372,6 @@ def trace_top(in_path: str, unit: str, frac: float, side: str, out: str) -> None
 # ---------------------------------------------------------------------------
 # cost
 
-def _is_int(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _check_float_range(key: str, values: list[int]) -> None:
-    """ValueError unless a float can hold each of the integers ``values``."""
-    try:
-        float(max(map(abs, values)))
-    except OverflowError:
-        raise ValueError(f"{key!r} is beyond the float range") from None
-
-
-def _load_results(path: str, with_nranks: bool = False) -> tuple[list[int], int | None]:
-    """Completion times of a `sim run` results file, plus metadata.nranks if asked."""
-    with _reading(path):
-        doc = decode_json(_read_text(path))
-        runs = doc.get("results") if isinstance(doc, dict) else None
-        if not isinstance(runs, list) or not runs:
-            raise ValueError("'results' must be a non-empty list of runs")
-        completions = [run.get("completion_ns") if isinstance(run, dict) else None
-                       for run in runs]
-        if not all(map(_is_int, completions)):
-            raise ValueError("every run needs an integer 'completion_ns'")
-        if min(completions) < 0:
-            raise ValueError("'completion_ns' must be >= 0")
-        _check_float_range("completion_ns", completions)
-        if not with_nranks:
-            return completions, None
-        metadata = doc.get("metadata")
-        nranks = metadata.get("nranks") if isinstance(metadata, dict) else None
-        if not _is_int(nranks):
-            raise ValueError("'metadata.nranks' must be an integer")
-        _check_float_range("metadata.nranks", [nranks])
-    return completions, nranks
-
-
-def _mean(values: list[float]) -> float:
-    """sum / len, computed term by term when the sum passes the float maximum."""
-    n = len(values)
-    mean = sum(values) / n
-    if math.isinf(mean):  # terms of at most max / 2n keep every partial sum of fsum finite
-        mean = min(2 * math.fsum(v / (2 * n) for v in values), max(values))
-    return mean
-
-
 @cli.command("cost")
 @click.option("--results", "results_path", required=True,
               help="Results JSON from `sim run`, - for stdin.")
@@ -463,23 +393,8 @@ def cost_cmd(results_path: str, price_catalog: str | None, provider: str, label:
     with _reading(catalog_path):
         catalog = cost_mod.load_price_catalog(catalog_path)
     price = cost_mod.find_price(catalog, provider, label, instance)
-    costs = [cost_mod.run_cost(c, nodes, price) for c in completions]
-    output: dict[str, object] = {
-        "schema": "nsim.cost/1",
-        "provider": provider,
-        "label": label,
-        "usd_per_node_hour": price.per_node_hour,
-        "nodes": nodes,
-        "per_run_usd": costs,
-        "mean_usd": _mean(costs),
-    }
-    if baseline_path:
-        base = _load_results(baseline_path)[0][0]
-        increases = cost_mod.completion_increase(completions, base)
-        output["baseline_completion_ns"] = base
-        output["relative_increase"] = increases
-        output["mean_relative_increase"] = _mean(increases)
-    _write_text(out, json.dumps(output, indent=2) + "\n")
+    baseline = _load_results(baseline_path)[0][0] if baseline_path else None
+    _write_text(out, cost_mod.format_cost(completions, nodes, price, baseline))
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from importlib import resources
@@ -18,6 +19,7 @@ __all__ = [
     "load_price_catalog",
     "find_price",
     "builtin_catalog_path",
+    "format_cost",
 ]
 
 _NS_PER_HOUR = 3_600_000_000_000
@@ -121,3 +123,33 @@ def find_price(catalog: dict[tuple[str, str, str], PriceSpec], provider: str, la
 def builtin_catalog_path() -> Path:
     """The packaged price catalog fixture."""
     return Path(resources.files("nsim").joinpath("data/price_catalog.csv"))  # type: ignore[arg-type]
+
+
+def _mean(values: list[float]) -> float:
+    """sum / len, computed term by term when the sum passes the float maximum."""
+    n = len(values)
+    mean = sum(values) / n
+    if math.isinf(mean):  # terms of at most max / 2n keep every partial sum of fsum finite
+        mean = min(2 * math.fsum(v / (2 * n) for v in values), max(values))
+    return mean
+
+
+def format_cost(completions: Sequence[int], nodes: int, price: PriceSpec,
+                baseline: int | None = None) -> str:
+    """The ``nsim.cost/1`` document of runs, with their increase over ``baseline`` if given."""
+    costs = [run_cost(c, nodes, price) for c in completions]
+    doc: dict[str, object] = {
+        "schema": "nsim.cost/1",
+        "provider": price.provider,
+        "label": price.label,
+        "usd_per_node_hour": price.per_node_hour,
+        "nodes": nodes,
+        "per_run_usd": costs,
+        "mean_usd": _mean(costs),
+    }
+    if baseline is not None:
+        increases = completion_increase(completions, baseline)
+        doc["baseline_completion_ns"] = baseline
+        doc["relative_increase"] = increases
+        doc["mean_relative_increase"] = _mean(increases)
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"

@@ -2,13 +2,15 @@
 
 Each class is re-exported by the module that raises it (``goal``, ``noise``,
 ``simengine``, ``bench``), so ``nsim.goal.GoalSyntaxError`` is
-``nsim.errors.GoalSyntaxError``. This module imports only ``json``, so the
-CLI can catch every one of them without loading the modules that raise them.
-The messages name no file: the CLI puts the path of the file it was reading
-in front of them. ``decode_json`` is the JSON decoder of every reader.
+``nsim.errors.GoalSyntaxError``. This module imports only ``json`` and
+``math``, so the CLI can catch every one of them without loading the modules
+that raise them. The messages name no file: the CLI puts the path of the file
+it was reading in front of them. ``decode_json`` is the JSON decoder of every
+reader.
 """
 
 import json
+import math
 
 __all__ = [
     "GoalSyntaxError",
@@ -21,11 +23,24 @@ __all__ = [
 ]
 
 
+def _refuse_constant(token: str):
+    raise ValueError(f"{token} is not a JSON number")
+
+
+def _finite_float(token: str) -> float:
+    value = float(token)
+    if math.isinf(value):
+        raise ValueError(f"number {token} is beyond the float range")
+    return value
+
+
 def decode_json(text: str):
-    """``json.loads(text)``, where a document nested too deep to decode raises
-    json.JSONDecodeError, a ValueError, like other text that is not JSON."""
+    """``json.loads(text)`` for RFC 8259 JSON: ``NaN``, ``Infinity``, ``-Infinity``
+    and a number beyond the float range raise ValueError. A document nested too
+    deep to decode raises json.JSONDecodeError, a ValueError, like other text
+    that is not JSON."""
     try:
-        return json.loads(text)
+        return json.loads(text, parse_constant=_refuse_constant, parse_float=_finite_float)
     except RecursionError:
         raise json.JSONDecodeError("nested too deeply to decode", text, 0) from None
 

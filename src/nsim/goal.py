@@ -905,7 +905,7 @@ def schedule_to_json(schedule: Schedule) -> str:
     doc = {"schema": _SCHEDULE_SCHEMA, "num_ranks": schedule.nranks,
            "metadata": dict(schedule.metadata)}
     doc.update((name, getattr(schedule, name).tolist()) for name in _COLUMNS)
-    return json.dumps(doc, separators=(",", ":")) + "\n"
+    return json.dumps(doc, separators=(",", ":"), allow_nan=False) + "\n"
 
 
 def schedule_from_json(text: str) -> Schedule:

@@ -88,7 +88,6 @@ class SampleTrace:
         rules = _trace_rules(unit)
         timestamps, values = array("q"), array("d")
         for i, (t, v) in enumerate(rows):
-            v = float(v)
             fault = _row_fault(t, v, v, None, timestamps, rules)
             if fault is not None:
                 raise ValueError(f"row {i}: {fault}")
@@ -152,11 +151,14 @@ def _trace_rules(unit: str) -> _Rules:
 def _row_fault(ts: int, value: float, shown: object, unit: str | None, timestamps: array,
                rules: _Rules) -> str | None:
     """The first fault of a row that would follow ``timestamps``, or None: a timestamp
-    that is not an int, a value not finite (``shown`` as written), a unit (None if the
-    row has none) other than the rules', a decreasing timestamp, a value the rules
-    refuse, a timestamp beyond int64."""
+    that is not an int, a value that is not an int or a float (a bool is neither) or
+    not finite (``shown`` as written), a unit (None if the row has none) other than
+    the rules', a decreasing timestamp, a value the rules refuse, a timestamp beyond
+    int64."""
     if type(ts) is not int:
         return f"timestamp {ts!r} is not an integer"
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return f"value {shown!r} is not a number"
     if not math.isfinite(value):
         return f"non-finite value {shown!r}"
     if unit is not None and unit != rules.unit:
@@ -421,7 +423,8 @@ def format_distribution(dist: EmpiricalDistribution) -> str:
     if sys.byteorder == "big":
         column.byteswap()
     return json.dumps({"schema": _DIST_SCHEMA, "unit": dist.unit, "count": len(column),
-                       "samples_f64le": base64.b64encode(column).decode("ascii")}) + "\n"
+                       "samples_f64le": base64.b64encode(column).decode("ascii")},
+                      allow_nan=False) + "\n"
 
 
 def save_distribution(dist: EmpiricalDistribution, path: str | Path) -> None:

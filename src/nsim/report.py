@@ -160,7 +160,8 @@ def _render_json(pairs, include_samples: bool) -> str:
         if include_samples:
             entry["samples"] = list(samples)
         out.append(entry)
-    return json.dumps({"schema": _STATS_SCHEMA, "groups": out}, indent=2) + "\n"
+    return json.dumps({"schema": _STATS_SCHEMA, "groups": out}, indent=2,
+                      allow_nan=False) + "\n"
 
 
 def _stats_dict(stats: BoxStats) -> dict:

@@ -96,6 +96,7 @@ from typing import Sequence
 from .errors import DeadlockError
 from .goal import KIND_CALC, KIND_RECV, KIND_SEND, Schedule, execution_order
 from .model import DetourTrace, LogGPParams, NoiseModel
+from .runfiles import result_to_dict  # noqa: F401 - kept under this name for callers
 
 __all__ = [
     "PRNG_NAME",
@@ -739,11 +740,3 @@ def run_many(
             return [r for block in pool.map(_pool_run, blocks) for r in block]
     finally:
         _FORK_STATE = None
-
-
-def result_to_dict(result: SimResult, run_index: int, per_rank: bool = False) -> dict:
-    """JSON-ready form of one run for the results export."""
-    entry: dict[str, object] = {"run": run_index, "completion_ns": result.completion}
-    if per_rank:
-        entry["per_rank_completion_ns"] = list(result.per_rank_completion)
-    return entry

@@ -14,11 +14,12 @@ import pytest
 from click.testing import CliRunner
 
 from nsim.bench import BenchPlan, EchoServer, pingpong, pingpong_bidirectional
-from nsim.cli import cli, dump_params_file, load_params_file
+from nsim.cli import cli, load_params_file
 from nsim.goal import parse_goal, schedule_from_json, schedule_to_json
 from nsim.model import DetourTrace, EmpiricalDistribution, LogGPParams
 from nsim.noise import (format_detour_trace, format_distribution, parse_distribution,
                         save_distribution)
+from nsim.runfiles import params_to_json
 
 
 @pytest.fixture()
@@ -29,8 +30,8 @@ def runner():
 @pytest.fixture()
 def params_file(tmp_path):
     path = tmp_path / "params.json"
-    dump_params_file(LogGPParams(L=5000, o=1000, g=1000, G=0.01), str(path),
-                     o_fraction=0.5)
+    path.write_text(params_to_json(LogGPParams(L=5000, o=1000, g=1000, G=0.01),
+                                   o_fraction=0.5))
     return str(path)
 
 
@@ -43,6 +44,10 @@ def _run_cli(*args, input=None):
     """Run the CLI in a fresh interpreter, as a shell user would."""
     return subprocess.run([sys.executable, "-m", "nsim.cli", *args], input=input,
                           capture_output=True, text=True, timeout=120)
+
+
+_RESULTS_DOC = {"schema": "nsim.results/1", "metadata": {"nranks": 4},
+                "results": [{"run": 0, "completion_ns": 9000}]}
 
 
 def _results_doc(completions):
@@ -494,7 +499,7 @@ class TestParamsFile:
     def test_roundtrip(self, tmp_path):
         p = LogGPParams(L=10, o=2, g=3, G=0.5)
         path = tmp_path / "p.json"
-        dump_params_file(p, str(path), source="unit-test")
+        path.write_text(params_to_json(p, source="unit-test"))
         assert path.read_text() == (
             '{\n  "schema": "nsim.params/1",\n  "L_ns": 10,\n  "o_ns": 2,\n  "g_ns": 3,\n'
             '  "G_ns_per_byte": 0.5,\n  "source": "unit-test"\n}\n')
@@ -544,6 +549,57 @@ class TestParamsFile:
 
 
 _TWO_RANK_MESSAGE = "num_ranks 2\nrank 0 { a: send 4b to 1 }\nrank 1 { a: recv 4b from 0 }\n"
+
+
+class TestStrictJson:
+    """Every JSON reader takes RFC 8259 JSON only: NaN, Infinity, -Infinity and a
+    number beyond the float range are refused with one line that names the token."""
+
+    # each document holds the token where "TOKEN" is
+    _DOCS = {
+        "params": {"L_ns": 1, "o_ns": 1, "g_ns": 1, "G_ns_per_byte": 0.5, "x": "TOKEN"},
+        "schedule": {**json.loads(schedule_to_json(parse_goal(_TWO_RANK_MESSAGE))),
+                     "metadata": {"x": "TOKEN"}},
+        "noise_lat": {**_dist_doc([7000.0]), "x": "TOKEN"},
+        "report_box": {**_RESULTS_DOC, "metadata": {"nranks": 4, "x": "TOKEN"}},
+        "cost": {**_RESULTS_DOC, "results": [{"run": 0, "completion_ns": "TOKEN"}]},
+        "config": {"gen": {"dissem": {"size": "TOKEN"}}},
+    }
+
+    @pytest.mark.parametrize("token, message", [
+        ("NaN", "NaN is not a JSON number"),
+        ("Infinity", "Infinity is not a JSON number"),
+        ("-Infinity", "-Infinity is not a JSON number"),
+        ("1e400", "number 1e400 is beyond the float range"),
+        ("-1E+400", "number -1E+400 is beyond the float range"),
+    ])
+    @pytest.mark.parametrize("reader", sorted(_DOCS))
+    def test_non_finite_number_refused(self, runner, params_file, tmp_path, reader, token,
+                                       message):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(self._DOCS[reader]).replace('"TOKEN"', token))
+        goal = tmp_path / "s.goal"
+        goal.write_text(_TWO_RANK_MESSAGE)
+        args = {
+            "params": ["sim", "run", "--params", str(path), "--goal", str(goal)],
+            "schedule": ["sim", "run", "--params", params_file, "--goal", str(path)],
+            "noise_lat": ["sim", "run", "--params", params_file, "--goal", str(goal),
+                          "--noise-lat", str(path)],
+            "report_box": ["report", "box", str(path)],
+            "cost": ["cost", "--results", str(path), "--provider", "aws",
+                     "--label", "on_demand", "--instance", "c5n.18xlarge"],
+            "config": ["--config", str(path), "gen", "dissem", "-p", "2", "-s", "1"],
+        }[reader]
+        r = runner.invoke(cli, args)
+        assert r.exit_code == (4 if reader == "config" else 3)
+        assert r.stderr == f"error: {path}: {message}\n"
+        assert r.stdout == ""
+
+    def test_tiny_numbers_are_read(self, runner, tmp_path):
+        # a number that rounds to zero is finite
+        path = tmp_path / "p.json"
+        path.write_text('{"L_ns": 1, "o_ns": 1, "g_ns": 1, "G_ns_per_byte": 1e-400}')
+        assert load_params_file(str(path))[0].G == 0.0
 
 
 class TestMalformedInputExit:
@@ -1109,10 +1165,6 @@ def test_sim_run_validates_and_compiles_once(runner, params_file, monkeypatch, f
 # ---------------------------------------------------------------------------
 # What each command loads, and the lazy `nsim` namespace
 
-_RESULTS_DOC = {"schema": "nsim.results/1", "metadata": {"nranks": 4},
-                "results": [{"run": 0, "completion_ns": 9000}]}
-
-
 def _modules_at_exit(tmp_path, *args):
     """The names in sys.modules when `python -m nsim.cli <args>` exits, run afresh.
 
@@ -1136,29 +1188,38 @@ def _startup_cases(tmp_path):
     results.write_text(json.dumps(_RESULTS_DOC))
     trace = tmp_path / "lat.csv"
     trace.write_text("timestamp_ns,value,unit\n0,7000,ns\n5,7100,ns\n")
+    params = tmp_path / "params.json"
+    params.write_text(params_to_json(LogGPParams(L=5000, o=1000, g=1000, G=0.01)))
+    detour = tmp_path / "detour.csv"
+    detour.write_text(format_detour_trace(DetourTrace(((100, 50), (400, 200)), span=1000)))
+    goal = tmp_path / "s.goal"
+    goal.write_text(_CALC_SEND_RECV)
     out = str(tmp_path / "out")
-    # (args, the module the command runs, modules it must not load)
+    # (args, the modules the command runs, modules it must not load)
     return {
-        "help": (["--help"], None,
-                 ("model", "goal", "noise", "simengine", "bench", "report", "cost", "numpy")),
+        "help": (["--help"], (), ("model", "goal", "noise", "simengine", "bench", "report",
+                                  "cost", "runfiles", "numpy")),
         "cost": (["cost", "--results", str(results), "--provider", "aws",
                   "--label", "on_demand", "--instance", "c5n.18xlarge", "-o", out],
-                 "cost", ("model", "goal", "noise", "simengine", "bench", "numpy")),
-        "report": (["report", "box", str(results), "-o", out], "report",
+                 ("cost", "runfiles"), ("model", "goal", "noise", "simengine", "bench",
+                                        "numpy")),
+        "report": (["report", "box", str(results), "-o", out], ("report", "runfiles"),
                    ("model", "goal", "noise", "simengine", "bench", "numpy")),
-        "trace": (["trace", "dist", "--in", str(trace), "-o", out], "noise",
-                  ("goal", "simengine", "bench", "numpy")),
-        "gen": (["gen", "dissem", "-p", "4", "-s", "16", "-o", out], "goal",
-                ("model", "noise", "simengine", "bench")),
+        "trace": (["trace", "dist", "--in", str(trace), "-o", out], ("noise",),
+                  ("goal", "simengine", "bench", "runfiles", "numpy")),
+        "gen": (["gen", "dissem", "-p", "4", "-s", "16", "-o", out], ("goal",),
+                ("model", "noise", "simengine", "bench", "runfiles")),
+        "sim": (["sim", "run", "--goal", str(goal), "--params", str(params), "--noise-os",
+                 str(detour), "-o", out], ("goal", "simengine", "model", "noise", "runfiles"),
+                ("cost", "report", "bench", "numpy")),
     }
 
 
-@pytest.mark.parametrize("case", ["help", "cost", "report", "trace", "gen"])
+@pytest.mark.parametrize("case", ["help", "cost", "report", "trace", "gen", "sim"])
 def test_command_loads_only_what_it_runs(tmp_path, case):
     args, runs, unused = _startup_cases(tmp_path)[case]
     loaded = _modules_at_exit(tmp_path, *args)
-    if runs is not None:
-        assert f"nsim.{runs}" in loaded
+    assert {f"nsim.{m}" for m in runs} <= loaded
     names = {m if m == "numpy" else f"nsim.{m}" for m in unused}
     assert not names & loaded
 
@@ -1388,3 +1449,29 @@ def test_gen_goal_bytes_are_pinned(runner, args):
     r = runner.invoke(cli, ["gen", *args.split()])
     assert r.exit_code == 0, r.output
     assert hashlib.sha256(r.stdout_bytes).hexdigest() == _GEN_GOAL_SHA256[args]
+
+
+# sha256 of a small `sim run` results file, its "created" line removed, and of the
+# `cost --baseline` document of it, taken while cli.py still wrote both formats.
+_RESULTS_SHA256 = "9b82bb14d8516792130fd291ace3068d5e7505acc3a94d23bf8f661229e27749"
+_COST_SHA256 = "ec6cdf2f9c60950b9b2f91a72a68cb18460b3e6e7cb736f14c8ebe43282ee41a"
+
+
+def test_results_and_cost_bytes_are_pinned(runner, params_file, tmp_path):
+    # relative paths: the results metadata records the noise file's path as given
+    with runner.isolated_filesystem(temp_dir=tmp_path):
+        _write_dist("lat.json", [7000.0] * 9 + [70000.0])
+        gen = _invoke(runner, ["gen", "dissem", "-p", "4", "-s", "16", "--format", "json"])
+        for args in (["--noise-lat", "lat.json", "--seed", "3", "--reps", "4", "--per-rank",
+                      "-o", "noisy.json"], ["-o", "clean.json"]):
+            r = _invoke(runner, ["sim", "run", "--params", params_file, *args],
+                        input=gen.output)
+            assert r.exit_code == 0, r.output
+        cost = _invoke(runner, ["cost", "--results", "noisy.json", "--baseline", "clean.json",
+                                "--provider", "aws", "--label", "on_demand",
+                                "--instance", "c5n.18xlarge"])
+        lines = Path("noisy.json").read_bytes().splitlines(keepends=True)
+    kept = b"".join(line for line in lines if not line.lstrip().startswith(b'"created": '))
+    assert len(kept) < sum(map(len, lines))
+    assert hashlib.sha256(kept).hexdigest() == _RESULTS_SHA256
+    assert hashlib.sha256(cost.stdout_bytes).hexdigest() == _COST_SHA256

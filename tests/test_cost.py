@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -8,6 +9,7 @@ from nsim.cost import (
     builtin_catalog_path,
     completion_increase,
     find_price,
+    format_cost,
     load_price_catalog,
     relative_increase,
     run_cost,
@@ -140,3 +142,23 @@ class TestCatalog:
         p.write_text("provider,instance,label,usd_per_hour\nx,y,spot,1.0\n")
         with pytest.raises(ValueError):
             load_price_catalog(p)
+
+
+class TestFormatCost:
+    _PRICE = PriceSpec(per_node_hour=3.88, label="on_demand", provider="aws")
+
+    def test_without_baseline(self):
+        doc = json.loads(format_cost([HOUR_NS, 3 * HOUR_NS], 2, self._PRICE))
+        assert list(doc) == ["schema", "provider", "label", "usd_per_node_hour", "nodes",
+                             "per_run_usd", "mean_usd"]
+        assert doc["schema"] == "nsim.cost/1"
+        assert (doc["provider"], doc["label"], doc["nodes"]) == ("aws", "on_demand", 2)
+        assert doc["per_run_usd"] == pytest.approx([7.76, 23.28])
+        assert doc["mean_usd"] == pytest.approx(15.52)
+
+    def test_with_baseline(self):
+        doc = json.loads(format_cost([HOUR_NS, 3 * HOUR_NS], 2, self._PRICE,
+                                     baseline=HOUR_NS))
+        assert doc["baseline_completion_ns"] == HOUR_NS
+        assert doc["relative_increase"] == [0.0, 2.0]
+        assert doc["mean_relative_increase"] == 1.0

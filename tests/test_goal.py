@@ -462,6 +462,12 @@ class TestJson:
         back = schedule_from_json(schedule_to_json(s))
         assert dict(back.metadata) == dict(s.metadata)
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_metadata_not_written(self, value):
+        s = gen_dissemination(2, 16)
+        with pytest.raises(ValueError):
+            schedule_to_json(Schedule(s.nranks, s.ops, {"x": value}))
+
     def test_bad_schema_rejected(self):
         with pytest.raises(ValueError):
             schedule_from_json('{"schema": "nope", "num_ranks": 1, "ranks": [[]]}')

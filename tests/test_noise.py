@@ -509,6 +509,14 @@ class TestDistributionChecks:
         with pytest.raises(ValueError, match="finite"):
             SampleTrace(((0, 1.0), (1, bad)), "ratio")
 
+    @pytest.mark.parametrize("value", ["12", "x", True, None, b"5"])
+    def test_trace_refuses_a_value_that_is_not_a_number(self, value):
+        with pytest.raises(ValueError, match=r"^row 1: value .+ is not a number$"):
+            SampleTrace(((0, 12), (1, value)), "ns")
+
+    def test_trace_takes_an_int_value_as_a_float(self):
+        assert SampleTrace(((0, 12), (1, 2.5)), "ns").rows == ((0, 12.0), (1, 2.5))
+
     @pytest.mark.parametrize("ts", [1.7, 2.0, "12", True, math.inf, math.nan])
     def test_trace_refuses_a_timestamp_that_is_not_an_int(self, ts):
         with pytest.raises(ValueError, match=r"^row 1: timestamp .+ is not an integer$"):
